@@ -9,8 +9,6 @@ environment variable:
     unset / "auto"   use numba when it imports, numpy otherwise
     "1" / "on"       require numba (ImportError if unavailable)
     "0" / "off"      force the pure-numpy path
-
-``benchmarks/bench_kernels.py`` times both paths side by side.
 """
 
 import os

@@ -1,17 +1,25 @@
 """Electrode sensing-area computation and per-point diameter scaling.
 
 The sensing area of an electrode pathway is the true contact patch: the
-area of the mesh surface clipped to the interior of the infinite cylinder
-around the pathway axis, restricted to the connected patch containing the
-contact point.  Clipping is done by recursive midpoint subdivision of each
-triangle against the implicit cylinder (inside test on radial distance),
-with a linear area fraction at the finest level and the subdivision depth
-grown adaptively until the total changes by less than 1e-4 relative.
+area of the mesh surface inside the infinite cylinder of diameter D around
+the pathway axis, restricted to the connected patch containing the contact
+point.  Each face's share is exact.  Projected along the axis onto the
+cross-section plane, a planar face becomes a triangle and its part inside
+the cylinder becomes the triangle's intersection with the disk of radius
+D/2, whose area has a closed form: summed over the three edges, a signed
+chord triangle where the edge runs inside the disk and signed circular
+sectors where it runs outside.  Multiplying by face area / projected area
+undoes the projection.  A face parallel to the axis projects to a segment;
+it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
-``solve_diameter`` inverts the area by bisection (the area is monotone in
-the diameter but only piecewise smooth on meshes, so no derivatives), and
-``design_array`` runs the solve point by point so every electrode of an
-array reaches one target area regardless of local curvature.
+Everything that does not depend on D (the contact face, the surface and
+tilt checks, the projected vertices, the per-face area ratios and a face
+prefilter ordered by distance from the axis) is built once per pathway by
+``_Pathway``.  ``solve_diameter`` inverts the area with a bracketed Brent
+solve (the area is continuous and monotone in D but only piecewise
+smooth), and ``design_array`` runs the solve point by point so every
+electrode of an array reaches one target area regardless of local
+curvature.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import USE_NUMBA, maybe_jit
 from .errors import (
     AurisenseError,
     NonMonotoneAreaError,
@@ -35,219 +42,175 @@ from .geometry.curvature import curvature_field
 from .geometry.mesh import SurfaceMesh
 
 DEFAULT_TARGET_AREA = float(np.pi * 1.5 ** 2)  # flat-case area of a 3 mm pathway
-AREA_REFINE_TOL = 1e-4   # relative area change between subdivision depths
 MAX_TILT_DEG = 85.0      # beyond this the pathway is nearly tangent
-_MIN_DEPTH = 4
-_MAX_DEPTH = 13
+# |face normal . axis| below which a face is clipped as parallel to the axis:
+# the projected-area division loses about 1e-16 / cos relative, the strip
+# clip errs by about cos; the two meet near 1e-8.
+_PARALLEL_COS = 1e-8
 
 
 # ----------------------------------------------------------------------
 # clipping kernels
 # ----------------------------------------------------------------------
 
-def _clipped_areas_loop(tris, cx, cy, cz, ax, ay, az, radius, max_depth):
-    """Per-triangle clipped area; scalar stack-based subdivision.
+def _disk_clip_areas(x, y, radius):
+    """Signed area inside the disk |p| <= radius of each triangle.
 
-    ``tris`` is (K, 9): the three corners flattened.  Inside test:
-    s(p) = radius - (distance of p from the axis line); s >= 0 is inside.
+    ``x``, ``y`` are (K, 3) corner coordinates.  Each edge P -> Q adds the
+    signed area of the disk within triangle (0, P, Q): with S1, S2 the ends
+    of the edge's part inside the disk (both P when it misses the disk),
+    that is sector(P, S1) + triangle(0, S1, S2) + sector(S2, Q).  A triangle
+    that no edge enters and that does not contain the center is exactly 0,
+    not the rounding left of its sectors cancelling.
     """
-    n = tris.shape[0]
-    out = np.zeros(n)
-    cap = 4 * (max_depth + 2) + 8
-    stack = np.empty((cap, 9))
-    sdepth = np.empty(cap, np.int64)
-    child = np.empty((4, 9))
-    for t in range(n):
-        sp = 0
-        stack[0, :] = tris[t]
-        sdepth[0] = 0
-        sp = 1
-        acc = 0.0
-        while sp > 0:
-            sp -= 1
-            d = sdepth[sp]
-            p0x = stack[sp, 0]; p0y = stack[sp, 1]; p0z = stack[sp, 2]
-            p1x = stack[sp, 3]; p1y = stack[sp, 4]; p1z = stack[sp, 5]
-            p2x = stack[sp, 6]; p2y = stack[sp, 7]; p2z = stack[sp, 8]
-
-            s0 = _signed_inside(p0x, p0y, p0z, cx, cy, cz, ax, ay, az, radius)
-            s1 = _signed_inside(p1x, p1y, p1z, cx, cy, cz, ax, ay, az, radius)
-            s2 = _signed_inside(p2x, p2y, p2z, cx, cy, cz, ax, ay, az, radius)
-
-            e1x = p1x - p0x; e1y = p1y - p0y; e1z = p1z - p0z
-            e2x = p2x - p0x; e2y = p2y - p0y; e2z = p2z - p0z
-            nx = e1y * e2z - e1z * e2y
-            ny = e1z * e2x - e1x * e2z
-            nz = e1x * e2y - e1y * e2x
-            area = 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
-
-            if s0 >= 0.0 and s1 >= 0.0 and s2 >= 0.0:
-                acc += area  # the cylinder interior is convex
-                continue
-            if s0 < 0.0 and s1 < 0.0 and s2 < 0.0:
-                gx = (p0x + p1x + p2x) / 3.0
-                gy = (p0y + p1y + p2y) / 3.0
-                gz = (p0z + p1z + p2z) / 3.0
-                sc = _signed_inside(gx, gy, gz, cx, cy, cz, ax, ay, az, radius)
-                rb0 = (p0x - gx) ** 2 + (p0y - gy) ** 2 + (p0z - gz) ** 2
-                rb1 = (p1x - gx) ** 2 + (p1y - gy) ** 2 + (p1z - gz) ** 2
-                rb2 = (p2x - gx) ** 2 + (p2y - gy) ** 2 + (p2z - gz) ** 2
-                rb = np.sqrt(max(rb0, max(rb1, rb2)))
-                if sc < -rb:
-                    continue  # whole cell provably outside
-            if d >= max_depth:
-                acc += area * _linear_fraction(s0, s1, s2)
-                continue
-
-            m01x = 0.5 * (p0x + p1x); m01y = 0.5 * (p0y + p1y); m01z = 0.5 * (p0z + p1z)
-            m12x = 0.5 * (p1x + p2x); m12y = 0.5 * (p1y + p2y); m12z = 0.5 * (p1z + p2z)
-            m20x = 0.5 * (p2x + p0x); m20y = 0.5 * (p2y + p0y); m20z = 0.5 * (p2z + p0z)
-            child[0, 0] = p0x; child[0, 1] = p0y; child[0, 2] = p0z
-            child[0, 3] = m01x; child[0, 4] = m01y; child[0, 5] = m01z
-            child[0, 6] = m20x; child[0, 7] = m20y; child[0, 8] = m20z
-            child[1, 0] = m01x; child[1, 1] = m01y; child[1, 2] = m01z
-            child[1, 3] = p1x; child[1, 4] = p1y; child[1, 5] = p1z
-            child[1, 6] = m12x; child[1, 7] = m12y; child[1, 8] = m12z
-            child[2, 0] = m20x; child[2, 1] = m20y; child[2, 2] = m20z
-            child[2, 3] = m12x; child[2, 4] = m12y; child[2, 5] = m12z
-            child[2, 6] = p2x; child[2, 7] = p2y; child[2, 8] = p2z
-            child[3, 0] = m01x; child[3, 1] = m01y; child[3, 2] = m01z
-            child[3, 3] = m12x; child[3, 4] = m12y; child[3, 5] = m12z
-            child[3, 6] = m20x; child[3, 7] = m20y; child[3, 8] = m20z
-            for c in range(4):
-                stack[sp, :] = child[c]
-                sdepth[sp] = d + 1
-                sp += 1
-        out[t] = acc
-    return out
+    xq = np.roll(x, -1, axis=1)
+    yq = np.roll(y, -1, axis=1)
+    dx = xq - x
+    dy = yq - y
+    dd = dx * dx + dy * dy
+    pd = x * dx + y * dy
+    disc = pd * pd - dd * (x * x + y * y - radius * radius)
+    hit = (disc > 0.0) & (dd > 0.0)
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    dd = np.where(hit, dd, 1.0)
+    t1 = np.where(hit, np.clip((-pd - root) / dd, 0.0, 1.0), 0.0)
+    t2 = np.where(hit, np.clip((-pd + root) / dd, 0.0, 1.0), 0.0)
+    # S1 = P at t1 = 0 and S2 = Q at t2 = 1 exactly: a sector between two
+    # copies of a corner at the center would otherwise take an arbitrary angle
+    x1 = x + t1 * dx
+    y1 = y + t1 * dy
+    x2 = xq - (1.0 - t2) * dx
+    y2 = yq - (1.0 - t2) * dy
+    sectors = (np.arctan2(x * y1 - y * x1, x * x1 + y * y1)
+               + np.arctan2(x2 * yq - y2 * xq, x2 * xq + y2 * yq))
+    chords = x1 * y2 - y1 * x2
+    area = 0.5 * (radius * radius * sectors + chords).sum(axis=1)
+    cross = x * yq - y * xq
+    inside = (cross >= 0.0).all(axis=1) | (cross <= 0.0).all(axis=1)
+    enters = (hit & (t2 > t1)).any(axis=1)
+    return np.where(enters | inside, area, 0.0)
 
 
-def _signed_inside_py(px, py, pz, cx, cy, cz, ax, ay, az, radius):
-    dx = px - cx
-    dy = py - cy
-    dz = pz - cz
-    along = dx * ax + dy * ay + dz * az
-    perp2 = dx * dx + dy * dy + dz * dz - along * along
-    if perp2 < 0.0:
-        perp2 = 0.0
-    return radius - np.sqrt(perp2)
+def _strip_clip_fraction(s, half_width):
+    """Fraction of each triangle whose coordinate ``s`` lies in [-w, w].
 
+    ``s`` is (K, 3): the corners' coordinates along one in-plane direction.
+    The triangle's width across s is a tent over [s0, s2] peaking at s1, so
+    the fraction with coordinate <= x is piecewise quadratic in x.
+    """
+    s0, s1, s2 = np.sort(s, axis=1).T
+    rise = (s1 - s0) * (s2 - s0)
+    fall = (s2 - s1) * (s2 - s0)
+    rise = np.where(rise > 0.0, rise, 1.0)  # a zero-width side: its term is 0 / 1
+    fall = np.where(fall > 0.0, fall, 1.0)
 
-def _linear_fraction_py(s0, s1, s2):
-    """Area fraction with s >= 0, assuming s varies linearly over the cell."""
-    n_pos = (1 if s0 >= 0.0 else 0) + (1 if s1 >= 0.0 else 0) + (1 if s2 >= 0.0 else 0)
-    if n_pos == 0:
-        return 0.0
-    if n_pos == 3:
-        return 1.0
-    if n_pos == 1:
-        if s0 >= 0.0:
-            sp, sa, sb = s0, s1, s2
-        elif s1 >= 0.0:
-            sp, sa, sb = s1, s0, s2
-        else:
-            sp, sa, sb = s2, s0, s1
-        return sp * sp / ((sp - sa) * (sp - sb))
-    if s0 < 0.0:
-        sm, sa, sb = s0, s1, s2
-    elif s1 < 0.0:
-        sm, sa, sb = s1, s0, s2
-    else:
-        sm, sa, sb = s2, s0, s1
-    return 1.0 - sm * sm / ((sm - sa) * (sm - sb))
+    def below(x):
+        x = np.clip(x, s0, s2)
+        return np.where(x <= s1, (x - s0) ** 2 / rise, 1.0 - (s2 - x) ** 2 / fall)
 
-
-_signed_inside = maybe_jit(_signed_inside_py)
-_linear_fraction = maybe_jit(_linear_fraction_py)
-_clipped_areas_numba = maybe_jit(_clipped_areas_loop)
-
-
-def _clipped_areas_numpy(tris, cx, cy, cz, ax, ay, az, radius, max_depth):
-    """Vectorized fallback: level-synchronous subdivision over triangle arrays."""
-    center = np.array([cx, cy, cz])
-    axis = np.array([ax, ay, az])
-
-    def signed(pts):
-        d = pts - center
-        along = d @ axis
-        perp2 = np.einsum("...i,...i->...", d, d) - along * along
-        return radius - np.sqrt(np.maximum(perp2, 0.0))
-
-    def tri_areas(work):
-        n = np.cross(work[:, 1] - work[:, 0], work[:, 2] - work[:, 0])
-        return 0.5 * np.linalg.norm(n, axis=1)
-
-    k = tris.shape[0]
-    out = np.zeros(k)
-    work = tris.reshape(k, 3, 3).copy()
-    owner = np.arange(k)
-    for depth in range(max_depth + 1):
-        if work.shape[0] == 0:
-            break
-        s = signed(work)  # (n, 3)
-        areas = tri_areas(work)
-        inside = s >= 0.0
-        allin = inside.all(axis=1)
-        np.add.at(out, owner[allin], areas[allin])
-        allout = (~inside).all(axis=1)
-        centroid = work.mean(axis=1)
-        sc = signed(centroid)
-        rb = np.sqrt(np.max(np.einsum(
-            "nkj,nkj->nk", work - centroid[:, None, :], work - centroid[:, None, :]
-        ), axis=1))
-        prune = allout & (sc < -rb)
-        live = ~(allin | prune)
-        if depth == max_depth:
-            frac = _linear_fraction_vec(s[live])
-            np.add.at(out, owner[live], areas[live] * frac)
-            break
-        work = work[live]
-        owner = owner[live]
-        if work.shape[0] == 0:
-            break
-        p0, p1, p2 = work[:, 0], work[:, 1], work[:, 2]
-        m01 = 0.5 * (p0 + p1)
-        m12 = 0.5 * (p1 + p2)
-        m20 = 0.5 * (p2 + p0)
-        work = np.concatenate([
-            np.stack([p0, m01, m20], axis=1),
-            np.stack([m01, p1, m12], axis=1),
-            np.stack([m20, m12, p2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ])
-        owner = np.concatenate([owner, owner, owner, owner])
-    return out
-
-
-def _linear_fraction_vec(s):
-    pos = s >= 0.0
-    n_pos = pos.sum(axis=1)
-    frac = np.zeros(s.shape[0])
-    frac[n_pos == 3] = 1.0
-
-    one = n_pos == 1
-    if one.any():
-        sp = np.max(np.where(pos[one], s[one], -np.inf), axis=1)
-        neg = np.sort(np.where(pos[one], np.inf, s[one]), axis=1)[:, :2]
-        frac[one] = sp * sp / ((sp - neg[:, 0]) * (sp - neg[:, 1]))
-
-    two = n_pos == 2
-    if two.any():
-        sm = np.min(np.where(pos[two], np.inf, s[two]), axis=1)
-        ppos = np.sort(np.where(pos[two], s[two], np.inf), axis=1)[:, :2]
-        frac[two] = 1.0 - sm * sm / ((sm - ppos[:, 0]) * (sm - ppos[:, 1]))
-    return frac
-
-
-_clipped_areas = _clipped_areas_numba if USE_NUMBA else _clipped_areas_numpy
+    return below(half_width) - below(-half_width)
 
 
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
 
-def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float,
-                 refine_tol: float = AREA_REFINE_TOL) -> float:
+class _Pathway:
+    """The D-independent part of the contact-patch area of one pathway.
+
+    Validates ``center`` (on the surface) and ``axis`` (nonzero, not near
+    tangent) and projects the mesh onto the plane through ``center``
+    perpendicular to the axis, so that ``area(d)`` only clips against a
+    disk.
+    """
+
+    def __init__(self, mesh: SurfaceMesh, center, axis):
+        center = np.asarray(center, dtype=np.float64)
+        axis = np.asarray(axis, dtype=np.float64)
+        nrm = np.linalg.norm(axis)
+        if nrm == 0.0:
+            raise ParameterError("axis must be a nonzero vector")
+        axis = axis / nrm
+
+        _, seed, bary, dist = mesh.closest_point(center)
+        if dist > 1e-6 * max(mesh.bounding_diagonal(), 1.0):
+            raise ParameterError(
+                f"center is {dist:.3g} mm off the surface; it must lie on the mesh"
+            )
+        normal = mesh.normal_at(seed, bary)
+        tilt = np.degrees(np.arccos(np.clip(abs(float(axis @ normal)), -1.0, 1.0)))
+        if tilt >= MAX_TILT_DEG:
+            raise ParameterError(
+                f"axis is {tilt:.1f} deg from the surface normal (>= {MAX_TILT_DEG} deg)"
+            )
+
+        e1 = _perpendicular(axis)
+        e2 = np.cross(axis, e1)
+        rel = mesh.vertices - center
+        x = (rel @ e1)[mesh.faces]
+        y = (rel @ e2)[mesh.faces]
+        proj = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                      - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+        self.parallel = np.abs(mesh.face_normals @ axis) < _PARALLEL_COS
+        self.ratio = mesh.face_areas / np.where(self.parallel, 1.0, proj)
+        # a face's projection lies within its corners' circle about their mean,
+        # so |mean| - circle radius bounds its distance from the axis from below
+        cx = x.mean(axis=1)
+        cy = y.mean(axis=1)
+        reach = np.hypot(cx, cy) - np.sqrt(
+            ((x - cx[:, None]) ** 2 + (y - cy[:, None]) ** 2).max(axis=1))
+        self.order = np.argsort(reach, kind="stable")
+        self.reach = reach[self.order]
+        self.mesh = mesh
+        self.seed = seed
+        self.x = x
+        self.y = y
+        self.plane = np.stack([e1, e2])
+
+    def area(self, diameter: float) -> float:
+        """Contact-patch area (mm^2) at ``diameter``; warns on a disconnected hit."""
+        radius = diameter / 2.0
+        cand = self.order[:np.searchsorted(self.reach, radius, side="right")]
+        per_face = np.zeros(cand.size)
+        par = self.parallel[cand]
+        disk = cand[~par]
+        per_face[~par] = (_disk_clip_areas(self.x[disk], self.y[disk], radius)
+                          * self.ratio[disk])
+        if par.any():
+            per_face[par] = self._strip_areas(cand[par], radius)
+        positive = cand[per_face > 0.0]
+        if positive.size == 0:
+            raise ZeroAreaError("cylinder does not intersect the mesh")
+        patch = _connected_patch(self.mesh, positive, self.seed)
+        total = float(per_face.sum())
+        patch_area = float(per_face[np.isin(cand, patch)].sum())
+        if total > patch_area * (1.0 + 1e-9) + 1e-12:
+            warnings.warn(
+                "cylinder intersects a disconnected surface region; "
+                "returning the contact-patch area only",
+                stacklevel=3,
+            )
+        return patch_area
+
+    def _strip_areas(self, faces, radius):
+        """Exact clipped areas of faces parallel to the axis.
+
+        Such a face projects to a segment on the line {q : q . m = h}, with m
+        the face normal in the cross-section plane; its points lie within the
+        cylinder where |q . u| <= sqrt(r^2 - h^2), u = m turned by 90 deg.
+        In the face plane u and the axis are orthonormal, so that is a strip.
+        """
+        m = self.mesh.face_normals[faces] @ self.plane.T
+        m /= np.linalg.norm(m, axis=1)[:, None]
+        x = self.x[faces]
+        y = self.y[faces]
+        h = x[:, 0] * m[:, 0] + y[:, 0] * m[:, 1]
+        s = y * m[:, :1] - x * m[:, 1:]
+        half_width = np.sqrt(np.maximum(radius * radius - h * h, 0.0))
+        return self.mesh.face_areas[faces] * _strip_clip_fraction(s, half_width)
+
+
+def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     """Contact-patch area (mm^2) of a cylindrical pathway against the mesh.
 
     Only the connected component of the clipped surface that contains
@@ -255,84 +218,9 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float,
     inflate the area.  Raises ``ZeroAreaError`` when the cylinder misses
     the mesh and warns when it also hits a disconnected region.
     """
-    per_face, keep, seed_face = _per_face_clipped(mesh, center, axis, diameter, refine_tol)
-    positive = np.where(per_face > 0.0)[0]
-    if positive.size == 0:
-        raise ZeroAreaError("cylinder does not intersect the mesh")
-    patch = _connected_patch(mesh, keep[positive], keep[seed_face])
-    total = float(per_face.sum())
-    patch_mask = np.isin(keep, patch)
-    patch_area = float(per_face[patch_mask].sum())
-    if total > patch_area * (1.0 + 1e-9) + 1e-12:
-        warnings.warn(
-            "cylinder intersects a disconnected surface region; "
-            "returning the contact-patch area only",
-            stacklevel=2,
-        )
-    return patch_area
-
-
-def _per_face_clipped(mesh, center, axis, diameter, refine_tol):
-    center = np.asarray(center, dtype=np.float64)
-    axis = np.asarray(axis, dtype=np.float64)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0.0:
-        raise ParameterError("axis must be a nonzero vector")
-    axis = axis / nrm
     if diameter <= 0.0:
         raise ParameterError("diameter must be positive")
-
-    snapped, seed_face_full, bary, dist = mesh.closest_point(center)
-    if dist > 1e-6 * max(mesh.bounding_diagonal(), 1.0):
-        raise ParameterError(
-            f"center is {dist:.3g} mm off the surface; it must lie on the mesh"
-        )
-    normal = mesh.normal_at(seed_face_full, bary)
-    tilt = np.degrees(np.arccos(np.clip(abs(float(axis @ normal)), -1.0, 1.0)))
-    if tilt >= MAX_TILT_DEG:
-        raise ParameterError(
-            f"axis is {tilt:.1f} deg from the surface normal (>= {MAX_TILT_DEG} deg)"
-        )
-
-    radius = diameter / 2.0
-    # conservative candidate prefilter on face bounding spheres
-    v0 = mesh.vertices[mesh.faces[:, 0]]
-    v1 = mesh.vertices[mesh.faces[:, 1]]
-    v2 = mesh.vertices[mesh.faces[:, 2]]
-    centroid = (v0 + v1 + v2) / 3.0
-    rb = np.sqrt(np.max(np.stack([
-        np.einsum("ij,ij->i", v0 - centroid, v0 - centroid),
-        np.einsum("ij,ij->i", v1 - centroid, v1 - centroid),
-        np.einsum("ij,ij->i", v2 - centroid, v2 - centroid),
-    ], axis=1), axis=1))
-    d = centroid - center
-    along = d @ axis
-    perp = np.sqrt(np.maximum(np.einsum("ij,ij->i", d, d) - along * along, 0.0))
-    keep = np.where(perp - rb <= radius)[0]
-    if keep.size == 0:
-        raise ZeroAreaError("cylinder does not intersect the mesh")
-    if seed_face_full not in keep:  # numerical edge; force the seed in
-        keep = np.append(keep, seed_face_full)
-    seed_pos = int(np.where(keep == seed_face_full)[0][0])
-
-    tris = np.concatenate([
-        mesh.vertices[mesh.faces[keep, 0]],
-        mesh.vertices[mesh.faces[keep, 1]],
-        mesh.vertices[mesh.faces[keep, 2]],
-    ], axis=1)
-
-    prev = None
-    per_face = None
-    for depth in range(_MIN_DEPTH, _MAX_DEPTH + 1):
-        per_face = _clipped_areas(
-            tris, center[0], center[1], center[2],
-            axis[0], axis[1], axis[2], radius, depth,
-        )
-        total = per_face.sum()
-        if prev is not None and abs(total - prev) <= refine_tol * max(total, 1e-300):
-            break
-        prev = total
-    return per_face, keep, seed_pos
+    return _Pathway(mesh, center, axis).area(diameter)
 
 
 def _connected_patch(mesh, positive_faces, seed_face):
@@ -357,18 +245,26 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float,
                    tol: float = 1e-3, bracket_low: float = 0.1) -> float:
     """Diameter whose sensing area matches ``target_area`` to relative ``tol``.
 
-    Bisection with automatic bracket expansion; every evaluation is checked
-    against the others for monotonicity, and a decrease beyond numerical
-    slack raises ``NonMonotoneAreaError`` naming the violating sub-bracket.
+    Brent's method on a bracket found by halving and doubling, run to
+    machine precision in the diameter; ``tol`` bounds the area error it
+    accepts where the area jumps (a face joining the patch with a region
+    behind it).  Every evaluation is checked against the others for
+    monotonicity, and a decrease beyond numerical slack raises
+    ``NonMonotoneAreaError`` naming the violating sub-bracket.
     ``UnreachableTargetError`` signals a target beyond the local patch.
     """
     if target_area <= 0.0:
         raise ParameterError("target_area must be positive")
+    return _solve(_Pathway(mesh, center, axis), target_area, tol, bracket_low)[0]
+
+
+def _solve(pathway, target_area, tol, bracket_low=0.1):
+    """(diameter, area) of ``solve_diameter`` on a prepared pathway."""
     evals: list = []
 
     def area_at(d):
         try:
-            a = sensing_area(mesh, center, axis, d)
+            a = pathway.area(d)
         except ZeroAreaError:
             a = 0.0
         evals.append((d, a))
@@ -380,7 +276,9 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float,
     while a_lo > target_area and lo > 1e-3:
         lo /= 2.0
         a_lo = area_at(lo)
-    if a_lo > target_area * (1.0 + tol):
+    if a_lo >= target_area:
+        if a_lo <= target_area * (1.0 + tol):
+            return float(lo), a_lo
         raise UnreachableTargetError(
             f"target {target_area:.6g} mm^2 is below the area at the "
             f"minimum diameter {lo:.3g} mm ({a_lo:.6g} mm^2)"
@@ -404,18 +302,58 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float,
             )
         prev_hi = a_hi
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        a_mid = area_at(mid)
-        if abs(a_mid - target_area) <= tol * target_area:
-            return float(mid)
-        if a_mid < target_area:
-            lo = mid
+    d = _brent(lambda d: area_at(d) - target_area, lo, hi,
+               a_lo - target_area, a_hi - target_area)
+    area = dict(evals)[d]
+    if abs(area - target_area) > tol * target_area:
+        raise AurisenseError(
+            f"diameter solve stopped at {d:.6g} mm with {area:.6g} mm^2, off the "
+            f"target {target_area:.6g} mm^2 (the area jumps there)"
+        )
+    return float(d), area
+
+
+def _brent(f, a, b, fa, fb):
+    """Root of ``f`` in [a, b], where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4), step for step as in
+    ``scipy.optimize.brentq``: inverse quadratic or secant steps while they
+    shrink the bracket fast enough, bisection otherwise.  Returns a point
+    at which ``f`` was evaluated.  Importing ``scipy.optimize`` for this
+    alone would add about 10 MB of resident memory to a process running
+    the CLI.
+    """
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps  # brentq's defaults
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk, fblk, spre, scur = 0.0, 0.0, 0.0, 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-        if hi - lo < 1e-12 * max(hi, 1.0):
-            break
-    raise AurisenseError("diameter bisection failed to converge")
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    return xcur
 
 
 def _check_monotone(evals):
@@ -470,14 +408,18 @@ class ArrayDesign:
         }
 
 
+def _perpendicular(n):
+    """A deterministic unit vector perpendicular to the unit vector ``n``."""
+    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t = ref - (ref @ n) * n
+    return t / np.linalg.norm(t)
+
+
 def _tilt_axis(normal, tilt_deg):
     """Rotate the normal by tilt_deg around a deterministic tangent direction."""
     n = normal / np.linalg.norm(normal)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t = ref - (ref @ n) * n
-    t /= np.linalg.norm(t)
     th = np.radians(tilt_deg)
-    return np.cos(th) * n + np.sin(th) * t
+    return np.cos(th) * n + np.sin(th) * _perpendicular(n)
 
 
 def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
@@ -490,7 +432,10 @@ def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
     Per-AP solver failures leave a partial design and are listed in
     ``failed``.
     """
-    curv = curvature_field(mesh)
+    # curvature is reported only at the contact points, so fit only the
+    # corners of their faces
+    ap_vertices = np.unique(mesh.faces[[p.face for p in aps]])
+    curv = curvature_field(mesh, vertices=ap_vertices)
     electrodes = []
     failed = []
     for p in aps:
@@ -505,12 +450,11 @@ def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
         normal = mesh.normal_at(p.face, p.barycentric)
         axis = _tilt_axis(normal, tilt) if tilt else normal
         try:
-            d = solve_diameter(mesh, p.position, axis, target_area, tol=tol)
-            area = sensing_area(mesh, p.position, axis, d)
+            d, area = _solve(_Pathway(mesh, p.position, axis), target_area, tol)
         except AurisenseError as exc:
             failed.append((p.label, str(exc)))
             continue
-        h_vals = curv.mean[mesh.faces[p.face]]
+        h_vals = curv.mean[np.searchsorted(ap_vertices, mesh.faces[p.face])]
         h_here = float(h_vals @ p.barycentric)
         electrodes.append(ElectrodeSpec(
             ap_label=p.label, center=p.position, axis=axis,

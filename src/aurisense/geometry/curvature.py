@@ -142,11 +142,15 @@ def _fit_coeffs_numpy(vertices, t1, t2, normals, query, indptr, indices):
     uu = np.einsum("ij,ij->i", d, t1[vq])
     ww = np.einsum("ij,ij->i", d, t2[vq])
     hh = np.einsum("ij,ij->i", d, normals[vq])
-    rows = np.stack([uu * uu, uu * ww, ww * ww, uu, ww], axis=1)
-    ata = np.zeros((nq, 5, 5))
-    atb = np.zeros((nq, 5))
-    np.add.at(ata, qidx, rows[:, :, None] * rows[:, None, :])
-    np.add.at(atb, qidx, rows * hh[:, None])
+    rows = (uu * uu, uu * ww, ww * ww, uu, ww)
+    # per-entry sums of the symmetric matrix: no (pairs, 5, 5) temporary
+    ata = np.empty((nq, 5, 5))
+    atb = np.empty((nq, 5))
+    for i in range(5):
+        atb[:, i] = np.bincount(qidx, weights=rows[i] * hh, minlength=nq)
+        for j in range(i, 5):
+            ata[:, i, j] = ata[:, j, i] = np.bincount(
+                qidx, weights=rows[i] * rows[j], minlength=nq)
     trace = np.trace(ata, axis1=1, axis2=2)
     ridge = _RIDGE * trace / 5.0 + 1e-300
     ata[:, np.arange(5), np.arange(5)] += ridge[:, None]
@@ -169,24 +173,32 @@ def _neighborhood_csr(mesh: SurfaceMesh, query, k_ring: int):
     return np.asarray(indptr, dtype=np.int64), flat
 
 
-def curvature_field(mesh: SurfaceMesh, k_ring: int = 2) -> CurvatureField:
-    """Principal and mean curvature at every vertex.
+def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> CurvatureField:
+    """Principal and mean curvature at every vertex, or at ``vertices`` only.
 
-    Vertices whose neighborhood is too small for the quadric fit are
-    retried with rings up to ``k_ring + 3``; any survivor is reported in
-    ``flagged`` with curvature set to 0.
+    With ``vertices`` (vertex indices) the curvature arrays follow their
+    order; each value equals the full-field one, since every vertex is
+    fitted on its own.  Vertices whose neighborhood is too small for the
+    quadric fit are retried with rings up to ``k_ring + 3``; any survivor
+    is reported (by vertex index) in ``flagged`` with curvature set to 0.
     """
     if k_ring < 1:
         raise ParameterError("k_ring must be >= 1")
+    if vertices is None:
+        query = np.arange(mesh.n_vertices, dtype=np.int64)
+    else:
+        query = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        if query.size and (query.min() < 0 or query.max() >= mesh.n_vertices):
+            raise ParameterError("vertices must be indices into the mesh")
     t1, t2 = _tangent_frames(mesh.vertex_normals)
-    k1 = np.zeros(mesh.n_vertices)
-    k2 = np.zeros(mesh.n_vertices)
-    pending = np.arange(mesh.n_vertices, dtype=np.int64)
+    k1 = np.zeros(query.size)
+    k2 = np.zeros(query.size)
+    pending = np.arange(query.size)  # positions in query
     ring = k_ring
     while pending.size and ring <= k_ring + _MAX_RING_GROWTH:
-        indptr, indices = _neighborhood_csr(mesh, pending, ring)
+        indptr, indices = _neighborhood_csr(mesh, query[pending], ring)
         coeffs, ok = _fit_coeffs(
-            mesh.vertices, t1, t2, mesh.vertex_normals, pending, indptr, indices
+            mesh.vertices, t1, t2, mesh.vertex_normals, query[pending], indptr, indices
         )
         done = pending[ok]
         ka, kb = _principal_from_coeffs(*(coeffs[ok].T))
@@ -195,4 +207,4 @@ def curvature_field(mesh: SurfaceMesh, k_ring: int = 2) -> CurvatureField:
         pending = pending[~ok]
         ring += 1
     mean = 0.5 * (k1 + k2)
-    return CurvatureField(kappa1=k1, kappa2=k2, mean=mean, flagged=pending)
+    return CurvatureField(kappa1=k1, kappa2=k2, mean=mean, flagged=query[pending])

@@ -96,6 +96,16 @@ def test_k_ring_validation(plane_coarse):
         curvature_field(plane_coarse, k_ring=0)
 
 
+def test_vertex_subset_follows_the_given_order(icosphere_unit):
+    full = curvature_field(icosphere_unit)
+    subset = np.array([40, 3, 97])
+    part = curvature_field(icosphere_unit, vertices=subset)
+    np.testing.assert_array_equal(part.kappa1, full.kappa1[subset])
+    np.testing.assert_array_equal(part.mean, full.mean[subset])
+    with pytest.raises(ParameterError):
+        curvature_field(icosphere_unit, vertices=[icosphere_unit.n_vertices])
+
+
 @pytest.mark.parametrize("query", [
     np.array([7]),
     np.array([0, 11, 40, 97, 161]),

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.spatial.transform import Rotation
 
+import aurisense.geometry.curvature as curvature_module
 from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
+    _brent,
     design_array,
     sensing_area,
     solve_diameter,
@@ -11,9 +18,9 @@ from aurisense.errors import (
     ParameterError,
     UnreachableTargetError,
 )
-from aurisense.geometry import place_aps
+from aurisense.geometry import curvature_field, place_aps
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import make_plane_grid
+from aurisense.geometry.primitives import make_cylinder
 
 ORIGIN = np.zeros(3)
 Z = np.array([0.0, 0.0, 1.0])
@@ -25,17 +32,17 @@ def tilted_axis(theta_deg):
 
 
 def test_plane_circle_area(plane_fine):
-    # clipped-triangle sum vs the analytic pi r^2, refinement edge <= D/10
+    # the exact triangle-disk clip reproduces the analytic pi r^2 to rounding
     area = sensing_area(plane_fine, ORIGIN, Z, 3.0)
     expected = np.pi * 1.5 ** 2
-    assert abs(area - expected) / expected < 5e-3
+    assert abs(area - expected) / expected < 1e-12
 
 
 @pytest.mark.parametrize("theta", [15.0, 30.0])
 def test_plane_tilted_ellipse_area(plane_fine, theta):
     area = sensing_area(plane_fine, ORIGIN, tilted_axis(theta), 3.0)
     expected = np.pi * 1.5 ** 2 / np.cos(np.radians(theta))
-    assert abs(area - expected) / expected < 5e-3
+    assert abs(area - expected) / expected < 1e-12
 
 
 def test_tilt_monotone_up_to_60deg(plane_fine):
@@ -43,7 +50,7 @@ def test_tilt_monotone_up_to_60deg(plane_fine):
     for theta in (0.0, 15.0, 30.0, 45.0, 60.0):
         a = sensing_area(plane_fine, ORIGIN, tilted_axis(theta), 3.0)
         expected = np.pi * 1.5 ** 2 / np.cos(np.radians(theta))
-        assert abs(a - expected) / expected < 0.01
+        assert abs(a - expected) / expected < 1e-12
         areas.append(a)
     assert all(b > a for a, b in zip(areas, areas[1:]))
 
@@ -57,6 +64,55 @@ def test_sphere_cap_area(icosphere_r10):
         area = sensing_area(icosphere_r10, v0, axis, 6.0)
     expected = 2 * np.pi * 10.0 * (10.0 - np.sqrt(100.0 - 9.0))  # 28.94
     assert abs(area - expected) / expected < 5e-3
+
+
+def test_cylinder_faces_parallel_to_axis_area():
+    # with n_theta = 50 the facets at 90 and 270 deg are parallel to the x
+    # axis; the 5 mm pathway wraps the whole girth, so the patch only stays
+    # connected if those facets are clipped (in their own plane) too
+    mesh = make_cylinder(radius=2.0, height=10.0, n_theta=50, n_z=20)
+    center = np.array([2.0, 0.0, 0.0])
+    axis = np.array([1.0, 0.0, 0.0])
+    assert (mesh.face_normals @ axis == 0.0).any()
+    r = 2.5
+    theta = np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False)
+    corners = 2.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    expected = 0.0
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        # facet a -> b spans every z; the pathway keeps |z| <= sqrt(r^2 - y^2)
+        length = np.linalg.norm(b - a)
+
+        def chord(s):
+            y = a[1] + s / length * (b[1] - a[1])
+            return 2.0 * np.sqrt(max(r * r - y * y, 0.0))
+
+        expected += quad(chord, 0.0, length, epsabs=1e-14, epsrel=1e-13)[0]
+    assert abs(expected - 51.05815) < 1e-5
+    area = sensing_area(mesh, center, axis, 2.0 * r)
+    assert abs(area - expected) / expected < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+@settings(max_examples=8, deadline=None)
+@given(
+    point=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+    diameters=st.tuples(st.floats(0.2, 6.0), st.floats(0.2, 6.0)),
+    rotvec=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+)
+def test_bumpy_area_monotone_and_rigid_invariant(bumpy, point, diameters, rotvec, shift):
+    v = int(np.argmin(np.linalg.norm(bumpy.vertices[:, :2] - point, axis=1)))
+    center = bumpy.vertices[v]
+    axis = bumpy.vertex_normals[v]
+    d_small, d_large = sorted(diameters)
+    a_small = sensing_area(bumpy, center, axis, d_small)
+    a_large = sensing_area(bumpy, center, axis, d_large)
+    assert a_small <= a_large * (1.0 + 1e-12)
+
+    rot = Rotation.from_rotvec(rotvec).as_matrix()
+    moved = SurfaceMesh(bumpy.vertices @ rot.T + shift, bumpy.faces)
+    a_moved = sensing_area(moved, rot @ center + shift, rot @ axis, d_large)
+    assert abs(a_moved - a_large) / a_large < 1e-9
 
 
 def test_scale_covariance(plane_fine):
@@ -97,6 +153,26 @@ def test_solve_diameter_sphere(icosphere_r10):
         d = solve_diameter(icosphere_r10, v0, axis, target)
         area = sensing_area(icosphere_r10, v0, axis, d)
     assert abs(area - target) / target <= 1e-3
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: abs(x - 0.3) + 2.0 * x - 1.0, 0.0, 1.0),  # a kink, as where faces join
+], ids=["cubic", "cos", "exp", "kink"])
+def test_brent_matches_scipy_brentq(f, a, b):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root = _brent(counted, a, b, f(a), f(b))
+    expected, info = brentq(f, a, b, full_output=True)
+    assert abs(root - expected) <= 2e-12  # brentq's default xtol
+    assert root in calls  # the solver reuses the area at the returned point
+    assert len(calls) <= info.function_calls - 2  # the bracket ends are not re-evaluated
 
 
 def test_solver_monotone_in_target(plane_fine):
@@ -171,3 +247,27 @@ def test_design_json_fields(tmp_path, plane_coarse):
     e = obj["electrodes"][0]
     assert set(e) == {"ap", "center", "axis", "diameter_mm", "tilt_deg",
                       "area_mm2", "mean_curvature_per_mm"}
+
+
+def test_design_array_fits_curvature_only_at_ap_vertices(bumpy, monkeypatch):
+    template = [(f"AP{i+1}", np.array(xyz)) for i, xyz in enumerate([
+        (0.25, 0.25, 0.5), (0.6, 0.5, 0.5), (0.5, 0.75, 0.5), (0.8, 0.6, 0.5),
+    ])]
+    aps = place_aps(bumpy, template)
+    fitted = []
+    fit = curvature_module._fit_coeffs
+
+    def spy(vertices, t1, t2, normals, query, indptr, indices):
+        fitted.append(query.shape[0])
+        return fit(vertices, t1, t2, normals, query, indptr, indices)
+
+    monkeypatch.setattr(curvature_module, "_fit_coeffs", spy)
+    design = design_array(bumpy, aps)
+    monkeypatch.undo()
+    assert not design.failed
+    ap_vertices = np.unique(bumpy.faces[[p.face for p in aps]])
+    assert fitted == [ap_vertices.size]
+
+    full = curvature_field(bumpy).mean
+    for e, p in zip(design.electrodes, aps):
+        assert e.mean_curvature_per_mm == float(full[bumpy.faces[p.face]] @ p.barycentric)
