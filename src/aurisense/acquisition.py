@@ -59,10 +59,14 @@ class ChannelModel:
         return self.r_skin + self.r_contact + self.r_series
 
 
-def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> float:
-    """One noisy resistance reading (ohm) at the given temperature."""
+def _check_temperature(temperature: float) -> None:
     if not 0.0 <= temperature <= 60.0:
         raise ParameterError("temperature must be within [0, 60] degC")
+
+
+def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> float:
+    """One noisy resistance reading (ohm) at the given temperature."""
+    _check_temperature(temperature)
     base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
     eps = float(spawn_rng(seed).standard_normal()) if channel.noise_sigma > 0 else 0.0
     return base * (1.0 + channel.noise_sigma * eps)
@@ -71,8 +75,7 @@ def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> 
 def repeat_readings(channel: ChannelModel, n: int, temperature: float,
                     seed: int) -> np.ndarray:
     """``n`` independent readings from one seeded stream."""
-    if not 0.0 <= temperature <= 60.0:
-        raise ParameterError("temperature must be within [0, 60] degC")
+    _check_temperature(temperature)
     base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
     if channel.noise_sigma > 0:
         eps = spawn_rng(seed).standard_normal(n)
@@ -148,12 +151,11 @@ def scan_all(mux: MuxState, channels, temperature: float, seed: int) -> np.ndarr
         raise CapacityError(
             f"{len(channels)} channels exceed the {mux.n_channels}-channel mux"
         )
+    _check_temperature(temperature)
     readings = np.empty(len(channels))
     for i, ch in enumerate(channels):
         mux.activate(i)
         base = ch.r_total + ch.alpha * (temperature - ch.t_ref)
-        if not 0.0 <= temperature <= 60.0:
-            raise ParameterError("temperature must be within [0, 60] degC")
         eps = float(spawn_rng(seed, i).standard_normal()) if ch.noise_sigma > 0 else 0.0
         readings[i] = base * (1.0 + ch.noise_sigma * eps)
         mux.deactivate()

@@ -11,6 +11,12 @@ along it, which is the boundary limit of the natural-neighbor field, so
 the combined field is continuous, exact at the APs, bounded by the input
 values, and linearly precise inside the hull.
 
+Queries are weighted in groups, not one by one: queries whose cavity (the
+triangles whose circumcircle holds them) is the same share its boundary
+edges and each neighbor's fan of old circumcenters, so a group needs one
+array pass for its new circumcenters and one batched shoelace for every
+stolen polygon.  A dozen APs give a few dozen groups for a whole mesh.
+
 Degenerate AP configurations (collinear in the parameterization) fall
 back to inverse-distance weighting with a warning.
 """
@@ -112,124 +118,110 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
         return _shepard(sites, values, queries, site_tol)
 
     simplices = tri.simplices
-    cc = np.empty((simplices.shape[0], 2))
-    r2 = np.empty(simplices.shape[0])
-    degenerate = False
-    for t, (i, j, k) in enumerate(simplices):
-        c = _circumcenter(sites[i], sites[j], sites[k])
-        if c is None:
-            degenerate = True
-            break
-        cc[t] = c
-        d = sites[i] - c
-        r2[t] = d @ d
-    if degenerate:
+    cc, ok = _circumcenters(*sites[simplices].transpose(1, 0, 2))
+    if not ok.all():
         warnings.warn(
             "degenerate AP triangulation; "
             "falling back to inverse-distance weighting",
             stacklevel=2,
         )
         return _shepard(sites, values, queries, site_tol)
+    r2 = ((sites[simplices[:, 0]] - cc) ** 2).sum(axis=1)
+
+    out = np.empty(queries.shape[0])
+    # coincident with a site: exact
+    dqs = sites[None, :, :] - queries[:, None, :]
+    d2s = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
+    nearest = np.argmin(d2s, axis=1)
+    at_site = d2s[np.arange(queries.shape[0]), nearest] <= site_tol * site_tol
+    out[at_site] = values[nearest[at_site]]
 
     located = tri.find_simplex(queries)
-    out = np.empty(queries.shape[0])
-    hull_edges = tri.convex_hull  # (H, 2) site-index pairs
-
-    outside = located < 0
+    outside = (located < 0) & ~at_site
     if outside.any():
-        out[outside] = _hull_edge_interp(sites, values, hull_edges,
+        out[outside] = _hull_edge_interp(sites, values, tri.convex_hull,
                                          queries[outside])
+    inside = np.flatnonzero((located >= 0) & ~at_site)
 
-    inside_idx = np.where(~outside)[0]
+    # Bowyer-Watson cavities as rows of a (Q, T) matrix, grouped by row
     r2tol = r2 * (1.0 + 1e-12) + (1e-12 * scale) ** 2
-    for qi in inside_idx:
-        q = queries[qi]
-        # coincident with a site: exact
-        d2s = np.einsum("ij,ij->i", sites - q, sites - q)
-        nearest = int(np.argmin(d2s))
-        if d2s[nearest] <= site_tol * site_tol:
-            out[qi] = values[nearest]
-            continue
-        dq = cc - q
-        cavity = np.where(np.einsum("ij,ij->i", dq, dq) < r2tol)[0]
-        w = _sibson_weights(sites, simplices, cc, cavity, q)
-        if w is None:
-            # cocircular/collinear edge case: linear in the containing simplex
-            out[qi] = _simplex_interp(tri, sites, values, int(located[qi]), q)
-        else:
-            out[qi] = w @ values
+    dq = cc[None, :, :] - queries[inside, None, :]
+    cavity = np.einsum("qtj,qtj->qt", dq, dq) < r2tol
+    patterns, group = np.unique(cavity, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    fallback = np.zeros(queries.shape[0], dtype=bool)
+    for g, pattern in enumerate(patterns):
+        members = inside[group == g]
+        weights, valid = _sibson_weights(sites, simplices[pattern],
+                                         cc[pattern], queries[members])
+        out[members[valid]] = weights[valid] @ values
+        fallback[members[~valid]] = True
+    # cocircular/collinear edge case: linear in the containing simplex
+    out[fallback] = _simplex_interp(tri, values, located[fallback],
+                                    queries[fallback])
     return out
 
 
-def _circumcenter(a, b, c):
-    bx, by = b[0] - a[0], b[1] - a[1]
-    cx, cy = c[0] - a[0], c[1] - a[1]
+def _circumcenters(a, b, c):
+    """Circumcenters of triangles (a, b, c), broadcast over leading axes,
+    and the mask of triangles that are not degenerate."""
+    bx, by = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    cx, cy = c[..., 0] - a[..., 0], c[..., 1] - a[..., 1]
     d = 2.0 * (bx * cy - by * cx)
-    scale2 = max(bx * bx + by * by, cx * cx + cy * cy)
-    if abs(d) < 1e-12 * scale2:
-        return None
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
-    ux = (cy * b2 - by * c2) / d
-    uy = (bx * c2 - cx * b2) / d
-    return np.array([a[0] + ux, a[1] + uy])
+    ok = ~(np.abs(d) < 1e-12 * np.maximum(b2, c2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (cy * b2 - by * c2) / d
+        uy = (bx * c2 - cx * b2) / d
+    return np.stack([a[..., 0] + ux, a[..., 1] + uy], axis=-1), ok
 
 
-def _sibson_weights(sites, simplices, cc, cavity, q):
-    """Stolen-area weights of the natural neighbors of q; None on degeneracy."""
-    if cavity.size == 0:
-        return None
-    edge_count: dict = {}
-    tris_of_site: dict = {}
-    for t in cavity:
-        i, j, k = simplices[t]
-        for v in (i, j, k):
-            tris_of_site.setdefault(int(v), []).append(t)
-        for e in ((i, j), (j, k), (k, i)):
-            key = (min(e), max(e))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    boundary = [e for e, n in edge_count.items() if n == 1]
-
-    new_cc: dict = {}
-    for vi, vj in boundary:
-        c = _circumcenter(q, sites[vi], sites[vj])
-        if c is None:
-            return None
-        new_cc[(vi, vj)] = c
-
-    neighbors = sorted(tris_of_site)
-    weights = np.zeros(sites.shape[0])
-    for v in neighbors:
-        poly = [cc[t] for t in tris_of_site[v]]
-        for (vi, vj), c in new_cc.items():
-            if v == vi or v == vj:
-                poly.append(c)
-        if len(poly) < 3:
-            continue
-        weights[v] = _convex_area(np.asarray(poly))
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        return None
-    return weights / total
-
-
-def _convex_area(pts):
-    center = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-    order = np.argsort(ang)
-    p = pts[order]
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _sibson_weights(sites, tris, tri_cc, q):
+    """Stolen-area weights (G, S) of queries q (G, 2) whose cavity is the
+    triangles ``tris`` (C, 3), and the mask of queries whose weights hold
+    (no degenerate new circumcenter, a positive finite total)."""
+    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, count = np.unique(edges, axis=0, return_counts=True)
+    boundary = edges[count == 1]  # (E, 2)
+    new_cc, ok = _circumcenters(q[:, None, :], sites[boundary[:, 0]],
+                                sites[boundary[:, 1]])  # (G, E, 2)
+    # neighbor v's stolen polygon: the old circumcenters of its cavity
+    # triangles and the new circumcenters of its boundary edges
+    points = np.concatenate(
+        [np.broadcast_to(tri_cc, (q.shape[0],) + tri_cc.shape), new_cc], axis=1)
+    corners = np.concatenate([tris, boundary[:, [0, 1, 1]]])  # (C + E, 3)
+    nbrs = np.unique(tris)
+    member = (corners[None, :, :] == nbrs[:, None, None]).any(axis=2)
+    size = member.sum(axis=1)
+    # pad each polygon to the largest with copies of its first point, which
+    # sort next to it and add nothing to the shoelace sum
+    real = np.arange(size.max(initial=0)) < size[:, None]  # (N, m)
+    cols = np.argsort(~member, axis=1, kind="stable")[:, :real.shape[1]]
+    poly = points[:, np.where(real, cols, cols[:, :1])]  # (G, N, m, 2)
+    weights = np.zeros((q.shape[0], sites.shape[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = (poly * real[..., None]).sum(axis=2) / size[:, None]
+        rel = poly - center[:, :, None, :]
+        order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=2)
+        p = np.take_along_axis(poly, order[..., None], axis=2)
+        x, y = p[..., 0], p[..., 1]
+        area = 0.5 * np.abs((x * np.roll(y, -1, axis=2)).sum(axis=2)
+                            - (y * np.roll(x, -1, axis=2)).sum(axis=2))
+        weights[:, nbrs] = np.where(size >= 3, area, 0.0)
+        total = weights.sum(axis=1)
+        weights /= total[:, None]
+    return weights, ok.all(axis=1) & (total > 0) & np.isfinite(total)
 
 
-def _simplex_interp(tri, sites, values, simplex, q):
-    """Barycentric interpolation inside one Delaunay triangle."""
-    tr = tri.transform[simplex]
-    b = tr[:2] @ (q - tr[2])
-    bary = np.array([b[0], b[1], 1.0 - b.sum()])
+def _simplex_interp(tri, values, simplex, q):
+    """Barycentric interpolation inside the Delaunay triangles ``simplex``."""
+    tr = tri.transform[simplex]  # (F, 3, 2)
+    b = np.einsum("fij,fj->fi", tr[:, :2], q - tr[:, 2])
+    bary = np.stack([b[:, 0], b[:, 1], 1.0 - b.sum(axis=1)], axis=1)
     bary = np.clip(bary, 0.0, 1.0)
-    bary /= bary.sum()
-    return float(values[tri.simplices[simplex]] @ bary)
+    bary /= bary.sum(axis=1, keepdims=True)
+    return np.einsum("fk,fk->f", values[tri.simplices[simplex]], bary)
 
 
 def _hull_edge_interp(sites, values, hull_edges, queries):

@@ -126,6 +126,16 @@ def test_capacity_error_on_17_channels():
         scan_all(MuxState(n_channels=16), channels, 25.0, seed=0)
 
 
+def test_scan_all_bad_temperature_leaves_mux_usable():
+    channels = [channel_of((i + 1) * 1e5) for i in range(3)]
+    mux = MuxState()
+    with pytest.raises(ParameterError):
+        scan_all(mux, channels, 75.0, seed=0)
+    assert mux.active is None and mux.log == []
+    readings = scan_all(mux, channels, 25.0, seed=0)
+    np.testing.assert_allclose(readings, [1e5, 2e5, 3e5])
+
+
 def test_mux_single_active_invariant_random_schedule():
     rng = np.random.default_rng(123)
     mux = MuxState(n_channels=16)

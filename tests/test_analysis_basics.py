@@ -14,6 +14,7 @@ from aurisense.analysis import (
 )
 from aurisense.errors import DomainError, ParameterError, UndefinedCorrelationError
 from aurisense.analysis.stats import correlation
+from aurisense.seeding import spawn_rng
 
 positive_rows = st.lists(
     st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), min_size=2, max_size=16)
@@ -176,6 +177,36 @@ def test_permutation_p_is_seed_deterministic():
     p3 = correlation(x, y, n_perm=2000, seed=6).p_value
     assert p1 == p2
     assert p1 != p3 or p1 <= 1 / 2001  # different seed may differ unless at floor
+
+
+def _loop_p_value(x, y, n_perm, seed):
+    """Per-permutation reference: one rng.permutation(y) per test statistic."""
+    r_obs = pearson(x, y)
+    rng = spawn_rng(seed)
+    xc = x - x.mean()
+    sx = np.sqrt((xc * xc).sum())
+    hits = 0
+    for _ in range(n_perm):
+        yp = rng.permutation(y)
+        yc = yp - yp.mean()
+        r = (xc * yc).sum() / (sx * np.sqrt((yc * yc).sum()))
+        if abs(r) >= abs(r_obs) - 1e-12:
+            hits += 1
+    return (1 + hits) / (n_perm + 1)
+
+
+@pytest.mark.parametrize("n", [3, 15, 80])
+@pytest.mark.parametrize("n_perm", [0, 2500, 10000])
+def test_blocked_permutations_match_per_permutation_loop(n, n_perm):
+    # 2500 and 10000 are not multiples of PERM_BLOCK: the last block is short
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = 0.3 * x + rng.normal(size=n)
+    for seed in (0, 17):
+        res = correlation(x, y, n_perm=n_perm, seed=seed)
+        assert res.p_value == _loop_p_value(x, y, n_perm, seed)
+    if n_perm == 0:
+        assert res.p_value == 1.0
 
 
 def test_correlation_zero_variance():

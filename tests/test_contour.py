@@ -1,0 +1,146 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
+
+from aurisense.analysis.contour import interpolate_2d
+from aurisense.cli import main
+from aurisense.geometry import (
+    default_template,
+    place_aps,
+    read_ply_vertex_scalars,
+    write_ply,
+)
+from aurisense.geometry.aps import write_aps_json
+from aurisense.geometry.primitives import make_bumpy_plane
+
+
+def _ap_sites(n=13, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-10.0, 10.0, size=(n, 2)), rng.uniform(0.5, 2.0, size=n)
+
+
+def _inside_grid(sites, step=0.37):
+    g = np.arange(-12.0, 12.0, step)
+    q = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    return q[Delaunay(sites).find_simplex(q) >= 0]
+
+
+def _clip(poly, a, b):
+    """Sutherland-Hodgman clip of a convex polygon to the half-plane a.x <= b."""
+    out = []
+    for p, r in zip(poly, np.roll(poly, -1, axis=0)):
+        fp, fr = a @ p - b, a @ r - b
+        if fp <= 0:
+            out.append(p)
+        if fp * fr < 0:
+            out.append(p + fp / (fp - fr) * (r - p))
+    return np.array(out).reshape(-1, 2)
+
+
+def _voronoi_cell(center, others, box):
+    cell = box
+    for s in others:
+        # points nearer to center than to s
+        cell = _clip(cell, 2.0 * (s - center), s @ s - center @ center)
+    return cell
+
+
+def _area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(x @ np.roll(y, -1) - y @ np.roll(x, -1))
+
+
+def _sibson_reference(sites, values, q):
+    """Sibson value at one query: the area its Voronoi cell takes from each
+    site's cell, by half-plane clipping with no triangulation."""
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    new_cell = _voronoi_cell(q, sites, 1e4 * square)
+    reach = np.abs(new_cell).max()
+    assert reach < 1e3  # bounded, not cut by the box
+    # clip again from a box just around the cell: far box corners cost digits
+    new_cell = _voronoi_cell(q, sites, 2.0 * reach * square)
+    stolen = np.array([
+        _area(_voronoi_cell(s, np.delete(sites, i, axis=0), new_cell))
+        for i, s in enumerate(sites)
+    ])
+    return stolen @ values / stolen.sum()
+
+
+def test_exact_at_aps():
+    sites, values = _ap_sites()
+    assert np.array_equal(interpolate_2d(sites, values, sites), values)
+    # within the coincidence tolerance counts as the AP itself
+    np.testing.assert_array_equal(
+        interpolate_2d(sites, values, sites + 1e-12), values)
+
+
+def test_linear_precision_inside_hull():
+    sites, _ = _ap_sites(seed=1)
+    q = _inside_grid(sites)
+    assert q.shape[0] > 500
+
+    def plane(p):
+        return 0.7 - 0.3 * p[:, 0] + 0.45 * p[:, 1]
+
+    np.testing.assert_allclose(interpolate_2d(sites, plane(sites), q),
+                               plane(q), rtol=0, atol=1e-12)
+
+
+def test_matches_per_query_sibson_reference():
+    sites, values = _ap_sites(seed=2)
+    q = _inside_grid(sites, step=0.9)
+    expected = np.array([_sibson_reference(sites, values, p) for p in q])
+    np.testing.assert_allclose(interpolate_2d(sites, values, q), expected,
+                               rtol=0, atol=1e-12)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                          st.floats(-5.0, 5.0)),
+                min_size=3, max_size=12, unique_by=lambda t: t[:2]))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:.*inverse-distance")
+def test_bounded_by_ap_values(aps):
+    sites = np.array([(x, y) for x, y, _ in aps], dtype=np.float64) / 4.0
+    values = np.array([v for _, _, v in aps])
+    g = np.linspace(-1.0, 11.0, 25)
+    q = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    out = interpolate_2d(sites, values, q)
+    slack = 1e-12 * max(1.0, np.abs(values).max())
+    assert np.isfinite(out).all()
+    assert (out >= values.min() - slack).all()
+    assert (out <= values.max() + slack).all()
+
+
+def test_collinear_aps_fall_back_to_idw_with_warning():
+    sites = np.stack([np.linspace(0.0, 4.0, 5), np.zeros(5)], axis=1)
+    values = np.arange(5.0)
+    q = np.array([[1.0, 0.0], [1.5, 0.5], [9.0, -3.0]])
+    with pytest.warns(UserWarning, match="inverse-distance"):
+        out = interpolate_2d(sites, values, q)
+    assert out[0] == 1.0
+    assert 0.0 < out[1] < 4.0 and 0.0 < out[2] < 4.0
+
+
+def test_contour_command_writes_one_value_per_vertex(tmp_path):
+    mesh = make_bumpy_plane(extent=30.0, spacing=1.0, amplitude=2.0,
+                            wavelength=12.0)
+    aps = place_aps(mesh, default_template(13))
+    write_ply(tmp_path / "mesh.ply", mesh)
+    write_aps_json(tmp_path / "aps.json", aps)
+    values = np.linspace(0.6, 1.4, len(aps))
+    (tmp_path / "values.csv").write_text("label,value\n" + "".join(
+        f"{label},{float(v)!r}\n" for label, v in zip(aps.labels, values)))
+
+    outs = [tmp_path / "contour_a.ply", tmp_path / "contour_b.ply"]
+    for out in outs:
+        assert main(["contour", str(tmp_path / "mesh.ply"),
+                     str(tmp_path / "aps.json"), str(tmp_path / "values.csv"),
+                     "--out", str(out)]) == 0
+
+    aesr = read_ply_vertex_scalars(outs[0])["aesr"]
+    assert aesr.shape == (mesh.n_vertices,)
+    assert np.isfinite(aesr).all()
+    assert values.min() - 1e-12 <= aesr.min() and aesr.max() <= values.max() + 1e-12
+    assert outs[0].read_bytes() == outs[1].read_bytes()
