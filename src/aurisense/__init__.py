@@ -6,8 +6,6 @@ signal-analysis chain (normalization, contour interpolation, PCA, k-means
 with elbow/silhouette, correlation statistics).
 """
 
-from ._accel import backend_name
-
 __version__ = "0.1.0"
 
-__all__ = ["backend_name", "__version__"]
+__all__ = ["__version__"]

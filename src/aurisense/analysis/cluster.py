@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._accel import USE_NUMBA, maybe_jit
 from ..errors import LabelError, ParameterError, UndefinedSilhouetteError
 from ..seeding import spawn_rng
 from .normalize import normalize_spatial
@@ -28,47 +27,15 @@ _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 
 
 # ----------------------------------------------------------------------
-# assignment kernel (numba scalar loop vs numpy broadcast)
+# k-means
 # ----------------------------------------------------------------------
 
-def _assign_loop(points, centers):
-    m = points.shape[0]
-    k = centers.shape[0]
-    dim = points.shape[1]
-    labels = np.zeros(m, dtype=np.int64)
-    dist2 = np.empty(m)
-    for i in range(m):
-        best = np.inf
-        arg = 0
-        for c in range(k):
-            d = 0.0
-            for j in range(dim):
-                t = points[i, j] - centers[c, j]
-                d += t * t
-            if d < best:
-                best = d
-                arg = c
-        labels[i] = arg
-        dist2[i] = best
-    return labels, dist2
-
-
-_assign_numba = maybe_jit(_assign_loop)
-
-
-def _assign_numpy(points, centers):
+def _assign(points, centers):
     diff = points[:, None, :] - centers[None, :, :]
     d2 = np.einsum("mkj,mkj->mk", diff, diff)
     labels = np.argmin(d2, axis=1)
     return labels.astype(np.int64), d2[np.arange(points.shape[0]), labels]
 
-
-_assign = _assign_numba if USE_NUMBA else _assign_numpy
-
-
-# ----------------------------------------------------------------------
-# k-means
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class KMeansResult:

@@ -98,6 +98,8 @@ def _load_config(path, defaults) -> dict:
         return defaults
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise AurisenseError("config must be a JSON object")
     merged = dict(defaults)
     unknown = [k for k in cfg if k not in defaults and not k.startswith("_")]
     if unknown:

@@ -63,15 +63,36 @@ class AuricularPointSet:
 
     @staticmethod
     def from_json_obj(obj) -> "AuricularPointSet":
-        pts = []
-        for rec in obj["aps"]:
-            pts.append(AuricularPoint(
-                label=str(rec["label"]),
-                position=np.asarray(rec["position"], dtype=np.float64),
+        return _point_set(obj, "aps", "label", "position")
+
+
+def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
+    """APs from the records of ``obj[key]``, each checked for a ``label``
+    field and a ``position`` field of three finite numbers; ``face`` and
+    ``barycentric`` are optional.  Raises ``ParameterError`` naming the
+    first bad record."""
+    recs = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(recs, list):
+        raise ParameterError(f"'{key}' must be a list of records")
+    pts = []
+    for i, rec in enumerate(recs):
+        try:
+            point = AuricularPoint(
+                label=str(rec[label]),
+                position=np.asarray(rec[position], dtype=np.float64),
                 face=int(rec.get("face", -1)),
-                barycentric=np.asarray(rec.get("barycentric", [1.0, 0.0, 0.0])),
-            ))
-        return AuricularPointSet(points=tuple(pts))
+                barycentric=np.asarray(rec.get("barycentric", [1.0, 0.0, 0.0]),
+                                       dtype=np.float64),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError):
+            point = None
+        if (point is None or point.position.shape != (3,)
+                or not np.isfinite(point.position).all()):
+            raise ParameterError(
+                f"'{key}' record {i}: expected an object with '{label}' and "
+                f"'{position}' (three finite numbers)")
+        pts.append(point)
+    return AuricularPointSet(points=tuple(pts))
 
 
 def load_template(path) -> list:
@@ -154,18 +175,12 @@ def write_aps_json(path, aps: AuricularPointSet, meta: dict | None = None) -> No
 
 
 def read_aps_json(path) -> AuricularPointSet:
+    """APs from an APs JSON file or from a design file, whose electrode
+    centers become the APs."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "aps" in obj:
-        return AuricularPointSet.from_json_obj(obj)
-    if "electrodes" in obj:  # accept an array-design file: centers become APs
-        pts = []
-        for rec in obj["electrodes"]:
-            pts.append(AuricularPoint(
-                label=str(rec["ap"]),
-                position=np.asarray(rec["center"], dtype=np.float64),
-                face=-1,
-                barycentric=np.asarray([1.0, 0.0, 0.0]),
-            ))
-        return AuricularPointSet(points=tuple(pts))
+    if isinstance(obj, dict) and "aps" in obj:
+        return _point_set(obj, "aps", "label", "position")
+    if isinstance(obj, dict) and "electrodes" in obj:
+        return _point_set(obj, "electrodes", "ap", "center")
     raise ParameterError("JSON file has neither 'aps' nor 'electrodes'")

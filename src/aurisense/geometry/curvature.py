@@ -9,8 +9,8 @@ convention makes a sphere with outward normals convex-positive
 
 The fit needs at least 5 distinct neighbors; vertices below that are
 retried with progressively larger rings and flagged if they never reach
-5.  Both kernel backends (see ``aurisense._accel``) solve the identical
-regularized system, so they agree to solver roundoff.
+5.  Each vertex's neighborhood is a row of ``SurfaceMesh.k_rings``, and one
+batched solve fits every vertex of a ring size at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._accel import USE_NUMBA, maybe_jit
 from ..errors import ParameterError
 from .mesh import SurfaceMesh
 
@@ -76,56 +75,10 @@ def _principal_from_coeffs(a, b, c, d, e):
 
 
 # ----------------------------------------------------------------------
-# kernels: accumulate + solve the per-vertex 5x5 normal equations
+# kernel: accumulate + solve the per-vertex 5x5 normal equations
 # ----------------------------------------------------------------------
 
-def _fit_coeffs_loop(vertices, t1, t2, normals, query, indptr, indices):
-    nq = query.shape[0]
-    coeffs = np.zeros((nq, 5))
-    ok = np.zeros(nq, dtype=np.bool_)
-    ata = np.zeros((5, 5))
-    atb = np.zeros(5)
-    row = np.zeros(5)
-    for qi in range(nq):
-        v = query[qi]
-        lo = indptr[qi]
-        hi = indptr[qi + 1]
-        if hi - lo < _MIN_NEIGHBORS:
-            continue
-        for i in range(5):
-            atb[i] = 0.0
-            for j in range(5):
-                ata[i, j] = 0.0
-        for p in range(lo, hi):
-            u = indices[p]
-            dx = vertices[u, 0] - vertices[v, 0]
-            dy = vertices[u, 1] - vertices[v, 1]
-            dz = vertices[u, 2] - vertices[v, 2]
-            uu = dx * t1[v, 0] + dy * t1[v, 1] + dz * t1[v, 2]
-            ww = dx * t2[v, 0] + dy * t2[v, 1] + dz * t2[v, 2]
-            hh = dx * normals[v, 0] + dy * normals[v, 1] + dz * normals[v, 2]
-            row[0] = uu * uu
-            row[1] = uu * ww
-            row[2] = ww * ww
-            row[3] = uu
-            row[4] = ww
-            for i in range(5):
-                atb[i] += row[i] * hh
-                for j in range(5):
-                    ata[i, j] += row[i] * row[j]
-        trace = ata[0, 0] + ata[1, 1] + ata[2, 2] + ata[3, 3] + ata[4, 4]
-        ridge = _RIDGE * trace / 5.0 + 1e-300
-        for i in range(5):
-            ata[i, i] += ridge
-        coeffs[qi] = np.linalg.solve(ata, atb)
-        ok[qi] = True
-    return coeffs, ok
-
-
-_fit_coeffs_numba = maybe_jit(_fit_coeffs_loop)
-
-
-def _fit_coeffs_numpy(vertices, t1, t2, normals, query, indptr, indices):
+def _fit_coeffs(vertices, t1, t2, normals, query, indptr, indices):
     nq = query.shape[0]
     coeffs = np.zeros((nq, 5))
     counts = np.diff(indptr)
@@ -159,20 +112,6 @@ def _fit_coeffs_numpy(vertices, t1, t2, normals, query, indptr, indices):
     return coeffs, ok
 
 
-_fit_coeffs = _fit_coeffs_numba if USE_NUMBA else _fit_coeffs_numpy
-
-
-def _neighborhood_csr(mesh: SurfaceMesh, query, k_ring: int):
-    indptr = [0]
-    indices = []
-    for v in query:
-        ring = mesh.k_ring(int(v), k_ring)
-        indices.append(ring)
-        indptr.append(indptr[-1] + ring.size)
-    flat = np.concatenate(indices) if indices else np.empty(0, dtype=np.int64)
-    return np.asarray(indptr, dtype=np.int64), flat
-
-
 def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> CurvatureField:
     """Principal and mean curvature at every vertex, or at ``vertices`` only.
 
@@ -181,6 +120,8 @@ def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> Curvat
     fitted on its own.  Vertices whose neighborhood is too small for the
     quadric fit are retried with rings up to ``k_ring + 3``; any survivor
     is reported (by vertex index) in ``flagged`` with curvature set to 0.
+    ``SurfaceMesh.k_rings`` raises ``ParameterError`` for indices outside
+    the mesh.
     """
     if k_ring < 1:
         raise ParameterError("k_ring must be >= 1")
@@ -188,18 +129,15 @@ def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> Curvat
         query = np.arange(mesh.n_vertices, dtype=np.int64)
     else:
         query = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        if query.size and (query.min() < 0 or query.max() >= mesh.n_vertices):
-            raise ParameterError("vertices must be indices into the mesh")
     t1, t2 = _tangent_frames(mesh.vertex_normals)
     k1 = np.zeros(query.size)
     k2 = np.zeros(query.size)
     pending = np.arange(query.size)  # positions in query
     ring = k_ring
     while pending.size and ring <= k_ring + _MAX_RING_GROWTH:
-        indptr, indices = _neighborhood_csr(mesh, query[pending], ring)
-        coeffs, ok = _fit_coeffs(
-            mesh.vertices, t1, t2, mesh.vertex_normals, query[pending], indptr, indices
-        )
+        rings = mesh.k_rings(query[pending], ring)
+        coeffs, ok = _fit_coeffs(mesh.vertices, t1, t2, mesh.vertex_normals,
+                                 query[pending], rings.indptr, rings.indices)
         done = pending[ok]
         ka, kb = _principal_from_coeffs(*(coeffs[ok].T))
         k1[done] = ka

@@ -8,10 +8,27 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..errors import EmptyMeshError, MeshFormatError
+from ..errors import EmptyMeshError, MeshFormatError, ParameterError
 
 DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
+
+
+def _pattern(rows, cols, n_rows, n_cols=None) -> sp.csr_array:
+    """Boolean CSR array with entries (rows[i], cols[i]), sorted by row, then column."""
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return sp.csr_array((np.ones(cols.size, dtype=bool), cols.astype(np.int64), indptr),
+                        shape=(n_rows, n_rows if n_cols is None else n_cols))
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by one sort; on int64 keys numpy 2.4's hash-based
+    unique is about 20 times slower."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -25,7 +42,10 @@ class SurfaceMesh:
     """Validated triangle mesh with cached per-vertex unit normals.
 
     Immutable after construction: the vertex/face arrays are marked
-    read-only so instances can be shared freely across threads.
+    read-only so instances can be shared freely across threads.  The
+    topology queries return boolean ``scipy.sparse.csr_array`` patterns
+    with sorted indices; the vertex and face adjacencies are built from
+    the face edges on first use and cached.
 
     Parameters
     ----------
@@ -126,49 +146,65 @@ class SurfaceMesh:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def vertex_adjacency(self) -> list:
-        """List of neighbor index arrays, one per vertex (1-ring)."""
+    def _edge_keys(self) -> np.ndarray:
+        """Key ``lo * V + hi`` of each face's three edges, in face order."""
+        i, j = self.faces.ravel(), self.faces[:, [1, 2, 0]].ravel()
+        return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
+
+    def vertex_adjacency(self) -> sp.csr_array:
+        """(V, V) boolean CSR array; row i holds the sorted 1-ring of vertex i."""
         if self._adjacency is None:
-            neighbor_sets = [set() for _ in range(self.n_vertices)]
-            for i, j, k in self.faces:
-                neighbor_sets[i].update((j, k))
-                neighbor_sets[j].update((i, k))
-                neighbor_sets[k].update((i, j))
-            self._adjacency = [np.fromiter(sorted(s), dtype=np.int64) for s in neighbor_sets]
+            n = self.n_vertices
+            lo, hi = np.divmod(self._edge_keys(), n)
+            keys = _sorted_unique(np.concatenate([lo * n + hi, hi * n + lo]))
+            self._adjacency = _pattern(*np.divmod(keys, n), n)
         return self._adjacency
 
-    def face_adjacency(self) -> list:
-        """List of face-index arrays sharing an edge with each face."""
+    def face_adjacency(self) -> sp.csr_array:
+        """(F, F) boolean CSR array; row f holds the sorted faces sharing an edge with f."""
         if self._face_adjacency is None:
-            edge_to_faces: dict = {}
-            for fi, (i, j, k) in enumerate(self.faces):
-                for e in ((i, j), (j, k), (k, i)):
-                    key = (min(e), max(e))
-                    edge_to_faces.setdefault(key, []).append(fi)
-            adj = [set() for _ in range(self.n_faces)]
-            for flist in edge_to_faces.values():
-                for a in flist:
-                    for b in flist:
-                        if a != b:
-                            adj[a].add(b)
-            self._face_adjacency = [np.fromiter(sorted(s), dtype=np.int64) for s in adj]
+            nf = self.n_faces
+            edge = self._edge_keys()
+            order = np.argsort(edge, kind="stable")
+            edge, face = edge[order], order // 3
+            # the faces of one edge are adjacent in edge order; pairing each
+            # with the ones d places on pairs them all (d > 1 on non-manifold edges)
+            src, dst = [face[:0]], [face[:0]]
+            for d in range(1, edge.size):
+                same = edge[d:] == edge[:-d]
+                if not same.any():
+                    break
+                src += [face[:-d][same], face[d:][same]]
+                dst += [face[d:][same], face[:-d][same]]
+            keys = _sorted_unique(np.concatenate(src) * nf + np.concatenate(dst))
+            self._face_adjacency = _pattern(*np.divmod(keys, nf), nf)
         return self._face_adjacency
 
-    def k_ring(self, vertex: int, k: int) -> np.ndarray:
-        """Vertex indices within k edge hops of ``vertex`` (itself excluded)."""
+    def k_rings(self, vertices, k: int) -> sp.csr_array:
+        """(Q, V) boolean CSR array; row r holds the sorted vertices within k
+        edge hops of ``vertices[r]``, that vertex itself excluded."""
+        query = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
+            raise ParameterError("vertex indices must lie in [0, n_vertices)")
         adj = self.vertex_adjacency()
-        seen = {int(vertex)}
-        frontier = {int(vertex)}
+        n = self.n_vertices
+        rows, cols = np.arange(query.size), query
+        keys = rows * n + cols
+        # each hop adds the neighbours of everything reached so far, kept
+        # as sorted unique keys row * V + vertex
         for _ in range(k):
-            nxt = set()
-            for v in frontier:
-                nxt.update(int(u) for u in adj[v])
-            frontier = nxt - seen
-            seen |= frontier
-            if not frontier:
-                break
-        seen.discard(int(vertex))
-        return np.fromiter(sorted(seen), dtype=np.int64)
+            lo = adj.indptr[cols]
+            count = adj.indptr[cols + 1] - lo
+            nbr = adj.indices[np.repeat(lo - np.cumsum(count) + count, count)
+                              + np.arange(count.sum())]
+            keys = _sorted_unique(np.concatenate([keys, np.repeat(rows, count) * n + nbr]))
+            rows, cols = np.divmod(keys, n)
+        keep = cols != query[rows]
+        return _pattern(rows[keep], cols[keep], query.size, n)
+
+    def k_ring(self, vertex: int, k: int) -> np.ndarray:
+        """Sorted vertex indices within k edge hops of ``vertex`` (itself excluded)."""
+        return self.k_rings([vertex], k).indices
 
     # ------------------------------------------------------------------
     # closest-point queries

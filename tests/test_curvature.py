@@ -4,9 +4,9 @@ import pytest
 from aurisense.errors import ParameterError
 from aurisense.geometry import curvature_field
 from aurisense.geometry.curvature import (
-    _fit_coeffs_loop,
-    _fit_coeffs_numpy,
-    _neighborhood_csr,
+    _MIN_NEIGHBORS,
+    _RIDGE,
+    _fit_coeffs,
     _tangent_frames,
 )
 from aurisense.geometry.mesh import SurfaceMesh
@@ -106,6 +106,50 @@ def test_vertex_subset_follows_the_given_order(icosphere_unit):
         curvature_field(icosphere_unit, vertices=[icosphere_unit.n_vertices])
 
 
+# per-vertex reference for the batched kernel: one 5x5 system at a time
+def _fit_coeffs_loop(vertices, t1, t2, normals, query, indptr, indices):
+    nq = query.shape[0]
+    coeffs = np.zeros((nq, 5))
+    ok = np.zeros(nq, dtype=np.bool_)
+    ata = np.zeros((5, 5))
+    atb = np.zeros(5)
+    row = np.zeros(5)
+    for qi in range(nq):
+        v = query[qi]
+        lo = indptr[qi]
+        hi = indptr[qi + 1]
+        if hi - lo < _MIN_NEIGHBORS:
+            continue
+        for i in range(5):
+            atb[i] = 0.0
+            for j in range(5):
+                ata[i, j] = 0.0
+        for p in range(lo, hi):
+            u = indices[p]
+            dx = vertices[u, 0] - vertices[v, 0]
+            dy = vertices[u, 1] - vertices[v, 1]
+            dz = vertices[u, 2] - vertices[v, 2]
+            uu = dx * t1[v, 0] + dy * t1[v, 1] + dz * t1[v, 2]
+            ww = dx * t2[v, 0] + dy * t2[v, 1] + dz * t2[v, 2]
+            hh = dx * normals[v, 0] + dy * normals[v, 1] + dz * normals[v, 2]
+            row[0] = uu * uu
+            row[1] = uu * ww
+            row[2] = ww * ww
+            row[3] = uu
+            row[4] = ww
+            for i in range(5):
+                atb[i] += row[i] * hh
+                for j in range(5):
+                    ata[i, j] += row[i] * row[j]
+        trace = ata[0, 0] + ata[1, 1] + ata[2, 2] + ata[3, 3] + ata[4, 4]
+        ridge = _RIDGE * trace / 5.0 + 1e-300
+        for i in range(5):
+            ata[i, i] += ridge
+        coeffs[qi] = np.linalg.solve(ata, atb)
+        ok[qi] = True
+    return coeffs, ok
+
+
 @pytest.mark.parametrize("query", [
     np.array([7]),
     np.array([0, 11, 40, 97, 161]),
@@ -117,9 +161,9 @@ def test_numpy_fit_matches_loop_kernel(query):
     mesh = make_icosphere(subdivisions=2)
     assert mesh.n_vertices == 162
     t1, t2 = _tangent_frames(mesh.vertex_normals)
-    indptr, indices = _neighborhood_csr(mesh, query, 2)
-    args = (mesh.vertices, t1, t2, mesh.vertex_normals, query, indptr, indices)
-    coeffs, ok = _fit_coeffs_numpy(*args)
+    rings = mesh.k_rings(query, 2)
+    args = (mesh.vertices, t1, t2, mesh.vertex_normals, query, rings.indptr, rings.indices)
+    coeffs, ok = _fit_coeffs(*args)
     ref_coeffs, ref_ok = _fit_coeffs_loop(*args)
     np.testing.assert_array_equal(ok, ref_ok)
     assert ok.all()

@@ -115,6 +115,22 @@ def test_bumpy_area_monotone_and_rigid_invariant(bumpy, point, diameters, rotvec
     assert abs(a_moved - a_large) / a_large < 1e-9
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    point=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+    diameter=st.floats(0.5, 6.0),
+    s=st.floats(0.5, 4.0),
+)
+def test_bumpy_area_scales_as_s_squared(bumpy, point, diameter, s):
+    v = int(np.argmin(np.linalg.norm(bumpy.vertices[:, :2] - point, axis=1)))
+    center = bumpy.vertices[v]
+    axis = bumpy.vertex_normals[v]
+    area = sensing_area(bumpy, center, axis, diameter)
+    scaled = SurfaceMesh(bumpy.vertices * s, bumpy.faces)
+    a_scaled = sensing_area(scaled, center * s, axis, diameter * s)
+    assert abs(a_scaled - s * s * area) <= 1e-12 * s * s * area
+
+
 def test_scale_covariance(plane_fine):
     a1 = sensing_area(plane_fine, ORIGIN, Z, 3.0)
     s = 2.5
