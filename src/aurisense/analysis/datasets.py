@@ -2,17 +2,21 @@
 
 CSV layout: optional ``#``-prefixed comment lines, then a header
 ``label,AP1,...,APN``, then one row per dataset with a label and N decimal
-floats.  Floats are written with ``repr`` so identical data reproduces
-byte-identical files.
+floats; the contour values file is the one-column case ``label,value``.
+Floats are written with ``repr`` so identical data reproduces
+byte-identical files.  Reading follows the parse rule and line-number
+contract of ``aurisense.textio``: blank and ``#`` lines are skipped, and
+a bad header or row raises ``DatasetFormatError`` naming its line.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from ..errors import DatasetFormatError
+from ..textio import format_rows, read_lines, table, write_report_json
+
+__all__ = ["read_dataset_csv", "write_dataset_csv", "write_report_json"]
 
 
 def write_dataset_csv(path, labels, rows, comments=()) -> None:
@@ -24,8 +28,7 @@ def write_dataset_csv(path, labels, rows, comments=()) -> None:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write("label," + ",".join(f"AP{i + 1}" for i in range(n)) + "\n")
-        for label, row in zip(labels, rows):
-            fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(format_rows(rows, labels=labels, sep=","))
 
 
 def read_dataset_csv(path):
@@ -34,44 +37,13 @@ def read_dataset_csv(path):
     Raises ``DatasetFormatError`` naming the file line of the first
     malformed row.
     """
-    labels = []
-    rows = []
-    n_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if not header_seen:
-                if parts[0] != "label":
-                    raise DatasetFormatError(
-                        "header must start with 'label'", line=lineno)
-                n_cols = len(parts) - 1
-                if n_cols < 1:
-                    raise DatasetFormatError("header has no AP columns", line=lineno)
-                header_seen = True
-                continue
-            if len(parts) != n_cols + 1:
-                raise DatasetFormatError(
-                    f"expected {n_cols + 1} columns, got {len(parts)}", line=lineno)
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"non-numeric cell in row '{parts[0]}'", line=lineno)
-            labels.append(parts[0])
-            rows.append(values)
-    if not header_seen:
-        raise DatasetFormatError("file has no header")
+    rows, lines = read_lines(path, DatasetFormatError, comment="#")
     if not rows:
+        raise DatasetFormatError("file has no header")
+    header = rows[0].split(",")
+    if header[0] != "label" or len(header) < 2:
+        raise DatasetFormatError("header must be 'label,<column>,...'", line=int(lines[0]))
+    if len(rows) < 2:
         raise DatasetFormatError("file has no data rows")
-    return labels, np.asarray(rows)
-
-
-def write_report_json(path, obj: dict) -> None:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return table(rows[1:], lines[1:], len(header) - 1, np.float64, DatasetFormatError,
+                 sep=",", label=True)

@@ -17,8 +17,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .acquisition import (
     default_cohort_config,
@@ -35,7 +33,7 @@ from .analysis import (
     write_report_json,
 )
 from .electrode import DEFAULT_TARGET_AREA, design_array, write_design_json
-from .errors import AurisenseError, LabelError
+from .errors import AurisenseError, DatasetFormatError, LabelError
 from .geometry import load_mesh, place_aps, read_aps_json, write_ply, write_vtk
 from .geometry.aps import write_aps_json
 
@@ -173,41 +171,21 @@ def cmd_analyze(args) -> int:
 # contour
 # ----------------------------------------------------------------------
 
-def _read_values_csv(path):
-    labels, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0] == "label":
-                continue
-            if len(parts) != 2:
-                raise AurisenseError(
-                    f"values line {lineno}: expected 'label,value'")
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise AurisenseError(f"values line {lineno}: bad number")
-            labels.append(parts[0])
-    return labels, np.asarray(values)
-
-
 def cmd_contour(args) -> int:
     mesh = load_mesh(args.mesh)
     aps = read_aps_json(args.aps)
-    labels, values = _read_values_csv(args.values)
+    labels, values = read_dataset_csv(args.values)
+    if values.shape[1] != 1:
+        raise DatasetFormatError(
+            f"values file has {values.shape[1]} value columns; expected 'label,value'")
+    values = values[:, 0]
     if len(values) != len(aps):
-        raise AurisenseError(
-            f"{len(values)} values for {len(aps)} APs"
-        )
-    if labels and labels != list(aps.labels):
-        order = {lab: i for i, lab in enumerate(labels)}
-        missing = [lab for lab in aps.labels if lab not in order]
-        if missing:
-            raise AurisenseError(f"values file lacks AP '{missing[0]}'")
-        values = values[[order[lab] for lab in aps.labels]]
+        raise AurisenseError(f"{len(values)} values for {len(aps)} APs")
+    order = {lab: i for i, lab in enumerate(labels)}
+    missing = [lab for lab in aps.labels if lab not in order]
+    if missing:
+        raise AurisenseError(f"values file lacks AP '{missing[0]}'")
+    values = values[[order[lab] for lab in aps.labels]]
     field = interpolate_contour(mesh, aps, values)
     stamp = _digest({
         "mesh": _file_digest(args.mesh),
@@ -278,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("contour", help="interpolate AP values over the mesh")
     c.add_argument("mesh")
     c.add_argument("aps", help="APs JSON (from 'design --aps-out')")
-    c.add_argument("values", help="CSV lines 'label,value'")
+    c.add_argument("values", help="CSV: a 'label,value' header, then one "
+                                  "'label,value' line per AP")
     c.add_argument("--format", choices=["ply", "vtk"], default="ply")
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_contour)
@@ -295,7 +274,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except (AurisenseError, OSError, json.JSONDecodeError) as exc:
+    except (AurisenseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

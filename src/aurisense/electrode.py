@@ -24,7 +24,6 @@ curvature.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from .errors import (
 from .geometry.aps import AuricularPointSet
 from .geometry.curvature import curvature_field
 from .geometry.mesh import SurfaceMesh
+from .textio import write_report_json
 
 DEFAULT_TARGET_AREA = float(np.pi * 1.5 ** 2)  # flat-case area of a 3 mm pathway
 MAX_TILT_DEG = 85.0      # beyond this the pathway is nearly tangent
@@ -470,6 +470,4 @@ def write_design_json(path, design: ArrayDesign, meta: dict | None = None) -> No
     obj = design.to_json_obj()
     if meta:
         obj["_meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report_json(path, obj)

@@ -2,17 +2,18 @@
 
 
 class AurisenseError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``line`` is the
+    1-based line of the input file at fault, when the fault is in one line."""
 
-
-class MeshFormatError(AurisenseError):
-    """Mesh file failed to parse; carries the offending line number."""
-
-    def __init__(self, message, line=None):
+    def __init__(self, message="", line=None):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+class MeshFormatError(AurisenseError):
+    """Mesh file failed to parse."""
 
 
 class UnsupportedTopologyError(AurisenseError):
@@ -72,10 +73,4 @@ class LabelError(AurisenseError):
 
 
 class DatasetFormatError(AurisenseError):
-    """Dataset CSV failed to parse; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
+    """Dataset or values CSV failed to parse."""

@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from ..errors import ParameterError, PlacementError
+from ..textio import read_lines, require, table, write_report_json
 from .mesh import SurfaceMesh
 
 # Fraction of the bounding-box diagonal beyond which a projection is
@@ -96,33 +97,21 @@ def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
 
 
 def load_template(path) -> list:
-    """Parse a template file: one ``label x y z`` line per AP, xyz in [0,1]."""
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParameterError(
-                    f"template line {lineno}: expected 'label x y z', got '{line}'"
-                )
-            try:
-                xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
-            except ValueError:
-                raise ParameterError(f"template line {lineno}: bad coordinate")
-            if not all(0.0 <= c <= 1.0 for c in xyz):
-                raise ParameterError(
-                    f"template line {lineno}: coordinates must be in [0, 1]"
-                )
-            entries.append((parts[0], np.asarray(xyz)))
-    if not entries:
+    """Parse a template file: one ``label x y z`` line per AP, xyz in [0,1].
+
+    Blank and ``#`` lines are skipped; a bad line raises ``ParameterError``
+    with ``.line`` set to it.
+    """
+    rows, lines = read_lines(path, ParameterError, comment="#")
+    if not rows:
         raise ParameterError("template file contains no points")
-    labels = [e[0] for e in entries]
-    if len(set(labels)) != len(labels):
-        raise ParameterError("template labels must be unique")
-    return entries
+    labels, xyz = table(rows, lines, 3, np.float64, ParameterError, label=True)
+    require(((xyz >= 0.0) & (xyz <= 1.0)).all(axis=1), lines, ParameterError,
+            "template coordinates must be in [0, 1]")
+    first = np.zeros(len(labels), dtype=bool)
+    first[np.unique(np.array(labels, dtype=object), return_index=True)[1]] = True
+    require(first, lines, ParameterError, "template labels must be unique")
+    return list(zip(labels, xyz))
 
 
 def default_template(n: int = 13) -> list:
@@ -169,9 +158,7 @@ def write_aps_json(path, aps: AuricularPointSet, meta: dict | None = None) -> No
     obj = aps.to_json_obj()
     if meta:
         obj["_meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report_json(path, obj)
 
 
 def read_aps_json(path) -> AuricularPointSet:

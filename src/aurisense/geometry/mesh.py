@@ -51,12 +51,12 @@ class SurfaceMesh:
     ----------
     vertices : (V, 3) float array, mm
     faces : (F, 3) int array of vertex indices
-    drop_degenerate : bool
-        Drop faces with area < 1e-12 mm^2 (with a warning) instead of
-        rejecting the mesh.  Scan-derived meshes commonly contain slivers.
+
+    Faces with area < 1e-12 mm^2 are dropped with a warning: scan-derived
+    meshes commonly contain slivers.
     """
 
-    def __init__(self, vertices, faces, drop_degenerate: bool = True):
+    def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         faces = np.ascontiguousarray(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -75,10 +75,6 @@ class SurfaceMesh:
         areas = _face_areas(vertices, faces)
         degenerate = areas < DEGENERATE_AREA
         if degenerate.any():
-            if not drop_degenerate:
-                raise MeshFormatError(
-                    f"{int(degenerate.sum())} degenerate (zero-area) faces"
-                )
             warnings.warn(
                 f"dropping {int(degenerate.sum())} degenerate faces "
                 f"(area < {DEGENERATE_AREA} mm^2)",

@@ -1,175 +1,134 @@
 """ASCII OBJ / PLY readers and PLY / legacy-VTK writers.
 
-Only the ASCII flavors are supported: OBJ ``v``/``f`` records and PLY
-``element vertex`` / ``element face`` with float properties.  Extra
-per-vertex PLY properties (e.g. a scalar written by the contour
-exporter) are tolerated on read and can be recovered with
-``read_ply_vertex_scalars``.
+The format is taken from the file extension, ``.obj`` or ``.ply``.  Both
+readers follow the parse rule and line-number contract of
+``aurisense.textio``: a fault in one body row (a bad number or column
+count, a non-finite coordinate, a face index naming no vertex) raises
+``MeshFormatError``, or ``UnsupportedTopologyError`` for a face that is
+not a triangle, naming that row's line.
+
+- OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
+  dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
+  reference; a negative reference counts back from the last ``v`` row
+  above the face.  Every other row is skipped.
+- PLY reads ``format``, ``element`` and ``property`` header lines (others
+  are skipped), then the vertex rows of float properties and the face
+  rows ``3 i j k``; later rows are ignored.  Vertex properties beyond
+  x/y/z are returned by ``read_ply_vertex_scalars``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
-from ..errors import EmptyMeshError, MeshFormatError, UnsupportedTopologyError
+from ..errors import MeshFormatError, UnsupportedTopologyError
+from ..textio import format_rows, read_lines, require, table, token_counts
 from .mesh import SurfaceMesh
 
+# in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference, and
+# a 'v x y z' row with the cells past z (vertex colors, w) as its tail
+_REF_TAIL = re.compile(r"/\S*")
+_V_EXTRA = re.compile(r"^(\S+(?:[^\S\n]+\S+){3})[^\S\n].*$", re.M)
 
-def load_mesh(path, fmt: str | None = None) -> SurfaceMesh:
-    """Load and validate a triangle mesh from an ASCII OBJ or PLY file.
 
-    ``fmt`` may be "obj" or "ply"; inferred from the extension when None.
-    """
+def load_mesh(path) -> SurfaceMesh:
+    """Load and validate a triangle mesh from an ASCII ``.obj`` or ``.ply`` file."""
     path = os.fspath(path)
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower().lstrip(".")
-        fmt = ext if ext in ("obj", "ply") else None
-    if fmt not in ("obj", "ply"):
-        raise MeshFormatError(f"cannot infer mesh format for '{path}'; pass fmt='obj' or 'ply'")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if fmt == "obj":
-        vertices, faces = _parse_obj(lines)
+    ext = os.path.splitext(path)[1].lower()
+    if ext not in (".obj", ".ply"):
+        raise MeshFormatError(f"cannot infer mesh format for '{path}'; "
+                              f"expected a .obj or .ply file")
+    rows, lines = read_lines(path, MeshFormatError)
+    if ext == ".obj":
+        (vertices, v_lines), (faces, f_lines) = _parse_obj(rows, lines)
     else:
-        vertices, faces, _ = _parse_ply(lines)
-    if not vertices:
-        raise EmptyMeshError(f"no vertices in '{path}'")
-    if not faces:
-        raise EmptyMeshError(f"no faces in '{path}'")
-    return SurfaceMesh(np.asarray(vertices), np.asarray(faces))
+        (vertices, v_lines), (faces, f_lines), _ = _parse_ply(rows, lines)
+    require(np.isfinite(vertices).all(axis=1), v_lines, MeshFormatError,
+            "non-finite vertex coordinate")
+    require(((faces >= 0) & (faces < len(vertices))).all(axis=1), f_lines,
+            MeshFormatError, "face references a vertex that does not exist")
+    return SurfaceMesh(vertices, faces)
 
 
-def _parse_obj(lines):
-    vertices = []
-    faces = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        tag = parts[0]
-        if tag == "v":
-            if len(parts) < 4:
-                raise MeshFormatError("vertex record needs 3 coordinates", line=lineno)
-            try:
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except ValueError:
-                raise MeshFormatError(f"bad vertex coordinate in '{line}'", line=lineno)
-        elif tag == "f":
-            refs = parts[1:]
-            if len(refs) != 3:
-                raise UnsupportedTopologyError(
-                    f"only triangle faces are supported; got {len(refs)} "
-                    f"vertices on line {lineno}"
-                )
-            idx = []
-            for ref in refs:
-                head = ref.split("/")[0]
-                try:
-                    i = int(head)
-                except ValueError:
-                    raise MeshFormatError(f"bad face index '{ref}'", line=lineno)
-                # OBJ indices are 1-based; negative indices count from the end
-                idx.append(i - 1 if i > 0 else len(vertices) + i)
-            faces.append(idx)
-        # vn/vt/usemtl/o/g/s records are ignored
-    return vertices, faces
+def _parse_obj(rows, lines):
+    """((vertices, their lines), (0-based faces, their lines)) of OBJ rows."""
+    rows = np.array(rows, dtype=object)
+    tags = np.array([row.split(None, 1)[0] for row in rows], dtype=object)
+    is_v, is_f = tags == "v", tags == "f"
+
+    v_rows = _V_EXTRA.sub(r"\1", "\n".join(rows[is_v])).split("\n") if is_v.any() else []
+    v_lines = lines[is_v]
+    vertices = table(v_rows, v_lines, 3, np.float64, MeshFormatError, label=True)[1]
+
+    f_rows, f_lines = rows[is_f].tolist(), lines[is_f]
+    require(token_counts(f_rows) == 4, f_lines, UnsupportedTopologyError,
+            "only triangle faces are supported")
+    heads = _REF_TAIL.sub("", "\n".join(f_rows)).split("\n") if f_rows else []
+    refs = table(heads, f_lines, 3, np.int64, MeshFormatError, label=True)[1]
+    # OBJ references are 1-based; a negative one counts back from the last
+    # vertex defined above the face; 0 names no vertex
+    seen = np.cumsum(is_v)[is_f][:, None]
+    faces = np.where(refs > 0, refs - 1, np.where(refs < 0, seen + refs, -1))
+    return (vertices, v_lines), (faces, f_lines)
 
 
-def _parse_ply(lines):
-    """Parse ASCII PLY; returns (vertices, faces, vertex property table)."""
-    if not lines or lines[0].strip() != "ply":
-        raise MeshFormatError("not a PLY file (missing 'ply' magic)", line=1)
-    n_vertex = n_face = None
-    vertex_props = []  # property names in declaration order
-    current_element = None
-    body_start = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("comment") or line.startswith("obj_info"):
-            continue
-        parts = line.split()
-        if parts[0] == "format":
-            if parts[1] != "ascii":
-                raise MeshFormatError("only ASCII PLY is supported", line=lineno)
-        elif parts[0] == "element":
-            current_element = parts[1]
-            if parts[1] == "vertex":
-                n_vertex = int(parts[2])
-            elif parts[1] == "face":
-                n_face = int(parts[2])
-        elif parts[0] == "property":
-            if current_element == "vertex" and parts[1] != "list":
-                vertex_props.append(parts[-1])
-        elif parts[0] == "end_header":
-            body_start = lineno
+def _parse_ply(rows, lines):
+    """((vertices, their lines), (faces, their lines), extra vertex columns)
+    of ASCII PLY rows."""
+    if not rows or rows[0] != "ply":
+        raise MeshFormatError("not a PLY file (missing 'ply' magic)",
+                              line=int(lines[0]) if rows else None)
+    counts = {}
+    props = []  # vertex property names in declaration order
+    element = None
+    for i in range(1, len(rows)):
+        parts = rows[i].split()
+        line = int(lines[i])
+        if parts[0] == "end_header":
             break
-    if body_start is None or n_vertex is None or n_face is None:
-        raise MeshFormatError("incomplete PLY header")
-    for coord in ("x", "y", "z"):
-        if coord not in vertex_props:
-            raise MeshFormatError(f"PLY vertex element lacks '{coord}' property")
+        if parts[0] == "format":
+            if parts[1:2] != ["ascii"]:
+                raise MeshFormatError("only ASCII PLY is supported", line=line)
+        elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise MeshFormatError("expected 'element <name> <count>'", line=line)
+            element = parts[1]
+            counts[element] = int(parts[2])
+        elif parts[0] == "property":
+            if len(parts) < 3:
+                raise MeshFormatError("expected 'property <type> <name>'", line=line)
+            if element == "vertex" and parts[1] != "list":
+                props.append(parts[-1])
+    else:
+        raise MeshFormatError("PLY header has no 'end_header'")
+    if "vertex" not in counts or "face" not in counts or not {"x", "y", "z"} <= set(props):
+        raise MeshFormatError("PLY header lacks a vertex element with x, y, z "
+                              "properties or a face element")
 
-    body = [l for l in lines[body_start:]]
-    ix = vertex_props.index("x")
-    iy = vertex_props.index("y")
-    iz = vertex_props.index("z")
-    vertices = []
-    extras = {name: [] for name in vertex_props if name not in ("x", "y", "z")}
-    cursor = 0
-    parsed = 0
-    while parsed < n_vertex:
-        if cursor >= len(body):
-            raise MeshFormatError("PLY body ended before all vertices were read")
-        lineno = body_start + 1 + cursor
-        line = body[cursor].strip()
-        cursor += 1
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < len(vertex_props):
-            raise MeshFormatError("vertex row has too few columns", line=lineno)
-        try:
-            vertices.append([float(parts[ix]), float(parts[iy]), float(parts[iz])])
-            for name in extras:
-                extras[name].append(float(parts[vertex_props.index(name)]))
-        except ValueError:
-            raise MeshFormatError(f"bad vertex value in '{line}'", line=lineno)
-        parsed += 1
-    faces = []
-    parsed = 0
-    while parsed < n_face:
-        if cursor >= len(body):
-            raise MeshFormatError("PLY body ended before all faces were read")
-        lineno = body_start + 1 + cursor
-        line = body[cursor].strip()
-        cursor += 1
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            count = int(parts[0])
-        except ValueError:
-            raise MeshFormatError(f"bad face row '{line}'", line=lineno)
-        if count != 3:
-            raise UnsupportedTopologyError(
-                f"only triangle faces are supported; got a {count}-gon on line {lineno}"
-            )
-        if len(parts) < 4:
-            raise MeshFormatError("face row has too few indices", line=lineno)
-        faces.append([int(parts[1]), int(parts[2]), int(parts[3])])
-        parsed += 1
-    return vertices, faces, extras
+    body, body_lines = rows[i + 1:], lines[i + 1:]
+    nv, nf = counts["vertex"], counts["face"]
+    if len(body) < nv + nf:
+        raise MeshFormatError(f"PLY body ended after {len(body)} of the "
+                              f"{nv + nf} vertex and face rows")
+    values = table(body[:nv], body_lines[:nv], len(props), np.float64, MeshFormatError)
+    xyz = [props.index(c) for c in ("x", "y", "z")]
+    extras = {name: values[:, j] for j, name in enumerate(props) if name not in ("x", "y", "z")}
+
+    f_rows, f_lines = body[nv:nv + nf], body_lines[nv:nv + nf]
+    require(token_counts(f_rows) <= 4, f_lines, UnsupportedTopologyError,
+            "only triangle faces are supported")
+    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError)
+    require(faces[:, 0] == 3, f_lines, UnsupportedTopologyError,
+            "only triangle faces are supported")
+    return (values[:, xyz], body_lines[:nv]), (faces[:, 1:], f_lines), extras
 
 
 def read_ply_vertex_scalars(path) -> dict:
     """Per-vertex scalar properties (beyond x/y/z) from an ASCII PLY file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    _, _, extras = _parse_ply(lines)
-    return {name: np.asarray(vals) for name, vals in extras.items()}
+    return _parse_ply(*read_lines(path, MeshFormatError))[2]
 
 
 def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
@@ -191,12 +150,9 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        cols = [mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]]
-        cols += [np.asarray(scalars[name], dtype=np.float64) for name in scalars]
-        for row in zip(*cols):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(format_rows(np.column_stack(
+            [mesh.vertices] + [np.asarray(vals, dtype=np.float64) for vals in scalars.values()])))
+        fh.write(format_rows(np.column_stack([np.full(mesh.n_faces, 3), mesh.faces])))
 
 
 def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
@@ -208,16 +164,13 @@ def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
         fh.write(title + "\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]!r} {v[1]!r} {v[2]!r}\n")
+        fh.write(format_rows(mesh.vertices))
         fh.write(f"POLYGONS {mesh.n_faces} {4 * mesh.n_faces}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(format_rows(np.column_stack([np.full(mesh.n_faces, 3), mesh.faces])))
         if scalars:
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, vals in scalars.items():
                 if len(vals) != mesh.n_vertices:
                     raise ValueError(f"scalar '{name}' has wrong length")
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in vals:
-                    fh.write(f"{float(v)!r}\n")
+                fh.write(format_rows(np.asarray(vals, dtype=np.float64)[:, None]))

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,3 +67,29 @@ def test_contour_rejects_a_malformed_aps_file(tmp_path, capsys, aps_obj, expecte
     err = capsys.readouterr().err
     assert expected in err
     assert "Traceback" not in err
+
+
+def test_json_inputs_that_are_not_utf8_exit_1(tmp_path, capsys):
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
+                                                      amplitude=1.0, wavelength=8.0))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff{"aps": []}')
+    (tmp_path / "values.csv").write_text("label,value\nAP1,1.0\n")
+    for argv in (["simulate", "cohort", str(bad), "--seed", "1",
+                  "--out", str(tmp_path / "c.csv")],
+                 ["contour", str(tmp_path / "mesh.ply"), str(bad),
+                  str(tmp_path / "values.csv"), "--out", str(tmp_path / "c.ply")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_import_leaves_out_the_solver_and_graph_modules():
+    # scipy.optimize and scipy.sparse.csgraph are imported where they are
+    # used; at start-up they would add to every command's memory peak
+    src = Path(__import__("aurisense").__file__).resolve().parent.parent
+    code = ("import sys, aurisense.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aurisense.analysis import write_dataset_csv
 from aurisense.errors import (
     EmptyMeshError,
     MeshFormatError,
@@ -87,6 +88,76 @@ def test_vtk_writer_structure(tmp_path):
     assert f"POINTS {mesh.n_vertices} double" in text
     assert "SCALARS aesr double 1" in text
     assert f"POINT_DATA {mesh.n_vertices}" in text
+
+
+def test_vtk_points_and_scalars_read_back_exactly(tmp_path):
+    mesh = make_icosphere(subdivisions=1)
+    vals = np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0
+    p = tmp_path / "mesh.vtk"
+    write_vtk(p, mesh, scalars={"aesr": vals})
+    lines = p.read_text().splitlines()
+    start = lines.index(f"POINTS {mesh.n_vertices} double") + 1
+    points = [[float(x) for x in row.split()] for row in lines[start:start + mesh.n_vertices]]
+    assert np.array_equal(np.array(points), mesh.vertices)
+    start = lines.index("LOOKUP_TABLE default") + 1
+    assert np.array_equal([float(x) for x in lines[start:]], vals)
+
+
+def test_mesh_format_comes_from_the_extension(tmp_path):
+    p = tmp_path / "tri.txt"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshFormatError, match="cannot infer mesh format"):
+        load_mesh(p)
+
+
+# The per-row writers that ``textio.format_rows`` replaced, kept as the
+# byte-for-byte reference.
+def _reference_ply(path, mesh, scalars, comments):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("ply\nformat ascii 1.0\n")
+        for c in comments:
+            fh.write(f"comment {c}\n")
+        fh.write(f"element vertex {mesh.n_vertices}\n")
+        fh.write("property float x\nproperty float y\nproperty float z\n")
+        for name in scalars:
+            fh.write(f"property float {name}\n")
+        fh.write(f"element face {mesh.n_faces}\n")
+        fh.write("property list uchar int vertex_indices\n")
+        fh.write("end_header\n")
+        cols = [mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2]]
+        cols += [np.asarray(scalars[name], dtype=np.float64) for name in scalars]
+        for row in zip(*cols):
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for f in mesh.faces:
+            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def _reference_dataset_csv(path, labels, rows, comments):
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[1]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for c in comments:
+            fh.write(f"# {c}\n")
+        fh.write("label," + ",".join(f"AP{i + 1}" for i in range(n)) + "\n")
+        for label, row in zip(labels, rows):
+            fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def test_writers_match_the_per_row_reference(tmp_path):
+    awkward = np.array([-0.0, 1e-300, 1e16, 0.1, -2.5e-7, 1.0 / 3.0])
+    verts = np.array([[0.0, 0.0, 0.0], [1e16, 0.1, -0.0], [1e-300, 1.0, 0.1],
+                      [1.0 / 3.0, -2.5e-7, 1e16], [0.1, 0.1, 0.1], [-0.0, 2.0, 1e-300]])
+    mesh = SurfaceMesh(verts, np.array([[0, 1, 2], [0, 2, 3], [1, 3, 4], [2, 4, 5]]))
+    scalars = {"aesr": awkward, "rank": np.arange(6)}
+    write_ply(tmp_path / "new.ply", mesh, scalars=scalars, comments=("seed=1",))
+    _reference_ply(tmp_path / "ref.ply", mesh, scalars, ("seed=1",))
+    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+
+    labels = ["S01-L", "S01-R", "S02-L"]
+    rows = np.stack([awkward, awkward[::-1], awkward * 7.0])
+    write_dataset_csv(tmp_path / "new.csv", labels, rows, comments=("seed=1",))
+    _reference_dataset_csv(tmp_path / "ref.csv", labels, rows, ("seed=1",))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_degenerate_faces_dropped():
