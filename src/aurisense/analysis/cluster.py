@@ -24,6 +24,8 @@ from .normalize import normalize_spatial
 from .pca import pca
 
 _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
+_MAX_ITER = 300    # Lloyd iterations per restart
+_N_COMPONENTS = 3  # PCA components the pipeline clusters in
 
 
 # ----------------------------------------------------------------------
@@ -66,11 +68,11 @@ def _kmeanspp_init(points, k, rng):
     return centers
 
 
-def _lloyd(points, k, rng, max_iter=300):
+def _lloyd(points, k, rng):
     centers = _kmeanspp_init(points, k, rng)
     prev_sse = np.inf
     labels = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         labels, d2 = _assign(points, centers)
         # empty clusters: deterministically re-seed from the farthest point;
         # re-assignment may empty another cluster, so sweep until stable
@@ -260,8 +262,7 @@ class ClusterReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
-                     seed: int = 0, n_components: int = 3,
+def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, seed: int = 0,
                      normalize: str = "spatial", space: str = "pca") -> ClusterReport:
     """Normalize -> PCA -> SSE-vs-K -> elbow -> final k-means -> silhouette.
 
@@ -279,7 +280,7 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
     if labels is not None and len(labels) != m:
         raise LabelError(f"{len(labels)} labels for {m} rows")
     if normalize == "spatial":
-        rows = np.stack([normalize_spatial(r) for r in x])
+        rows = normalize_spatial(x)
     elif normalize == "none":
         rows = x.copy()
     else:
@@ -287,7 +288,7 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
 
     if space not in ("pca", "raw"):
         raise ParameterError("space must be 'pca' or 'raw'")
-    k_pca = min(n_components, m - 1, x.shape[1])
+    k_pca = min(_N_COMPONENTS, m - 1, x.shape[1])
     p = pca(rows, k=k_pca)
     points = p.scores if space == "pca" else rows
 

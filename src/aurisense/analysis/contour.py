@@ -45,12 +45,11 @@ class ContourField:
         self.values.flags.writeable = False
 
 
-def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values,
-                        projection: str = "auto") -> ContourField:
+def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values) -> ContourField:
     """Interpolate AP values onto every mesh vertex.
 
-    ``projection``: "plane", "azimuthal", or "auto" (plane unless the AP
-    set is strongly non-planar).
+    The APs are mapped to 2D by their best-fit plane, or azimuthally when
+    strongly non-planar; ``ParameterError`` if that folds two onto one site.
     """
     sites3d = aps.positions()
     vals = np.asarray(values, dtype=np.float64)
@@ -63,40 +62,42 @@ def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values,
     if not np.isfinite(vals).all():
         raise ParameterError("AP values must be finite")
 
-    sites2d, queries2d = _parameterize(sites3d, mesh.vertices, projection)
+    sites2d, queries2d = _parameterize(sites3d, mesh.vertices)
+    # APs distinct in 3D must stay apart by interpolate_2d's site tolerance
+    tol = 1e-9 * max(np.ptp(sites2d[:, 0]), np.ptp(sites2d[:, 1]), 1e-12)
+    folded = np.argwhere(np.triu(
+        (np.linalg.norm(sites2d[:, None] - sites2d, axis=2) <= tol)
+        & (np.linalg.norm(sites3d[:, None] - sites3d, axis=2) > 0.0)))
+    if folded.size:
+        i, j = folded[0]
+        raise ParameterError(f"{aps.labels[i]} and {aps.labels[j]} fold onto one "
+                             f"point of the contour parameterization")
     field = interpolate_2d(sites2d, vals, queries2d)
     return ContourField(mesh=mesh, values=field)
 
 
-def _parameterize(sites3d, queries3d, projection):
+def _parameterize(sites3d, queries3d):
     center = sites3d.mean(axis=0)
     u, s, vt = np.linalg.svd(sites3d - center, full_matrices=False)
-    if projection == "auto":
-        # out-of-plane spread comparable to the in-plane minor axis means
-        # a plane projection would fold the surface over itself
-        flat = s[2] / s[1] if s.size > 2 and s[1] > 0 else 0.0
-        projection = "azimuthal" if flat > 0.9 else "plane"
-    if projection == "plane":
-        b1, b2 = vt[0], vt[1]
-        sites2d = (sites3d - center) @ np.stack([b1, b2], axis=1)
-        queries2d = (queries3d - center) @ np.stack([b1, b2], axis=1)
-        return sites2d, queries2d
-    if projection == "azimuthal":
-        w = vt[2] if vt.shape[0] > 2 else np.array([0.0, 0.0, 1.0])
-        radius = max(np.linalg.norm(sites3d - center, axis=1).max(), 1e-9)
-        origin = center - 2.0 * radius * w
-        b1, b2 = vt[0], vt[1]
+    b1, b2 = vt[0], vt[1]
+    # out-of-plane spread comparable to the in-plane minor axis means
+    # a plane projection would fold the surface over itself
+    flat = s[2] / s[1] if s.size > 2 and s[1] > 0 else 0.0
+    if not flat > 0.9:
+        basis = np.stack([b1, b2], axis=1)
+        return (sites3d - center) @ basis, (queries3d - center) @ basis
+    w = vt[2]
+    radius = max(np.linalg.norm(sites3d - center, axis=1).max(), 1e-9)
+    origin = center - 2.0 * radius * w
 
-        def project(points):
-            d = points - origin
-            d = d / np.linalg.norm(d, axis=1)[:, None]
-            cos_t = np.clip(d @ w, -1.0, 1.0)
-            theta = np.arccos(cos_t)
-            phi = np.arctan2(d @ b2, d @ b1)
-            return np.stack([theta * np.cos(phi), theta * np.sin(phi)], axis=1)
+    def project(points):
+        d = points - origin
+        d = d / np.linalg.norm(d, axis=1)[:, None]
+        theta = np.arccos(np.clip(d @ w, -1.0, 1.0))
+        phi = np.arctan2(d @ b2, d @ b1)
+        return np.stack([theta * np.cos(phi), theta * np.sin(phi)], axis=1)
 
-        return project(sites3d), project(queries3d)
-    raise ParameterError("projection must be 'auto', 'plane' or 'azimuthal'")
+    return project(sites3d), project(queries3d)
 
 
 def interpolate_2d(sites, values, queries) -> np.ndarray:
@@ -245,13 +246,14 @@ def _hull_edge_interp(sites, values, hull_edges, queries):
     return (1.0 - tb) * va + tb * vb
 
 
-def _shepard(sites, values, queries, site_tol, power: float = 2.0):
+def _shepard(sites, values, queries, site_tol):
+    """Inverse-square-distance weighting."""
     d2 = np.einsum("qsj,qsj->qs", queries[:, None, :] - sites[None, :, :],
                    queries[:, None, :] - sites[None, :, :])
     out = np.empty(queries.shape[0])
     at_site = d2.min(axis=1) <= site_tol * site_tol
     out[at_site] = values[np.argmin(d2[at_site], axis=1)]
     rest = ~at_site
-    w = 1.0 / np.power(d2[rest], power / 2.0)
+    w = 1.0 / d2[rest]
     out[rest] = (w @ values) / w.sum(axis=1)
     return out

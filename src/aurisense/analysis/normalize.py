@@ -8,12 +8,12 @@ from ..acquisition import SessionRecord
 from ..errors import DomainError
 
 
-def normalize_spatial(row, ref_index: int = 0) -> np.ndarray:
-    """Divide an AP vector by its entry at ``ref_index`` (default AP1)."""
-    row = np.asarray(row, dtype=np.float64)
-    if (row <= 0).any():
+def normalize_spatial(rows) -> np.ndarray:
+    """Divide an AP vector, or each row of a matrix of them, by AP1."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if (rows <= 0).any():
         raise DomainError("spatial normalization needs strictly positive entries")
-    return row / row[ref_index]
+    return rows / rows[..., :1]
 
 
 def normalize_temporal(session: SessionRecord) -> np.ndarray:

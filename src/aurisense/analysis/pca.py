@@ -22,12 +22,11 @@ class PCAResult:
             arr.flags.writeable = False
 
 
-def pca(matrix, k: int, scale: bool = False) -> PCAResult:
+def pca(matrix, k: int) -> PCAResult:
     """Top-``k`` principal components of the row-datasets in ``matrix``.
 
-    Rows are always centered; ``scale`` additionally divides columns by
-    their standard deviation (off by default: AESR rows arrive already
-    ratio-normalized).  Rank-deficient data is fine, trailing components
+    Rows are centered, not scaled: AESR rows arrive already
+    ratio-normalized.  Rank-deficient data is fine, trailing components
     just explain zero variance.
     """
     x = np.asarray(matrix, dtype=np.float64)
@@ -39,12 +38,7 @@ def pca(matrix, k: int, scale: bool = False) -> PCAResult:
     if not 1 <= k <= min(m - 1, n):
         raise ParameterError(f"k must be in [1, min(M-1, N)] = [1, {min(m - 1, n)}]")
     mean = x.mean(axis=0)
-    xc = x - mean
-    if scale:
-        sd = xc.std(axis=0, ddof=1)
-        sd[sd == 0] = 1.0
-        xc = xc / sd
-    u, s, vt = np.linalg.svd(xc, full_matrices=False)
+    u, s, vt = np.linalg.svd(x - mean, full_matrices=False)
     # deterministic sign: largest-|.| entry of each component positive
     for i in range(vt.shape[0]):
         j = int(np.argmax(np.abs(vt[i])))

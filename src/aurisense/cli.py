@@ -32,7 +32,7 @@ from .analysis import (
     write_dataset_csv,
     write_report_json,
 )
-from .electrode import DEFAULT_TARGET_AREA, design_array, write_design_json
+from .electrode import DEFAULT_TARGET_AREA, MAX_TILT_DEG, design_array, write_design_json
 from .errors import AurisenseError, DatasetFormatError, LabelError
 from .geometry import load_mesh, place_aps, read_aps_json, write_ply, write_vtk
 from .geometry.aps import write_aps_json
@@ -58,9 +58,8 @@ def _file_digest(path) -> str:
 def cmd_design(args) -> int:
     mesh = load_mesh(args.mesh)
     aps = place_aps(mesh, args.template)
-    tilt_policy = "normal" if args.tilt_deg is None else float(args.tilt_deg)
     design = design_array(mesh, aps, target_area=args.target_area,
-                          tilt_policy=tilt_policy)
+                          tilt_deg=args.tilt_deg or 0.0)
     meta = {
         "command": "design",
         "seed": None,
@@ -223,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--target-area", type=float, default=DEFAULT_TARGET_AREA,
                    help="sensing area per electrode, mm^2")
     d.add_argument("--tilt-deg", type=float, default=None,
-                   help="fixed tilt from the surface normal (default: normal)")
+                   help=f"fixed tilt from the surface normal, deg in "
+                        f"[0, {MAX_TILT_DEG:g}) (default: along the normal)")
     d.add_argument("--out", required=True, help="design JSON output")
     d.add_argument("--aps-out", default=None, help="also write the placed APs")
     d.set_defaults(func=cmd_design)

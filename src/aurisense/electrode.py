@@ -12,14 +12,19 @@ sectors where it runs outside.  Multiplying by face area / projected area
 undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
-Everything that does not depend on D (the contact face, the surface and
-tilt checks, the projected vertices, the per-face area ratios and a face
-prefilter ordered by distance from the axis) is built once per pathway by
-``_Pathway``.  ``solve_diameter`` inverts the area with a bracketed Brent
+Everything that does not depend on D (the projected vertices, the
+per-face area ratios and a face prefilter ordered by distance from the
+axis) is built once per pathway by ``_Pathway``, from the contact face it
+is given.  ``solve_diameter`` inverts the area with a bracketed Brent
 solve (the area is continuous and monotone in D but only piecewise
 smooth), and ``design_array`` runs the solve point by point so every
 electrode of an array reaches one target area regardless of local
 curvature.
+
+``_Pathway`` checks nothing; every input is checked once where it enters
+(NaN fails every check): by ``_checked_pathway`` for ``sensing_area`` and
+``solve_diameter``, which finds the face by one ``closest_point`` search,
+and by ``design_array`` before its loop, which takes each AP's own face.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ MAX_TILT_DEG = 85.0      # beyond this the pathway is nearly tangent
 # the projected-area division loses about 1e-16 / cos relative, the strip
 # clip errs by about cos; the two meet near 1e-8.
 _PARALLEL_COS = 1e-8
+_BRACKET_LOW = 0.1  # mm, the first diameter the solve tries
+_TOL = 1e-3         # relative area error the solve accepts where the area jumps
 
 
 # ----------------------------------------------------------------------
@@ -116,34 +123,12 @@ def _strip_clip_fraction(s, half_width):
 # ----------------------------------------------------------------------
 
 class _Pathway:
-    """The D-independent part of the contact-patch area of one pathway.
+    """The D-independent part of the contact-patch area of one pathway
+    through ``center`` on ``face``: the mesh projected onto the plane
+    perpendicular to the axis, so that ``area(d)`` only clips a disk."""
 
-    Validates ``center`` (on the surface) and ``axis`` (nonzero, not near
-    tangent) and projects the mesh onto the plane through ``center``
-    perpendicular to the axis, so that ``area(d)`` only clips against a
-    disk.
-    """
-
-    def __init__(self, mesh: SurfaceMesh, center, axis):
-        center = np.asarray(center, dtype=np.float64)
-        axis = np.asarray(axis, dtype=np.float64)
-        nrm = np.linalg.norm(axis)
-        if nrm == 0.0:
-            raise ParameterError("axis must be a nonzero vector")
-        axis = axis / nrm
-
-        _, seed, bary, dist = mesh.closest_point(center)
-        if dist > 1e-6 * max(mesh.bounding_diagonal(), 1.0):
-            raise ParameterError(
-                f"center is {dist:.3g} mm off the surface; it must lie on the mesh"
-            )
-        normal = mesh.normal_at(seed, bary)
-        tilt = np.degrees(np.arccos(np.clip(abs(float(axis @ normal)), -1.0, 1.0)))
-        if tilt >= MAX_TILT_DEG:
-            raise ParameterError(
-                f"axis is {tilt:.1f} deg from the surface normal (>= {MAX_TILT_DEG} deg)"
-            )
-
+    def __init__(self, mesh: SurfaceMesh, center, face: int, axis):
+        axis = axis / np.linalg.norm(axis)
         e1 = _perpendicular(axis)
         e2 = np.cross(axis, e1)
         rel = mesh.vertices - center
@@ -162,7 +147,7 @@ class _Pathway:
         self.order = np.argsort(reach, kind="stable")
         self.reach = reach[self.order]
         self.mesh = mesh
-        self.seed = seed
+        self.seed = face
         self.x = x
         self.y = y
         self.plane = np.stack([e1, e2])
@@ -210,6 +195,34 @@ class _Pathway:
         return self.mesh.face_areas[faces] * _strip_clip_fraction(s, half_width)
 
 
+def _checked_pathway(mesh: SurfaceMesh, center, axis, name: str, size) -> _Pathway:
+    """The pathway of a public call, its arguments checked: ``size`` (the
+    diameter or target, ``name`` in the message) finite and positive, a
+    finite center on the surface, a finite nonzero axis below
+    ``MAX_TILT_DEG`` from the normal there."""
+    if not (np.isfinite(size) and size > 0.0):
+        raise ParameterError(f"{name} must be finite and positive")
+    center = np.asarray(center, dtype=np.float64)
+    axis = np.asarray(axis, dtype=np.float64)
+    nrm = np.linalg.norm(axis)  # NaN or inf for a non-finite axis
+    if not (np.isfinite(center).all() and 0.0 < nrm < np.inf):
+        raise ParameterError("center must be finite and axis a finite nonzero vector")
+    _, face, bary, dist = mesh.closest_point(center)
+    if not dist <= _surface_tol(mesh):
+        raise ParameterError(f"center is {dist:.3g} mm off the surface; it must lie on it")
+    cos = abs(float(axis @ mesh.normal_at(face, bary))) / nrm
+    tilt = np.degrees(np.arccos(min(cos, 1.0)))
+    if not tilt < MAX_TILT_DEG:
+        raise ParameterError(
+            f"axis is {tilt:.1f} deg from the surface normal (>= {MAX_TILT_DEG} deg)")
+    return _Pathway(mesh, center, face, axis)
+
+
+def _surface_tol(mesh: SurfaceMesh) -> float:
+    """Distance (mm) within which a point counts as on the surface."""
+    return 1e-6 * max(mesh.bounding_diagonal(), 1.0)
+
+
 def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     """Contact-patch area (mm^2) of a cylindrical pathway against the mesh.
 
@@ -218,9 +231,7 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     inflate the area.  Raises ``ZeroAreaError`` when the cylinder misses
     the mesh and warns when it also hits a disconnected region.
     """
-    if diameter <= 0.0:
-        raise ParameterError("diameter must be positive")
-    return _Pathway(mesh, center, axis).area(diameter)
+    return _checked_pathway(mesh, center, axis, "diameter", diameter).area(diameter)
 
 
 def _connected_patch(mesh, positive_faces, seed_face):
@@ -233,24 +244,23 @@ def _connected_patch(mesh, positive_faces, seed_face):
     return faces[label == label[np.searchsorted(faces, seed_face)]]
 
 
-def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float,
-                   tol: float = 1e-3, bracket_low: float = 0.1) -> float:
-    """Diameter whose sensing area matches ``target_area`` to relative ``tol``.
+def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float:
+    """Diameter whose sensing area matches ``target_area``.
 
-    Brent's method on a bracket found by halving and doubling, run to
-    machine precision in the diameter; ``tol`` bounds the area error it
-    accepts where the area jumps (a face joining the patch with a region
-    behind it).  Every evaluation is checked against the others for
-    monotonicity, and a decrease beyond numerical slack raises
-    ``NonMonotoneAreaError`` naming the violating sub-bracket.
-    ``UnreachableTargetError`` signals a target beyond the local patch.
+    Brent's method on a bracket found by halving and doubling from
+    ``_BRACKET_LOW``, run to machine precision in the diameter; ``_TOL``
+    bounds the relative area error it accepts where the area jumps (a face
+    joining the patch with a region behind it).  Every evaluation is
+    checked against the others for monotonicity, and a decrease beyond
+    numerical slack raises ``NonMonotoneAreaError`` naming the violating
+    sub-bracket.  ``UnreachableTargetError`` signals a target beyond the
+    local patch.
     """
-    if target_area <= 0.0:
-        raise ParameterError("target_area must be positive")
-    return _solve(_Pathway(mesh, center, axis), target_area, tol, bracket_low)[0]
+    return _solve(_checked_pathway(mesh, center, axis, "target_area", target_area),
+                  target_area)[0]
 
 
-def _solve(pathway, target_area, tol, bracket_low=0.1):
+def _solve(pathway, target_area):
     """(diameter, area) of ``solve_diameter`` on a prepared pathway."""
     evals: list = []
 
@@ -263,13 +273,13 @@ def _solve(pathway, target_area, tol, bracket_low=0.1):
         _check_monotone(evals)
         return a
 
-    lo = bracket_low
+    lo = _BRACKET_LOW
     a_lo = area_at(lo)
     while a_lo > target_area and lo > 1e-3:
         lo /= 2.0
         a_lo = area_at(lo)
     if a_lo >= target_area:
-        if a_lo <= target_area * (1.0 + tol):
+        if a_lo <= target_area * (1.0 + _TOL):
             return float(lo), a_lo
         raise UnreachableTargetError(
             f"target {target_area:.6g} mm^2 is below the area at the "
@@ -297,7 +307,7 @@ def _solve(pathway, target_area, tol, bracket_low=0.1):
     d = _brent(lambda d: area_at(d) - target_area, lo, hi,
                a_lo - target_area, a_hi - target_area)
     area = dict(evals)[d]
-    if abs(area - target_area) > tol * target_area:
+    if abs(area - target_area) > _TOL * target_area:
         raise AurisenseError(
             f"diameter solve stopped at {d:.6g} mm with {area:.6g} mm^2, off the "
             f"target {target_area:.6g} mm^2 (the area jumps there)"
@@ -416,14 +426,22 @@ def _tilt_axis(normal, tilt_deg):
 
 def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
                  target_area: float = DEFAULT_TARGET_AREA,
-                 tilt_policy="normal", tol: float = 1e-3) -> ArrayDesign:
-    """One equal-sensing-area electrode per AP.
+                 tilt_deg: float = 0.0) -> ArrayDesign:
+    """One equal-sensing-area electrode per AP, ``tilt_deg`` off the normal.
 
-    ``tilt_policy`` is "normal" (pathway along the surface normal) or a
-    mapping/label -> tilt in degrees (or one float applied to every AP).
-    Per-AP solver failures leave a partial design and are listed in
-    ``failed``.
+    ``ParameterError`` before any solve for a target that is not finite and
+    positive, a tilt outside [0, MAX_TILT_DEG), or an AP off its ``face``;
+    per-AP solver failures leave a partial design listed in ``failed``.
     """
+    if not (np.isfinite(target_area) and target_area > 0.0):
+        raise ParameterError("target area must be finite and positive")
+    if not 0.0 <= tilt_deg < MAX_TILT_DEG:
+        raise ParameterError(f"tilt must be in [0, {MAX_TILT_DEG:g}) deg")
+    tol = _surface_tol(mesh)
+    for p in aps:
+        if not (0 <= p.face < mesh.n_faces and np.linalg.norm(
+                p.position - p.barycentric @ mesh.vertices[mesh.faces[p.face]]) <= tol):
+            raise ParameterError(f"{p.label}: position is not on face {p.face} of the mesh")
     # curvature is reported only at the contact points, so fit only the
     # corners of their faces
     ap_vertices = np.unique(mesh.faces[[p.face for p in aps]])
@@ -431,18 +449,10 @@ def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
     electrodes = []
     failed = []
     for p in aps:
-        if tilt_policy == "normal":
-            tilt = 0.0
-        elif isinstance(tilt_policy, dict):
-            tilt = float(tilt_policy.get(p.label, 0.0))
-        else:
-            tilt = float(tilt_policy)
-        if not 0.0 <= tilt < 90.0:
-            raise ParameterError(f"{p.label}: tilt must be in [0, 90) deg")
         normal = mesh.normal_at(p.face, p.barycentric)
-        axis = _tilt_axis(normal, tilt) if tilt else normal
+        axis = _tilt_axis(normal, tilt_deg) if tilt_deg else normal
         try:
-            d, area = _solve(_Pathway(mesh, p.position, axis), target_area, tol)
+            d, area = _solve(_Pathway(mesh, p.position, p.face, axis), target_area)
         except AurisenseError as exc:
             failed.append((p.label, str(exc)))
             continue
@@ -450,14 +460,11 @@ def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,
         h_here = float(h_vals @ p.barycentric)
         electrodes.append(ElectrodeSpec(
             ap_label=p.label, center=p.position, axis=axis,
-            diameter_mm=d, tilt_deg=tilt, sensing_area_mm2=area,
+            diameter_mm=d, tilt_deg=tilt_deg, sensing_area_mm2=area,
             mean_curvature_per_mm=h_here,
         ))
-    if electrodes:
-        deviation = max(abs(e.sensing_area_mm2 - target_area) / target_area
-                        for e in electrodes)
-    else:
-        deviation = float("nan")
+    deviation = max((abs(e.sensing_area_mm2 - target_area) / target_area
+                     for e in electrodes), default=float("nan"))
     return ArrayDesign(
         electrodes=tuple(electrodes),
         target_area_mm2=target_area,

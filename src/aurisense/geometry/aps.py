@@ -62,10 +62,6 @@ class AuricularPointSet:
             ]
         }
 
-    @staticmethod
-    def from_json_obj(obj) -> "AuricularPointSet":
-        return _point_set(obj, "aps", "label", "position")
-
 
 def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
     """APs from the records of ``obj[key]``, each checked for a ``label``

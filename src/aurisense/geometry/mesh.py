@@ -31,11 +31,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a) of each face (a, b, c): its normal times twice its area."""
     a = vertices[faces[:, 0]]
     b = vertices[faces[:, 1]]
     c = vertices[faces[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    return np.cross(b - a, c - a)
 
 
 class SurfaceMesh:
@@ -56,6 +57,7 @@ class SurfaceMesh:
     meshes commonly contain slivers.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is caught below
     def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         faces = np.ascontiguousarray(faces, dtype=np.int64)
@@ -72,7 +74,9 @@ class SurfaceMesh:
         if faces.min() < 0 or faces.max() >= vertices.shape[0]:
             raise MeshFormatError("face references an out-of-range vertex index")
 
-        areas = _face_areas(vertices, faces)
+        cross = _face_cross(vertices, faces)
+        norm = np.linalg.norm(cross, axis=1)
+        areas = 0.5 * norm
         degenerate = areas < DEGENERATE_AREA
         if degenerate.any():
             warnings.warn(
@@ -80,16 +84,20 @@ class SurfaceMesh:
                 f"(area < {DEGENERATE_AREA} mm^2)",
                 stacklevel=2,
             )
-            faces = faces[~degenerate]
-            areas = areas[~degenerate]
+            faces, areas = faces[~degenerate], areas[~degenerate]
+            cross, norm = cross[~degenerate], norm[~degenerate]
             if faces.shape[0] == 0:
                 raise EmptyMeshError("all faces were degenerate")
 
         self.vertices = vertices
         self.faces = faces
         self.face_areas = areas
-        self.face_normals = self._compute_face_normals()
+        self.face_normals = cross / norm[:, None]
         self.vertex_normals = self._compute_vertex_normals()
+        if not all(np.isfinite(a).all() for a in (areas, self.face_normals,
+                                                   self.vertex_normals)):
+            raise MeshFormatError("face areas or normals are not finite; "
+                                  "the coordinates are too large")
         for arr in (self.vertices, self.faces, self.face_areas,
                     self.face_normals, self.vertex_normals):
             arr.flags.writeable = False
@@ -113,14 +121,6 @@ class SurfaceMesh:
     def bounding_diagonal(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
-
-    def _compute_face_normals(self) -> np.ndarray:
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        n = np.cross(b - a, c - a)
-        norm = np.linalg.norm(n, axis=1)
-        return n / norm[:, None]
 
     def _compute_vertex_normals(self) -> np.ndarray:
         """Area-weighted average of incident face normals, unit length.

@@ -36,6 +36,12 @@ def test_normalize_spatial_reference_entry_is_one(row):
     assert out[0] == 1.0
 
 
+def test_normalize_spatial_matrix_matches_rows():
+    rows = np.random.default_rng(0).uniform(0.1, 5.0, size=(40, 10))
+    expected = np.stack([normalize_spatial(r) for r in rows])
+    assert np.array_equal(normalize_spatial(rows), expected)
+
+
 def test_normalize_spatial_rejects_nonpositive():
     with pytest.raises(DomainError):
         normalize_spatial([1.0, 0.0, 2.0])

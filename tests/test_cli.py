@@ -37,6 +37,38 @@ def test_design_command_solves_and_reruns_identically(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("option", [
+    ["--target-area", "nan"], ["--target-area", "0"], ["--target-area", "-1"],
+    ["--tilt-deg", "87"], ["--tilt-deg", "nan"],
+], ids=["nan-target", "zero-target", "negative-target", "tilt-87", "nan-tilt"])
+def test_design_rejects_a_bad_target_or_tilt_with_one_message(tmp_path, capsys, option):
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
+                                                      amplitude=1.0, wavelength=8.0))
+    (tmp_path / "template.txt").write_text("AP1 0.5 0.5 0.5\nAP2 0.3 0.6 0.5\n")
+    out = tmp_path / "design.json"
+    code = main(["design", str(tmp_path / "mesh.ply"), str(tmp_path / "template.txt"),
+                 "--out", str(out)] + option)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_contour_rejects_a_mesh_too_large_to_measure(tmp_path, capsys):
+    (tmp_path / "mesh.obj").write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1e200 1 0\nf 1 2 3\nf 2 4 3\n")
+    (tmp_path / "aps.json").write_text(json.dumps({"aps": [
+        {"label": f"AP{i + 1}", "position": xyz}
+        for i, xyz in enumerate([[0, 0, 0], [1, 0, 0], [0, 1, 0]])]}))
+    (tmp_path / "values.csv").write_text("label,value\nAP1,1.0\nAP2,2.0\nAP3,3.0\n")
+    code = main(["contour", str(tmp_path / "mesh.obj"), str(tmp_path / "aps.json"),
+                 str(tmp_path / "values.csv"), "--out", str(tmp_path / "out.ply")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("config", ["[1, 2]", '"x"'], ids=["list", "string"])
 def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys, config):
     path = tmp_path / "cohort.json"

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
-from aurisense.analysis.contour import interpolate_2d
+from aurisense.analysis import interpolate_contour
+from aurisense.analysis.contour import _parameterize, interpolate_2d
+from aurisense.errors import ParameterError
 from aurisense.cli import main
 from aurisense.geometry import (
     default_template,
@@ -12,8 +14,8 @@ from aurisense.geometry import (
     read_ply_vertex_scalars,
     write_ply,
 )
-from aurisense.geometry.aps import write_aps_json
-from aurisense.geometry.primitives import make_bumpy_plane
+from aurisense.geometry.aps import AuricularPoint, AuricularPointSet, write_aps_json
+from aurisense.geometry.primitives import make_bumpy_plane, make_icosphere
 
 
 def _ap_sites(n=13, seed=0):
@@ -144,3 +146,48 @@ def test_contour_command_writes_one_value_per_vertex(tmp_path):
     assert np.isfinite(aesr).all()
     assert values.min() - 1e-12 <= aesr.min() and aesr.max() <= values.max() + 1e-12
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _aps_at_vertices(mesh, vertices):
+    """APs exactly on the given mesh vertices, in order."""
+    points = []
+    for i, v in enumerate(vertices):
+        face, corner = np.argwhere(mesh.faces == v)[0]
+        points.append(AuricularPoint(f"AP{i + 1}", mesh.vertices[v], int(face),
+                                     np.eye(3)[corner]))
+    return AuricularPointSet(tuple(points))
+
+
+def _vertices_toward(mesh, directions):
+    d = np.asarray(directions, dtype=np.float64)
+    return np.argmax(mesh.vertices @ (d / np.linalg.norm(d, axis=1)[:, None]).T, axis=0)
+
+
+def test_non_planar_layout_takes_the_azimuthal_branch():
+    mesh = make_icosphere(3, 10.0)
+    # the equator, the north pole and three points of the southern hemisphere
+    vertices = _vertices_toward(mesh, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                       (0, 0, 1), (0.7, 0.4, -1), (-0.5, -0.6, -1),
+                                       (-0.6, 0.5, -1)])
+    aps = _aps_at_vertices(mesh, vertices)
+    s = np.linalg.svd(aps.positions() - aps.positions().mean(axis=0), compute_uv=False)
+    assert s[2] / s[1] > 0.9  # out-of-plane spread: the plane projection is not used
+    sites2d, _ = _parameterize(aps.positions(), mesh.vertices)
+    assert np.abs(sites2d).max() < np.pi  # polar angles, not millimetres
+
+    values = np.array([0.6, 1.4, 0.9, 1.2, 1.0, 0.7, 1.3, 0.8])
+    field = interpolate_contour(mesh, aps, values).values
+    assert np.array_equal(field[vertices], values)
+    assert np.isfinite(field).all()
+    assert values.min() <= field.min() and field.max() <= values.max()
+
+
+def test_aps_folded_onto_one_site_are_rejected():
+    # opposite poles of a sphere: the azimuthal projection maps both to (0, 0)
+    mesh = make_icosphere(3, 10.0)
+    template = [("AP1", (0.5, 0.5, 0.0)), ("AP2", (0.5, 0.5, 1.0)),
+                ("AP3", (0.5, 0.0, 0.5)), ("AP4", (0.5, 1.0, 0.5)),
+                ("AP5", (0.0, 0.5, 0.5)), ("AP6", (1.0, 0.5, 0.5))]
+    aps = place_aps(mesh, [(label, np.array(xyz)) for label, xyz in template])
+    with pytest.raises(ParameterError, match="AP1 and AP2"):
+        interpolate_contour(mesh, aps, np.linspace(1.0, 2.0, 6))

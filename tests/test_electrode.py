@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from aurisense.errors import (
     UnreachableTargetError,
 )
 from aurisense.geometry import curvature_field, place_aps
+from aurisense.geometry.aps import AuricularPointSet
 from aurisense.geometry.mesh import SurfaceMesh
 from aurisense.geometry.primitives import make_cylinder
 
@@ -154,6 +157,29 @@ def test_bad_diameter(plane_fine):
         sensing_area(plane_fine, ORIGIN, Z, -1.0)
 
 
+NAN3 = np.array([np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("center, axis, diameter", [
+    (NAN3, Z, 3.0),
+    (ORIGIN, NAN3, 3.0),
+    (ORIGIN, np.zeros(3), 3.0),
+    (ORIGIN, Z, np.nan),
+    (ORIGIN, Z, np.inf),
+    (ORIGIN, Z, 0.0),
+], ids=["nan-center", "nan-axis", "zero-axis", "nan-diameter", "inf-diameter",
+        "zero-diameter"])
+def test_sensing_area_rejects_every_bad_argument(plane_fine, center, axis, diameter):
+    with pytest.raises(ParameterError):
+        sensing_area(plane_fine, center, axis, diameter)
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf, 0.0, -1.0])
+def test_solve_diameter_rejects_a_bad_target(plane_fine, target):
+    with pytest.raises(ParameterError, match="target_area"):
+        solve_diameter(plane_fine, ORIGIN, Z, target)
+
+
 def test_solve_diameter_plane(plane_fine):
     d = solve_diameter(plane_fine, ORIGIN, Z, np.pi * 1.5 ** 2)
     assert abs(d - 3.0) / 3.0 < 1e-3
@@ -247,6 +273,57 @@ def test_design_partial_failure(plane_coarse):
     design = design_array(plane_coarse, aps, target_area=10000.0)
     assert len(design.failed) == 2
     assert design.failed[0][0] == "AP1"
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"target_area": np.nan}, "target area"),
+    ({"target_area": 0.0}, "target area"),
+    ({"target_area": -1.0}, "target area"),
+    ({"tilt_deg": 87.0}, "tilt"),
+    ({"tilt_deg": 85.0}, "tilt"),
+    ({"tilt_deg": -1.0}, "tilt"),
+    ({"tilt_deg": np.nan}, "tilt"),
+], ids=["nan-target", "zero-target", "negative-target", "tilt-87", "tilt-85",
+        "negative-tilt", "nan-tilt"])
+def test_design_array_rejects_bad_parameters_before_any_solve(plane_coarse, kwargs, match):
+    aps = place_aps(plane_coarse, [("AP1", np.array([0.5, 0.5, 0.5]))])
+    with pytest.raises(ParameterError, match=match):
+        design_array(plane_coarse, aps, **kwargs)
+
+
+def test_design_array_rejects_an_ap_off_its_face(plane_coarse):
+    aps = place_aps(plane_coarse, [("AP1", np.array([0.5, 0.5, 0.5])),
+                                   ("AP2", np.array([0.3, 0.3, 0.5]))])
+    p = aps.points[1]
+    for bad in (replace(p, face=-1), replace(p, face=plane_coarse.n_faces),
+                replace(p, position=p.position + [0.0, 0.0, 0.5]),
+                replace(p, face=aps.points[0].face),
+                replace(p, barycentric=np.full(3, np.nan))):
+        with pytest.raises(ParameterError, match="AP2"):
+            design_array(plane_coarse, AuricularPointSet((aps.points[0], bad)))
+
+
+def test_design_array_makes_no_closest_point_search(bumpy, monkeypatch):
+    template = [(f"AP{i+1}", np.array(xyz)) for i, xyz in enumerate([
+        (0.25, 0.25, 0.5), (0.6, 0.5, 0.5), (0.5, 0.75, 0.5), (0.8, 0.6, 0.5),
+    ])]
+    aps = place_aps(bumpy, template)
+    calls = []
+    search = SurfaceMesh.closest_point
+
+    def spy(self, point):
+        calls.append(point)
+        return search(self, point)
+
+    monkeypatch.setattr(SurfaceMesh, "closest_point", spy)
+    design = design_array(bumpy, aps, tilt_deg=20.0)
+    monkeypatch.undo()
+    assert not design.failed
+    assert calls == []
+    # each electrode matches the public solve, which finds the face itself
+    for e, p in zip(design.electrodes, aps):
+        assert e.diameter_mm == solve_diameter(bumpy, p.position, e.axis,
+                                               DEFAULT_TARGET_AREA)
 
 
 def test_design_json_fields(tmp_path, plane_coarse):

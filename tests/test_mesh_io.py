@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,14 @@ def test_nonfinite_vertex_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]])
     with pytest.raises(MeshFormatError):
         SurfaceMesh(verts, np.array([[0, 1, 2]]))
+
+
+def test_coordinates_too_large_for_the_areas_rejected():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1e200, 1, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        with pytest.raises(MeshFormatError, match="not finite"):
+            SurfaceMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
 
 
 def test_vertex_normals_unit_and_outward(icosphere_unit):
