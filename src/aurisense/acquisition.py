@@ -64,24 +64,23 @@ def _check_temperature(temperature: float) -> None:
         raise ParameterError("temperature must be within [0, 60] degC")
 
 
-def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> float:
-    """One noisy resistance reading (ohm) at the given temperature."""
+def _readings(channel: ChannelModel, temperature: float, n: int, *stream: int) -> np.ndarray:
+    """``n`` readings (ohm), their noise drawn from ``spawn_rng(*stream)``."""
     _check_temperature(temperature)
     base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
-    eps = float(spawn_rng(seed).standard_normal()) if channel.noise_sigma > 0 else 0.0
+    eps = spawn_rng(*stream).standard_normal(n) if channel.noise_sigma > 0 else np.zeros(n)
     return base * (1.0 + channel.noise_sigma * eps)
+
+
+def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> float:
+    """One noisy resistance reading (ohm) at the given temperature."""
+    return float(_readings(channel, temperature, 1, seed)[0])
 
 
 def repeat_readings(channel: ChannelModel, n: int, temperature: float,
                     seed: int) -> np.ndarray:
     """``n`` independent readings from one seeded stream."""
-    _check_temperature(temperature)
-    base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
-    if channel.noise_sigma > 0:
-        eps = spawn_rng(seed).standard_normal(n)
-    else:
-        eps = np.zeros(n)
-    return base * (1.0 + channel.noise_sigma * eps)
+    return _readings(channel, temperature, n, seed)
 
 
 def impedance_sweep(channel: ChannelModel, f_min: float = 4.0,
@@ -155,9 +154,7 @@ def scan_all(mux: MuxState, channels, temperature: float, seed: int) -> np.ndarr
     readings = np.empty(len(channels))
     for i, ch in enumerate(channels):
         mux.activate(i)
-        base = ch.r_total + ch.alpha * (temperature - ch.t_ref)
-        eps = float(spawn_rng(seed, i).standard_normal()) if ch.noise_sigma > 0 else 0.0
-        readings[i] = base * (1.0 + ch.noise_sigma * eps)
+        readings[i] = _readings(ch, temperature, 1, seed, i)[0]
         mux.deactivate()
     return readings
 
@@ -207,6 +204,59 @@ def sped_model(pressure_cv: float, n_readings: int, true_r: float,
     sigma = np.sqrt(np.log1p(pressure_cv ** 2))
     z = spawn_rng(seed).standard_normal(n_readings)
     return true_r * np.exp(sigma * z - 0.5 * sigma * sigma)
+
+
+# ----------------------------------------------------------------------
+# simulation configs
+# ----------------------------------------------------------------------
+
+_COUNTS = {"sizes", "n_aps"}
+_POSITIVE = {"archetypes", "hr_baseline", "bp_baseline", "baseline_range"}
+_FRACTIONS = {"concordance", "active_drops", "inactive_drop_max", "recovery_level",
+              "vital_recovery_remainder"}
+
+
+def simulation_config(kind: str, config: dict | None = None) -> dict:
+    """The default ``kind`` config ('cohort' or 'session') updated by ``config``.
+
+    Each field holds finite numbers nested like its default: whole numbers in
+    ``_COUNTS``, > 0 in ``_POSITIVE``, in [0, 1] in ``_FRACTIONS``, else >= 0.
+    Keys starting with '_' are comments and drop out; other unknown keys are
+    errors.  Values are kept as given, so the digest is of what was written.
+    """
+    defaults = default_cohort_config() if kind == "cohort" else default_session_config()
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise ParameterError("config must be a JSON object")
+    unknown = [k for k in config if k not in defaults and not str(k).startswith("_")]
+    if unknown:
+        raise ParameterError(f"unknown config field '{unknown[0]}'")
+    cfg = {**defaults, **{k: v for k, v in config.items() if k in defaults}}
+    for key, value in cfg.items():
+        ndim = np.asarray(defaults[key]).ndim
+        hi = 1.0 if key in _FRACTIONS else np.inf
+        try:
+            a = np.asarray(value)
+        except ValueError:  # ragged nesting
+            a = np.asarray(None)
+        if not (a.dtype.kind in "iuf" and a.ndim == ndim and all(
+                0 <= x < np.inf and x <= hi and (x > 0 or key not in _POSITIVE)
+                and (x % 1 == 0 or key not in _COUNTS) for x in a.ravel().tolist())):
+            rule = "in [0, 1]" if hi == 1.0 else "> 0" if key in _POSITIVE else ">= 0"
+            shape = ("a number", "a list of numbers", "a list of lists of numbers")[ndim]
+            raise ParameterError(f"config field '{key}' must be {shape} "
+                                 f"({'whole, ' if key in _COUNTS else ''}finite, {rule})")
+    if kind == "cohort":
+        total = sum(int(s) for s in cfg["sizes"])
+        if total == 0 or total % 2:
+            raise ParameterError("sizes must add up to a positive, even ear count")
+        if len(cfg["archetypes"]) != len(cfg["sizes"]) or not len(cfg["archetypes"][0]):
+            raise ParameterError("need one archetype trend of at least one AP per size entry")
+    elif int(cfg["n_aps"]) < max(len(cfg["active_drops"]), 1):
+        raise ParameterError("n_aps must be at least 1 and at least the active-drop count")
+    elif len(cfg["baseline_range"]) != 2 or cfg["baseline_range"][0] > cfg["baseline_range"][1]:
+        raise ParameterError("baseline_range must be [low, high] with low <= high")
+    return cfg
 
 
 # ----------------------------------------------------------------------
@@ -281,10 +331,7 @@ def _matched_pair_quota(sizes, concordance):
     a leftover pool is pairable iff its largest entry does not exceed the
     sum of the others (and the total is even).
     """
-    sizes = [int(s) for s in sizes]
     total = sum(sizes)
-    if total % 2:
-        raise ParameterError("total ear count must be even (two ears per subject)")
     n_subjects = total // 2
     k_matched = int(round(concordance * n_subjects))
     quotas = [k_matched * s / total for s in sizes]
@@ -335,22 +382,12 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     subjects are which, the side assignment, and the multiplicative noise
     all come from the seed.
     """
-    cfg = default_cohort_config()
-    if config:
-        cfg.update(config)
+    cfg = simulation_config("cohort", config)
     trends = np.asarray(cfg["archetypes"], dtype=np.float64)
     sizes = [int(s) for s in cfg["sizes"]]
-    if trends.ndim != 2 or trends.shape[0] != len(sizes):
-        raise ParameterError("need one archetype trend per size entry")
-    if (trends <= 0).any():
-        raise ParameterError("archetype trends must be positive")
     concordance = float(cfg["concordance"])
-    if not 0.0 <= concordance <= 1.0:
-        raise ParameterError("concordance must be in [0, 1]")
     noise = float(cfg["noise"])
-    if noise < 0:
-        raise ParameterError("noise must be >= 0")
-    scale_sigma = noise * float(cfg.get("scale_sigma_factor", 3.0))
+    scale_sigma = noise * float(cfg["scale_sigma_factor"])
 
     m = _matched_pair_quota(sizes, concordance)
     pairs = []  # (archetype_left_candidate, archetype_right_candidate)
@@ -484,16 +521,10 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
     factor (when ``exertion_sd`` > 0) couples the AESR drop depth with the
     HR/BP rise so their changes correlate across tests.
     """
-    cfg = default_session_config()
-    if config:
-        cfg.update(config)
+    cfg = simulation_config("session", config)
     n = int(cfg["n_aps"])
     drops = np.asarray(cfg["active_drops"], dtype=np.float64)
-    if n < drops.size:
-        raise ParameterError("n_aps smaller than the active-drop list")
     noise = float(cfg["noise"])
-    if noise < 0:
-        raise ParameterError("noise must be >= 0")
     is_cycling = test.upper().startswith("A")
 
     rng = spawn_rng(seed)
@@ -507,10 +538,8 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
         # noise == 0 is a master switch: the response multipliers become
         # exactly the configured values, with no exertion or jitter terms
         stochastic = noise > 0
-        e_sd = float(cfg["exertion_sd"]) if stochastic else 0.0
-        d_jit = float(cfg["drop_jitter"]) if stochastic else 0.0
-        h_jit = float(cfg["hr_jitter"]) if stochastic else 0.0
-        b_jit = float(cfg["bp_jitter"]) if stochastic else 0.0
+        e_sd, d_jit, h_jit, b_jit = (float(cfg[k]) if stochastic else 0.0 for k in (
+            "exertion_sd", "drop_jitter", "hr_jitter", "bp_jitter"))
         z = float(np.clip(1.0 + e_sd * rng.standard_normal(), 0.2, 1.8))
         drop_eff = np.empty(n)
         jit = d_jit * rng.standard_normal(drops.size)

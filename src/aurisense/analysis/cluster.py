@@ -7,8 +7,10 @@ distance to another cluster b(i):
 
     s(i) = 1 - a/b   (a < b),   0   (a = b),   b/a - 1   (a > b)
 
-with s(i) = 0 for singleton clusters by convention.  Both quantities are
-cross-checked against brute-force re-computations in the test suite.
+with s(i) = 0 for singleton clusters by convention.  a and b come from the
+(M, K) per-cluster distance sums, built as ``cdist(block, points) @ onehot``
+over row blocks of at most ``_BLOCK_ELEMENTS`` distances (16 MB), so memory
+grows as M, not M^2.  Tests check both against brute-force references.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ..errors import LabelError, ParameterError, UndefinedSilhouetteError
 from ..seeding import spawn_rng
@@ -26,6 +29,7 @@ from .pca import pca
 _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 _MAX_ITER = 300    # Lloyd iterations per restart
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
+_BLOCK_ELEMENTS = 2 ** 21  # distances per silhouette row block (16 MB)
 
 
 # ----------------------------------------------------------------------
@@ -71,29 +75,26 @@ def _kmeanspp_init(points, k, rng):
 def _lloyd(points, k, rng):
     centers = _kmeanspp_init(points, k, rng)
     prev_sse = np.inf
-    labels = None
     for _ in range(_MAX_ITER):
         labels, d2 = _assign(points, centers)
+        counts = np.bincount(labels, minlength=k)
         # empty clusters: deterministically re-seed from the farthest point;
         # re-assignment may empty another cluster, so sweep until stable
         for _attempt in range(k):
-            empty = [c for c in range(k) if not (labels == c).any()]
-            if not empty:
+            if counts.all():
                 break
-            for c in empty:
-                far = int(np.argmax(d2))
-                centers[c] = points[far]
+            for c in np.flatnonzero(counts == 0):
+                centers[c] = points[int(np.argmax(d2))]
                 labels, d2 = _assign(points, centers)
+            counts = np.bincount(labels, minlength=k)
         sse = float(d2.sum())
         if np.isfinite(prev_sse):
             assert sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK, \
                 "SSE increased within a Lloyd run"
-        new_centers = centers.copy()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                new_centers[c] = points[members].mean(axis=0)
-            # a cluster that stayed empty (coincident points) keeps its center
+        # np.add.at adds rows in index order; a still-empty cluster keeps its center
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
         if np.array_equal(new_centers, centers) or sse == prev_sse:
             break
         centers = new_centers
@@ -137,33 +138,24 @@ def sse_of(points, assignments, centers) -> float:
 def silhouette(points, assignments):
     """Per-point silhouette s(i) and the mean over all points."""
     points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(assignments)
-    uniq = np.unique(labels)
+    uniq, labels = np.unique(assignments, return_inverse=True)
     if uniq.size < 2:
         raise UndefinedSilhouetteError("silhouette needs at least 2 clusters")
-    m = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("mnj,mnj->mn", diff, diff))
-    s = np.zeros(m)
-    for i in range(m):
-        same = labels == labels[i]
-        n_same = int(same.sum())
-        if n_same <= 1:
-            s[i] = 0.0  # singleton-cluster convention
-            continue
-        a = dist[i, same].sum() / (n_same - 1)  # excludes the zero self-distance
-        b = np.inf
-        for c in uniq:
-            if c == labels[i]:
-                continue
-            other = labels == c
-            b = min(b, dist[i, other].mean())
-        if a < b:
-            s[i] = 1.0 - a / b
-        elif a == b:
-            s[i] = 0.0
-        else:
-            s[i] = b / a - 1.0
+    rows = np.arange(points.shape[0])
+    onehot = np.eye(uniq.size)[labels]
+    sums = np.empty_like(onehot)  # sums[i, c]: distances from point i to cluster c
+    step = max(1, _BLOCK_ELEMENTS // rows.size)
+    for lo in range(0, rows.size, step):
+        sums[lo:lo + step] = cdist(points[lo:lo + step], points) @ onehot
+    sizes = np.bincount(labels)
+    n_own = sizes[labels]
+    a = sums[rows, labels] / np.maximum(n_own - 1, 1)  # the self-distance is 0
+    to_other = sums / sizes
+    to_other[rows, labels] = np.inf
+    b = to_other.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(a < b, 1.0 - a / b, np.where(a > b, b / a - 1.0, 0.0))
+    s[n_own <= 1] = 0.0  # singleton-cluster convention
     return s, float(s.mean())
 
 

@@ -63,11 +63,9 @@ def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values) -> Co
         raise ParameterError("AP values must be finite")
 
     sites2d, queries2d = _parameterize(sites3d, mesh.vertices)
-    # APs distinct in 3D must stay apart by interpolate_2d's site tolerance
+    # every two APs must stay apart by interpolate_2d's site tolerance
     tol = 1e-9 * max(np.ptp(sites2d[:, 0]), np.ptp(sites2d[:, 1]), 1e-12)
-    folded = np.argwhere(np.triu(
-        (np.linalg.norm(sites2d[:, None] - sites2d, axis=2) <= tol)
-        & (np.linalg.norm(sites3d[:, None] - sites3d, axis=2) > 0.0)))
+    folded = np.argwhere(np.triu(np.linalg.norm(sites2d[:, None] - sites2d, axis=2) <= tol, 1))
     if folded.size:
         i, j = folded[0]
         raise ParameterError(f"{aps.labels[i]} and {aps.labels[j]} fold onto one "

@@ -18,12 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .acquisition import (
-    default_cohort_config,
-    default_session_config,
-    simulate_cohort,
-    simulate_exercise_session,
-)
+from .acquisition import simulate_cohort, simulate_exercise_session, simulation_config
 from .analysis import (
     cluster_pipeline,
     concordance,
@@ -90,43 +85,29 @@ def cmd_design(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 
-def _load_config(path, defaults) -> dict:
-    if path == "default":
-        return defaults
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise AurisenseError("config must be a JSON object")
-    merged = dict(defaults)
-    unknown = [k for k in cfg if k not in defaults and not k.startswith("_")]
-    if unknown:
-        raise AurisenseError(f"unknown config field '{unknown[0]}'")
-    merged.update({k: v for k, v in cfg.items() if not k.startswith("_")})
-    return merged
-
-
 def cmd_simulate(args) -> int:
+    config = None
+    if args.config != "default":
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    cfg = simulation_config(args.kind, config)
+    meta = {"command": f"simulate {args.kind}", "seed": args.seed,
+            "config_digest": _digest(cfg), "version": __version__}
     if args.kind == "cohort":
-        cfg = _load_config(args.config, default_cohort_config())
         res = simulate_cohort(cfg, args.seed)
-        comments = (
-            f"seed={args.seed} config={_digest(cfg)} version={__version__}",
-        )
-        write_dataset_csv(args.out, res.labels, res.rows, comments=comments)
+        write_dataset_csv(args.out, res.labels, res.rows, comments=(
+            f"seed={args.seed} config={meta['config_digest']} version={__version__}",))
         if args.truth_out:
             write_report_json(args.truth_out, {
-                "_meta": {"command": "simulate cohort", "seed": args.seed,
-                          "config_digest": _digest(cfg), "version": __version__},
+                "_meta": meta,
                 "truth": {lab: int(a) for lab, a in zip(res.labels, res.archetype)},
             })
         print(f"simulate cohort: {res.rows.shape[0]} ears x "
               f"{res.rows.shape[1]} APs -> {args.out}")
         return 0
-    cfg = _load_config(args.config, default_session_config())
     rec = simulate_exercise_session(cfg, args.subject, args.test, args.seed)
     obj = rec.to_json_obj()
-    obj["_meta"] = {"command": "simulate session", "seed": args.seed,
-                    "config_digest": _digest(cfg), "version": __version__}
+    obj["_meta"] = meta
     write_report_json(args.out, obj)
     print(f"simulate session: {rec.subject} {rec.test} "
           f"({rec.aesr.shape[1]} APs x 4 periods) -> {args.out}")

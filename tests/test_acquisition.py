@@ -17,6 +17,7 @@ from aurisense.acquisition import (
     scan_all,
     simulate_cohort,
     simulate_exercise_session,
+    simulation_config,
     sped_model,
 )
 from aurisense.errors import (
@@ -24,6 +25,7 @@ from aurisense.errors import (
     MuxSequenceError,
     ParameterError,
 )
+from aurisense.seeding import spawn_rng
 
 MegOhm = 1.0e6
 
@@ -98,6 +100,17 @@ def test_sweep_validation():
         impedance_sweep(ChannelModel(), 0.0, 100.0)
     with pytest.raises(ParameterError):
         impedance_sweep(ChannelModel(), 4.0, 4000.0, 1)
+
+
+def test_noisy_readings_follow_their_seeded_streams():
+    ch = ChannelModel(noise_sigma=0.05)
+    base = ch.r_total + ch.alpha * (31.0 - ch.t_ref)
+    eps = spawn_rng(8).standard_normal(5)
+    assert measure_resistance(ch, 31.0, 8) == base * (1.0 + 0.05 * eps[0])
+    np.testing.assert_array_equal(repeat_readings(ch, 5, 31.0, 8), base * (1.0 + 0.05 * eps))
+    scan = scan_all(MuxState(), [ch] * 3, 31.0, 8)
+    expected = [base * (1.0 + 0.05 * spawn_rng(8, i).standard_normal()) for i in range(3)]
+    np.testing.assert_array_equal(scan, expected)
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +273,48 @@ def test_cohort_odd_sizes_full_concordance_unreachable():
     cfg["concordance"] = 1.0  # sizes 35/17/5/3 are odd: no perfect pairing
     with pytest.raises(ParameterError):
         simulate_cohort(cfg, seed=0)
+
+
+# ----------------------------------------------------------------------
+# simulation configs
+# ----------------------------------------------------------------------
+
+def test_config_merges_partial_dicts_and_drops_comment_keys():
+    assert simulation_config("cohort", None) == default_cohort_config()
+    cfg = simulation_config("cohort", {"sizes": [70, 34, 10, 6], "_note": "x"})
+    assert cfg == dict(default_cohort_config(), sizes=[70, 34, 10, 6])
+    assert simulation_config("session", {"noise": 0}) == dict(default_session_config(), noise=0)
+
+
+@pytest.mark.parametrize("kind, config, message", [
+    ("cohort", {"noize": 0.1}, "unknown config field 'noize'"),
+    ("cohort", {"sizes": [0, 0, 0, 0]}, "positive, even"),
+    ("cohort", {"sizes": [35, 17, 5, -3]}, "'sizes'"),
+    ("cohort", {"sizes": [35.7, 17, 5, 3]}, "'sizes'"),
+    ("cohort", {"sizes": "abc"}, "'sizes'"),
+    ("cohort", {"noise": float("nan")}, "'noise'"),
+    ("cohort", {"scale_sigma_factor": float("nan")}, "'scale_sigma_factor'"),
+    ("cohort", {"archetypes": [[1.0, 2.0], [3.0]], "sizes": [2, 2]}, "'archetypes'"),
+    ("cohort", {"concordance": True}, "'concordance'"),
+    ("cohort", {"archetypes": [[], [], [], []]}, "at least one AP"),
+    ("session", {"baseline_range": [-1, 1e6]}, "'baseline_range'"),
+    ("session", {"baseline_range": [1e6]}, "baseline_range must be"),
+    ("session", {"hr_baseline": float("nan")}, "'hr_baseline'"),
+    ("session", {"noise": float("nan")}, "'noise'"),
+    ("session", {"n_aps": 3}, "n_aps must be"),
+    ("session", [1, 2], "config must be a JSON object"),
+], ids=["misspelt", "no-ears", "negative-size", "fractional-size", "string-sizes",
+        "nan-cohort-noise", "nan-scale-sigma", "ragged-archetypes", "bool-concordance", "no-aps",
+        "negative-baseline", "one-baseline", "nan-hr", "nan-session-noise", "few-aps",
+        "list-config"])
+def test_simulators_reject_a_bad_config_field(kind, config, message):
+    with pytest.raises(ParameterError, match=message):
+        simulation_config(kind, config)
+    with pytest.raises(ParameterError, match=message):
+        if kind == "cohort":
+            simulate_cohort(config, 1)
+        else:
+            simulate_exercise_session(config, "S01", "A1", 1)
 
 
 # ----------------------------------------------------------------------

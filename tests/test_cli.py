@@ -125,3 +125,55 @@ def test_cli_import_leaves_out_the_solver_and_graph_modules():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
+    # a '_'-prefixed key is a comment: the outputs match those of the bare config
+    (tmp_path / "plain.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    (tmp_path / "noted.json").write_text('{"_note": "small cohort", "sizes": [8, 6, 4, 2]}')
+    runs = []
+    for config in ("plain.json", "noted.json", "noted.json"):
+        out = tmp_path / f"run{len(runs)}"
+        out.mkdir()
+        argvs = [
+            ["simulate", "cohort", str(tmp_path / config), "--seed", "3",
+             "--out", str(out / "cohort.csv"), "--truth-out", str(out / "truth.json")],
+            ["simulate", "session", "default", "--seed", "4", "--subject", "S02",
+             "--test", "A2", "--out", str(out / "session.json")],
+            ["analyze", str(out / "cohort.csv"), "--k-range", "2", "5", "--restarts", "3",
+             "--seed", "3", "--out", str(out / "report.json")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(runs[0]) == ["cohort.csv", "report.json", "session.json", "truth.json"]
+    assert runs[0] == runs[1] == runs[2]
+    truth = json.loads(runs[0]["truth.json"])
+    assert sorted(truth["truth"].values()).count(0) == 8 and len(truth["truth"]) == 20
+    report = json.loads(runs[0]["report.json"])
+    assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("session", '{"baseline_range": [-1, 1e6]}'),
+    ("session", '{"baseline_range": [1e6]}'),
+    ("session", '{"hr_baseline": NaN}'),
+    ("session", '{"noise": NaN}'),
+    ("cohort", '{"noise": NaN}'),
+    ("cohort", '{"sizes": [0, 0, 0, 0]}'),
+    ("cohort", '{"sizes": "abc"}'),
+    ("cohort", '{"sizes": [35, 17, 5, -3]}'),
+    ("cohort", '{"sizes": [35.7, 17, 5, 3]}'),
+    ("cohort", '{"scale_sigma_factor": NaN}'),
+], ids=["negative-baseline", "one-baseline", "nan-hr", "nan-session-noise",
+        "nan-cohort-noise", "no-ears", "string-sizes", "negative-size", "fractional-size",
+        "nan-scale-sigma"])
+def test_simulate_rejects_a_bad_config_field_with_one_message(tmp_path, capsys, kind, config):
+    (tmp_path / "config.json").write_text(config)
+    out = tmp_path / "out"
+    assert main(["simulate", kind, str(tmp_path / "config.json"), "--seed", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -52,6 +52,28 @@ def brute_force_silhouette(points, assignments):
     return out
 
 
+def per_point_silhouette(points, labels):
+    """Silhouette from the full (M, M) distance matrix, one point at a time."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("mnj,mnj->mn", diff, diff))
+    s = np.zeros(points.shape[0])
+    for i in range(points.shape[0]):
+        same = labels == labels[i]
+        n_same = int(same.sum())
+        if n_same <= 1:
+            continue  # singleton-cluster convention
+        a = dist[i, same].sum() / (n_same - 1)
+        b = min(dist[i, labels == c].mean() for c in uniq if c != labels[i])
+        if a < b:
+            s[i] = 1.0 - a / b
+        elif a > b:
+            s[i] = b / a - 1.0
+    return s
+
+
 # ----------------------------------------------------------------------
 # k-means
 # ----------------------------------------------------------------------
@@ -107,6 +129,15 @@ def test_kmeans_handles_duplicate_points():
     assert res.sse == pytest.approx(0.0, abs=1e-18)
 
 
+def test_kmeans_reseeds_an_empty_cluster_from_the_farthest_point():
+    # two distinct points for K = 3: k-means++ runs out of spread and some
+    # restart must re-seed a cluster that ends up empty
+    points = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 2)
+    res = kmeans(points, 3, restarts=2, seed=0)
+    assert res.sse == 0.0
+    assert all((res.centers[c] == points).all(axis=1).any() for c in range(3))
+
+
 def test_kmeans_validation():
     with pytest.raises(ParameterError):
         kmeans(np.zeros((3, 2)), 4)
@@ -158,6 +189,36 @@ def test_silhouette_matches_brute_force_oracle():
         s, _ = silhouette(points, labels)
         oracle = brute_force_silhouette(points, labels)
         np.testing.assert_allclose(s, oracle, atol=1e-12)
+
+
+def test_silhouette_matches_the_per_point_loop_across_row_blocks():
+    # 1500 points need two row blocks; labels are non-contiguous and one
+    # cluster is a singleton
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(1500, 3)) + rng.integers(0, 3, size=(1500, 1))
+    labels = rng.choice([2, 7, 11], size=1500)
+    labels[17] = 40
+    s, mean = silhouette(points, labels)
+    ref = per_point_silhouette(points, labels)
+    assert s[17] == 0.0
+    np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12)
+    assert mean == pytest.approx(ref.mean(), abs=1e-12)
+
+
+def test_silhouette_memory_grows_slower_than_m_squared():
+    # an (M, M) float64 matrix alone would be 72 MB at M = 3000
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(3000, 3))
+    labels = rng.integers(0, 4, size=3000)
+    tracemalloc.start()
+    try:
+        silhouette(points, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 # ----------------------------------------------------------------------

@@ -191,3 +191,11 @@ def test_aps_folded_onto_one_site_are_rejected():
     aps = place_aps(mesh, [(label, np.array(xyz)) for label, xyz in template])
     with pytest.raises(ParameterError, match="AP1 and AP2"):
         interpolate_contour(mesh, aps, np.linspace(1.0, 2.0, 6))
+
+
+def test_coincident_aps_are_rejected():
+    # two template labels placed on one point: neither value may silently win
+    mesh = make_bumpy_plane(extent=10.0, spacing=1.0, amplitude=1.0, wavelength=8.0)
+    aps = _aps_at_vertices(mesh, [12, 40, 40, 77, 101])
+    with pytest.raises(ParameterError, match="AP2 and AP3"):
+        interpolate_contour(mesh, aps, np.array([2.0, 1.0, 9.0, 3.0, 2.5]))
