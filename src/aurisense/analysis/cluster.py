@@ -10,7 +10,9 @@ distance to another cluster b(i):
 with s(i) = 0 for singleton clusters by convention.  a and b come from the
 (M, K) per-cluster distance sums, built as ``cdist(block, points) @ onehot``
 over row blocks of at most ``_BLOCK_ELEMENTS`` distances (16 MB), so memory
-grows as M, not M^2.  Tests check both against brute-force references.
+grows as M, not M^2.  A Lloyd step is one (M, K) ``cdist`` of squared
+distances, summed over the coordinates in order, plus one index-order
+``bincount`` per coordinate for the centre sums.  Tests check all three.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ _BLOCK_ELEMENTS = 2 ** 21  # distances per silhouette row block (16 MB)
 # k-means
 # ----------------------------------------------------------------------
 
+def _as_points(points):
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or not np.isfinite(points).all():
+        raise ParameterError("points must be a 2-D array of finite numbers")
+    return points
+
+
 def _assign(points, centers):
-    diff = points[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("mkj,mkj->mk", diff, diff)
-    labels = np.argmin(d2, axis=1)
-    return labels.astype(np.int64), d2[np.arange(points.shape[0]), labels]
+    d2 = cdist(points, centers, "sqeuclidean")
+    labels = np.argmin(d2, axis=1).astype(np.int64, copy=False)
+    return labels, d2[np.arange(points.shape[0]), labels]
 
 
 @dataclass(frozen=True)
@@ -57,18 +65,16 @@ class KMeansResult:
 def _kmeanspp_init(points, k, rng):
     m = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(m))
-    centers[0] = points[first]
-    d2 = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
-    for c in range(1, k):
+    d2 = np.full(m, np.inf)
+    for c in range(k):
         total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(m))  # all points coincide with a center
+        if c == 0 or total <= 0:
+            idx = int(rng.integers(m))  # the first center, or every point is a center
         else:
             idx = int(rng.choice(m, p=d2 / total))
         centers[c] = points[idx]
-        alt = np.einsum("ij,ij->i", points - centers[c], points - centers[c])
-        np.minimum(d2, alt, out=d2)
+        diff = points - centers[c]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return centers
 
 
@@ -91,15 +97,15 @@ def _lloyd(points, k, rng):
         if np.isfinite(prev_sse):
             assert sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK, \
                 "SSE increased within a Lloyd run"
-        # np.add.at adds rows in index order; a still-empty cluster keeps its center
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
+        # bincount adds rows in index order; a still-empty cluster keeps its center
+        sums = np.stack([np.bincount(labels, col, k) for col in points.T], axis=1)
         new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
         if np.array_equal(new_centers, centers) or sse == prev_sse:
-            break
+            break  # labels and d2 are those of the current centers
         centers = new_centers
         prev_sse = sse
-    labels, d2 = _assign(points, centers)
+    else:
+        labels, d2 = _assign(points, centers)
     return KMeansResult(assignments=labels, centers=centers, sse=float(d2.sum()))
 
 
@@ -109,9 +115,9 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     Deterministic given the seed: restart sub-streams are derived by
     counter split and ties keep the earliest restart.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ParameterError("points must be 2-D")
+    points = _as_points(points)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (k, restarts)):
+        raise ParameterError("K and restarts must be integers")
     if not 1 <= k <= points.shape[0]:
         raise ParameterError("need 1 <= K <= number of points")
     if restarts < 1:
@@ -137,7 +143,9 @@ def sse_of(points, assignments, centers) -> float:
 
 def silhouette(points, assignments):
     """Per-point silhouette s(i) and the mean over all points."""
-    points = np.asarray(points, dtype=np.float64)
+    points = _as_points(points)
+    if np.shape(assignments) != points.shape[:1]:
+        raise ParameterError(f"need one assignment per point ({points.shape[0]})")
     uniq, labels = np.unique(assignments, return_inverse=True)
     if uniq.size < 2:
         raise UndefinedSilhouetteError("silhouette needs at least 2 clusters")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aurisense.acquisition import (
     CalibrationReport,
@@ -20,6 +22,8 @@ from aurisense.acquisition import (
     simulation_config,
     sped_model,
 )
+from aurisense.acquisition import _matched_pair_quota
+from aurisense.analysis import concordance as cluster_concordance
 from aurisense.errors import (
     CapacityError,
     MuxSequenceError,
@@ -241,6 +245,35 @@ def test_cohort_matched_subject_count_is_exact():
         by_subject.setdefault(s, []).append(a)
     matched = sum(1 for ears in by_subject.values() if ears[0] == ears[1])
     assert matched == 24  # round(0.8 * 30)
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=5), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_cohort_sizes_and_matched_count_are_exact_for_feasible_configs(sizes, concordance,
+                                                                       seed):
+    sizes[0] += sum(sizes) % 2
+    assume(sum(sizes) > 0)
+    try:
+        _matched_pair_quota(sizes, concordance)
+    except ParameterError:
+        assume(False)  # concordance unreachable for these sizes
+    cfg = {"archetypes": [[1.0 + a, 2.0, 3.0] for a in range(len(sizes))],
+           "sizes": sizes, "concordance": concordance}
+    res = simulate_cohort(cfg, seed)
+    np.testing.assert_array_equal(np.bincount(res.archetype, minlength=len(sizes)), sizes)
+    n_subjects = sum(sizes) // 2
+    matched = round(concordance * n_subjects)
+
+    class TruthReport:  # the true archetypes as cluster assignments
+        assignments = res.archetype
+        centers = np.zeros((len(sizes), 3))
+        labels = res.labels
+
+    con = cluster_concordance(TruthReport())
+    assert con.n_subjects == n_subjects
+    assert np.trace(con.match_matrix) == matched
+    assert con.fraction == matched / n_subjects
 
 
 def test_cohort_noise_zero_single_archetype_identical_rows():

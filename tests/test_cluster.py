@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aurisense.acquisition import default_cohort_config, simulate_cohort
+from aurisense.analysis import cluster
 from aurisense.analysis import (
     cluster_pipeline,
     concordance,
@@ -13,6 +16,7 @@ from aurisense.analysis import (
     sse_of,
 )
 from aurisense.errors import LabelError, ParameterError, UndefinedSilhouetteError
+from aurisense.seeding import spawn_rng
 from conftest import adjusted_rand_index
 
 
@@ -74,9 +78,155 @@ def per_point_silhouette(points, labels):
     return s
 
 
+def reference_kmeanspp_init(points, k, rng):
+    """k-means++ seeding as first written, two einsums per center."""
+    m = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(m))
+    centers[0] = points[first]
+    d2 = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centers[c] = points[idx]
+        alt = np.einsum("ij,ij->i", points - centers[c], points - centers[c])
+        np.minimum(d2, alt, out=d2)
+    return centers
+
+
+def reference_assign(points, centers):
+    """Assignment through an (M, K, d) difference array and an einsum."""
+    diff = points[:, None, :] - centers[None, :, :]
+    d2 = np.einsum("mkj,mkj->mk", diff, diff)
+    labels = np.argmin(d2, axis=1)
+    return labels.astype(np.int64), d2[np.arange(points.shape[0]), labels]
+
+
+def reference_lloyd(points, k, rng, max_iter=300):
+    """Lloyd's loop with np.add.at centre sums and a closing assignment.
+
+    Returns (labels, centers, sse, steps, reseeds): the loop iterations and
+    the assignments made to re-seed empty clusters.
+    """
+    centers = reference_kmeanspp_init(points, k, rng)
+    prev_sse = np.inf
+    steps = reseeds = 0
+    for _ in range(max_iter):
+        steps += 1
+        labels, d2 = reference_assign(points, centers)
+        counts = np.bincount(labels, minlength=k)
+        for _attempt in range(k):
+            if counts.all():
+                break
+            for c in np.flatnonzero(counts == 0):
+                centers[c] = points[int(np.argmax(d2))]
+                labels, d2 = reference_assign(points, centers)
+                reseeds += 1
+            counts = np.bincount(labels, minlength=k)
+        sse = float(d2.sum())
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
+        if np.array_equal(new_centers, centers) or sse == prev_sse:
+            break
+        centers = new_centers
+        prev_sse = sse
+    labels, d2 = reference_assign(points, centers)
+    return labels, centers, float(d2.sum()), steps, reseeds
+
+
+# the empty-cluster reseed input of
+# test_kmeans_reseeds_an_empty_cluster_from_the_farthest_point (K = 3)
+RESEED_POINTS = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 2)
+
+
+def lloyd_cases():
+    """(points, K, seed) over d in {2, 3, 10}, K up to 8, duplicate points
+    and the empty-cluster reseed input."""
+    rng = np.random.default_rng(21)
+    cases = [(RESEED_POINTS, 3, s) for s in range(4)]
+    for trial in range(24):
+        d = (2, 3, 10)[trial % 3]
+        m = int(rng.integers(9, 120))
+        points = rng.normal(size=(m, d)) + 4.0 * rng.integers(0, 3, size=(m, 1))
+        if trial % 4 == 0:
+            points = np.concatenate([points, points[: m // 3]])  # duplicates
+        cases.append((points, int(rng.integers(1, 9)), trial))
+    return cases
+
+
 # ----------------------------------------------------------------------
 # k-means
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("points,k,seed", lloyd_cases())
+def test_lloyd_step_matches_the_einsum_and_add_at_reference(points, k, seed):
+    for r in range(3):
+        labels, centers, sse, _, _ = reference_lloyd(points, k, spawn_rng(seed, r))
+        res = cluster._lloyd(points, k, spawn_rng(seed, r))
+        np.testing.assert_array_equal(res.assignments, labels)
+        np.testing.assert_array_equal(res.centers, centers)
+        assert res.sse == pytest.approx(sse, rel=1e-12, abs=0.0)
+
+
+def spy_on_assign(monkeypatch):
+    calls = []
+    assign = cluster._assign
+
+    def spy(points, centers):
+        calls.append(centers.copy())
+        return assign(points, centers)
+
+    monkeypatch.setattr(cluster, "_assign", spy)
+    return calls
+
+
+def test_lloyd_assigns_once_per_step_and_per_reseed(monkeypatch):
+    calls = spy_on_assign(monkeypatch)
+    total_reseeds = 0
+    for points, k, seed in lloyd_cases():
+        _, _, _, steps, reseeds = reference_lloyd(points, k, spawn_rng(seed, 0))
+        del calls[:]
+        res = cluster._lloyd(points, k, spawn_rng(seed, 0))
+        # a converged run ends on the assignment of its final centers
+        assert len(calls) == steps + reseeds
+        np.testing.assert_array_equal(calls[-1], res.centers)
+        total_reseeds += reseeds
+    assert total_reseeds > 0
+
+
+def test_lloyd_reassigns_after_running_out_of_iterations(monkeypatch):
+    rng = np.random.default_rng(22)
+    points = rng.normal(size=(200, 3))
+    labels, centers, sse, steps, reseeds = reference_lloyd(points, 6, spawn_rng(4, 0),
+                                                           max_iter=2)
+    assert steps == 2 and reseeds == 0
+    monkeypatch.setattr(cluster, "_MAX_ITER", 2)
+    calls = spy_on_assign(monkeypatch)
+    res = cluster._lloyd(points, 6, spawn_rng(4, 0))
+    assert len(calls) == 3  # two steps, then the last centers' assignment
+    np.testing.assert_array_equal(res.assignments, labels)
+    np.testing.assert_array_equal(res.centers, centers)
+    assert res.sse == pytest.approx(sse, rel=1e-12, abs=0.0)
+
+
+@given(m=st.integers(1, 30), d=st.integers(1, 4), k=st.integers(1, 6),
+       restarts=st.integers(1, 5), seed=st.integers(0, 2 ** 32),
+       grid=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_best_of_restarts_sse_is_at_most_every_restart(m, d, k, restarts, seed, grid):
+    rng = np.random.default_rng(seed)
+    # a coarse grid gives duplicate points and tied distances
+    points = rng.integers(-3, 4, size=(m, d)).astype(float) if grid else rng.normal(size=(m, d))
+    k = min(k, m)
+    best = kmeans(points, k, restarts=restarts, seed=seed)
+    for r in range(restarts):
+        assert best.sse <= cluster._lloyd(points, k, spawn_rng(seed, r)).sse
+
+
 
 def test_kmeans_k_equals_m_zero_sse():
     rng = np.random.default_rng(0)
@@ -145,6 +295,29 @@ def test_kmeans_validation():
         kmeans(np.zeros((3, 2)), 2, restarts=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad,args,kwargs,match", [
+    (np.nan, (2,), {}, "finite"),
+    (np.inf, (2,), {}, "finite"),
+    (None, (2.5,), {}, "integers"),
+    (None, (2,), {"restarts": 2.5}, "integers"),
+    (None, (True,), {}, "integers"),
+], ids=["nan-point", "inf-point", "fractional-k", "fractional-restarts", "bool-k"])
+def test_kmeans_rejects_bad_inputs_with_one_message(bad, args, kwargs, match):
+    points = np.random.default_rng(3).normal(size=(10, 2))
+    if bad is not None:
+        points[4, 1] = bad
+    with pytest.raises(ParameterError, match=match):
+        kmeans(points, *args, **kwargs)
+
+
+def test_kmeans_accepts_numpy_integers():
+    points = np.random.default_rng(3).normal(size=(10, 2))
+    a = kmeans(points, np.int64(3), restarts=np.int32(2), seed=1)
+    b = kmeans(points, 3, restarts=2, seed=1)
+    np.testing.assert_array_equal(a.assignments, b.assignments)
+
+
 # ----------------------------------------------------------------------
 # silhouette
 # ----------------------------------------------------------------------
@@ -175,6 +348,19 @@ def test_silhouette_singleton_convention():
 def test_silhouette_requires_two_clusters():
     with pytest.raises(UndefinedSilhouetteError):
         silhouette(np.zeros((4, 2)), [0, 0, 0, 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_silhouette_rejects_bad_inputs_with_one_message():
+    points = np.random.default_rng(4).normal(size=(6, 2))
+    labels = [0, 0, 0, 1, 1, 1]
+    with pytest.raises(ParameterError, match="one assignment per point"):
+        silhouette(points, labels[:5])
+    with pytest.raises(ParameterError, match="one assignment per point"):
+        silhouette(points, [labels])
+    points[2, 0] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        silhouette(points, labels)
 
 
 def test_silhouette_matches_brute_force_oracle():

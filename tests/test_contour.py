@@ -90,6 +90,25 @@ def test_linear_precision_inside_hull():
                                plane(q), rtol=0, atol=1e-12)
 
 
+@given(st.floats(0.0, 2.0 * np.pi), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+       st.booleans(), st.integers(0, 20))
+@settings(max_examples=40, deadline=None)
+def test_linear_precision_under_a_rigid_motion(angle, dx, dy, mirror, seed):
+    sites, _ = _ap_sites(seed=seed)
+    q = _inside_grid(sites, step=0.9)
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if mirror else 1.0])
+
+    def move(p):
+        return p @ rot.T + [dx, dy]
+
+    def plane(p):
+        return 0.7 - 0.3 * p[:, 0] + 0.45 * p[:, 1]
+
+    np.testing.assert_allclose(interpolate_2d(move(sites), plane(sites), move(q)),
+                               plane(q), rtol=0, atol=1e-11)
+
+
 def test_matches_per_query_sibson_reference():
     sites, values = _ap_sites(seed=2)
     q = _inside_grid(sites, step=0.9)
