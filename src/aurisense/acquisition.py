@@ -301,9 +301,12 @@ def default_archetypes(n_aps: int = 10, separation: float = 0.9) -> np.ndarray:
     return trends
 
 
+_DEFAULT_ARCHETYPES = default_archetypes()
+
+
 def default_cohort_config() -> dict:
     return {
-        "archetypes": default_archetypes().tolist(),
+        "archetypes": _DEFAULT_ARCHETYPES.tolist(),
         "sizes": [35, 17, 5, 3],
         "concordance": 0.8,
         "noise": 0.045,
@@ -318,6 +321,7 @@ class CohortResult:
     archetype: np.ndarray  # (M,) true archetype index per ear
     subjects: tuple
     sides: tuple
+    config: dict           # the checked config the cohort was drawn from
 
     def __post_init__(self):
         self.rows.flags.writeable = False
@@ -431,6 +435,7 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
         archetype=np.asarray(truth, dtype=np.int64),
         subjects=tuple(subjects),
         sides=tuple(sides),
+        config=cfg,
     )
 
 
@@ -447,6 +452,7 @@ class SessionRecord:
     aesr: np.ndarray  # (4, N) ohm
     hr: np.ndarray    # (4,) bpm
     bp: np.ndarray    # (4,) mmHg
+    config: dict | None = None  # the checked config it was simulated from; None when read
 
     def __post_init__(self):
         if self.aesr.shape[0] != 4 or self.hr.shape != (4,) or self.bp.shape != (4,):
@@ -568,4 +574,4 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
         aesr = aesr * np.exp(noise * rng.standard_normal(aesr.shape))
     hr = float(cfg["hr_baseline"]) * hr_mult
     bp = float(cfg["bp_baseline"]) * bp_mult
-    return SessionRecord(subject=subject, test=test, aesr=aesr, hr=hr, bp=bp)
+    return SessionRecord(subject=subject, test=test, aesr=aesr, hr=hr, bp=bp, config=cfg)

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import LabelError, ParameterError, UndefinedSilhouetteError
 from ..seeding import spawn_rng
@@ -46,6 +45,9 @@ def _as_points(points):
 
 
 def _assign(points, centers):
+    # imported on use: `import aurisense.cli` loads no scipy module
+    from scipy.spatial.distance import cdist
+
     d2 = cdist(points, centers, "sqeuclidean")
     labels = np.argmin(d2, axis=1).astype(np.int64, copy=False)
     return labels, d2[np.arange(points.shape[0]), labels]
@@ -143,6 +145,8 @@ def sse_of(points, assignments, centers) -> float:
 
 def silhouette(points, assignments):
     """Per-point silhouette s(i) and the mean over all points."""
+    from scipy.spatial.distance import cdist
+
     points = _as_points(points)
     if np.shape(assignments) != points.shape[:1]:
         raise ParameterError(f"need one assignment per point ({points.shape[0]})")

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from ..errors import ParameterError
 from ..geometry.aps import AuricularPointSet
@@ -100,6 +99,9 @@ def _parameterize(sites3d, queries3d):
 
 def interpolate_2d(sites, values, queries) -> np.ndarray:
     """Natural-neighbor interpolation of (site, value) pairs at 2D queries."""
+    # imported on use: `import aurisense.cli` loads no scipy module
+    from scipy.spatial import Delaunay, QhullError
+
     sites = np.asarray(sites, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)

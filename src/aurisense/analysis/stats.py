@@ -2,12 +2,15 @@
 
 P-values come from a seeded two-sided permutation test rather than the
 t-distribution closed form: it needs no special functions and is honest in
-the small-sample regime these comparisons live in.
+the small-sample regime these comparisons live in.  The permutations depend
+only on the seed and the sample count: every test with the same seed and n
+scores the same shuffles, so a process draws them once and reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +53,36 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
+def _is_whole(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+
+
+@lru_cache(maxsize=1)
+def _permutations(seed: int, n: int, n_perm: int) -> np.ndarray:
+    """Read-only (n_perm, n) array whose rows are the test's index shuffles.
+
+    Permuting the rows of a tile in turn draws the same stream as repeated
+    ``rng.permutation(n)``, and a shuffle depends only on that stream and on
+    n, so ``y[perms]`` holds the permutations of any y of length n.  The
+    indices take the smallest unsigned dtype that holds n - 1: one byte each
+    up to n = 256.
+    """
+    rng = spawn_rng(seed)
+    perms = np.empty((n_perm, n), dtype=np.min_scalar_type(n - 1))
+    for start in range(0, n_perm, PERM_BLOCK):
+        rows = min(PERM_BLOCK, n_perm - start)
+        perms[start:start + rows] = rng.permuted(
+            np.tile(np.arange(n, dtype=perms.dtype), (rows, 1)), axis=1)
+    perms.flags.writeable = False
+    return perms
+
+
 def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     """PCC with a two-sided seeded permutation p-value.
 
     p = (1 + #{|r_perm| >= |r_obs|}) / (n_perm + 1); the smallest reachable
-    p is therefore 1/(n_perm + 1).
+    p is therefore 1/(n_perm + 1).  x and y are finite, 1-D and of equal
+    length >= 3; ``n_perm`` and ``seed`` are integers >= 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -62,16 +90,17 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
         raise ParameterError("x and y must be 1-D of equal length")
     if x.size < 3:
         raise ParameterError("need at least 3 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("x and y must be finite")
+    if not (_is_whole(n_perm) and _is_whole(seed)):
+        raise ParameterError("n_perm and seed must be integers >= 0")
     r_obs = pearson(x, y)
-    rng = spawn_rng(seed)
+    perms = _permutations(int(seed), x.size, int(n_perm))
     xc = x - x.mean()
     sx = np.sqrt((xc * xc).sum())
     hits = 0
     for start in range(0, n_perm, PERM_BLOCK):
-        # permuting the rows of a tile in turn draws the same stream as
-        # repeated rng.permutation(y)
-        yp = rng.permuted(np.tile(y, (min(PERM_BLOCK, n_perm - start), 1)),
-                          axis=1)
+        yp = y[perms[start:start + PERM_BLOCK]]
         yc = yp - yp.mean(axis=1, keepdims=True)
         sy = np.sqrt((yc * yc).sum(axis=1))
         r = (xc * yc).sum(axis=1) / (sx * sy)

@@ -8,17 +8,23 @@ identical inputs reproduces byte-identical files.
 
 Exit codes: 0 success, 1 input/configuration error, 2 partial numeric
 failure (e.g. some electrodes could not reach the target area).
+
+Start-up pays only for what every command needs: the package imports each
+scipy module where it is used, so ``import aurisense.cli`` loads none, and
+one process builds the argument parser once, however often it calls
+``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 
 from . import __version__
-from .acquisition import simulate_cohort, simulate_exercise_session, simulation_config
+from .acquisition import simulate_cohort, simulate_exercise_session
 from .analysis import (
     cluster_pipeline,
     concordance,
@@ -90,11 +96,13 @@ def cmd_simulate(args) -> int:
     if args.config != "default":
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    cfg = simulation_config(args.kind, config)
-    meta = {"command": f"simulate {args.kind}", "seed": args.seed,
-            "config_digest": _digest(cfg), "version": __version__}
     if args.kind == "cohort":
-        res = simulate_cohort(cfg, args.seed)
+        res = simulate_cohort(config, args.seed)
+    else:
+        res = simulate_exercise_session(config, args.subject, args.test, args.seed)
+    meta = {"command": f"simulate {args.kind}", "seed": args.seed,
+            "config_digest": _digest(res.config), "version": __version__}
+    if args.kind == "cohort":
         write_dataset_csv(args.out, res.labels, res.rows, comments=(
             f"seed={args.seed} config={meta['config_digest']} version={__version__}",))
         if args.truth_out:
@@ -105,12 +113,11 @@ def cmd_simulate(args) -> int:
         print(f"simulate cohort: {res.rows.shape[0]} ears x "
               f"{res.rows.shape[1]} APs -> {args.out}")
         return 0
-    rec = simulate_exercise_session(cfg, args.subject, args.test, args.seed)
-    obj = rec.to_json_obj()
+    obj = res.to_json_obj()
     obj["_meta"] = meta
     write_report_json(args.out, obj)
-    print(f"simulate session: {rec.subject} {rec.test} "
-          f"({rec.aesr.shape[1]} APs x 4 periods) -> {args.out}")
+    print(f"simulate session: {res.subject} {res.test} "
+          f"({res.aesr.shape[1]} APs x 4 periods) -> {args.out}")
     return 0
 
 
@@ -188,6 +195,7 @@ def cmd_contour(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+@functools.cache  # parse_args keeps no state: each call returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="aurisense",

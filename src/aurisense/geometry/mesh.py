@@ -6,17 +6,23 @@ Coordinates are millimeters throughout; no unit autodetection is done.
 from __future__ import annotations
 
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import EmptyMeshError, MeshFormatError, ParameterError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 
 
 def _pattern(rows, cols, n_rows, n_cols=None) -> sp.csr_array:
     """Boolean CSR array with entries (rows[i], cols[i]), sorted by row, then column."""
+    # imported on use: `import aurisense.cli` loads no scipy module
+    import scipy.sparse as sp
+
     indptr = np.searchsorted(rows, np.arange(n_rows + 1))
     return sp.csr_array((np.ones(cols.size, dtype=bool), cols.astype(np.int64), indptr),
                         shape=(n_rows, n_rows if n_cols is None else n_cols))

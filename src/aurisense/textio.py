@@ -111,6 +111,6 @@ def format_rows(values, labels=None, sep: str = " ") -> str:
 
 def write_report_json(path, obj: dict) -> None:
     """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

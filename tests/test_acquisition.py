@@ -11,6 +11,7 @@ from aurisense.acquisition import (
     MuxState,
     SessionRecord,
     calibrate,
+    default_archetypes,
     default_cohort_config,
     default_session_config,
     impedance_sweep,
@@ -313,6 +314,9 @@ def test_cohort_odd_sizes_full_concordance_unreachable():
 # ----------------------------------------------------------------------
 
 def test_config_merges_partial_dicts_and_drops_comment_keys():
+    changed = default_cohort_config()
+    changed["archetypes"][0][0] = -1.0  # each call returns its own lists
+    assert default_cohort_config()["archetypes"] == default_archetypes().tolist()
     assert simulation_config("cohort", None) == default_cohort_config()
     cfg = simulation_config("cohort", {"sizes": [70, 34, 10, 6], "_note": "x"})
     assert cfg == dict(default_cohort_config(), sizes=[70, 34, 10, 6])

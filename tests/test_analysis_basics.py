@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aurisense.acquisition import default_cohort_config, simulate_cohort, simulate_exercise_session, sped_model
+from aurisense.analysis import stats
 from aurisense.analysis import (
     exclude_abnormal,
     normalize_spatial,
@@ -213,6 +214,60 @@ def test_blocked_permutations_match_per_permutation_loop(n, n_perm):
         assert res.p_value == _loop_p_value(x, y, n_perm, seed)
     if n_perm == 0:
         assert res.p_value == 1.0
+
+
+def test_interleaved_tests_each_match_the_per_permutation_loop():
+    # the cached shuffles of one (seed, n, n_perm) must not leak into the
+    # next; n <= 256 draws uint8 indices, n = 300 uint16 and n = 70000 uint32
+    for seed, n, n_perm in [(0, 15, 2500), (17, 300, 2500), (0, 15, 2500), (0, 15, 0),
+                            (17, 80, 2500), (0, 300, 2500), (17, 80, 0), (17, 80, 2500),
+                            (5, 70000, 3)]:
+        rng = np.random.default_rng(n + seed)
+        x = rng.normal(size=n)
+        y = 0.1 * x + rng.normal(size=n)
+        assert correlation(x, y, n_perm=n_perm, seed=seed).p_value == \
+            _loop_p_value(x, y, n_perm, seed)
+
+
+def test_cached_permutations_are_read_only_and_drawn_once(monkeypatch):
+    for n, dtype in ((256, np.uint8), (257, np.uint16), (65537, np.uint32)):
+        perms = stats._permutations(3, n, 10)
+        assert perms.dtype == dtype and not perms.flags.writeable
+        with pytest.raises(ValueError):
+            perms[0, 0] = 0
+    draws = []
+
+    def spy(*args):
+        draws.append(args)
+        return spawn_rng(*args)
+
+    monkeypatch.setattr(stats, "spawn_rng", spy)
+    stats._permutations.cache_clear()
+    x = np.arange(20.0)
+    y = np.sin(x)
+    first = correlation(x, y, n_perm=300, seed=4)
+    assert correlation(x, y, n_perm=300, seed=4) == first
+    assert draws == [(4,)]
+    correlation(x[:19], y[:19], n_perm=300, seed=4)
+    assert draws == [(4,), (4,)]
+
+
+@pytest.mark.parametrize("x, n_perm, seed", [
+    (np.arange(6.0), -5, 0),
+    (np.arange(6.0), -1, 0),
+    (np.arange(6.0), 2.5, 0),
+    (np.arange(6.0), True, 0),
+    (np.arange(6.0), 100, -1),
+    (np.arange(6.0), 100, 1.5),
+    (np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0]), 100, 0),
+    (np.array([0.0, 1.0, np.inf, 3.0, 4.0, 5.0]), 100, 0),
+], ids=["n-perm-minus-5", "n-perm-minus-1", "fractional-n-perm", "bool-n-perm",
+        "negative-seed", "fractional-seed", "nan-x", "inf-x"])
+def test_correlation_rejects_bad_inputs_at_its_boundary(x, n_perm, seed):
+    with pytest.raises(ParameterError):
+        correlation(x, np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), n_perm=n_perm, seed=seed)
+    with pytest.raises(ParameterError):
+        correlation(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), x, n_perm=n_perm, seed=seed)
 
 
 def test_correlation_zero_variance():

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aurisense.cli import main
+from aurisense import acquisition, cli
+from aurisense.cli import build_parser, main
 from aurisense.electrode import DEFAULT_TARGET_AREA
 from aurisense.errors import ParameterError
 from aurisense.geometry import default_template, read_aps_json, write_ply
@@ -117,11 +118,11 @@ def test_json_inputs_that_are_not_utf8_exit_1(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_the_solver_and_graph_modules():
-    # scipy.optimize and scipy.sparse.csgraph are imported where they are
-    # used; at start-up they would add to every command's memory peak
+    # every scipy module is imported where it is used; at start-up it would
+    # add to the time and memory of every command, `simulate` included
     src = Path(__import__("aurisense").__file__).resolve().parent.parent
     code = ("import sys, aurisense.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))))")
+            "if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -152,6 +153,40 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert sorted(truth["truth"].values()).count(0) == 8 and len(truth["truth"]) == 20
     report = json.loads(runs[0]["report.json"])
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("cohort", "default"), ("cohort", '{"sizes": [8, 6, 4, 2]}'),
+    ("session", "default"), ("session", '{"noise": 0}'),
+])
+def test_simulate_checks_its_config_once(tmp_path, monkeypatch, kind, config):
+    calls = []
+    checked = acquisition.simulation_config
+
+    def spy(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(acquisition, "simulation_config", spy)
+    monkeypatch.setattr(cli, "simulation_config", spy, raising=False)
+    if config != "default":
+        (tmp_path / "config.json").write_text(config)
+        config = str(tmp_path / "config.json")
+    assert main(["simulate", kind, config, "--seed", "2", "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    session = ["simulate", "session", "default", "--seed", "5", "--subject", "S03",
+               "--test", "A2", "--out"]
+    assert main(["simulate", "session", "default"]) == 1  # --seed and --out missing
+    assert main(session + [str(tmp_path / "first.json")]) == 0
+    assert main(["--version"]) == 0
+    assert main(session + [str(tmp_path / "second.json")]) == 0
+    assert capsys.readouterr().out.count("simulate session: S03 A2") == 2
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("kind, config", [
