@@ -49,7 +49,7 @@ class ChannelModel:
     def __post_init__(self):
         if min(self.r_skin, self.r_contact, self.r_series) < 0:
             raise ParameterError("resistances must be >= 0")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ParameterError("noise_sigma must be >= 0")
         if self.capacitance <= 0:
             raise ParameterError("capacitance must be > 0")
@@ -68,7 +68,7 @@ def _readings(channel: ChannelModel, temperature: float, n: int, *stream: int) -
     """``n`` readings (ohm), their noise drawn from ``spawn_rng(*stream)``."""
     _check_temperature(temperature)
     base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
-    eps = spawn_rng(*stream).standard_normal(n) if channel.noise_sigma > 0 else np.zeros(n)
+    eps = spawn_rng(*stream).standard_normal(n)
     return base * (1.0 + channel.noise_sigma * eps)
 
 
@@ -176,10 +176,12 @@ def calibrate(references, noise_sigma: float, seed: int) -> CalibrationReport:
         raise ParameterError("references must be positive")
     if refs != sorted(refs):
         raise ParameterError("references must be sorted ascending")
+    if not noise_sigma >= 0:
+        raise ParameterError("noise_sigma must be >= 0")
     points = []
     for i, ref in enumerate(refs):
         # per-reference sub-stream so the report does not depend on list length
-        eps = float(spawn_rng(seed, i).standard_normal()) if noise_sigma > 0 else 0.0
+        eps = float(spawn_rng(seed, i).standard_normal())
         measured = ref * (1.0 + noise_sigma * eps)
         points.append((ref, measured, abs(measured - ref) / ref))
     max_err = max((p[2] for p in points), default=0.0)
@@ -197,10 +199,8 @@ def sped_model(pressure_cv: float, n_readings: int, true_r: float,
     The contact resistance is scaled by a mean-one lognormal factor whose
     spread is chosen so the reading CV equals ``pressure_cv``.
     """
-    if pressure_cv < 0:
+    if not pressure_cv >= 0:
         raise ParameterError("pressure_cv must be >= 0")
-    if pressure_cv == 0:
-        return np.full(n_readings, float(true_r))
     sigma = np.sqrt(np.log1p(pressure_cv ** 2))
     z = spawn_rng(seed).standard_normal(n_readings)
     return true_r * np.exp(sigma * z - 0.5 * sigma * sigma)
@@ -419,10 +419,8 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
         sid = f"S{subj_i + 1:02d}"
         for side, arch in (("L", a), ("R", b)):
             ear_rng = spawn_rng(seed, 1, ear_index)
-            row = trends[arch].copy()
-            if noise > 0:
-                row = row * np.exp(noise * ear_rng.standard_normal(row.size))
-                row *= np.exp(scale_sigma * ear_rng.standard_normal())
+            row = trends[arch] * np.exp(noise * ear_rng.standard_normal(trends.shape[1]))
+            row *= np.exp(scale_sigma * ear_rng.standard_normal())
             labels.append(f"{sid}-{side}")
             rows.append(row)
             truth.append(arch)
@@ -569,9 +567,7 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
         bp_mult[1] = 1.0 + bp_peak
         bp_mult[2] = 1.0 + bp_peak * rem
 
-    aesr = baseline[None, :] * mult
-    if noise > 0:
-        aesr = aesr * np.exp(noise * rng.standard_normal(aesr.shape))
+    aesr = baseline[None, :] * mult * np.exp(noise * rng.standard_normal(mult.shape))
     hr = float(cfg["hr_baseline"]) * hr_mult
     bp = float(cfg["bp_baseline"]) * bp_mult
     return SessionRecord(subject=subject, test=test, aesr=aesr, hr=hr, bp=bp, config=cfg)

@@ -297,8 +297,9 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, see
     points = p.scores if space == "pca" else rows
 
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    if not 2 <= k_lo <= k_hi <= m - 1:
-        raise ParameterError("k_range must satisfy 2 <= lo <= hi <= M-1")
+    # the elbow needs K = 1 and at least two candidates
+    if not 2 <= k_lo < k_hi <= m - 1:
+        raise ParameterError(f"k_range must satisfy 2 <= lo < hi <= M-1 = {m - 1}")
 
     centroid = points.mean(axis=0)
     sse1 = float(np.einsum("ij,ij->", points - centroid, points - centroid))
@@ -311,11 +312,10 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, see
         ks.append(k)
         sses.append(res.sse)
     elbow = select_k_elbow(sses, ks)
-    k_star = elbow.k_star if elbow.k_star in runs else k_lo
-    final = runs[k_star]
+    final = runs[elbow.k_star]
     sil, sil_mean = silhouette(points, final.assignments)
     return ClusterReport(
-        k_star=k_star,
+        k_star=elbow.k_star,
         assignments=final.assignments,
         centers=final.centers,
         sse_ks=np.asarray(ks),

@@ -17,13 +17,15 @@ edges and each neighbor's fan of old circumcenters, so a group needs one
 array pass for its new circumcenters and one batched shoelace for every
 stolen polygon.  A dozen APs give a few dozen groups for a whole mesh.
 
-Degenerate AP configurations (collinear in the parameterization) fall
-back to inverse-distance weighting with a warning.
+Every query takes Sibson's weights or one of their two exact limits.  A
+Delaunay triangle less than ``FLAT`` of its longest edge high, a sliver
+between nearly collinear sites, joins no cavity; a query in it, or one
+whose weights do not hold, is linear in its triangle.  APs that qhull
+rejects as collinear take the hull-edge limit along their line.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,10 @@ import numpy as np
 from ..errors import ParameterError
 from ..geometry.aps import AuricularPointSet
 from ..geometry.mesh import SurfaceMesh
+
+# a Delaunay triangle whose height is below FLAT of its longest edge is
+# flat: its circumcircle is too wide to weigh, so it joins no cavity
+FLAT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,8 @@ def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values) -> Co
 
     The APs are mapped to 2D by their best-fit plane, or azimuthally when
     strongly non-planar; ``ParameterError`` if that folds two onto one site.
+    APs on one line, as in a thread array, need no other method: the field
+    is then piecewise linear along the line and constant across it.
     """
     sites3d = aps.positions()
     vals = np.asarray(values, dtype=np.float64)
@@ -108,27 +116,6 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
     scale = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
     site_tol = 1e-9 * scale
 
-    try:
-        tri = Delaunay(sites)
-    except QhullError:
-        warnings.warn(
-            "APs are collinear in the parameterization; "
-            "falling back to inverse-distance weighting",
-            stacklevel=2,
-        )
-        return _shepard(sites, values, queries, site_tol)
-
-    simplices = tri.simplices
-    cc, ok = _circumcenters(*sites[simplices].transpose(1, 0, 2))
-    if not ok.all():
-        warnings.warn(
-            "degenerate AP triangulation; "
-            "falling back to inverse-distance weighting",
-            stacklevel=2,
-        )
-        return _shepard(sites, values, queries, site_tol)
-    r2 = ((sites[simplices[:, 0]] - cc) ** 2).sum(axis=1)
-
     out = np.empty(queries.shape[0])
     # coincident with a site: exact
     dqs = sites[None, :, :] - queries[:, None, :]
@@ -137,12 +124,33 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
     at_site = d2s[np.arange(queries.shape[0]), nearest] <= site_tol * site_tol
     out[at_site] = values[nearest[at_site]]
 
+    try:
+        tri = Delaunay(sites)
+    except QhullError:
+        # collinear sites: the hull is the chain of consecutive sites,
+        # ordered along the line to the site farthest from the first
+        d = sites - sites[0]
+        order = np.argsort(d @ d[np.argmax((d * d).sum(axis=1))], kind="stable")
+        chain = np.stack([order[:-1], order[1:]], axis=1)
+        out[~at_site] = _hull_edge_interp(sites, values, chain, queries[~at_site])
+        return out
+
+    simplices = tri.simplices
+    a, b, c = sites[simplices].transpose(1, 0, 2)
+    ab, ac = b - a, c - a
+    longest2 = np.max([(e * e).sum(axis=1) for e in (ab, ac, c - b)], axis=0)
+    flat = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) < FLAT * longest2
+    keep = np.flatnonzero(~flat)
+    cc, _ = _circumcenters(a[keep], b[keep], c[keep])
+    r2 = ((a[keep] - cc) ** 2).sum(axis=1)
+
     located = tri.find_simplex(queries)
     outside = (located < 0) & ~at_site
     if outside.any():
         out[outside] = _hull_edge_interp(sites, values, tri.convex_hull,
                                          queries[outside])
-    inside = np.flatnonzero((located >= 0) & ~at_site)
+    fallback = (located >= 0) & flat[located] & ~at_site
+    inside = np.flatnonzero((located >= 0) & ~flat[located] & ~at_site)
 
     # Bowyer-Watson cavities as rows of a (Q, T) matrix, grouped by row
     r2tol = r2 * (1.0 + 1e-12) + (1e-12 * scale) ** 2
@@ -150,14 +158,13 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
     cavity = np.einsum("qtj,qtj->qt", dq, dq) < r2tol
     patterns, group = np.unique(cavity, axis=0, return_inverse=True)
     group = group.reshape(-1)
-    fallback = np.zeros(queries.shape[0], dtype=bool)
     for g, pattern in enumerate(patterns):
         members = inside[group == g]
-        weights, valid = _sibson_weights(sites, simplices[pattern],
+        weights, valid = _sibson_weights(sites, simplices[keep[pattern]],
                                          cc[pattern], queries[members])
         out[members[valid]] = weights[valid] @ values
         fallback[members[~valid]] = True
-    # cocircular/collinear edge case: linear in the containing simplex
+    # flat triangles and the cocircular/collinear edge case: linear in the simplex
     out[fallback] = _simplex_interp(tri, values, located[fallback],
                                     queries[fallback])
     return out
@@ -244,16 +251,3 @@ def _hull_edge_interp(sites, values, hull_edges, queries):
     va = values[hull_edges[best, 0]]
     vb = values[hull_edges[best, 1]]
     return (1.0 - tb) * va + tb * vb
-
-
-def _shepard(sites, values, queries, site_tol):
-    """Inverse-square-distance weighting."""
-    d2 = np.einsum("qsj,qsj->qs", queries[:, None, :] - sites[None, :, :],
-                   queries[:, None, :] - sites[None, :, :])
-    out = np.empty(queries.shape[0])
-    at_site = d2.min(axis=1) <= site_tol * site_tol
-    out[at_site] = values[np.argmin(d2[at_site], axis=1)]
-    rest = ~at_site
-    w = 1.0 / d2[rest]
-    out[rest] = (w @ values) / w.sum(axis=1)
-    return out

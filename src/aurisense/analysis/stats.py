@@ -41,9 +41,16 @@ class CorrelationResult:
 
 
 def pearson(x, y) -> float:
-    """Plain product-moment correlation coefficient."""
+    """Plain product-moment correlation coefficient of finite, 1-D x and y
+    of equal length >= 3."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ParameterError("x and y must be 1-D of equal length")
+    if x.size < 3:
+        raise ParameterError("need at least 3 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("x and y must be finite")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = np.sqrt((xc * xc).sum())
@@ -82,19 +89,14 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
 
     p = (1 + #{|r_perm| >= |r_obs|}) / (n_perm + 1); the smallest reachable
     p is therefore 1/(n_perm + 1).  x and y are finite, 1-D and of equal
-    length >= 3; ``n_perm`` and ``seed`` are integers >= 0.
+    length >= 3, as ``pearson`` checks; ``n_perm`` and ``seed`` are
+    integers >= 0.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ParameterError("x and y must be 1-D of equal length")
-    if x.size < 3:
-        raise ParameterError("need at least 3 samples")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ParameterError("x and y must be finite")
     if not (_is_whole(n_perm) and _is_whole(seed)):
         raise ParameterError("n_perm and seed must be integers >= 0")
     r_obs = pearson(x, y)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     perms = _permutations(int(seed), x.size, int(n_perm))
     xc = x - x.mean()
     sx = np.sqrt((xc * xc).sum())

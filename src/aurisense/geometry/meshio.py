@@ -131,14 +131,21 @@ def read_ply_vertex_scalars(path) -> dict:
     return _parse_ply(*read_lines(path, MeshFormatError))[2]
 
 
+def _checked_scalars(mesh: SurfaceMesh, scalars: dict | None) -> dict:
+    """Float columns of one value per vertex, checked before a file is opened."""
+    scalars = {name: np.asarray(vals, dtype=np.float64)
+               for name, vals in (scalars or {}).items()}
+    for name, vals in scalars.items():
+        if vals.shape != (mesh.n_vertices,):
+            raise ValueError(f"scalar '{name}' has shape {vals.shape}; a mesh of "
+                             f"{mesh.n_vertices} vertices needs ({mesh.n_vertices},)")
+    return scalars
+
+
 def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
               comments: tuple = ()) -> None:
     """Write an ASCII PLY, optionally with named per-vertex scalar properties."""
-    scalars = scalars or {}
-    for name, vals in scalars.items():
-        if len(vals) != mesh.n_vertices:
-            raise ValueError(f"scalar '{name}' has {len(vals)} values for "
-                             f"{mesh.n_vertices} vertices")
+    scalars = _checked_scalars(mesh, scalars)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         for c in comments:
@@ -150,15 +157,14 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        fh.write(format_rows(np.column_stack(
-            [mesh.vertices] + [np.asarray(vals, dtype=np.float64) for vals in scalars.values()])))
+        fh.write(format_rows(np.column_stack([mesh.vertices, *scalars.values()])))
         fh.write(format_rows(np.column_stack([np.full(mesh.n_faces, 3), mesh.faces])))
 
 
 def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
               title: str = "aurisense surface") -> None:
     """Write legacy ASCII VTK PolyData with optional POINT_DATA scalars."""
-    scalars = scalars or {}
+    scalars = _checked_scalars(mesh, scalars)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(title + "\n")
@@ -170,7 +176,5 @@ def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
         if scalars:
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, vals in scalars.items():
-                if len(vals) != mesh.n_vertices:
-                    raise ValueError(f"scalar '{name}' has wrong length")
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                fh.write(format_rows(np.asarray(vals, dtype=np.float64)[:, None]))
+                fh.write(format_rows(vals[:, None]))

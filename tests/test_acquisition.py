@@ -205,6 +205,17 @@ def test_calibrate_requires_sorted_positive():
         calibrate([-1.0], 0.0, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [-0.01, float("nan")], ids=["negative", "nan"])
+def test_noise_spreads_must_be_non_negative_numbers(sigma):
+    # noise 0 takes no branch of its own, so a bad spread cannot pass for it
+    with pytest.raises(ParameterError):
+        calibrate([1e6], sigma, seed=0)
+    with pytest.raises(ParameterError):
+        sped_model(sigma, 5, 1e6, seed=0)
+    with pytest.raises(ParameterError):
+        ChannelModel(noise_sigma=sigma)
+
+
 # ----------------------------------------------------------------------
 # SPED pressure model
 # ----------------------------------------------------------------------

@@ -270,6 +270,18 @@ def test_correlation_rejects_bad_inputs_at_its_boundary(x, n_perm, seed):
         correlation(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), x, n_perm=n_perm, seed=seed)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, np.nan, 3.0], [1.0, 2.0, 3.0, 5.0]),
+    ([0.0, 1.0, 2.0, 3.0], [1.0, -np.inf, 3.0, 5.0]),
+    ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 5.0]]),
+    ([0.0, 1.0], [1.0, 2.0]),
+], ids=["nan-x", "inf-y", "unequal-lengths", "two-d", "two-samples"])
+def test_pearson_rejects_bad_inputs(x, y):
+    with pytest.raises(ParameterError):
+        pearson(x, y)
+
+
 def test_correlation_zero_variance():
     with pytest.raises(UndefinedCorrelationError):
         pearson(np.ones(5), np.arange(5.0))

@@ -155,6 +155,21 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
 
 
+@pytest.mark.parametrize("k_range", [["3", "3"], ["1", "4"], ["4", "2"], ["2", "20"]],
+                         ids=["one-k", "lo-1", "lo-above-hi", "hi-at-m"])
+def test_analyze_rejects_a_k_range_the_elbow_cannot_use(tmp_path, capsys, k_range):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "cohort.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "cohort.csv"), "--k-range", *k_range,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: k_range must satisfy 2 <= lo < hi <= M-1 = 19\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, config", [
     ("cohort", "default"), ("cohort", '{"sizes": [8, 6, 4, 2]}'),
     ("session", "default"), ("session", '{"noise": 0}'),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,27 +123,76 @@ def test_matches_per_query_sibson_reference():
                           st.floats(-5.0, 5.0)),
                 min_size=3, max_size=12, unique_by=lambda t: t[:2]))
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:.*inverse-distance")
 def test_bounded_by_ap_values(aps):
     sites = np.array([(x, y) for x, y, _ in aps], dtype=np.float64) / 4.0
     values = np.array([v for _, _, v in aps])
     g = np.linspace(-1.0, 11.0, 25)
     q = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    out = interpolate_2d(sites, values, q)
+    # any warning fails the example; a mark would also turn hypothesis's own
+    # failure report into errors and abort the session
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interpolate_2d(sites, values, q)
     slack = 1e-12 * max(1.0, np.abs(values).max())
     assert np.isfinite(out).all()
     assert (out >= values.min() - slack).all()
     assert (out <= values.max() + slack).all()
 
 
-def test_collinear_aps_fall_back_to_idw_with_warning():
-    sites = np.stack([np.linspace(0.0, 4.0, 5), np.zeros(5)], axis=1)
-    values = np.arange(5.0)
-    q = np.array([[1.0, 0.0], [1.5, 0.5], [9.0, -3.0]])
-    with pytest.warns(UserWarning, match="inverse-distance"):
-        out = interpolate_2d(sites, values, q)
-    assert out[0] == 1.0
-    assert 0.0 < out[1] < 4.0 and 0.0 < out[2] < 4.0
+@pytest.mark.filterwarnings("error")
+def test_collinear_aps_interpolate_along_their_line():
+    # qhull rejects the sites: every query takes the chain of consecutive
+    # sites, in whatever order they are given, as the hull
+    x = np.array([3.0, 0.0, 4.0, 1.0, 2.0])
+    sites = np.stack([x, np.zeros(5)], axis=1)
+    q = np.array([[1.0, 0.0], [2.5, 1.0], [9.0, -3.0], [-2.0, 5.0]])
+    assert np.array_equal(interpolate_2d(sites, x ** 2, q), [1.0, 6.5, 16.0, 0.0])
+
+
+def _plane(p):
+    return 0.7 - 0.3 * p[:, 0] + 0.45 * p[:, 1]
+
+
+def test_jittered_grid_with_nearly_collinear_hull_sites():
+    # sliver hull triangles between nearly collinear sites: their
+    # circumcircles reach most queries, and must not weigh them
+    grid = np.array([(i, j) for i in range(5) for j in range(3)][:13],
+                    dtype=np.float64) * [3.0, 2.0]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        sites = grid + rng.normal(0.0, 1e-11, grid.shape)
+        q = rng.uniform(sites.min(axis=0), sites.max(axis=0), size=(4000, 2))
+        q = q[Delaunay(sites).find_simplex(q) >= 0]
+        np.testing.assert_allclose(interpolate_2d(sites, _plane(sites), q),
+                                   _plane(q), rtol=0, atol=1e-9)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.floats(0.5, 4.0), st.floats(0.5, 4.0),
+       st.floats(-13.0, -2.0), st.floats(0.0, 2.0 * np.pi), st.floats(-2.0, 2.0),
+       st.booleans(), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_linear_precision_on_jittered_grids_under_a_similarity(
+        nx, ny, hx, hy, log_jitter, angle, log_scale, mirror, dx, dy, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.array([(i, j) for i in range(nx) for j in range(ny)],
+                    dtype=np.float64) * [hx, hy]
+    grid += rng.normal(0.0, 10.0 ** log_jitter, grid.shape)
+    q = rng.uniform(grid.min(axis=0), grid.max(axis=0), size=(300, 2))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = (10.0 ** log_scale * np.array([[c, -s], [s, c]])
+           @ np.diag([1.0, -1.0 if mirror else 1.0]))
+
+    def move(p):
+        # the shift is in units of the scale, as the centred sites of a contour
+        return p @ rot.T + 10.0 ** log_scale * np.array([dx, dy])
+
+    sites = move(grid)
+    q = q[Delaunay(sites).find_simplex(move(q)) >= 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interpolate_2d(sites, _plane(grid), move(q))
+    np.testing.assert_allclose(out, _plane(q), rtol=0, atol=1e-9)
 
 
 def test_contour_command_writes_one_value_per_vertex(tmp_path):

@@ -16,7 +16,7 @@ from aurisense.geometry import (
     write_ply,
     write_vtk,
 )
-from aurisense.geometry.primitives import make_icosphere
+from aurisense.geometry.primitives import make_bumpy_plane, make_icosphere
 
 
 def test_single_triangle_obj(tmp_path):
@@ -103,6 +103,19 @@ def test_vtk_points_and_scalars_read_back_exactly(tmp_path):
     assert np.array_equal(np.array(points), mesh.vertices)
     start = lines.index("LOOKUP_TABLE default") + 1
     assert np.array_equal([float(x) for x in lines[start:]], vals)
+
+
+@pytest.mark.parametrize("writer, name", [(write_ply, "old.ply"), (write_vtk, "old.vtk")],
+                         ids=["ply", "vtk"])
+@pytest.mark.parametrize("bad", [np.ones(24), np.ones((25, 1))], ids=["short", "column"])
+def test_bad_scalars_leave_an_existing_file_unchanged(tmp_path, writer, name, bad):
+    mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
+    assert mesh.n_vertices == 25
+    p = tmp_path / name
+    p.write_text("previous contents\n")
+    with pytest.raises(ValueError, match="'aesr' has"):
+        writer(p, mesh, scalars={"ok": np.zeros(25), "aesr": bad})
+    assert p.read_text() == "previous contents\n"
 
 
 def test_mesh_format_comes_from_the_extension(tmp_path):
