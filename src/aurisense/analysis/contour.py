@@ -212,7 +212,7 @@ def _sibson_weights(sites, tris, tri_cc, q):
         center = (poly * real[..., None]).sum(axis=2) / size[:, None]
         rel = poly - center[:, :, None, :]
         order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=2)
-        p = np.take_along_axis(poly, order[..., None], axis=2)
+        p = np.take_along_axis(rel, order[..., None], axis=2)
         x, y = p[..., 0], p[..., 1]
         area = 0.5 * np.abs((x * np.roll(y, -1, axis=2)).sum(axis=2)
                             - (y * np.roll(x, -1, axis=2)).sum(axis=2))

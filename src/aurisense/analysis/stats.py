@@ -31,14 +31,6 @@ class CorrelationResult:
     n: int
     correlated: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "pcc": float(self.pcc),
-            "p_value": float(self.p_value),
-            "n": int(self.n),
-            "verdict": "correlated" if self.correlated else "uncorrelated",
-        }
-
 
 def pearson(x, y) -> float:
     """Plain product-moment correlation coefficient of finite, 1-D x and y

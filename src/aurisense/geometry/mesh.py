@@ -18,23 +18,25 @@ if TYPE_CHECKING:
 DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 
 
-def _pattern(rows, cols, n_rows, n_cols=None) -> sp.csr_array:
-    """Boolean CSR array with entries (rows[i], cols[i]), sorted by row, then column."""
+def _ones(cols: np.ndarray, n_cols: int, dtype=bool) -> sp.csr_array:
+    """(R, n_cols) CSR array with a 1 in row r at each column of ``cols[r]``;
+    ``cols`` is (R, c) and holds no repeat within a row."""
     # imported on use: `import aurisense.cli` loads no scipy module
     import scipy.sparse as sp
 
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    return sp.csr_array((np.ones(cols.size, dtype=bool), cols.astype(np.int64), indptr),
-                        shape=(n_rows, n_rows if n_cols is None else n_cols))
+    return sp.csr_array((np.ones(cols.size, dtype=dtype), cols.ravel(),
+                         np.arange(0, cols.size + 1, cols.shape[1])),
+                        shape=(cols.shape[0], n_cols))
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique(keys)`` by one sort; on int64 keys numpy 2.4's hash-based
-    unique is about 20 times slower."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+def _without_own(a, own: np.ndarray) -> sp.csr_array:
+    """Sorted boolean CSR pattern of the true entries of ``a``, entry
+    (r, own[r]) of each row r left out.  May modify ``a`` in place."""
+    a = a.tocsr()
+    a.data = a.data.astype(bool, copy=False) & (a.indices != np.repeat(own, np.diff(a.indptr)))
+    a.eliminate_zeros()
+    a.sort_indices()
+    return a
 
 
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -51,8 +53,9 @@ class SurfaceMesh:
     Immutable after construction: the vertex/face arrays are marked
     read-only so instances can be shared freely across threads.  The
     topology queries return boolean ``scipy.sparse.csr_array`` patterns
-    with sorted indices; the vertex and face adjacencies are built from
-    the face edges on first use and cached.
+    with sorted indices, all derived from the (F, V) face-vertex incidence:
+    the vertex and face adjacencies are sparse products of it, built on
+    first use and cached, and a k-ring is k sparse hops over the former.
 
     Parameters
     ----------
@@ -148,38 +151,30 @@ class SurfaceMesh:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def _edge_keys(self) -> np.ndarray:
-        """Key ``lo * V + hi`` of each face's three edges, in face order."""
-        i, j = self.faces.ravel(), self.faces[:, [1, 2, 0]].ravel()
-        return np.minimum(i, j) * self.n_vertices + np.maximum(i, j)
+    def _incidence(self) -> sp.csr_array:
+        """(F, V) int8 face-vertex incidence: row f holds a 1 at each corner of face f."""
+        return _ones(self.faces, self.n_vertices, np.int8)
 
     def vertex_adjacency(self) -> sp.csr_array:
         """(V, V) boolean CSR array; row i holds the sorted 1-ring of vertex i."""
         if self._adjacency is None:
-            n = self.n_vertices
-            lo, hi = np.divmod(self._edge_keys(), n)
-            keys = _sorted_unique(np.concatenate([lo * n + hi, hi * n + lo]))
-            self._adjacency = _pattern(*np.divmod(keys, n), n)
+            # two vertices are adjacent when some face holds both
+            inc = self._incidence().astype(bool, copy=False)
+            self._adjacency = _without_own(inc.T @ inc, np.arange(self.n_vertices))
         return self._adjacency
 
     def face_adjacency(self) -> sp.csr_array:
         """(F, F) boolean CSR array; row f holds the sorted faces sharing an edge with f."""
         if self._face_adjacency is None:
-            nf = self.n_faces
-            edge = self._edge_keys()
-            order = np.argsort(edge, kind="stable")
-            edge, face = edge[order], order // 3
-            # the faces of one edge are adjacent in edge order; pairing each
-            # with the ones d places on pairs them all (d > 1 on non-manifold edges)
-            src, dst = [face[:0]], [face[:0]]
-            for d in range(1, edge.size):
-                same = edge[d:] == edge[:-d]
-                if not same.any():
-                    break
-                src += [face[:-d][same], face[d:][same]]
-                dst += [face[d:][same], face[:-d][same]]
-            keys = _sorted_unique(np.concatenate(src) * nf + np.concatenate(dst))
-            self._face_adjacency = _pattern(*np.divmod(keys, nf), nf)
+            # two faces share an edge when they share two corners, on a
+            # non-manifold edge too; counts fit int8, as faces share at most 3
+            inc = self._incidence()
+            shared = inc @ inc.T
+            # in place: `shared >= 2` would sort every entry first; dropping the
+            # pairs with one shared corner shrinks what `_without_own` scans
+            shared.data = shared.data >= 2
+            shared.eliminate_zeros()
+            self._face_adjacency = _without_own(shared, np.arange(self.n_faces))
         return self._face_adjacency
 
     def k_rings(self, vertices, k: int) -> sp.csr_array:
@@ -189,20 +184,11 @@ class SurfaceMesh:
         if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
             raise ParameterError("vertex indices must lie in [0, n_vertices)")
         adj = self.vertex_adjacency()
-        n = self.n_vertices
-        rows, cols = np.arange(query.size), query
-        keys = rows * n + cols
-        # each hop adds the neighbours of everything reached so far, kept
-        # as sorted unique keys row * V + vertex
-        for _ in range(k):
-            lo = adj.indptr[cols]
-            count = adj.indptr[cols + 1] - lo
-            nbr = adj.indices[np.repeat(lo - np.cumsum(count) + count, count)
-                              + np.arange(count.sum())]
-            keys = _sorted_unique(np.concatenate([keys, np.repeat(rows, count) * n + nbr]))
-            rows, cols = np.divmod(keys, n)
-        keep = cols != query[rows]
-        return _pattern(rows[keep], cols[keep], query.size, n)
+        start = _ones(query[:, None], self.n_vertices)
+        reach = start
+        for _ in range(k):  # each hop adds the neighbours of everything reached
+            reach = reach + reach @ adj
+        return _without_own(reach, query)
 
     def k_ring(self, vertex: int, k: int) -> np.ndarray:
         """Sorted vertex indices within k edge hops of ``vertex`` (itself excluded)."""

@@ -14,42 +14,35 @@ from .mesh import SurfaceMesh
 def make_plane_grid(extent: float = 20.0, spacing: float = 1.0,
                     center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
     """Square grid in the z-plane, normals +z, side length ``extent`` mm."""
-    n = max(int(round(extent / spacing)), 1)
-    xs = np.linspace(-extent / 2, extent / 2, n + 1)
-    ys = np.linspace(-extent / 2, extent / 2, n + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
+    gx, gy, faces = _square_grid(extent, spacing)
+    vertices = np.stack([gx, gy, np.zeros(gx.size)], axis=1)
     vertices += np.asarray(center, dtype=np.float64)
-    faces = _grid_faces(n + 1, n + 1)
     return SurfaceMesh(vertices, faces)
 
 
 def make_bumpy_plane(extent: float = 30.0, spacing: float = 0.5,
                      amplitude: float = 2.0, wavelength: float = 12.0) -> SurfaceMesh:
     """Plane with a smooth sinusoidal relief; curvature varies across it."""
-    n = max(int(round(extent / spacing)), 1)
-    xs = np.linspace(-extent / 2, extent / 2, n + 1)
-    ys = np.linspace(-extent / 2, extent / 2, n + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    gx, gy, faces = _square_grid(extent, spacing)
     k = 2.0 * np.pi / wavelength
     gz = amplitude * np.sin(k * gx) * np.cos(k * gy)
-    vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    faces = _grid_faces(n + 1, n + 1)
-    return SurfaceMesh(vertices, faces)
+    return SurfaceMesh(np.stack([gx, gy, gz], axis=1), faces)
 
 
-def _grid_faces(nx: int, ny: int) -> np.ndarray:
-    faces = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            v00 = i * ny + j
-            v01 = i * ny + j + 1
-            v10 = (i + 1) * ny + j
-            v11 = (i + 1) * ny + j + 1
-            # CCW seen from +z when vertices laid out x-major
-            faces.append([v00, v10, v11])
-            faces.append([v00, v11, v01])
-    return np.asarray(faces, dtype=np.int64)
+def _square_grid(extent: float, spacing: float):
+    """x and y of the vertices, x-major, and the faces of a square grid of
+    side ``extent`` mm about the origin; faces are CCW seen from +z."""
+    n = max(int(round(extent / spacing)), 1)
+    xs = np.linspace(-extent / 2, extent / 2, n + 1)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    v00 = np.arange(n)[:, None] * (n + 1) + np.arange(n)
+    return gx.ravel(), gy.ravel(), _quads(v00, v00 + n + 1, v00 + n + 2, v00 + 1)
+
+
+def _quads(a, b, c, d) -> np.ndarray:
+    """Triangles (a, b, c) and (a, c, d) of each quad with corners a, b, c, d
+    in winding order, quad by quad in the order of the corner arrays."""
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def make_icosphere(subdivisions: int = 3, radius: float = 1.0,
@@ -101,18 +94,10 @@ def make_cylinder(radius: float = 2.0, height: float = 10.0,
     """Open cylinder about the z axis (no caps), outward normals."""
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     zs = np.linspace(-height / 2, height / 2, n_z + 1)
-    vertices = []
-    for z in zs:
-        for th in thetas:
-            vertices.append([radius * np.cos(th), radius * np.sin(th), z])
-    faces = []
-    for iz in range(n_z):
-        for it in range(n_theta):
-            it1 = (it + 1) % n_theta
-            v00 = iz * n_theta + it
-            v01 = iz * n_theta + it1
-            v10 = (iz + 1) * n_theta + it
-            v11 = (iz + 1) * n_theta + it1
-            faces.append([v00, v01, v11])
-            faces.append([v00, v11, v10])
-    return SurfaceMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
+    th = np.tile(thetas, n_z + 1)
+    vertices = np.stack([radius * np.cos(th), radius * np.sin(th),
+                         np.repeat(zs, n_theta)], axis=1)
+    ring = n_theta * np.arange(n_z)[:, None]
+    v00 = ring + np.arange(n_theta)
+    v01 = ring + (np.arange(n_theta) + 1) % n_theta
+    return SurfaceMesh(vertices, _quads(v00, v01, v01 + n_theta, v00 + n_theta))

@@ -10,7 +10,15 @@ from aurisense import acquisition, cli
 from aurisense.cli import build_parser, main
 from aurisense.electrode import DEFAULT_TARGET_AREA
 from aurisense.errors import ParameterError
-from aurisense.geometry import default_template, read_aps_json, write_ply
+from aurisense.analysis import read_dataset_csv, write_dataset_csv
+from aurisense.geometry import (
+    default_template,
+    load_mesh,
+    place_aps,
+    read_aps_json,
+    read_ply_vertex_scalars,
+    write_ply,
+)
 from aurisense.geometry.primitives import make_bumpy_plane
 
 
@@ -36,6 +44,64 @@ def test_design_command_solves_and_reruns_identically(tmp_path):
     # design_array's default solver tolerance is 1e-3 relative
     assert np.abs(areas - DEFAULT_TARGET_AREA).max() / DEFAULT_TARGET_AREA <= 1e-3
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _design_inputs(tmp_path):
+    """A bumpy-plane mesh and the built-in 13-AP template, as files."""
+    mesh_path = tmp_path / "mesh.ply"
+    write_ply(mesh_path, make_bumpy_plane(extent=30.0, spacing=1.0,
+                                          amplitude=2.0, wavelength=12.0))
+    template_path = tmp_path / "template.txt"
+    template_path.write_text("".join(
+        label + " " + " ".join(repr(float(c)) for c in xyz) + "\n"
+        for label, xyz in default_template(13)))
+    return mesh_path, template_path
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("1e6", "exceeds the patch maximum"),
+    ("1e-7", "below the area at the minimum diameter"),
+], ids=["above-patch", "below-minimum"])
+def test_design_exits_2_and_lists_every_electrode_that_fails(tmp_path, capsys, target, reason):
+    mesh_path, template_path = _design_inputs(tmp_path)
+    labels = [f"AP{i}" for i in range(1, 14)]
+    outs = [tmp_path / "design_a.json", tmp_path / "design_b.json"]
+    for out in outs:
+        assert main(["design", str(mesh_path), str(template_path), "--target-area", target,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [f"  {lab}" for lab in labels]
+        assert all(reason in line for line in err)
+    obj = json.loads(outs[0].read_text())
+    assert obj["electrodes"] == []
+    assert [f["ap"] for f in obj["failed"]] == labels
+    assert all(reason in f["reason"] for f in obj["failed"])
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_design_aps_out_feeds_a_vtk_contour(tmp_path):
+    mesh_path, template_path = _design_inputs(tmp_path)
+    aps_path = tmp_path / "aps.json"
+    assert main(["design", str(mesh_path), str(template_path), "--out",
+                 str(tmp_path / "design.json"), "--aps-out", str(aps_path)]) == 0
+    mesh = load_mesh(mesh_path)
+    aps = read_aps_json(aps_path)
+    placed = place_aps(mesh, template_path)
+    assert aps.labels == placed.labels
+    assert np.array_equal(aps.positions(), placed.positions())
+    (tmp_path / "values.csv").write_text("label,value\n" + "".join(
+        f"{lab},{0.5 + 0.1 * i!r}\n" for i, lab in enumerate(aps.labels)))
+    field = {}
+    for fmt in ("ply", "vtk"):
+        out = tmp_path / f"contour.{fmt}"
+        assert main(["contour", str(mesh_path), str(aps_path), str(tmp_path / "values.csv"),
+                     "--format", fmt, "--out", str(out)]) == 0
+        field[fmt] = out
+    lines = field["vtk"].read_text().splitlines()
+    assert f"POINT_DATA {mesh.n_vertices}" in lines
+    start = lines.index("LOOKUP_TABLE default") + 1
+    vtk_values = [float(x) for x in lines[start:]]
+    assert np.array_equal(vtk_values, read_ply_vertex_scalars(field["ply"])["aesr"])
 
 
 @pytest.mark.parametrize("option", [
@@ -128,6 +194,26 @@ def test_cli_import_leaves_out_the_solver_and_graph_modules():
     assert out.strip() == "[]"
 
 
+def test_building_the_set_up_inputs_loads_no_scipy_module(tmp_path):
+    # mesh, template and placed APs: the inputs of a design or contour run
+    src = Path(__import__("aurisense").__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from aurisense.geometry import default_template, place_aps, write_aps_json, write_ply\n"
+        "from aurisense.geometry.primitives import make_bumpy_plane\n"
+        "out = Path(sys.argv[1])\n"
+        "mesh = make_bumpy_plane(extent=30.0, spacing=1.0)\n"
+        "write_ply(out / 'mesh.ply', mesh)\n"
+        "write_aps_json(out / 'aps.json', place_aps(mesh, default_template(13)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+    assert (tmp_path / "aps.json").exists()
+
+
 def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     # a '_'-prefixed key is a comment: the outputs match those of the bare config
     (tmp_path / "plain.json").write_text('{"sizes": [8, 6, 4, 2]}')
@@ -153,6 +239,23 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert sorted(truth["truth"].values()).count(0) == 8 and len(truth["truth"]) == 20
     report = json.loads(runs[0]["report.json"])
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
+
+
+def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "ears.csv")]) == 0
+    labels, rows = read_dataset_csv(tmp_path / "ears.csv")
+    write_dataset_csv(tmp_path / "rows.csv", [f"row{i}" for i in range(len(labels))], rows)
+    reports = {}
+    for name in ("ears", "rows"):
+        out = tmp_path / f"{name}.json"
+        assert main(["analyze", str(tmp_path / f"{name}.csv"), "--k-range", "2", "5",
+                     "--out", str(out)]) == 0
+        reports[name] = json.loads(out.read_text())
+    assert "concordance" in reports["ears"]
+    assert "concordance" not in reports["rows"]
+    assert reports["rows"]["assignments"] == reports["ears"]["assignments"]
 
 
 @pytest.mark.parametrize("k_range", [["3", "3"], ["1", "4"], ["4", "2"], ["2", "20"]],

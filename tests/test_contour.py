@@ -195,6 +195,24 @@ def test_linear_precision_on_jittered_grids_under_a_similarity(
     np.testing.assert_allclose(out, _plane(q), rtol=0, atol=1e-9)
 
 
+def test_linear_precision_far_from_the_origin():
+    # sites spread over 0.01-0.2 and shifted by up to 100: the stolen areas
+    # must be measured about their own centre, not about the origin
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(2, 7, size=2)
+        grid = np.array([(i, j) for i in range(nx) for j in range(ny)], dtype=np.float64)
+        grid += rng.normal(0.0, 1e-3, grid.shape)
+        q = rng.uniform(grid.min(axis=0), grid.max(axis=0), size=(300, 2))
+        q = q[Delaunay(grid).find_simplex(q) >= 0]
+        scale = rng.uniform(0.01, 0.2) / max(nx - 1, ny - 1)
+        shift = rng.uniform(-100.0, 100.0, size=2)
+        values = _plane(grid)
+        out = interpolate_2d(grid * scale + shift, values, q * scale + shift)
+        np.testing.assert_allclose(out / np.ptp(values), _plane(q) / np.ptp(values),
+                                   rtol=0, atol=1e-10)
+
+
 def test_contour_command_writes_one_value_per_vertex(tmp_path):
     mesh = make_bumpy_plane(extent=30.0, spacing=1.0, amplitude=2.0,
                             wavelength=12.0)

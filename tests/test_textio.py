@@ -69,7 +69,7 @@ def _argv(kind, path, valid):
     if kind == "template":
         return ["design", str(valid / "mesh.ply"), str(path), "--out", out]
     if kind == "dataset":
-        return ["analyze", str(path), "--k-range", "2", "2", "--out", out]
+        return ["analyze", str(path), "--k-range", "2", "3", "--out", out]
     return ["contour", str(valid / "mesh.ply"), str(valid / "aps.json"), str(path),
             "--out", out]
 

@@ -69,13 +69,22 @@ def orphan_vertex_mesh():
     return mesh
 
 
-@pytest.fixture(params=["icosphere", "bumpy", "non-manifold", "orphan"])
+def duplicate_face_mesh():
+    # face 0 appears again as faces 2 (rotated) and 3, face 1 as face 4
+    # (reversed): each copy shares every edge with the others
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 1, 0]], dtype=float)
+    return SurfaceMesh(verts, np.array([[0, 1, 2], [0, 2, 3], [2, 0, 1], [0, 1, 2],
+                                        [0, 3, 2], [1, 4, 2]]))
+
+
+@pytest.fixture(params=["icosphere", "bumpy", "non-manifold", "orphan", "duplicate-face"])
 def mesh(request, bumpy):
     return {
         "icosphere": lambda: make_icosphere(subdivisions=2),
         "bumpy": lambda: bumpy,
         "non-manifold": non_manifold_fan,
         "orphan": orphan_vertex_mesh,
+        "duplicate-face": duplicate_face_mesh,
     }[request.param]()
 
 
@@ -95,7 +104,7 @@ def test_adjacency_matches_set_reference(mesh):
     assert mesh.vertex_adjacency() is vadj  # built once
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_k_rings_match_set_reference(mesh, k):
     adjacency = ref_vertex_adjacency(mesh)
     expected = [ref_k_ring(adjacency, v, k) for v in range(mesh.n_vertices)]
