@@ -25,13 +25,15 @@ import re
 import numpy as np
 
 from ..errors import MeshFormatError, UnsupportedTopologyError
-from ..textio import format_rows, read_lines, require, table, token_counts
+from ..textio import format_rows, read_lines, require, table
 from .mesh import SurfaceMesh
 
-# in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference, and
-# a 'v x y z' row with the cells past z (vertex colors, w) as its tail
-_REF_TAIL = re.compile(r"/\S*")
+# in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference
+# (never a whole cell, so the cell count stays), and a 'v x y z' row with the
+# cells past z (vertex colors, w) as its tail
+_REF_TAIL = re.compile(r"(?<=\S)/\S*")
 _V_EXTRA = re.compile(r"^(\S+(?:[^\S\n]+\S+){3})[^\S\n].*$", re.M)
+_NOT_TRIANGLE = (UnsupportedTopologyError, "only triangle faces are supported")
 
 
 def load_mesh(path) -> SurfaceMesh:
@@ -64,10 +66,9 @@ def _parse_obj(rows, lines):
     vertices = table(v_rows, v_lines, 3, np.float64, MeshFormatError, label=True)[1]
 
     f_rows, f_lines = rows[is_f].tolist(), lines[is_f]
-    require(token_counts(f_rows) == 4, f_lines, UnsupportedTopologyError,
-            "only triangle faces are supported")
     heads = _REF_TAIL.sub("", "\n".join(f_rows)).split("\n") if f_rows else []
-    refs = table(heads, f_lines, 3, np.int64, MeshFormatError, label=True)[1]
+    refs = table(heads, f_lines, 3, np.int64, MeshFormatError, label=True,
+                 wide=_NOT_TRIANGLE, short=_NOT_TRIANGLE)[1]
     # OBJ references are 1-based; a negative one counts back from the last
     # vertex defined above the face; 0 names no vertex
     seen = np.cumsum(is_v)[is_f][:, None]
@@ -118,11 +119,8 @@ def _parse_ply(rows, lines):
     extras = {name: values[:, j] for j, name in enumerate(props) if name not in ("x", "y", "z")}
 
     f_rows, f_lines = body[nv:nv + nf], body_lines[nv:nv + nf]
-    require(token_counts(f_rows) <= 4, f_lines, UnsupportedTopologyError,
-            "only triangle faces are supported")
-    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError)
-    require(faces[:, 0] == 3, f_lines, UnsupportedTopologyError,
-            "only triangle faces are supported")
+    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError, wide=_NOT_TRIANGLE)
+    require(faces[:, 0] == 3, f_lines, *_NOT_TRIANGLE)
     return (values[:, xyz], body_lines[:nv]), (faces[:, 1:], f_lines), extras
 
 

@@ -7,18 +7,31 @@ every ASCII writer formats its body rows with ``format_rows``.
 Parse rule: a file is UTF-8 text, split into lines at ``\n``, ``\r\n`` or
 ``\r`` and counted from 1; lines are stripped, and blank lines and, in
 formats that have them, ``#`` comment lines are skipped.  A body row is a
-fixed number of cells of one dtype, split on whitespace or on a
-separator, optionally after one string label cell.
+fixed number of cells of one dtype, split on any run of whitespace or on a
+separator, optionally after one string label cell.  The cells of all rows
+are read by ``np.loadtxt`` in one pass, with comments and quoting off, so
+a cell is an ASCII decimal number (``nan`` and ``inf`` included for
+floats, and no fraction or exponent for integers): ``1#2``, ``1_0`` and
+non-ASCII digits such as ``١``, which Python's ``float`` and ``int``
+accept, are faults, and so is ``1.5`` in an integer table, which some
+numpy versions read as 1 with only a warning.  Only when that read
+fails are the rows counted and read one at a time to find the row at
+fault.
 
 Line-number contract: a fault in one row, or a byte that is not UTF-8,
 raises the caller's ``AurisenseError`` subclass with ``.line`` set to
 that line; a fault of the whole file, such as a truncated body, carries
 ``line=None``.
+
+Writer: each cell is written as the ``repr`` of its Python number (for a
+float the shortest text that reads back exactly), and a whole table is
+spelled by one ``%`` format of a row template repeated once per row.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -68,45 +81,72 @@ def token_counts(rows, sep: str | None = None) -> np.ndarray:
 
 
 def table(rows, lines, ncols: int, dtype, error, sep: str | None = None,
-          label: bool = False):
+          label: bool = False, wide=None, short=None):
     """Parse ``rows`` as an ``(n, ncols)`` array of ``dtype``.
 
-    Cells are split on whitespace, or on ``sep``.  With ``label`` each row
-    starts with one more cell, a string label, and ``(labels, array)`` is
-    returned.  A row with the wrong cell count, or a cell that does not
-    convert, raises ``error`` naming the first such row's line.
+    Cells are split on whitespace, or on ``sep``, and all rows are read by
+    ``np.loadtxt`` in one pass.  With ``label`` each row starts with one
+    more cell, a string label, and ``(labels, array)`` is returned.  A row
+    with the wrong cell count, or a cell that does not convert, raises
+    ``error`` naming the first such row's line; ``wide`` and ``short``,
+    ``(error, message)`` pairs, are raised instead for a row with too many
+    or too few cells.
     """
-    width = ncols + label
-    require(token_counts(rows, sep) == width, lines, error,
-            f"expected {width} cells in the row")
-    cells = (" " if sep is None else sep).join(rows).split(sep)
-    labels = cells[::width] if label else None
+    body = rows
     if label:
-        del cells[::width]
-    try:
-        values = np.array(cells, dtype=dtype).reshape(len(rows), ncols)
-    except (ValueError, OverflowError):
-        # find the row at fault; the values are never taken from here
-        kind = "an integer" if np.dtype(dtype).kind in "iu" else "a number"
-        for i in range(len(rows)):
-            try:
-                np.array(cells[i * ncols:(i + 1) * ncols], dtype=dtype)
-            except (ValueError, OverflowError):
-                raise error(f"a cell is not {kind} in {rows[i][:80]!r}",
-                            line=int(lines[i])) from None
-        raise
-    return (labels, values) if label else values
+        if sep is None:  # [label, rest, ""] or [label, ""]
+            parts, rest = [row.split(None, 1) + [""] for row in rows], 1
+        else:  # (label, sep, rest)
+            parts, rest = list(map(str.partition, rows, repeat(sep))), 2
+        labels = [p[0] for p in parts]
+        body = [p[rest] for p in parts]
+    values = _read(body, ncols, dtype, sep)
+    if values is not None:
+        return (labels, values) if label else values
+    # the one-pass read failed: count and read the rows one at a time
+    width = ncols + label
+    kind = "an integer" if np.dtype(dtype).kind in "iu" else "a number"
+    for i, count in enumerate(token_counts(rows, sep)):
+        line = int(lines[i])
+        if count != width:
+            fault, message = ((wide if count > width else short)
+                              or (error, f"expected {width} cells in the row"))
+            raise fault(message, line=line)
+        if _read(body[i:i + 1], ncols, dtype, sep) is None:
+            raise error(f"a cell is not {kind} in {rows[i][:80]!r}", line=line)
+    raise error(f"the rows do not read as a table of {width} cells")
+
+
+def _read(body, ncols: int, dtype, sep):
+    """The ``(len(body), ncols)`` array of the cells of ``body``, or None if
+    they are not one."""
+    if not body:
+        return np.empty((0, ncols), dtype)
+    if not all(body):  # np.loadtxt would skip a blank row
+        return None
+    # numpy 1.23 to 2.x read an integer cell such as '1.5' as a float and
+    # truncate it, with only a DeprecationWarning: that cell is a fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.loadtxt(body, dtype, delimiter=sep, comments=None,
+                                quotechar=None, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+    return values if values.shape == (len(body), ncols) else None
 
 
 def format_rows(values, labels=None, sep: str = " ") -> str:
-    """One text row per row of the 2-D ``values``: each cell is the ``repr``
-    of its Python number (for floats the shortest form that reads back
-    exactly), joined by ``sep`` after ``str(label)`` when ``labels`` is
-    given."""
-    rows = map(sep.join, (map(repr, row) for row in np.asarray(values).tolist()))
+    """One text row per row of the 2-D ``values``: each cell is the ``str``
+    of its Python number, which is its ``repr`` (for floats the shortest
+    form that reads back exactly), joined by ``sep`` after ``str(label)``
+    when ``labels`` is given.  All rows are spelled by one ``%`` format."""
+    values = np.asarray(values)
     if labels is not None:
-        rows = map(sep.join, zip(map(str, labels), rows))
-    return "".join(f"{row}\n" for row in rows)
+        values = np.column_stack([np.asarray(labels, object), values.astype(object)])
+    n, ncols = values.shape
+    row = sep.replace("%", "%%").join(["%s"] * ncols) + "\n"
+    return row * n % tuple(values.ravel().tolist())
 
 
 def write_report_json(path, obj: dict) -> None:

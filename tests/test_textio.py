@@ -1,15 +1,21 @@
-"""Malformed input files: every ASCII reader raises an ``AurisenseError``
+"""The text-table layer: every ASCII reader raises an ``AurisenseError``
 whose ``.line`` names the line at fault, and the CLI exits 1 with a
-one-line message instead of a traceback."""
+one-line message instead of a traceback; cells follow numpy's text reader
+grammar; valid files are read in one pass; integer rows are written as the
+``repr`` of each cell."""
 
 import contextlib
 import io
 import re
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from aurisense import textio
 from aurisense.analysis import read_dataset_csv
 from aurisense.cli import main
 from aurisense.errors import (
@@ -36,7 +42,9 @@ PLY = ("ply\nformat ascii 1.0\ncomment by hand\nelement vertex 4\n"
 OBJ = ("# tetrahedron corner\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\n"
        "f 1/1/1 2//1 3\nv 0 0 1\nf -4 -3 -1\n")
 TEMPLATE = "# layout\nAP1 0.1 0.2 0.3\nAP2 0.5 0.5 0.5\nAP3 0.9 0.2 0.7\n"
-DATASET = "# seed=1\nlabel,AP1,AP2\nS01-L,1.0,2.0\nS01-R,1.5,2.5\n"
+# four rows, so that '--k-range 2 3' is a valid range for the analyze command
+DATASET = ("# seed=1\nlabel,AP1,AP2\nS01-L,1.0,2.0\nS01-R,1.5,2.5\n"
+           "S02-L,1.2,2.1\nS02-R,1.6,2.4\n")
 VALUES = "label,value\nAP1,1.0\nAP2,0.5\nAP3,2.0\n"
 
 # kind: (file name, valid text, lines of its body rows, index of the first
@@ -45,7 +53,7 @@ KINDS = {
     "obj": ("mesh.obj", OBJ, [2, 3, 4, 6, 7, 8], 1, " "),
     "ply": ("mesh.ply", PLY, [12, 13, 14, 15, 16, 17], 0, " "),
     "template": ("template.txt", TEMPLATE, [2, 3, 4], 1, " "),
-    "dataset": ("cohort.csv", DATASET, [3, 4], 1, ","),
+    "dataset": ("cohort.csv", DATASET, [3, 4, 5, 6], 1, ","),
     "values": ("values.csv", VALUES, [2, 3, 4], 1, ","),
 }
 
@@ -145,9 +153,28 @@ CASES = {
                           DatasetFormatError, 3),
     "values-three-fields": ("values", "label,value\nAP1,1.0,2\nAP2,1\nAP3,1\n",
                             DatasetFormatError, 2),
+    # numpy's text reader skips a blank row and reads a table whose every
+    # row is too wide without complaint: both must still be faults
+    "values-empty-cell": ("values", "label,value\nAP1,1.0\nAP2,\nAP3,1\n",
+                          DatasetFormatError, 3),
+    "values-every-row-too-wide": ("values", "label,value\nAP1,1,2\nAP2,1,2\nAP3,0,1\n",
+                                  DatasetFormatError, 2),
+    "dataset-every-row-too-wide": ("dataset", "label,AP1\nb,1,2,3\nc,1,2,3\n",
+                                   DatasetFormatError, 2),
+    "ply-face-too-short": ("ply", H + "3 0 1\n", MeshFormatError, 13),
+    "ply-quad-declared": ("ply", H + "4 0 1 2\n", UnsupportedTopologyError, 13),
+    "ply-face-past-int64": ("ply", H + "3 0 1 99999999999999999999\n", MeshFormatError, 13),
+    "obj-face-past-int64": ("obj", V3 + "f 1 2 99999999999999999999\n", MeshFormatError, 4),
+    "obj-face-too-short": ("obj", V3 + "f 1 2\n", UnsupportedTopologyError, 4),
+    "obj-quad": ("obj", V3 + "f 1 2 3 1\n", UnsupportedTopologyError, 4),
+    # a lone '/4' is a fourth cell, not the tail of the third reference
+    "obj-quad-bare-tail": ("obj", V3 + "f 1 2 3 /4\n", UnsupportedTopologyError, 4),
+    "obj-bare-tail": ("obj", V3 + "f /1 2 3\n", MeshFormatError, 4),
 }
 
 
+# a warning, such as numpy's on a table with no data, is a fault of the reader
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(CASES))
 def test_malformed_file_names_its_line(tmp_path, valid, case):
     kind, content, error, line = CASES[case]
@@ -161,6 +188,47 @@ def test_malformed_file_names_its_line(tmp_path, valid, case):
     assert code == 1
     assert err.startswith("error: ") and err.strip().endswith(f"(line {line})")
     assert "Traceback" not in err
+
+
+# an integer cell that is a float: numpy 1.23 to 2.x read '1.5' as the
+# integer 1 and only warn, with a DeprecationWarning hidden by default
+FRACTIONAL = {
+    "ply-face-fractional": ("ply", H + "3 0 1 1.5\n", MeshFormatError, 13),
+    "ply-face-count-float": ("ply", H + "3.0 0 1 2\n", MeshFormatError, 13),
+    "obj-face-fractional": ("obj", V3 + "f 1.5 2 3\n", MeshFormatError, 4),
+}
+
+
+def _truncating_loadtxt(loadtxt):
+    """``np.loadtxt`` as numpy 1.23 to 2.x run it on an integer cell that
+    is a float: warn, then truncate."""
+    def read(rows, dtype, **kwargs):
+        if np.dtype(dtype).kind not in "iu":
+            return loadtxt(rows, dtype, **kwargs)
+        try:
+            return loadtxt(rows, dtype, **kwargs)
+        except ValueError:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(rows, np.float64, **kwargs).astype(dtype)
+    return read
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("numpy_reader", ["installed", "truncating"])
+@pytest.mark.parametrize("case", list(FRACTIONAL))
+def test_fractional_integer_cells_name_their_line(tmp_path, valid, monkeypatch,
+                                                  case, numpy_reader):
+    if numpy_reader == "truncating":
+        monkeypatch.setattr(np, "loadtxt", _truncating_loadtxt(np.loadtxt))
+    kind, content, error, line = FRACTIONAL[case]
+    path = tmp_path / KINDS[kind][0]
+    path.write_text(content)
+    with pytest.raises(error) as exc:
+        load_mesh(path)
+    assert exc.value.line == line
+    code, err = _run(_argv(kind, path, valid))
+    assert code == 1 and err.strip().endswith(f"(line {line})")
 
 
 _SOUP = ["", "x", "nan", "-inf", "-1", "0", "3", "4", "1e999", "9" * 25, "/", "#",
@@ -238,3 +306,137 @@ def test_a_bad_cell_is_reported_at_its_line(valid, kind, data):
     with pytest.raises(AurisenseError) as exc:
         _read(kind, path, valid)
     assert exc.value.line == line
+
+
+ERRORS = {"obj": MeshFormatError, "ply": MeshFormatError, "template": ParameterError,
+          "dataset": DatasetFormatError, "values": DatasetFormatError}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_base_files_are_valid(tmp_path, valid, kind):
+    """Each malformed case differs from a file its reader accepts; the CLI
+    accepts the CSV files too, so a malformed CSV that wrongly parsed would
+    fail there on the exit code, not on a later check."""
+    name, text = KINDS[kind][:2]
+    path = tmp_path / name
+    path.write_text(text)
+    _read(kind, path, valid)
+    if kind in ("dataset", "values"):
+        assert _run(_argv(kind, path, valid))[0] == 0
+
+
+def _with_cell(kind, line, cell):
+    """The valid text of ``kind`` with the last cell of ``line`` replaced."""
+    _, text, _, _, sep = KINDS[kind]
+    lines = text.split("\n")
+    lines[line - 1] = lines[line - 1].rpartition(sep)[0] + sep + cell
+    return "\n".join(lines)
+
+
+# a comment mark inside a cell (comments are off), a digit separator, an
+# Arabic-Indic digit and a fullwidth digit: Python's float() and int() take
+# the last three, numpy's text reader takes none of them
+@pytest.mark.parametrize("cell", ["1#2", "1_0", "\u0661", "\uff11"])
+@pytest.mark.parametrize("row", ["first", "last"])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_cells_outside_the_grammar_name_their_line(tmp_path, valid, kind, row, cell):
+    body = KINDS[kind][2]
+    line = body[0] if row == "first" else body[-1]
+    path = tmp_path / KINDS[kind][0]
+    path.write_text(_with_cell(kind, line, cell), encoding="utf-8")
+    with pytest.raises(ERRORS[kind]) as exc:
+        read_dataset_csv(path) if kind == "values" else _read(kind, path, valid)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("space", ["\t", "\f", "   ", " \t\f\v "])
+@pytest.mark.parametrize("kind", ["obj", "ply", "template"])
+def test_any_whitespace_run_separates_cells(tmp_path, kind, space):
+    name, text, body = KINDS[kind][:3]
+    lines = text.split("\n")
+    for line in body:
+        lines[line - 1] = lines[line - 1].replace(" ", space)
+    plain, spaced = tmp_path / f"plain-{name}", tmp_path / name
+    plain.write_text(text)
+    spaced.write_text("\n".join(lines))
+    if kind == "template":
+        assert repr(load_template(spaced)) == repr(load_template(plain))
+        return
+    a, b = load_mesh(spaced), load_mesh(plain)
+    assert np.array_equal(a.vertices, b.vertices) and np.array_equal(a.faces, b.faces)
+    if kind == "ply":
+        assert np.array_equal(read_ply_vertex_scalars(spaced)["aesr"], [0.5, 1.5, 2.5, 3.5])
+
+
+def test_valid_files_are_read_without_counting_cells(tmp_path, monkeypatch):
+    """The per-row cell count runs only to name the line of a fault."""
+    rng = np.random.default_rng([1, 2107])  # the relief of the seed-1 ear-fine mesh
+    mesh = make_bumpy_plane(extent=30.0, spacing=0.2, amplitude=rng.uniform(1.8, 2.2),
+                            wavelength=rng.uniform(11.0, 13.0))
+    aesr = np.linspace(-1.0, 1.0, mesh.n_vertices) ** 3
+    write_ply(tmp_path / "mesh.ply", mesh, {"aesr": aesr})
+    (tmp_path / "cohort.csv").write_text(DATASET)
+    (tmp_path / "bad.csv").write_text(DATASET.replace("2.5", "x"))
+
+    def counted(*args, **kwargs):
+        raise AssertionError("cells were counted")
+
+    monkeypatch.setattr(textio, "token_counts", counted)
+    loaded = load_mesh(tmp_path / "mesh.ply")
+    assert np.array_equal(loaded.vertices, mesh.vertices)
+    assert np.array_equal(loaded.faces, mesh.faces)
+    assert np.array_equal(read_ply_vertex_scalars(tmp_path / "mesh.ply")["aesr"], aesr)
+    labels, rows = read_dataset_csv(tmp_path / "cohort.csv")
+    assert labels == ["S01-L", "S01-R", "S02-L", "S02-R"]
+    assert rows.tolist() == [[1.0, 2.0], [1.5, 2.5], [1.2, 2.1], [1.6, 2.4]]
+    with pytest.raises(AssertionError, match="counted"):
+        read_dataset_csv(tmp_path / "bad.csv")
+
+
+def _repr_rows(values, labels=None, sep=" "):
+    """The writer before the one ``%`` format: one ``repr`` per cell."""
+    rows = map(sep.join, (map(repr, row) for row in np.asarray(values).tolist()))
+    if labels is not None:
+        rows = map(sep.join, zip(map(str, labels), rows))
+    return "".join(f"{row}\n" for row in rows)
+
+
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+               np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _int_tables(draw):
+    info = np.iinfo(draw(st.sampled_from(_INT_DTYPES)))
+    # for an unsigned type, max // 2 is the largest cell of the signed type of
+    # its width and max // 2 + 1 the first one past it
+    edges = [0, 1, info.min, info.min // 2, info.max, info.max // 2, info.max // 2 + 1]
+    cells = st.sampled_from(edges) | st.integers(info.min, info.max)
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5)))
+    return draw(hnp.arrays(info.dtype, shape, elements=cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_int_tables(), sep=st.sampled_from([" ", ",", ", ", "\t"]))
+@example(values=np.array([[2 ** 64 - 1, 2 ** 63, 0]], np.uint64), sep=" ")
+@example(values=np.array([[-2 ** 63, 2 ** 63 - 1], [0, -1]], np.int64), sep=" ")
+def test_integer_rows_match_one_repr_per_cell(values, sep):
+    assert textio.format_rows(values, sep=sep) == _repr_rows(values, sep=sep)
+
+
+@st.composite
+def _float_tables(draw):
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    shape = (draw(st.integers(0, 12)), draw(st.integers(1, 5)))
+    values = draw(hnp.arrays(dtype, shape, elements=hnp.from_dtype(np.dtype(dtype))))
+    labels = draw(st.none() | st.lists(st.text(max_size=4), min_size=shape[0],
+                                       max_size=shape[0]))
+    return values, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_float_tables(), sep=st.sampled_from([" ", ",", "%", "%s"]))
+@example(table=(np.array([[-0.0, np.nan, -np.inf, 5e-324, 1e16, 0.1]]), ["a%s"]), sep=",")
+def test_float_and_labelled_rows_match_one_repr_per_cell(table, sep):
+    values, labels = table
+    assert textio.format_rows(values, labels, sep) == _repr_rows(values, labels, sep)
