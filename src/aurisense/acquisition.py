@@ -1,209 +1,26 @@
-"""Deterministic simulation of the multiplexed AESR/AESI acquisition chain.
+"""Deterministic simulation of the AESR acquisition: cohorts and sessions.
 
-Everything here is a pure function of (config, seed): channel resistance
-readings, frequency sweeps, multiplexed scans, calibration runs, synthetic
-population cohorts and exercise sessions.  Sub-streams are derived with
+Everything here is a pure function of (config, seed): synthetic population
+cohorts with labeled archetypes, and exercise sessions over the four
+measurement periods.  Sub-streams are derived with
 ``aurisense.seeding.spawn_rng`` so parallel generation would match a
 sequential run exactly.
 
-Noise is multiplicative lognormal on the total resistance: the reported
-repeatability statistics are coefficients of variation, which a
-multiplicative model reproduces independently of the resistance scale.
+Noise is multiplicative lognormal, so its relative spread does not depend
+on the resistance scale.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, MuxSequenceError, ParameterError
+from .errors import ParameterError
 from .seeding import spawn_rng
 
 PERIODS = ("I", "II", "III", "IV")
-
-
-# ----------------------------------------------------------------------
-# channel model
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Series resistance chain of one electrode channel.
-
-    ``alpha`` is the temperature coefficient in ohm per degC around
-    ``t_ref``; ``noise_sigma`` is the relative standard deviation of the
-    multiplicative measurement noise; ``capacitance`` is the parallel skin
-    capacitance used by the impedance sweep.
-    """
-
-    r_skin: float = 8.0e5
-    r_contact: float = 1.5e5
-    r_series: float = 5.0e4
-    alpha: float = 2.6
-    t_ref: float = 25.0
-    noise_sigma: float = 0.0
-    capacitance: float = 20e-9
-
-    def __post_init__(self):
-        if min(self.r_skin, self.r_contact, self.r_series) < 0:
-            raise ParameterError("resistances must be >= 0")
-        if not self.noise_sigma >= 0:
-            raise ParameterError("noise_sigma must be >= 0")
-        if self.capacitance <= 0:
-            raise ParameterError("capacitance must be > 0")
-
-    @property
-    def r_total(self) -> float:
-        return self.r_skin + self.r_contact + self.r_series
-
-
-def _check_temperature(temperature: float) -> None:
-    if not 0.0 <= temperature <= 60.0:
-        raise ParameterError("temperature must be within [0, 60] degC")
-
-
-def _readings(channel: ChannelModel, temperature: float, n: int, *stream: int) -> np.ndarray:
-    """``n`` readings (ohm), their noise drawn from ``spawn_rng(*stream)``."""
-    _check_temperature(temperature)
-    base = channel.r_total + channel.alpha * (temperature - channel.t_ref)
-    eps = spawn_rng(*stream).standard_normal(n)
-    return base * (1.0 + channel.noise_sigma * eps)
-
-
-def measure_resistance(channel: ChannelModel, temperature: float, seed: int) -> float:
-    """One noisy resistance reading (ohm) at the given temperature."""
-    return float(_readings(channel, temperature, 1, seed)[0])
-
-
-def repeat_readings(channel: ChannelModel, n: int, temperature: float,
-                    seed: int) -> np.ndarray:
-    """``n`` independent readings from one seeded stream."""
-    return _readings(channel, temperature, n, seed)
-
-
-def impedance_sweep(channel: ChannelModel, f_min: float = 4.0,
-                    f_max: float = 4000.0, n_points: int = 50) -> np.ndarray:
-    """|Z|(f) of the series + parallel-RC skin model, log-uniform in f.
-
-    Returns an (n, 2) array of (frequency Hz, |Z| ohm) including both
-    endpoints exactly.
-    """
-    if not 0.0 < f_min < f_max:
-        raise ParameterError("need 0 < f_min < f_max")
-    if n_points < 2:
-        raise ParameterError("need at least 2 sweep points")
-    f = np.exp(np.linspace(np.log(f_min), np.log(f_max), n_points))
-    f[0] = f_min
-    f[-1] = f_max
-    r_p = channel.r_skin + channel.r_contact
-    mag = channel.r_series + r_p / np.sqrt(1.0 + (2.0 * np.pi * f * r_p * channel.capacitance) ** 2)
-    return np.stack([f, mag], axis=1)
-
-
-# ----------------------------------------------------------------------
-# multiplexer
-# ----------------------------------------------------------------------
-
-@dataclass
-class MuxState:
-    """Single-owner state machine for an n-way analog multiplexer.
-
-    At most one channel is active at any time; the switch log is a list of
-    non-overlapping, strictly time-ordered (channel, t_on, t_off) tuples.
-    """
-
-    n_channels: int = 16
-    dwell: float = 0.1
-    active: int | None = None
-    t: float = 0.0
-    log: list = field(default_factory=list)
-
-    def activate(self, channel: int) -> None:
-        if not 0 <= channel < self.n_channels:
-            raise CapacityError(
-                f"channel {channel} outside the {self.n_channels}-channel mux"
-            )
-        if self.active is not None:
-            raise MuxSequenceError(
-                f"channel {self.active} is still active; deactivate first"
-            )
-        self.active = channel
-        self._t_on = self.t
-
-    def deactivate(self, dwell: float | None = None) -> None:
-        if self.active is None:
-            raise MuxSequenceError("no active channel")
-        dt = self.dwell if dwell is None else float(dwell)
-        if dt <= 0:
-            raise MuxSequenceError("dwell must be positive")
-        t_off = self._t_on + dt
-        self.log.append((self.active, self._t_on, t_off))
-        self.t = t_off
-        self.active = None
-
-
-def scan_all(mux: MuxState, channels, temperature: float, seed: int) -> np.ndarray:
-    """One reading per channel, each taken while that channel alone is active."""
-    if len(channels) > mux.n_channels:
-        raise CapacityError(
-            f"{len(channels)} channels exceed the {mux.n_channels}-channel mux"
-        )
-    _check_temperature(temperature)
-    readings = np.empty(len(channels))
-    for i, ch in enumerate(channels):
-        mux.activate(i)
-        readings[i] = _readings(ch, temperature, 1, seed, i)[0]
-        mux.deactivate()
-    return readings
-
-
-# ----------------------------------------------------------------------
-# calibration
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    points: tuple  # (reference ohm, measured ohm, relative error)
-    max_rel_error: float
-
-
-def calibrate(references, noise_sigma: float, seed: int) -> CalibrationReport:
-    """Measure each reference resistor and report relative errors."""
-    refs = [float(r) for r in references]
-    if any(r <= 0 for r in refs):
-        raise ParameterError("references must be positive")
-    if refs != sorted(refs):
-        raise ParameterError("references must be sorted ascending")
-    if not noise_sigma >= 0:
-        raise ParameterError("noise_sigma must be >= 0")
-    points = []
-    for i, ref in enumerate(refs):
-        # per-reference sub-stream so the report does not depend on list length
-        eps = float(spawn_rng(seed, i).standard_normal())
-        measured = ref * (1.0 + noise_sigma * eps)
-        points.append((ref, measured, abs(measured - ref) / ref))
-    max_err = max((p[2] for p in points), default=0.0)
-    return CalibrationReport(points=tuple(points), max_rel_error=max_err)
-
-
-# ----------------------------------------------------------------------
-# SPED baseline (pressure-sensitive probe)
-# ----------------------------------------------------------------------
-
-def sped_model(pressure_cv: float, n_readings: int, true_r: float,
-               seed: int) -> np.ndarray:
-    """Readings of a hand-held probe whose contact term varies with pressure.
-
-    The contact resistance is scaled by a mean-one lognormal factor whose
-    spread is chosen so the reading CV equals ``pressure_cv``.
-    """
-    if not pressure_cv >= 0:
-        raise ParameterError("pressure_cv must be >= 0")
-    sigma = np.sqrt(np.log1p(pressure_cv ** 2))
-    z = spawn_rng(seed).standard_normal(n_readings)
-    return true_r * np.exp(sigma * z - 0.5 * sigma * sigma)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +80,12 @@ def simulation_config(kind: str, config: dict | None = None) -> dict:
 # population cohort generator
 # ----------------------------------------------------------------------
 
-def default_archetypes(n_aps: int = 10, separation: float = 0.9) -> np.ndarray:
+# APs per default archetype trend, and the side of the offsets' tetrahedron
+ARCHETYPE_APS = 10
+ARCHETYPE_SEPARATION = 0.9
+
+
+def default_archetypes() -> np.ndarray:
     """Four AESR trend vectors, mutually separated, positive everywhere.
 
     The trends share a common profile and differ by offsets placed at the
@@ -271,8 +93,9 @@ def default_archetypes(n_aps: int = 10, separation: float = 0.9) -> np.ndarray:
     smooth AP patterns, so that four clusters of unequal size still elbow
     at K = 4.  Illustrative defaults, not measured data.
     """
+    n_aps = ARCHETYPE_APS
     j = np.arange(1, n_aps, dtype=np.float64)
-    t = (j - 1) / max(n_aps - 2, 1)
+    t = (j - 1) / (n_aps - 2)
     p1 = np.cos(np.pi * t)
     p2 = np.sin(2.0 * np.pi * t)
     p3 = np.cos(3.0 * np.pi * t)
@@ -284,7 +107,7 @@ def default_archetypes(n_aps: int = 10, separation: float = 0.9) -> np.ndarray:
         basis.append(q / np.linalg.norm(q))
     u1, u2, u3 = basis
     # equilateral triangle plus one vertex pulled away (1.6x the side)
-    side = separation
+    side = ARCHETYPE_SEPARATION
     coords = np.array([
         [0.0, 0.0, 0.0],
         [side, 0.0, 0.0],
@@ -450,7 +273,7 @@ class SessionRecord:
     aesr: np.ndarray  # (4, N) ohm
     hr: np.ndarray    # (4,) bpm
     bp: np.ndarray    # (4,) mmHg
-    config: dict | None = None  # the checked config it was simulated from; None when read
+    config: dict | None = None  # the checked config it was simulated from, if any
 
     def __post_init__(self):
         if self.aesr.shape[0] != 4 or self.hr.shape != (4,) or self.bp.shape != (4,):
@@ -475,17 +298,6 @@ class SessionRecord:
                 for p in range(4)
             ],
         }
-
-    @staticmethod
-    def from_json_obj(obj) -> "SessionRecord":
-        periods = sorted(obj["periods"], key=lambda r: PERIODS.index(r["period"]))
-        return SessionRecord(
-            subject=str(obj["subject"]),
-            test=str(obj["test"]),
-            aesr=np.asarray([r["aesr"] for r in periods], dtype=np.float64),
-            hr=np.asarray([r["hr"] for r in periods], dtype=np.float64),
-            bp=np.asarray([r["bp"] for r in periods], dtype=np.float64),
-        )
 
 
 def default_session_config() -> dict:

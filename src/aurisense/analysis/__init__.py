@@ -1,4 +1,4 @@
-from .normalize import normalize_spatial, normalize_temporal
+from .normalize import normalize_spatial
 from .pca import PCAResult, pca
 from .cluster import (
     ClusterReport,
@@ -10,22 +10,13 @@ from .cluster import (
     kmeans,
     select_k_elbow,
     silhouette,
-    sse_of,
 )
-from .stats import (
-    CorrelationResult,
-    RepeatabilityReport,
-    correlation,
-    exclude_abnormal,
-    pearson,
-    repeatability_cv,
-)
+from .stats import CorrelationResult, correlation, pearson
 from .contour import ContourField, interpolate_2d, interpolate_contour
 from .datasets import read_dataset_csv, write_dataset_csv, write_report_json
 
 __all__ = [
     "normalize_spatial",
-    "normalize_temporal",
     "PCAResult",
     "pca",
     "ClusterReport",
@@ -37,13 +28,9 @@ __all__ = [
     "kmeans",
     "select_k_elbow",
     "silhouette",
-    "sse_of",
     "CorrelationResult",
-    "RepeatabilityReport",
     "correlation",
-    "exclude_abnormal",
     "pearson",
-    "repeatability_cv",
     "ContourField",
     "interpolate_2d",
     "interpolate_contour",

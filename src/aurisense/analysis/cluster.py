@@ -17,7 +17,6 @@ distances, summed over the coordinates in order, plus one index-order
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,13 +129,6 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
         if best is None or res.sse < best.sse:
             best = res
     return best
-
-
-def sse_of(points, assignments, centers) -> float:
-    """SSE recomputed from an explicit labeling (same quantity k-means reports)."""
-    points = np.asarray(points, dtype=np.float64)
-    diff = points - np.asarray(centers)[np.asarray(assignments)]
-    return float(np.einsum("ij,ij->", diff, diff))
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +253,6 @@ class ClusterReport:
             "labels": list(self.labels),
             "elbow_warning": self.elbow_warning,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
 def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, seed: int = 0,

@@ -1,10 +1,9 @@
-"""Spatial (reference-AP) and temporal (baseline-period) normalization."""
+"""Spatial (reference-AP) normalization."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..acquisition import SessionRecord
 from ..errors import DomainError
 
 
@@ -15,10 +14,3 @@ def normalize_spatial(rows) -> np.ndarray:
         raise DomainError("spatial normalization needs strictly positive entries")
     return rows / rows[..., :1]
 
-
-def normalize_temporal(session: SessionRecord) -> np.ndarray:
-    """Divide each period's AP vector by period I; returns a (4, N) array."""
-    baseline = session.aesr[0]
-    if (baseline <= 0).any():
-        raise DomainError("temporal normalization needs a positive baseline period")
-    return session.aesr / baseline[None, :]

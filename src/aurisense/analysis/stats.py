@@ -1,4 +1,4 @@
-"""Correlation and repeatability statistics.
+"""Correlation statistics: Pearson's r with a permutation p-value.
 
 P-values come from a seeded two-sided permutation test rather than the
 t-distribution closed form: it needs no special functions and is honest in
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, ParameterError, UndefinedCorrelationError
+from ..errors import ParameterError, UndefinedCorrelationError
 from ..seeding import spawn_rng
 
 # verdict rule: uncorrelated iff p > 0.05 or |PCC| < 0.4
@@ -103,39 +103,3 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     correlated = (p <= P_THRESHOLD) and (abs(r_obs) >= PCC_THRESHOLD)
     return CorrelationResult(pcc=r_obs, p_value=p, n=int(x.size), correlated=correlated)
 
-
-@dataclass(frozen=True)
-class RepeatabilityReport:
-    per_ap_cv: np.ndarray
-    mean_cv: float
-
-    def __post_init__(self):
-        self.per_ap_cv.flags.writeable = False
-
-
-def repeatability_cv(replicates) -> RepeatabilityReport:
-    """Per-AP coefficient of variation over repeated measurements.
-
-    ``replicates`` is (R, N): R repeated scans of N APs.  CV is the sample
-    standard deviation (ddof=1) divided by the mean, per column.
-    """
-    r = np.asarray(replicates, dtype=np.float64)
-    if r.ndim != 2 or r.shape[0] < 2:
-        raise ParameterError("need an (R, N) matrix with R >= 2 replicates")
-    means = r.mean(axis=0)
-    if (means == 0).any():
-        raise DomainError("zero-mean column; CV undefined")
-    cv = r.std(axis=0, ddof=1) / np.abs(means)
-    return RepeatabilityReport(per_ap_cv=cv, mean_cv=float(cv.mean()))
-
-
-def exclude_abnormal(rows, lower: float = 0.05, upper: float = 20.0):
-    """Mask of rows whose normalized AESR stays within [lower, upper].
-
-    Rows with any entry outside the band are flagged abnormal and excluded
-    from downstream statistics; returns (keep_mask, excluded_indices).
-    """
-    x = np.asarray(rows, dtype=np.float64)
-    bad = (x < lower) | (x > upper) | ~np.isfinite(x)
-    keep = ~bad.any(axis=1)
-    return keep, np.where(~keep)[0]

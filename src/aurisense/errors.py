@@ -44,14 +44,6 @@ class NonMonotoneAreaError(AurisenseError):
         self.bracket = bracket
 
 
-class CapacityError(AurisenseError):
-    """More channels requested than the multiplexer provides."""
-
-
-class MuxSequenceError(AurisenseError):
-    """Multiplexer activation would overlap or go back in time."""
-
-
 class DomainError(AurisenseError):
     """Input values outside the mathematical domain of an operation."""
 

@@ -138,10 +138,10 @@ class SurfaceMesh:
         dropping) get an arbitrary unit normal so the unit-length invariant
         holds everywhere.
         """
-        vn = np.zeros_like(self.vertices)
+        corners = self.faces.T.ravel()  # every face's first corners, then seconds, thirds
         weighted = self.face_normals * self.face_areas[:, None]
-        for k in range(3):
-            np.add.at(vn, self.faces[:, k], weighted)
+        vn = np.stack([np.bincount(corners, np.tile(weighted[:, j], 3), self.n_vertices)
+                       for j in range(3)], axis=1)
         norm = np.linalg.norm(vn, axis=1)
         orphan = norm < 1e-300
         vn[orphan] = (0.0, 0.0, 1.0)

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aurisense.acquisition import default_cohort_config, simulate_cohort, simulate_exercise_session, sped_model
+from aurisense.acquisition import default_cohort_config, simulate_cohort
 from aurisense.analysis import stats
-from aurisense.analysis import (
-    exclude_abnormal,
-    normalize_spatial,
-    normalize_temporal,
-    pca,
-    pearson,
-    repeatability_cv,
-)
+from aurisense.analysis import normalize_spatial, pca, pearson
 from aurisense.errors import DomainError, ParameterError, UndefinedCorrelationError
 from aurisense.analysis.stats import correlation
 from aurisense.seeding import spawn_rng
@@ -46,20 +39,6 @@ def test_normalize_spatial_matrix_matches_rows():
 def test_normalize_spatial_rejects_nonpositive():
     with pytest.raises(DomainError):
         normalize_spatial([1.0, 0.0, 2.0])
-
-
-def test_normalize_temporal_control_all_ones():
-    cfg = {"noise": 0.0}
-    rec = simulate_exercise_session(cfg, "S01", "B2", seed=3)
-    out = normalize_temporal(rec)
-    np.testing.assert_array_equal(out, np.ones_like(out))
-
-
-def test_normalize_temporal_cycling_defaults():
-    rec = simulate_exercise_session({"noise": 0.0}, "S01", "A1", seed=3)
-    out = normalize_temporal(rec)
-    assert out[1][1] == pytest.approx(0.332, rel=1e-12)  # AP2 period II
-    np.testing.assert_array_equal(out[3], np.ones(13))   # period IV back to I
 
 
 # ----------------------------------------------------------------------
@@ -292,42 +271,3 @@ def test_verdict_rule():
     x = rng.normal(size=40)
     res = correlation(x, rng.normal(size=40), n_perm=500, seed=0)
     assert not res.correlated  # independent noise: p large or |r| < 0.4
-
-
-# ----------------------------------------------------------------------
-# repeatability
-# ----------------------------------------------------------------------
-
-def test_repeatability_identical_rows_zero_cv():
-    rep = repeatability_cv(np.tile([2.0, 3.0, 4.0], (5, 1)))
-    np.testing.assert_array_equal(rep.per_ap_cv, 0.0)
-    assert rep.mean_cv == 0.0
-
-
-def test_repeatability_validation():
-    with pytest.raises(ParameterError):
-        repeatability_cv(np.ones((1, 4)))
-    with pytest.raises(DomainError):
-        repeatability_cv(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-
-def test_repeatability_sped_regime():
-    cols = [sped_model(0.35, 1000, 1e6, seed=s) for s in range(13)]
-    rep = repeatability_cv(np.stack(cols, axis=1))
-    assert abs(rep.mean_cv - 0.35) <= 0.05
-
-
-# ----------------------------------------------------------------------
-# abnormal-row exclusion
-# ----------------------------------------------------------------------
-
-def test_exclude_abnormal_bounds():
-    rows = np.array([
-        [1.0, 1.2, 0.8],
-        [1.0, 25.0, 0.9],   # above the band
-        [1.0, 0.01, 1.1],   # below the band
-        [1.0, 1.0, 1.0],
-    ])
-    keep, excluded = exclude_abnormal(rows)
-    np.testing.assert_array_equal(keep, [True, False, False, True])
-    np.testing.assert_array_equal(excluded, [1, 2])

@@ -273,6 +273,23 @@ def test_analyze_rejects_a_k_range_the_elbow_cannot_use(tmp_path, capsys, k_rang
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "cohort", "default"],
+                                     ["simulate", "session", "default"],
+                                     ["analyze", "cohort.csv"]],
+                         ids=["cohort", "session", "analyze"])
+def test_a_negative_seed_exits_1_with_one_message(tmp_path, capsys, command):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "cohort.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in command]
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be an integer >= 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, config", [
     ("cohort", "default"), ("cohort", '{"sizes": [8, 6, 4, 2]}'),
     ("session", "default"), ("session", '{"noise": 0}'),

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from aurisense.analysis import (
     kmeans,
     select_k_elbow,
     silhouette,
-    sse_of,
 )
 from aurisense.errors import LabelError, ParameterError, UndefinedSilhouetteError
 from aurisense.seeding import spawn_rng
@@ -252,7 +249,6 @@ def test_kmeans_sse_matches_brute_force_oracle():
         res = kmeans(points, k, restarts=3, seed=trial)
         oracle = brute_force_sse(points, res.assignments, res.centers)
         assert res.sse == pytest.approx(oracle, abs=1e-9)
-        assert sse_of(points, res.assignments, res.centers) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_kmeans_every_point_at_nearest_center():
@@ -457,8 +453,8 @@ def test_pipeline_report_json_deterministic():
     res = simulate_cohort(None, seed=4)
     r1 = cluster_pipeline(res.rows, labels=res.labels, seed=5)
     r2 = cluster_pipeline(res.rows, labels=res.labels, seed=5)
-    assert r1.to_json() == r2.to_json()
-    obj = json.loads(r1.to_json())
+    obj = r1.to_json_obj()
+    assert obj == r2.to_json_obj()
     assert set(obj) == {"k_star", "assignments", "centers", "sse_by_k",
                         "silhouette", "ev_ratios", "labels", "elbow_warning"}
 

@@ -16,7 +16,7 @@ from aurisense.geometry import (
     write_ply,
     write_vtk,
 )
-from aurisense.geometry.primitives import make_bumpy_plane, make_icosphere
+from aurisense.geometry.primitives import make_bumpy_plane, make_cylinder, make_icosphere
 
 
 def test_single_triangle_obj(tmp_path):
@@ -211,6 +211,33 @@ def test_vertex_normals_unit_and_outward(icosphere_unit):
         icosphere_unit.vertices - centroid,
     )
     assert (outward > 0).mean() >= 0.99
+
+
+def add_at_vertex_normals(mesh):
+    """Oracle: the area-weighted normal sums accumulated one corner column
+    at a time with ``np.add.at``, then normalized as ``SurfaceMesh`` does."""
+    vn = np.zeros_like(mesh.vertices)
+    weighted = mesh.face_normals * mesh.face_areas[:, None]
+    for k in range(3):
+        np.add.at(vn, mesh.faces[:, k], weighted)
+    norm = np.linalg.norm(vn, axis=1)
+    orphan = norm < 1e-300
+    vn[orphan] = (0.0, 0.0, 1.0)
+    norm[orphan] = 1.0
+    return vn / norm[:, None]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_bumpy_plane(spacing=0.4),
+    lambda: make_icosphere(4),
+    lambda: make_cylinder(),
+    # vertex 4 is in no face and takes the fallback normal
+    lambda: SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.5], [9, 9, 9]],
+                        [[0, 1, 2], [1, 3, 2]]),
+], ids=["bumpy-plane", "icosphere", "cylinder", "orphan-vertex"])
+def test_vertex_normals_match_the_add_at_oracle_bit_for_bit(make):
+    mesh = make()
+    assert np.array_equal(mesh.vertex_normals, add_at_vertex_normals(mesh))
 
 
 def test_mesh_is_immutable(icosphere_unit):
