@@ -10,9 +10,16 @@ distance to another cluster b(i):
 with s(i) = 0 for singleton clusters by convention.  a and b come from the
 (M, K) per-cluster distance sums, built as ``cdist(block, points) @ onehot``
 over row blocks of at most ``_BLOCK_ELEMENTS`` distances (16 MB), so memory
-grows as M, not M^2.  A Lloyd step is one (M, K) ``cdist`` of squared
-distances, summed over the coordinates in order, plus one index-order
-``bincount`` per coordinate for the centre sums.  Tests check all three.
+grows as M, not M^2.
+
+k-means runs the restarts of one K in lockstep, in restart blocks whose
+(a·K, M) distances and tiled coordinates stay within ``_BLOCK_ELEMENTS``.
+A Lloyd step is one (a·K, M) ``cdist`` of squared distances from the
+centres of the a restarts still running, summed over the coordinates in
+order, plus one index-order ``bincount`` per coordinate over labels offset
+by restart·K for the centre sums.  Convergence, the SSE check and the
+empty-cluster reseed stay per restart, so every restart gets the labels,
+centres and SSE of a run on its own.  Tests check all three.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .pca import pca
 _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 _MAX_ITER = 300    # Lloyd iterations per restart
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
-_BLOCK_ELEMENTS = 2 ** 21  # distances per silhouette row block (16 MB)
+_BLOCK_ELEMENTS = 2 ** 21  # distances per silhouette row or k-means restart block (16 MB)
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +51,26 @@ def _as_points(points):
 
 
 def _assign(points, centers):
+    """Labels and squared distances of every point under each (K, d) centre set.
+
+    ``centers`` is (a, K, d).  One (a·K, M) ``cdist`` serves all a sets;
+    a running minimum over the K rows with a strict ``<`` keeps the lowest
+    index on ties, as ``argmin`` does.  Returns two (a, M) arrays.
+    """
     # imported on use: `import aurisense.cli` loads no scipy module
     from scipy.spatial.distance import cdist
 
-    d2 = cdist(points, centers, "sqeuclidean")
-    labels = np.argmin(d2, axis=1).astype(np.int64, copy=False)
-    return labels, d2[np.arange(points.shape[0]), labels]
+    a, k, d = centers.shape
+    dist = cdist(centers.reshape(a * k, d), points, "sqeuclidean").reshape(a, k, -1)
+    d2 = dist[:, 0].copy()
+    labels = np.zeros(d2.shape, dtype=np.int64)
+    for c in range(1, k):
+        row = dist[:, c]
+        # c exceeds every label so far: the maximum relabels the closer points
+        # without the branch per element of a masked copy
+        np.maximum(labels, (row < d2) * c, out=labels)
+        np.minimum(d2, row, out=d2)
+    return labels, d2
 
 
 @dataclass(frozen=True)
@@ -79,42 +100,75 @@ def _kmeanspp_init(points, k, rng):
     return centers
 
 
-def _lloyd(points, k, rng):
-    centers = _kmeanspp_init(points, k, rng)
-    prev_sse = np.inf
+def _lloyd(points, k, rngs):
+    """Lloyd's algorithm for one group of restarts, seeded by ``rngs``, in lockstep.
+
+    Returns each restart's labels (R, M), centres (R, K, d) and SSE (R,).
+    """
+    m, d = points.shape
+    centers = np.stack([_kmeanspp_init(points, k, rng) for rng in rngs])
+    # row j holds coordinate j of every point once per restart, so its first
+    # a·M entries weight the offset labels of any a running restarts
+    weights = np.tile(points.T, (1, len(rngs)))
+    out_labels = np.empty((len(rngs), m), dtype=np.int64)
+    out_centers = np.empty_like(centers)
+    out_sse = np.empty(len(rngs))
+    running = np.arange(len(rngs))
+    prev_sse = np.full(len(rngs), np.inf)
     for _ in range(_MAX_ITER):
+        a = running.size
         labels, d2 = _assign(points, centers)
-        counts = np.bincount(labels, minlength=k)
-        # empty clusters: deterministically re-seed from the farthest point;
-        # re-assignment may empty another cluster, so sweep until stable
-        for _attempt in range(k):
-            if counts.all():
-                break
-            for c in np.flatnonzero(counts == 0):
-                centers[c] = points[int(np.argmax(d2))]
-                labels, d2 = _assign(points, centers)
-            counts = np.bincount(labels, minlength=k)
-        sse = float(d2.sum())
-        if np.isfinite(prev_sse):
-            assert sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK, \
-                "SSE increased within a Lloyd run"
+        offsets = k * np.arange(a)[:, None]
+        counts = np.bincount((labels + offsets).ravel(), minlength=a * k).reshape(a, k)
+        # empty clusters: deterministically re-seed from the restart's farthest
+        # point; re-assignment may empty another cluster, so sweep until stable
+        for i in np.flatnonzero(~counts.all(axis=1)):
+            for _attempt in range(k):
+                if counts[i].all():
+                    break
+                for c in np.flatnonzero(counts[i] == 0):
+                    centers[i, c] = points[int(np.argmax(d2[i]))]
+                    lab, dd = _assign(points, centers[i:i + 1])
+                    labels[i], d2[i] = lab[0], dd[0]
+                counts[i] = np.bincount(labels[i], minlength=k)
+        sse = d2.sum(axis=1)  # each contiguous row is summed as its own 1-D array
+        assert (sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK).all(), \
+            "SSE increased within a Lloyd run"
         # bincount adds rows in index order; a still-empty cluster keeps its center
-        sums = np.stack([np.bincount(labels, col, k) for col in points.T], axis=1)
-        new_centers = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centers)
-        if np.array_equal(new_centers, centers) or sse == prev_sse:
-            break  # labels and d2 are those of the current centers
-        centers = new_centers
-        prev_sse = sse
+        flat = (labels + offsets).ravel()
+        sums = np.stack([np.bincount(flat, w[:a * m], a * k) for w in weights],
+                        axis=1).reshape(a, k, d)
+        new_centers = np.where(counts[..., None] > 0,
+                               sums / np.maximum(counts, 1)[..., None], centers)
+        done = (new_centers == centers).all(axis=(1, 2)) | (sse == prev_sse)
+        # a converged restart leaves with the labels and d2 of its current centers
+        ids = running[done]
+        out_labels[ids], out_centers[ids], out_sse[ids] = labels[done], centers[done], sse[done]
+        running = running[~done]
+        if running.size == 0:
+            break
+        centers = new_centers[~done]
+        prev_sse = sse[~done]
     else:
         labels, d2 = _assign(points, centers)
-    return KMeansResult(assignments=labels, centers=centers, sse=float(d2.sum()))
+        out_labels[running], out_centers[running] = labels, centers
+        out_sse[running] = d2.sum(axis=1)
+    return out_labels, out_centers, out_sse
 
 
 def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
-    Deterministic given the seed: restart sub-streams are derived by
-    counter split and ties keep the earliest restart.
+    Deterministic given the seed: restart r is seeded from
+    ``spawn_rng(seed, r)`` and ties keep the earliest restart.  The
+    restarts run in lockstep, in blocks of at most
+    ``_BLOCK_ELEMENTS // (max(K, d)·M)`` (at least one), taken in restart
+    order: each step makes one (a·K, M) distance matrix for the a restarts
+    still running.  A restart leaves the block when its centres stop moving
+    or its SSE stops changing, keeping the labels of its final centres; one
+    that uses all ``_MAX_ITER`` steps is assigned to its last centres.  An
+    empty cluster is re-seeded from the farthest point of that restart,
+    which is then re-assigned alone.
     """
     points = _as_points(points)
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (k, restarts)):
@@ -123,11 +177,17 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
         raise ParameterError("need 1 <= K <= number of points")
     if restarts < 1:
         raise ParameterError("need at least one restart")
+    m, d = points.shape
+    # distances and tiled weights of one block stay within _BLOCK_ELEMENTS
+    step = max(1, _BLOCK_ELEMENTS // (max(k, d) * m))
     best = None
-    for r in range(restarts):
-        res = _lloyd(points, k, spawn_rng(seed, r))
-        if best is None or res.sse < best.sse:
-            best = res
+    for lo in range(0, restarts, step):
+        labels, centers, sse = _lloyd(
+            points, k, [spawn_rng(seed, r) for r in range(lo, min(lo + step, restarts))])
+        i = int(np.argmin(sse))  # the first of equal SSEs
+        if best is None or sse[i] < best.sse:
+            best = KMeansResult(assignments=labels[i].copy(), centers=centers[i].copy(),
+                                sse=float(sse[i]))
     return best
 
 
@@ -239,17 +299,17 @@ class ClusterReport:
     def to_json_obj(self) -> dict:
         return {
             "k_star": int(self.k_star),
-            "assignments": [int(a) for a in self.assignments],
-            "centers": [[float(v) for v in c] for c in self.centers],
+            "assignments": self.assignments.tolist(),
+            "centers": self.centers.tolist(),
             "sse_by_k": {
-                "k": [int(k) for k in self.sse_ks],
-                "sse": [float(v) for v in self.sse_values],
+                "k": self.sse_ks.tolist(),
+                "sse": self.sse_values.tolist(),
             },
             "silhouette": {
-                "per_point": [float(v) for v in self.silhouette_values],
+                "per_point": self.silhouette_values.tolist(),
                 "mean": float(self.silhouette_mean),
             },
-            "ev_ratios": [float(v) for v in self.ev_ratios],
+            "ev_ratios": self.ev_ratios.tolist(),
             "labels": list(self.labels),
             "elbow_warning": self.elbow_warning,
         }
@@ -333,7 +393,7 @@ class ConcordanceResult:
     def to_json_obj(self) -> dict:
         return {
             "fraction": float(self.fraction),
-            "match_matrix": [[int(v) for v in row] for row in self.match_matrix],
+            "match_matrix": self.match_matrix.tolist(),
             "n_subjects": int(self.n_subjects),
         }
 
@@ -342,8 +402,9 @@ def concordance(report: ClusterReport, labels=None) -> ConcordanceResult:
     """Fraction of subjects with both ears in one cluster, plus the match matrix.
 
     Labels must look like "SUBJECT-SIDE"; every subject needs exactly two
-    rows.  Matrix rows index the left-ear cluster and columns the right-ear
-    cluster, so matched subjects land on the diagonal.
+    rows, one per side (sides compare case-insensitively).  Matrix rows
+    index the left-ear cluster and columns the right-ear cluster, so
+    matched subjects land on the diagonal.
     """
     labels = list(labels) if labels is not None else list(report.labels)
     if len(labels) != len(report.assignments):
@@ -353,7 +414,10 @@ def concordance(report: ClusterReport, labels=None) -> ConcordanceResult:
         if "-" not in lab:
             raise LabelError(f"label '{lab}' is not SUBJECT-SIDE")
         subject, side = lab.rsplit("-", 1)
-        by_subject.setdefault(subject, {})[side.upper()] = int(cluster)
+        ears = by_subject.setdefault(subject, {})
+        if side.upper() in ears:
+            raise LabelError(f"label '{lab}' repeats the ear '{subject}-{side.upper()}'")
+        ears[side.upper()] = int(cluster)
     k = int(report.centers.shape[0])
     matrix = np.zeros((k, k), dtype=np.int64)
     matched = 0

@@ -258,6 +258,22 @@ def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path
     assert reports["rows"]["assignments"] == reports["ears"]["assignments"]
 
 
+def test_analyze_skips_the_concordance_of_a_repeated_ear(tmp_path):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "ears.csv")]) == 0
+    labels, rows = read_dataset_csv(tmp_path / "ears.csv")
+    # the first ear once more, its side in lower case
+    repeat = labels[0][:-1] + labels[0][-1].lower()
+    write_dataset_csv(tmp_path / "repeat.csv", [*labels, repeat], np.vstack([rows, rows[:1]]))
+    out = tmp_path / "repeat.json"
+    assert main(["analyze", str(tmp_path / "repeat.csv"), "--k-range", "2", "5",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["assignments"]) == len(labels) + 1
+    assert "concordance" not in report
+
+
 @pytest.mark.parametrize("k_range", [["3", "3"], ["1", "4"], ["4", "2"], ["2", "20"]],
                          ids=["one-k", "lo-1", "lo-above-hi", "hi-at-m"])
 def test_analyze_rejects_a_k_range_the_elbow_cannot_use(tmp_path, capsys, k_range):

@@ -138,11 +138,13 @@ def reference_lloyd(points, k, rng, max_iter=300):
 # the empty-cluster reseed input of
 # test_kmeans_reseeds_an_empty_cluster_from_the_farthest_point (K = 3)
 RESEED_POINTS = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 2)
+# K = 3, seed 18079: restart 4 empties a cluster in a Lloyd step, restarts 0-3 never do
+MIXED_RESEED_POINTS = np.array([[3.9], [1.21], [3.29], [-0.63], [1.34], [1.12]])
 
 
 def lloyd_cases():
     """(points, K, seed) over d in {2, 3, 10}, K up to 8, duplicate points
-    and the empty-cluster reseed input."""
+    and the two empty-cluster reseed inputs."""
     rng = np.random.default_rng(21)
     cases = [(RESEED_POINTS, 3, s) for s in range(4)]
     for trial in range(24):
@@ -152,6 +154,7 @@ def lloyd_cases():
         if trial % 4 == 0:
             points = np.concatenate([points, points[: m // 3]])  # duplicates
         cases.append((points, int(rng.integers(1, 9)), trial))
+    cases.append((MIXED_RESEED_POINTS, 3, 18079))
     return cases
 
 
@@ -159,17 +162,26 @@ def lloyd_cases():
 # k-means
 # ----------------------------------------------------------------------
 
+RESTARTS = 5  # restarts per lockstep group in the comparisons below
+
+
+def lockstep(points, k, seed, restarts=range(RESTARTS)):
+    """(labels, centers, sse) arrays of the given restarts run as one lockstep group."""
+    return cluster._lloyd(points, k, [spawn_rng(seed, r) for r in restarts])
+
+
 @pytest.mark.parametrize("points,k,seed", lloyd_cases())
 def test_lloyd_step_matches_the_einsum_and_add_at_reference(points, k, seed):
-    for r in range(3):
-        labels, centers, sse, _, _ = reference_lloyd(points, k, spawn_rng(seed, r))
-        res = cluster._lloyd(points, k, spawn_rng(seed, r))
-        np.testing.assert_array_equal(res.assignments, labels)
-        np.testing.assert_array_equal(res.centers, centers)
-        assert res.sse == pytest.approx(sse, rel=1e-12, abs=0.0)
+    labels, centers, sse = lockstep(points, k, seed)
+    for r in range(RESTARTS):
+        ref_labels, ref_centers, ref_sse, _, _ = reference_lloyd(points, k, spawn_rng(seed, r))
+        np.testing.assert_array_equal(labels[r], ref_labels)
+        np.testing.assert_array_equal(centers[r], ref_centers)
+        assert sse[r] == pytest.approx(ref_sse, rel=1e-12, abs=0.0)
 
 
 def spy_on_assign(monkeypatch):
+    """Record the (a, K, d) centre sets of every _assign call."""
     calls = []
     assign = cluster._assign
 
@@ -183,16 +195,47 @@ def spy_on_assign(monkeypatch):
 
 def test_lloyd_assigns_once_per_step_and_per_reseed(monkeypatch):
     calls = spy_on_assign(monkeypatch)
-    total_reseeds = 0
+    mixed = 0  # groups where some restarts re-seed and others do not
     for points, k, seed in lloyd_cases():
-        _, _, _, steps, reseeds = reference_lloyd(points, k, spawn_rng(seed, 0))
+        runs = [reference_lloyd(points, k, spawn_rng(seed, r)) for r in range(RESTARTS)]
+        steps = [run[3] for run in runs]
+        reseeds = [run[4] for run in runs]
         del calls[:]
-        res = cluster._lloyd(points, k, spawn_rng(seed, 0))
-        # a converged run ends on the assignment of its final centers
-        assert len(calls) == steps + reseeds
-        np.testing.assert_array_equal(calls[-1], res.centers)
-        total_reseeds += reseeds
-    assert total_reseeds > 0
+        labels, centers, _ = lockstep(points, k, seed)
+        # one call per lockstep step for the restarts still running, one per
+        # reseed for its restart alone
+        assert len(calls) == max(steps) + sum(reseeds)
+        sizes = sorted(len(c) for c in calls)
+        assert sizes == sorted([sum(s > t for s in steps) for t in range(max(steps))]
+                               + [1] * sum(reseeds))
+        # every restart leaves on the assignment of its final centers
+        for r in range(RESTARTS):
+            assert any((c == centers[r]).all(axis=(1, 2)).any() for c in calls)
+        mixed += 0 < sum(e > 0 for e in reseeds) < RESTARTS
+        del calls[:]
+        res = lockstep(points, k, seed, [0])
+        assert len(calls) == steps[0] + reseeds[0]
+        np.testing.assert_array_equal(calls[-1][0], res[1][0])
+    assert mixed > 0
+
+
+def test_a_reseed_takes_the_farthest_point_of_its_own_restart(monkeypatch):
+    # restart 0 starts with an empty cluster and its farthest point is 2;
+    # restart 1 needs no reseed and is farthest from 22
+    points = np.array([[0.0], [1.0], [2.0], [20.0], [21.0], [22.0]])
+    starts = [np.array([[0.0], [21.0], [100.0]]), np.array([[0.0], [1.0], [2.0]])]
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    calls = spy_on_assign(monkeypatch)
+    labels, centers, sse = cluster._lloyd(points, 3, starts)
+    assert sorted(len(c) for c in calls)[0] == 1  # the reseeded restart alone
+    np.testing.assert_array_equal(labels[0], [0, 0, 2, 1, 1, 1])
+    np.testing.assert_array_equal(centers[0], [[0.5], [21.0], [2.0]])
+    assert sse[0] == 2.5
+    for r, start in enumerate(starts):
+        alone = cluster._lloyd(points, 3, [start])
+        np.testing.assert_array_equal(alone[0][0], labels[r])
+        np.testing.assert_array_equal(alone[1][0], centers[r])
+        assert alone[2][0] == sse[r]
 
 
 def test_lloyd_reassigns_after_running_out_of_iterations(monkeypatch):
@@ -203,11 +246,67 @@ def test_lloyd_reassigns_after_running_out_of_iterations(monkeypatch):
     assert steps == 2 and reseeds == 0
     monkeypatch.setattr(cluster, "_MAX_ITER", 2)
     calls = spy_on_assign(monkeypatch)
-    res = cluster._lloyd(points, 6, spawn_rng(4, 0))
+    res = cluster._lloyd(points, 6, [spawn_rng(4, 0)])
     assert len(calls) == 3  # two steps, then the last centers' assignment
-    np.testing.assert_array_equal(res.assignments, labels)
-    np.testing.assert_array_equal(res.centers, centers)
-    assert res.sse == pytest.approx(sse, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(res[0][0], labels)
+    np.testing.assert_array_equal(res[1][0], centers)
+    assert res[2][0] == pytest.approx(sse, rel=1e-12, abs=0.0)
+
+
+def test_capped_restarts_match_the_reference_beside_converged_ones(monkeypatch):
+    monkeypatch.setattr(cluster, "_MAX_ITER", 2)
+    calls = spy_on_assign(monkeypatch)
+    mixed = 0  # groups where some restarts converge within 2 steps and others do not
+    for points, k, seed in lloyd_cases():
+        del calls[:]
+        labels, centers, sse = lockstep(points, k, seed)
+        capped = []
+        for r in range(RESTARTS):
+            ref = reference_lloyd(points, k, spawn_rng(seed, r), max_iter=2)
+            np.testing.assert_array_equal(labels[r], ref[0])
+            np.testing.assert_array_equal(centers[r], ref[1])
+            assert sse[r] == pytest.approx(ref[2], rel=1e-12, abs=0.0)
+            capped.append(reference_lloyd(points, k, spawn_rng(seed, r), max_iter=3)[3] > 2)
+        if any(capped):
+            # the capped restarts, and only they, share one closing assignment
+            np.testing.assert_array_equal(calls[-1], centers[np.flatnonzero(capped)])
+        mixed += 0 < sum(capped) < RESTARTS
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("points,k,seed", lloyd_cases()[::3])
+def test_restart_blocks_change_no_result(monkeypatch, points, k, seed):
+    restarts = 7
+    whole = kmeans(points, k, restarts=restarts, seed=seed)
+    # the earliest restart of least SSE, each restart run as a group of one
+    alone = [lockstep(points, k, seed, [r]) for r in range(restarts)]
+    best = int(np.argmin([run[2][0] for run in alone]))
+    # blocks of two restarts: four blocks for seven restarts
+    monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 2 * max(k, points.shape[1]) * len(points) + 1)
+    calls = spy_on_assign(monkeypatch)
+    blocked = kmeans(points, k, restarts=restarts, seed=seed)
+    assert max(len(c) for c in calls) == 2
+    for res in (whole, blocked):
+        np.testing.assert_array_equal(res.assignments, alone[best][0][0])
+        np.testing.assert_array_equal(res.centers, alone[best][1][0])
+        assert res.sse == alone[best][2][0]
+
+
+def test_kmeans_memory_stays_within_blocks_as_restarts_grow(monkeypatch):
+    # one (R·K, M) float64 array for all 400 restarts would be 128 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(5000, 3))
+    monkeypatch.setattr(cluster, "_MAX_ITER", 2)  # memory per step, not convergence
+    kmeans(points[:10], 2, restarts=1)  # import scipy before tracing
+    tracemalloc.start()
+    try:
+        kmeans(points, 8, restarts=400, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 @given(m=st.integers(1, 30), d=st.integers(1, 4), k=st.integers(1, 6),
@@ -220,9 +319,8 @@ def test_best_of_restarts_sse_is_at_most_every_restart(m, d, k, restarts, seed, 
     points = rng.integers(-3, 4, size=(m, d)).astype(float) if grid else rng.normal(size=(m, d))
     k = min(k, m)
     best = kmeans(points, k, restarts=restarts, seed=seed)
-    for r in range(restarts):
-        assert best.sse <= cluster._lloyd(points, k, spawn_rng(seed, r)).sse
-
+    alone = [lockstep(points, k, seed, [r])[2][0] for r in range(restarts)]
+    assert best.sse == min(alone)  # at most every restart, and one of them
 
 
 def test_kmeans_k_equals_m_zero_sse():
@@ -508,4 +606,15 @@ def test_concordance_unpaired_subject_raises():
         labels = ("S1-L", "S1-R", "S2-L")
 
     with pytest.raises(LabelError):
+        concordance(FakeReport())
+
+
+@pytest.mark.parametrize("repeat", ["S1-L", "S1-l"], ids=["same-case", "lower-case"])
+def test_concordance_repeated_ear_raises(repeat):
+    class FakeReport:
+        assignments = np.array([0, 1, 0, 0, 1])
+        centers = np.zeros((2, 3))
+        labels = ("S1-L", "S1-R", "S2-L", "S2-R", repeat)
+
+    with pytest.raises(LabelError, match=f"'{repeat}' repeats the ear 'S1-L'"):
         concordance(FakeReport())
