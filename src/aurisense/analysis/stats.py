@@ -5,6 +5,11 @@ t-distribution closed form: it needs no special functions and is honest in
 the small-sample regime these comparisons live in.  The permutations depend
 only on the seed and the sample count: every test with the same seed and n
 scores the same shuffles, so a process draws them once and reuses them.
+
+A shuffle leaves y's mean and norm unchanged, so only the cross term moves:
+y is centred once and permutation pi scores ``yc[pi] @ xc / (sx * sy)``.
+``correlation`` scores ``PERM_BLOCK`` shuffles per gather and matrix-vector
+product, so its temporaries are bounded by one block, whatever ``n_perm``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from ..seeding import spawn_rng
 # verdict rule: uncorrelated iff p > 0.05 or |PCC| < 0.4
 P_THRESHOLD = 0.05
 PCC_THRESHOLD = 0.4
-# permutations drawn and scored per array pass in ``correlation``
+# shuffles drawn per tile in ``_permutations`` and scored per gather in
+# ``correlation``: a block's intp indices and gathered yc take 8·n bytes per row
 PERM_BLOCK = 1024
 
 
@@ -32,9 +38,9 @@ class CorrelationResult:
     correlated: bool
 
 
-def pearson(x, y) -> float:
-    """Plain product-moment correlation coefficient of finite, 1-D x and y
-    of equal length >= 3."""
+def _centred(x, y):
+    """Centred float64 copies of finite, 1-D x and y of equal length >= 3,
+    with their Euclidean norms."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -49,6 +55,13 @@ def pearson(x, y) -> float:
     sy = np.sqrt((yc * yc).sum())
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError("zero variance in an input")
+    return xc, yc, sx, sy
+
+
+def pearson(x, y) -> float:
+    """Plain product-moment correlation coefficient of finite, 1-D x and y
+    of equal length >= 3."""
+    xc, yc, sx, sy = _centred(x, y)
     return float((xc * yc).sum() / (sx * sy))
 
 
@@ -86,20 +99,15 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     """
     if not (_is_whole(n_perm) and _is_whole(seed)):
         raise ParameterError("n_perm and seed must be integers >= 0")
-    r_obs = pearson(x, y)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    perms = _permutations(int(seed), x.size, int(n_perm))
-    xc = x - x.mean()
-    sx = np.sqrt((xc * xc).sum())
+    xc, yc, sx, sy = _centred(x, y)
+    r_obs = float((xc * yc).sum() / (sx * sy))
+    perms = _permutations(int(seed), xc.size, int(n_perm))
     hits = 0
     for start in range(0, n_perm, PERM_BLOCK):
-        yp = y[perms[start:start + PERM_BLOCK]]
-        yc = yp - yp.mean(axis=1, keepdims=True)
-        sy = np.sqrt((yc * yc).sum(axis=1))
-        r = (xc * yc).sum(axis=1) / (sx * sy)
+        # intp indices gather about three times faster than the cached uint8
+        r = yc[perms[start:start + PERM_BLOCK].astype(np.intp)] @ xc / (sx * sy)
         hits += int(np.count_nonzero(np.abs(r) >= abs(r_obs) - 1e-12))
     p = (1 + hits) / (n_perm + 1)
     correlated = (p <= P_THRESHOLD) and (abs(r_obs) >= PCC_THRESHOLD)
-    return CorrelationResult(pcc=r_obs, p_value=p, n=int(x.size), correlated=correlated)
+    return CorrelationResult(pcc=r_obs, p_value=p, n=int(xc.size), correlated=correlated)
 

@@ -195,6 +195,41 @@ def test_blocked_permutations_match_per_permutation_loop(n, n_perm):
         assert res.p_value == 1.0
 
 
+def _exact_hits(x, y, n_perm, seed):
+    """(hits, exact ties) of the loop's shuffles in integer arithmetic.
+
+    A shuffle keeps both norms, so for integer samples |r_perm| >= |r_obs|
+    iff |n·sum(x·y_perm) - sum(x)·sum(y)| >= |n·sum(x·y) - sum(x)·sum(y)|.
+    """
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    rng = spawn_rng(seed)
+
+    def cross(yp):
+        return abs(x.size * int(x @ yp) - int(x.sum()) * int(y.sum()))
+
+    obs = cross(y)
+    crosses = [cross(rng.permutation(y)) for _ in range(n_perm)]
+    return sum(c >= obs for c in crosses), sum(c == obs for c in crosses)
+
+
+# repeated values: many shuffles score exactly |r_obs|; the means of n = 6
+# are not binary fractions, so those ties differ from r_obs by rounding
+TIED = {4: ([0, 1, 1, 2], [1, 1, 3, 3]), 6: ([1, 1, 2, 2, 2, 5], [0, 3, 3, 7, 7, 8])}
+
+
+@pytest.mark.parametrize("n", sorted(TIED))
+@pytest.mark.parametrize("n_perm", [2500, stats.PERM_BLOCK - 1, stats.PERM_BLOCK,
+                                    stats.PERM_BLOCK + 1])
+def test_tied_samples_count_exact_ties_at_block_edges(n, n_perm):
+    # 4! and 6! are below 2500, so every shuffle recurs
+    x, y = (np.array(v, dtype=np.float64) for v in TIED[n])
+    for seed in (0, 17):
+        hits, ties = _exact_hits(x, y, n_perm, seed)
+        assert 0 < ties and hits < n_perm
+        p = correlation(x, y, n_perm=n_perm, seed=seed).p_value
+        assert p == _loop_p_value(x, y, n_perm, seed) == (1 + hits) / (n_perm + 1)
+
+
 def test_interleaved_tests_each_match_the_per_permutation_loop():
     # the cached shuffles of one (seed, n, n_perm) must not leak into the
     # next; n <= 256 draws uint8 indices, n = 300 uint16 and n = 70000 uint32

@@ -253,6 +253,39 @@ def test_lloyd_reassigns_after_running_out_of_iterations(monkeypatch):
     assert res[2][0] == pytest.approx(sse, rel=1e-12, abs=0.0)
 
 
+def test_lloyd_leaves_on_an_sse_plateau_while_its_centres_still_move(monkeypatch):
+    # start 1e-9 off the left pair's mean: step 1 reads SSE 3752 + 2e-18, which
+    # rounds to 3752, and moves that centre to 0; at centres (0, 100) the point
+    # 50 ties and joins cluster 0, so the next centres would be (50/3, 125),
+    # yet step 2 reads SSE 3752 again and the restart leaves at (0, 100)
+    points = np.array([[-1.0], [1.0], [50.0], [125.0], [125.0]])
+    start = np.array([[-1e-9], [100.0]])
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    calls = spy_on_assign(monkeypatch)
+    labels, centers, sse = cluster._lloyd(points, 2, [start])
+    assert len(calls) == 2
+    np.testing.assert_array_equal(labels[0], [0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(centers[0], [[0.0], [100.0]])
+    assert sse[0] == 3752.0
+
+
+def test_lloyd_asserts_that_the_sse_never_rises(monkeypatch):
+    # a faulty assignment that scales step t's squared distances by 10**t
+    points = np.array([[0.0], [1.0], [10.0], [11.0]])
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    calls = spy_on_assign(monkeypatch)
+    assign = cluster._assign
+
+    def rising(points, centers):
+        labels, d2 = assign(points, centers)
+        return labels, d2 * 10.0 ** len(calls)
+
+    monkeypatch.setattr(cluster, "_assign", rising)
+    with pytest.raises(AssertionError, match="SSE increased within a Lloyd run"):
+        cluster._lloyd(points, 2, [np.array([[0.0], [10.0]])])
+    assert len(calls) == 2
+
+
 def test_capped_restarts_match_the_reference_beside_converged_ones(monkeypatch):
     monkeypatch.setattr(cluster, "_MAX_ITER", 2)
     calls = spy_on_assign(monkeypatch)
