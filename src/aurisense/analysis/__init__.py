@@ -12,7 +12,7 @@ from .cluster import (
     silhouette,
 )
 from .stats import CorrelationResult, correlation, pearson
-from .contour import ContourField, interpolate_2d, interpolate_contour
+from .contour import ContourField, interpolate_contour, interpolation_weights
 from .datasets import read_dataset_csv, write_dataset_csv, write_report_json
 
 __all__ = [
@@ -32,8 +32,8 @@ __all__ = [
     "correlation",
     "pearson",
     "ContourField",
-    "interpolate_2d",
     "interpolate_contour",
+    "interpolation_weights",
     "read_dataset_csv",
     "write_dataset_csv",
     "write_report_json",

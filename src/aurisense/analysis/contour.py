@@ -2,26 +2,28 @@
 
 AP positions and mesh vertices are mapped into a 2D parameterization of
 the surface (best-fit plane of the APs by default; an azimuthal projection
-when the AP set is strongly non-planar).  Inside the convex hull of the
-projected APs, per-vertex Sibson weights are computed exactly via
-Bowyer-Watson virtual insertion: the weight of each natural neighbor is
-the Voronoi area the query point would steal from it.  Outside the hull
-the query is projected to the nearest hull edge and interpolated linearly
-along it, which is the boundary limit of the natural-neighbor field, so
-the combined field is continuous, exact at the APs, bounded by the input
-values, and linearly precise inside the hull.
+when the AP set is strongly non-planar).  The field is linear in the AP
+values: it is ``W @ values`` for one (Q, S) weight matrix W of the Q
+vertices on the S APs.  Rows of W are non-negative and sum to 1, so the
+field is bounded by the AP values; four branches write them:
 
-Queries are weighted in groups, not one by one: queries whose cavity (the
-triangles whose circumcircle holds them) is the same share its boundary
-edges and each neighbor's fan of old circumcenters, so a group needs one
-array pass for its new circumcenters and one batched shoelace for every
-stolen polygon.  A dozen APs give a few dozen groups for a whole mesh.
+- a vertex on an AP takes that AP's unit row: the field is exact there;
+- inside the convex hull of the APs, Sibson's weights, exact by
+  Bowyer-Watson virtual insertion: each natural neighbor weighs the
+  Voronoi area the vertex would steal from it, so the field is linearly
+  precise;
+- outside the hull, ``1 - t`` and ``t`` at the ends of the nearest hull
+  edge, the boundary limit of Sibson's field, so the field is continuous.
+  APs that qhull rejects as collinear take these rows along their line;
+- in a Delaunay triangle less than ``FLAT`` of its longest edge high (a
+  sliver between nearly collinear sites, which joins no cavity), or where
+  Sibson's weights do not hold, the triangle's barycentrics.
 
-Every query takes Sibson's weights or one of their two exact limits.  A
-Delaunay triangle less than ``FLAT`` of its longest edge high, a sliver
-between nearly collinear sites, joins no cavity; a query in it, or one
-whose weights do not hold, is linear in its triangle.  APs that qhull
-rejects as collinear take the hull-edge limit along their line.
+Sibson rows are weighted in groups: vertices whose cavity (the triangles
+whose circumcircle holds them) is the same share its boundary edges and
+each neighbor's fan of old circumcenters, so a group needs one array pass
+for its new circumcenters and one batched shoelace for every stolen
+polygon.  A dozen APs give a few dozen groups for a whole mesh.
 """
 
 from __future__ import annotations
@@ -63,22 +65,19 @@ def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values) -> Co
     if sites3d.shape[0] < 3:
         raise ParameterError("need at least 3 APs")
     if vals.shape != (sites3d.shape[0],):
-        raise ParameterError(
-            f"{vals.size} values for {sites3d.shape[0]} APs"
-        )
+        raise ParameterError(f"{vals.size} values for {sites3d.shape[0]} APs")
     if not np.isfinite(vals).all():
         raise ParameterError("AP values must be finite")
 
     sites2d, queries2d = _parameterize(sites3d, mesh.vertices)
-    # every two APs must stay apart by interpolate_2d's site tolerance
+    # every two APs must stay apart by interpolation_weights' site tolerance
     tol = 1e-9 * max(np.ptp(sites2d[:, 0]), np.ptp(sites2d[:, 1]), 1e-12)
     folded = np.argwhere(np.triu(np.linalg.norm(sites2d[:, None] - sites2d, axis=2) <= tol, 1))
     if folded.size:
         i, j = folded[0]
         raise ParameterError(f"{aps.labels[i]} and {aps.labels[j]} fold onto one "
                              f"point of the contour parameterization")
-    field = interpolate_2d(sites2d, vals, queries2d)
-    return ContourField(mesh=mesh, values=field)
+    return ContourField(mesh=mesh, values=interpolation_weights(sites2d, queries2d) @ vals)
 
 
 def _parameterize(sites3d, queries3d):
@@ -105,24 +104,25 @@ def _parameterize(sites3d, queries3d):
     return project(sites3d), project(queries3d)
 
 
-def interpolate_2d(sites, values, queries) -> np.ndarray:
-    """Natural-neighbor interpolation of (site, value) pairs at 2D queries."""
+def interpolation_weights(sites, queries) -> np.ndarray:
+    """The (Q, S) natural-neighbor weights of 2D queries on sites: the
+    field of any site values ``v`` at the queries is ``W @ v``."""
     # imported on use: `import aurisense.cli` loads no scipy module
     from scipy.spatial import Delaunay, QhullError
 
     sites = np.asarray(sites, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     scale = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
     site_tol = 1e-9 * scale
 
-    out = np.empty(queries.shape[0])
-    # coincident with a site: exact
+    # coincident with a site: a unit row.  W reuses the distance buffer
     dqs = sites[None, :, :] - queries[:, None, :]
-    d2s = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
-    nearest = np.argmin(d2s, axis=1)
-    at_site = d2s[np.arange(queries.shape[0]), nearest] <= site_tol * site_tol
-    out[at_site] = values[nearest[at_site]]
+    w = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
+    rows = np.arange(queries.shape[0])
+    nearest = np.argmin(w, axis=1)
+    at_site = w[rows, nearest] <= site_tol * site_tol
+    w.fill(0.0)
+    w[rows[at_site], nearest[at_site]] = 1.0
 
     try:
         tri = Delaunay(sites)
@@ -132,8 +132,8 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
         d = sites - sites[0]
         order = np.argsort(d @ d[np.argmax((d * d).sum(axis=1))], kind="stable")
         chain = np.stack([order[:-1], order[1:]], axis=1)
-        out[~at_site] = _hull_edge_interp(sites, values, chain, queries[~at_site])
-        return out
+        _hull_edge_weights(w, rows[~at_site], sites, chain, queries)
+        return w
 
     simplices = tri.simplices
     a, b, c = sites[simplices].transpose(1, 0, 2)
@@ -145,10 +145,7 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
     r2 = ((a[keep] - cc) ** 2).sum(axis=1)
 
     located = tri.find_simplex(queries)
-    outside = (located < 0) & ~at_site
-    if outside.any():
-        out[outside] = _hull_edge_interp(sites, values, tri.convex_hull,
-                                         queries[outside])
+    _hull_edge_weights(w, rows[(located < 0) & ~at_site], sites, tri.convex_hull, queries)
     fallback = (located >= 0) & flat[located] & ~at_site
     inside = np.flatnonzero((located >= 0) & ~flat[located] & ~at_site)
 
@@ -162,12 +159,16 @@ def interpolate_2d(sites, values, queries) -> np.ndarray:
         members = inside[group == g]
         weights, valid = _sibson_weights(sites, simplices[keep[pattern]],
                                          cc[pattern], queries[members])
-        out[members[valid]] = weights[valid] @ values
+        w[members[valid]] = weights[valid]
         fallback[members[~valid]] = True
-    # flat triangles and the cocircular/collinear edge case: linear in the simplex
-    out[fallback] = _simplex_interp(tri, values, located[fallback],
-                                    queries[fallback])
-    return out
+    # flat triangles and the cocircular/collinear edge case: linear in the
+    # simplex, by its barycentrics clipped to it
+    fallback = np.flatnonzero(fallback)
+    tr = tri.transform[located[fallback]]  # (F, 3, 2)
+    bary = np.einsum("fij,fj->fi", tr[:, :2], queries[fallback] - tr[:, 2])
+    bary = np.clip(np.column_stack([bary, 1.0 - bary.sum(axis=1)]), 0.0, 1.0)
+    w[fallback[:, None], simplices[located[fallback]]] = bary / bary.sum(axis=1, keepdims=True)
+    return w
 
 
 def _circumcenters(a, b, c):
@@ -222,32 +223,15 @@ def _sibson_weights(sites, tris, tri_cc, q):
     return weights, ok.all(axis=1) & (total > 0) & np.isfinite(total)
 
 
-def _simplex_interp(tri, values, simplex, q):
-    """Barycentric interpolation inside the Delaunay triangles ``simplex``."""
-    tr = tri.transform[simplex]  # (F, 3, 2)
-    b = np.einsum("fij,fj->fi", tr[:, :2], q - tr[:, 2])
-    bary = np.stack([b[:, 0], b[:, 1], 1.0 - b.sum(axis=1)], axis=1)
-    bary = np.clip(bary, 0.0, 1.0)
-    bary /= bary.sum(axis=1, keepdims=True)
-    return np.einsum("fk,fk->f", values[tri.simplices[simplex]], bary)
-
-
-def _hull_edge_interp(sites, values, hull_edges, queries):
-    """Project outside queries to the nearest hull edge, interpolate along it."""
-    a = sites[hull_edges[:, 0]]  # (H, 2)
-    b = sites[hull_edges[:, 1]]
+def _hull_edge_weights(w, rows, sites, hull_edges, queries):
+    """Write the rows of W for outside queries: each is projected to its
+    nearest hull edge and weighs the edge's two ends linearly along it."""
+    a, b = sites[hull_edges].transpose(1, 0, 2)  # (H, 2) each
     ab = b - a
-    ab2 = np.einsum("ij,ij->i", ab, ab)
-    ab2[ab2 == 0] = 1e-300
-    aq = queries[:, None, :] - a[None, :, :]          # (Q, H, 2)
-    t = np.einsum("qhj,hj->qh", aq, ab) / ab2[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d2 = np.einsum("qhj,qhj->qh", queries[:, None, :] - proj,
-                   queries[:, None, :] - proj)
-    best = np.argmin(d2, axis=1)
-    rows = np.arange(queries.shape[0])
-    tb = t[rows, best]
-    va = values[hull_edges[best, 0]]
-    vb = values[hull_edges[best, 1]]
-    return (1.0 - tb) * va + tb * vb
+    ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    q = queries[rows][:, None, :]
+    t = np.clip(np.einsum("qhj,hj->qh", q - a, ab) / ab2, 0.0, 1.0)  # (Q, H)
+    off = q - (a + t[:, :, None] * ab)
+    best = np.argmin(np.einsum("qhj,qhj->qh", off, off), axis=1)
+    tb = t[np.arange(rows.size), best]
+    w[rows[:, None], hull_edges[best]] = np.column_stack([1.0 - tb, tb])

@@ -37,6 +37,7 @@ from .electrode import DEFAULT_TARGET_AREA, MAX_TILT_DEG, design_array, write_de
 from .errors import AurisenseError, DatasetFormatError, LabelError
 from .geometry import load_mesh, place_aps, read_aps_json, write_ply, write_vtk
 from .geometry.aps import write_aps_json
+from .textio import read_lines
 
 
 def _digest(obj) -> str:
@@ -166,9 +167,15 @@ def cmd_contour(args) -> int:
         raise DatasetFormatError(
             f"values file has {values.shape[1]} value columns; expected 'label,value'")
     values = values[:, 0]
+    order = {}
+    for i, lab in enumerate(labels):
+        if order.setdefault(lab, i) != i:
+            # only a faulty file is read again, for the line of its row
+            lines = read_lines(args.values, DatasetFormatError, comment="#")[1]
+            raise DatasetFormatError(f"values file repeats the label '{lab}'",
+                                     line=int(lines[1 + i]))
     if len(values) != len(aps):
         raise AurisenseError(f"{len(values)} values for {len(aps)} APs")
-    order = {lab: i for i, lab in enumerate(labels)}
     missing = [lab for lab in aps.labels if lab not in order]
     if missing:
         raise AurisenseError(f"values file lacks AP '{missing[0]}'")

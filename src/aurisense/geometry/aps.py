@@ -67,11 +67,11 @@ def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
     """APs from the records of ``obj[key]``, each checked for a ``label``
     field and a ``position`` field of three finite numbers; ``face`` and
     ``barycentric`` are optional.  Raises ``ParameterError`` naming the
-    first bad record."""
+    first bad record, or the first that repeats a label."""
     recs = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(recs, list):
         raise ParameterError(f"'{key}' must be a list of records")
-    pts = []
+    pts, seen = [], set()
     for i, rec in enumerate(recs):
         try:
             point = AuricularPoint(
@@ -88,6 +88,9 @@ def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
             raise ParameterError(
                 f"'{key}' record {i}: expected an object with '{label}' and "
                 f"'{position}' (three finite numbers)")
+        if point.label in seen:
+            raise ParameterError(f"'{key}' record {i} repeats the label '{point.label}'")
+        seen.add(point.label)
         pts.append(point)
     return AuricularPointSet(points=tuple(pts))
 

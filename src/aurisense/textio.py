@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -58,10 +58,12 @@ def read_lines(path, error, comment: str | None = None):
         raise error(f"byte {data[exc.start]:#04x} is not UTF-8 text; only ASCII "
                     f"files are read", line=line) from None
     rows = list(map(str.strip, _split_lines(text)))
-    keep = np.fromiter(map(bool, rows), bool, len(rows))
-    if comment is not None:
-        keep &= ~np.fromiter(map(str.startswith, rows, repeat(comment)), bool, len(rows))
-    return np.array(rows, dtype=object)[keep].tolist(), np.flatnonzero(keep) + 1
+    if comment is None:
+        keep = list(map(bool, rows))
+    else:
+        keep = [bool(row) and not row.startswith(comment) for row in rows]
+    lines = np.flatnonzero(np.fromiter(keep, bool, len(keep))) + 1
+    return list(compress(rows, keep)), lines
 
 
 def require(ok, lines, error, message: str) -> None:

@@ -218,10 +218,11 @@ TIED = {4: ([0, 1, 1, 2], [1, 1, 3, 3]), 6: ([1, 1, 2, 2, 2, 5], [0, 3, 3, 7, 7,
 
 
 @pytest.mark.parametrize("n", sorted(TIED))
-@pytest.mark.parametrize("n_perm", [2500, stats.PERM_BLOCK - 1, stats.PERM_BLOCK,
-                                    stats.PERM_BLOCK + 1])
+@pytest.mark.parametrize("n_perm", [2500] + [k * stats.PERM_BLOCK + d
+                                             for k in (1, 4) for d in (-1, 0, 1)])
 def test_tied_samples_count_exact_ties_at_block_edges(n, n_perm):
-    # 4! and 6! are below 2500, so every shuffle recurs
+    # one short of, on and one past the end of the first and of the fourth
+    # block; 4! and 6! are below 2500, so every shuffle recurs
     x, y = (np.array(v, dtype=np.float64) for v in TIED[n])
     for seed in (0, 17):
         hits, ties = _exact_hits(x, y, n_perm, seed)

@@ -168,6 +168,39 @@ def test_contour_rejects_a_malformed_aps_file(tmp_path, capsys, aps_obj, expecte
     assert "Traceback" not in err
 
 
+def _contour_inputs(tmp_path, aps_labels, values_text):
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
+                                                      amplitude=1.0, wavelength=8.0))
+    (tmp_path / "aps.json").write_text(json.dumps({"aps": [
+        {"label": lab, "position": xyz}
+        for lab, xyz in zip(aps_labels, [[0, 0, 0], [3, 0, 0], [0, 3, 0]])]}))
+    (tmp_path / "values.csv").write_text(values_text)
+    return ["contour", str(tmp_path / "mesh.ply"), str(tmp_path / "aps.json"),
+            str(tmp_path / "values.csv"), "--out", str(tmp_path / "out.ply")]
+
+
+def test_contour_rejects_an_aps_file_that_repeats_a_label(tmp_path, capsys):
+    argv = _contour_inputs(tmp_path, ["AP1", "AP1", "AP3"],
+                           "label,value\nAP1,1.0\nAP1,2.0\nAP3,3.0\n")
+    with pytest.raises(ParameterError, match="'aps' record 1 repeats the label 'AP1'"):
+        read_aps_json(tmp_path / "aps.json")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'aps' record 1 repeats the label 'AP1'" in err
+    assert not (tmp_path / "out.ply").exists()
+
+
+def test_contour_rejects_a_values_file_that_repeats_a_label(tmp_path, capsys):
+    # the comment line counts: the repeated row is on line 5
+    argv = _contour_inputs(tmp_path, ["AP1", "AP2", "AP3"],
+                           "label,value\nAP1,1.0\n# note\nAP2,2.0\nAP1,3.0\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: values file repeats the label 'AP1' (line 5)\n"
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_json_inputs_that_are_not_utf8_exit_1(tmp_path, capsys):
     write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
                                                       amplitude=1.0, wavelength=8.0))

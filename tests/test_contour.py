@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
 from aurisense.analysis import interpolate_contour
-from aurisense.analysis.contour import _parameterize, interpolate_2d
+from aurisense.analysis.contour import _parameterize, interpolation_weights
 from aurisense.errors import ParameterError
 from aurisense.cli import main
 from aurisense.geometry import (
@@ -74,10 +74,10 @@ def _sibson_reference(sites, values, q):
 
 def test_exact_at_aps():
     sites, values = _ap_sites()
-    assert np.array_equal(interpolate_2d(sites, values, sites), values)
+    assert np.array_equal(interpolation_weights(sites, sites) @ values, values)
     # within the coincidence tolerance counts as the AP itself
     np.testing.assert_array_equal(
-        interpolate_2d(sites, values, sites + 1e-12), values)
+        interpolation_weights(sites, sites + 1e-12) @ values, values)
 
 
 def test_linear_precision_inside_hull():
@@ -88,7 +88,7 @@ def test_linear_precision_inside_hull():
     def plane(p):
         return 0.7 - 0.3 * p[:, 0] + 0.45 * p[:, 1]
 
-    np.testing.assert_allclose(interpolate_2d(sites, plane(sites), q),
+    np.testing.assert_allclose(interpolation_weights(sites, q) @ plane(sites),
                                plane(q), rtol=0, atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_linear_precision_under_a_rigid_motion(angle, dx, dy, mirror, seed):
     def plane(p):
         return 0.7 - 0.3 * p[:, 0] + 0.45 * p[:, 1]
 
-    np.testing.assert_allclose(interpolate_2d(move(sites), plane(sites), move(q)),
+    np.testing.assert_allclose(interpolation_weights(move(sites), move(q)) @ plane(sites),
                                plane(q), rtol=0, atol=1e-11)
 
 
@@ -115,7 +115,7 @@ def test_matches_per_query_sibson_reference():
     sites, values = _ap_sites(seed=2)
     q = _inside_grid(sites, step=0.9)
     expected = np.array([_sibson_reference(sites, values, p) for p in q])
-    np.testing.assert_allclose(interpolate_2d(sites, values, q), expected,
+    np.testing.assert_allclose(interpolation_weights(sites, q) @ values, expected,
                                rtol=0, atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_bounded_by_ap_values(aps):
     # failure report into errors and abort the session
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = interpolate_2d(sites, values, q)
+        out = interpolation_weights(sites, q) @ values
     slack = 1e-12 * max(1.0, np.abs(values).max())
     assert np.isfinite(out).all()
     assert (out >= values.min() - slack).all()
@@ -146,7 +146,7 @@ def test_collinear_aps_interpolate_along_their_line():
     x = np.array([3.0, 0.0, 4.0, 1.0, 2.0])
     sites = np.stack([x, np.zeros(5)], axis=1)
     q = np.array([[1.0, 0.0], [2.5, 1.0], [9.0, -3.0], [-2.0, 5.0]])
-    assert np.array_equal(interpolate_2d(sites, x ** 2, q), [1.0, 6.5, 16.0, 0.0])
+    assert np.array_equal(interpolation_weights(sites, q) @ (x ** 2), [1.0, 6.5, 16.0, 0.0])
 
 
 def _plane(p):
@@ -163,7 +163,7 @@ def test_jittered_grid_with_nearly_collinear_hull_sites():
         sites = grid + rng.normal(0.0, 1e-11, grid.shape)
         q = rng.uniform(sites.min(axis=0), sites.max(axis=0), size=(4000, 2))
         q = q[Delaunay(sites).find_simplex(q) >= 0]
-        np.testing.assert_allclose(interpolate_2d(sites, _plane(sites), q),
+        np.testing.assert_allclose(interpolation_weights(sites, q) @ _plane(sites),
                                    _plane(q), rtol=0, atol=1e-9)
 
 
@@ -191,7 +191,7 @@ def test_linear_precision_on_jittered_grids_under_a_similarity(
     q = q[Delaunay(sites).find_simplex(move(q)) >= 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = interpolate_2d(sites, _plane(grid), move(q))
+        out = interpolation_weights(sites, move(q)) @ _plane(grid)
     np.testing.assert_allclose(out, _plane(q), rtol=0, atol=1e-9)
 
 
@@ -208,9 +208,67 @@ def test_linear_precision_far_from_the_origin():
         scale = rng.uniform(0.01, 0.2) / max(nx - 1, ny - 1)
         shift = rng.uniform(-100.0, 100.0, size=2)
         values = _plane(grid)
-        out = interpolate_2d(grid * scale + shift, values, q * scale + shift)
+        out = interpolation_weights(grid * scale + shift, q * scale + shift) @ values
         np.testing.assert_allclose(out / np.ptp(values), _plane(q) / np.ptp(values),
                                    rtol=0, atol=1e-10)
+
+
+def _check_weight_oracles(sites, queries, inside):
+    """The exact oracles of W on every query: rows sum to 1, no weight is
+    negative, a query on a site takes its unit row, and inside the hull
+    (``inside``) W reproduces the queries from the sites."""
+    w = interpolation_weights(sites, queries)
+    assert w.shape == (queries.shape[0], sites.shape[0])
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    assert (w >= 0.0).all()
+    spread = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]))
+    d = np.linalg.norm(queries[:, None, :] - sites[None, :, :], axis=2)
+    at_site = d.min(axis=1) <= 1e-9 * spread
+    assert np.array_equal(w[at_site], np.eye(sites.shape[0])[d[at_site].argmin(axis=1)])
+    np.testing.assert_allclose(w[inside] @ sites, queries[inside],
+                               rtol=0, atol=1e-12 * spread)
+    return at_site
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.4])
+def test_weight_oracles_on_every_vertex_of_a_bumpy_plane(spacing):
+    mesh = make_bumpy_plane(extent=30.0, spacing=spacing, amplitude=2.0, wavelength=12.0)
+    aps = place_aps(mesh, default_template(13))
+    sites, vertices = _parameterize(aps.positions(), mesh.vertices)
+    queries = np.concatenate([vertices, sites])
+    inside = Delaunay(sites).find_simplex(queries) >= 0
+    assert inside.sum() > 100 and (~inside).sum() > 100  # both kinds of row
+    assert _check_weight_oracles(sites, queries, inside)[-13:].all()
+
+
+_grid_aps = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                     min_size=3, max_size=12, unique=True).map(
+    lambda xy: np.array(xy, dtype=np.float64) / 4.0)
+# exactly collinear: qhull rejects them, and every row takes the chain
+_collinear_aps = st.builds(
+    lambda origin, step, ks: np.array(origin, dtype=np.float64) + np.outer(ks, step) / 4.0,
+    st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+    st.lists(st.integers(-8, 8), min_size=3, max_size=8, unique=True))
+
+
+@given(st.one_of(_grid_aps, _collinear_aps))
+@settings(max_examples=80, deadline=None)
+def test_weight_oracles_on_drawn_ap_sets(sites):
+    g = np.linspace(-4.0, 14.0, 37)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    i, j = np.triu_indices(sites.shape[0], 1)
+    in_hull = np.concatenate([sites, 0.5 * (sites[i] + sites[j])])
+    try:
+        grid_inside = Delaunay(sites).find_simplex(grid) >= 0
+    except QhullError:  # collinear: the hull has no interior
+        grid_inside = np.zeros(grid.shape[0], dtype=bool)
+    queries = np.concatenate([grid, in_hull])
+    inside = np.concatenate([grid_inside, np.ones(in_hull.shape[0], dtype=bool)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_site = _check_weight_oracles(sites, queries, inside)
+    assert at_site[grid.shape[0]:][:sites.shape[0]].all()
 
 
 def test_contour_command_writes_one_value_per_vertex(tmp_path):
