@@ -1,5 +1,11 @@
 """K-means++ clustering, silhouette scores, elbow selection, pipeline.
 
+``cluster_pipeline`` is the one analysis chain: each ear's AESR row is
+divided by its AP1, k-means clusters the rows' scores on the first three
+principal components for every K of a range, the elbow of the SSE curve
+picks K*, and the silhouette scores that clustering.  ``concordance`` then
+pairs the two ears of each subject in the report.
+
 SSE is the sum over clusters of squared Euclidean distances from each
 member to its cluster center; the silhouette of a point is the three-case
 combination of its mean intra-cluster distance a(i) and the smallest mean
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LabelError, ParameterError, UndefinedSilhouetteError
-from ..seeding import spawn_rng
+from ..seeding import is_whole, spawn_rng
 from .normalize import normalize_spatial
 from .pca import pca
 
@@ -171,8 +177,8 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     which is then re-assigned alone.
     """
     points = _as_points(points)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (k, restarts)):
-        raise ParameterError("K and restarts must be integers")
+    if not (is_whole(k) and is_whole(restarts)):
+        raise ParameterError("K and restarts must be integers >= 0")
     if not 1 <= k <= points.shape[0]:
         raise ParameterError("need 1 <= K <= number of points")
     if restarts < 1:
@@ -315,14 +321,14 @@ class ClusterReport:
         }
 
 
-def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, seed: int = 0,
-                     normalize: str = "spatial", space: str = "pca") -> ClusterReport:
-    """Normalize -> PCA -> SSE-vs-K -> elbow -> final k-means -> silhouette.
+def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
+                     seed: int = 0) -> ClusterReport:
+    """Ratios to AP1 -> PCA -> SSE-vs-K -> elbow -> final k-means -> silhouette.
 
-    ``normalize`` is "spatial" (divide each row by its first AP) or "none"
-    for rows that are already ratio-normalized, e.g. per-period session
-    data.  ``space`` selects whether k-means runs on the PCA scores
-    (default) or the normalized rows themselves.
+    Each row of the (M, N) AESR matrix is divided by its first AP
+    (``normalize_spatial``), and k-means clusters the rows' scores on the
+    first ``min(3, M - 1, N)`` principal components.  ``k_range`` is two
+    integers with 2 <= lo < hi <= M - 1; the SSE curve starts at K = 1.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -332,20 +338,12 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8, see
     m = x.shape[0]
     if labels is not None and len(labels) != m:
         raise LabelError(f"{len(labels)} labels for {m} rows")
-    if normalize == "spatial":
-        rows = normalize_spatial(x)
-    elif normalize == "none":
-        rows = x.copy()
-    else:
-        raise ParameterError("normalize must be 'spatial' or 'none'")
+    p = pca(normalize_spatial(x), k=min(_N_COMPONENTS, m - 1, x.shape[1]))
+    points = p.scores
 
-    if space not in ("pca", "raw"):
-        raise ParameterError("space must be 'pca' or 'raw'")
-    k_pca = min(_N_COMPONENTS, m - 1, x.shape[1])
-    p = pca(rows, k=k_pca)
-    points = p.scores if space == "pca" else rows
-
-    k_lo, k_hi = int(k_range[0]), int(k_range[1])
+    k_lo, k_hi = k_range[0], k_range[1]
+    if not (is_whole(k_lo) and is_whole(k_hi)):
+        raise ParameterError("k_range must be two integers")
     # the elbow needs K = 1 and at least two candidates
     if not 2 <= k_lo < k_hi <= m - 1:
         raise ParameterError(f"k_range must satisfy 2 <= lo < hi <= M-1 = {m - 1}")
@@ -398,19 +396,18 @@ class ConcordanceResult:
         }
 
 
-def concordance(report: ClusterReport, labels=None) -> ConcordanceResult:
+def concordance(report: ClusterReport) -> ConcordanceResult:
     """Fraction of subjects with both ears in one cluster, plus the match matrix.
 
-    Labels must look like "SUBJECT-SIDE"; every subject needs exactly two
-    rows, one per side (sides compare case-insensitively).  Matrix rows
-    index the left-ear cluster and columns the right-ear cluster, so
-    matched subjects land on the diagonal.
+    The report's labels must look like "SUBJECT-SIDE"; every subject needs
+    exactly two rows, one per side (sides compare case-insensitively).
+    Matrix rows index the left-ear cluster and columns the right-ear
+    cluster, so matched subjects land on the diagonal.
     """
-    labels = list(labels) if labels is not None else list(report.labels)
-    if len(labels) != len(report.assignments):
+    if len(report.labels) != len(report.assignments):
         raise LabelError("label count does not match the assignment count")
     by_subject: dict = {}
-    for lab, cluster in zip(labels, report.assignments):
+    for lab, cluster in zip(report.labels, report.assignments):
         if "-" not in lab:
             raise LabelError(f"label '{lab}' is not SUBJECT-SIDE")
         subject, side = lab.rsplit("-", 1)

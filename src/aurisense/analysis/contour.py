@@ -70,9 +70,9 @@ def interpolate_contour(mesh: SurfaceMesh, aps: AuricularPointSet, values) -> Co
         raise ParameterError("AP values must be finite")
 
     sites2d, queries2d = _parameterize(sites3d, mesh.vertices)
-    # every two APs must stay apart by interpolation_weights' site tolerance
-    tol = 1e-9 * max(np.ptp(sites2d[:, 0]), np.ptp(sites2d[:, 1]), 1e-12)
-    folded = np.argwhere(np.triu(np.linalg.norm(sites2d[:, None] - sites2d, axis=2) <= tol, 1))
+    # no two APs may be one site: a vertex on them gets one unit row
+    d = sites2d[None, :, :] - sites2d[:, None, :]
+    folded = np.argwhere(np.triu(np.einsum("ijk,ijk->ij", d, d) <= _site_tol2(sites2d), 1))
     if folded.size:
         i, j = folded[0]
         raise ParameterError(f"{aps.labels[i]} and {aps.labels[j]} fold onto one "
@@ -113,14 +113,13 @@ def interpolation_weights(sites, queries) -> np.ndarray:
     sites = np.asarray(sites, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     scale = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
-    site_tol = 1e-9 * scale
 
     # coincident with a site: a unit row.  W reuses the distance buffer
     dqs = sites[None, :, :] - queries[:, None, :]
     w = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
     rows = np.arange(queries.shape[0])
     nearest = np.argmin(w, axis=1)
-    at_site = w[rows, nearest] <= site_tol * site_tol
+    at_site = w[rows, nearest] <= _site_tol2(sites)
     w.fill(0.0)
     w[rows[at_site], nearest[at_site]] = 1.0
 
@@ -169,6 +168,13 @@ def interpolation_weights(sites, queries) -> np.ndarray:
     bary = np.clip(np.column_stack([bary, 1.0 - bary.sum(axis=1)]), 0.0, 1.0)
     w[fallback[:, None], simplices[located[fallback]]] = bary / bary.sum(axis=1, keepdims=True)
     return w
+
+
+def _site_tol2(sites):
+    """Squared distance within which a point is on one of the 2D sites:
+    (1e-9 of the larger coordinate spread of the sites)^2."""
+    tol = 1e-9 * max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
+    return tol * tol
 
 
 def _circumcenters(a, b, c):

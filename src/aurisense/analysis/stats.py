@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError, UndefinedCorrelationError
-from ..seeding import spawn_rng
+from ..seeding import is_whole, spawn_rng
 
 # verdict rule: uncorrelated iff p > 0.05 or |PCC| < 0.4
 P_THRESHOLD = 0.05
@@ -67,10 +67,6 @@ def pearson(x, y) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
-def _is_whole(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
-
-
 @lru_cache(maxsize=1)
 def _permutations(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only (n_perm, n) array whose rows are the test's index shuffles.
@@ -99,7 +95,7 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     length >= 3, as ``pearson`` checks; ``n_perm`` and ``seed`` are
     integers >= 0.
     """
-    if not (_is_whole(n_perm) and _is_whole(seed)):
+    if not (is_whole(n_perm) and is_whole(seed)):
         raise ParameterError("n_perm and seed must be integers >= 0")
     xc, yc, sx, sy = _centred(x, y)
     r_obs = float((xc * yc).sum() / (sx * sy))

@@ -6,6 +6,12 @@ summary and stderr the diagnostics.  Every output file embeds the seed and
 a digest of the resolved configuration, and re-running a command with
 identical inputs reproduces byte-identical files.
 
+Each command runs one pipeline on one format per input.  ``analyze``
+divides each row of the dataset by its AP1, clusters the rows' PCA scores
+with k-means and the elbow, and scores the result by silhouette and
+left/right concordance.  ``contour`` reads its APs from the
+``{"aps": [...]}`` file that ``design --aps-out`` writes.
+
 Exit codes: 0 success, 1 input/configuration error, 2 partial numeric
 failure (e.g. some electrodes could not reach the target area).
 
@@ -60,8 +66,7 @@ def _file_digest(path) -> str:
 def cmd_design(args) -> int:
     mesh = load_mesh(args.mesh)
     aps = place_aps(mesh, args.template)
-    design = design_array(mesh, aps, target_area=args.target_area,
-                          tilt_deg=args.tilt_deg or 0.0)
+    design = design_array(mesh, aps, target_area=args.target_area, tilt_deg=args.tilt_deg)
     meta = {
         "command": "design",
         "seed": None,
@@ -128,10 +133,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     labels, rows = read_dataset_csv(args.dataset)
-    report = cluster_pipeline(
-        rows, labels=labels, k_range=tuple(args.k_range), restarts=args.restarts,
-        seed=args.seed, normalize=args.normalize, space=args.space,
-    )
+    report = cluster_pipeline(rows, labels=labels, k_range=tuple(args.k_range),
+                              restarts=args.restarts, seed=args.seed)
     obj = report.to_json_obj()
     try:
         obj["concordance"] = concordance(report).to_json_obj()
@@ -144,8 +147,6 @@ def cmd_analyze(args) -> int:
             "dataset": _file_digest(args.dataset),
             "k_range": list(args.k_range),
             "restarts": args.restarts,
-            "normalize": args.normalize,
-            "space": args.space,
         }),
         "version": __version__,
     }
@@ -217,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("template", help="AP template file: 'label x y z' lines")
     d.add_argument("--target-area", type=float, default=DEFAULT_TARGET_AREA,
                    help="sensing area per electrode, mm^2")
-    d.add_argument("--tilt-deg", type=float, default=None,
+    d.add_argument("--tilt-deg", type=float, default=0.0,
                    help=f"fixed tilt from the surface normal, deg in "
-                        f"[0, {MAX_TILT_DEG:g}) (default: along the normal)")
+                        f"[0, {MAX_TILT_DEG:g}) (default: 0, along the normal)")
     d.add_argument("--out", required=True, help="design JSON output")
     d.add_argument("--aps-out", default=None, help="also write the placed APs")
     d.set_defaults(func=cmd_design)
@@ -237,21 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="session test label (A* cycling, B* control)")
     s.set_defaults(func=cmd_simulate)
 
-    a = sub.add_parser("analyze", help="cluster pipeline on a dataset CSV")
+    a = sub.add_parser("analyze", help="ratios to AP1, PCA, k-means with the elbow, "
+                                       "silhouette and left/right concordance")
     a.add_argument("dataset", help="CSV: label,AP1,...,APN")
     a.add_argument("--k-range", type=int, nargs=2, default=(2, 8),
                    metavar=("LO", "HI"))
     a.add_argument("--restarts", type=int, default=8)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--normalize", choices=["spatial", "none"], default="spatial",
-                   help="'spatial' divides each row by AP1")
-    a.add_argument("--space", choices=["pca", "raw"], default="pca")
     a.add_argument("--out", required=True, help="report JSON output")
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("contour", help="interpolate AP values over the mesh")
     c.add_argument("mesh")
-    c.add_argument("aps", help="APs JSON (from 'design --aps-out')")
+    c.add_argument("aps", help="APs JSON written by 'design --aps-out'")
     c.add_argument("values", help="CSV: a 'label,value' header, then one "
                                   "'label,value' line per AP")
     c.add_argument("--format", choices=["ply", "vtk"], default="ply")

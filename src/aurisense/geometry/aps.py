@@ -63,38 +63,6 @@ class AuricularPointSet:
         }
 
 
-def _point_set(obj, key: str, label: str, position: str) -> AuricularPointSet:
-    """APs from the records of ``obj[key]``, each checked for a ``label``
-    field and a ``position`` field of three finite numbers; ``face`` and
-    ``barycentric`` are optional.  Raises ``ParameterError`` naming the
-    first bad record, or the first that repeats a label."""
-    recs = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(recs, list):
-        raise ParameterError(f"'{key}' must be a list of records")
-    pts, seen = [], set()
-    for i, rec in enumerate(recs):
-        try:
-            point = AuricularPoint(
-                label=str(rec[label]),
-                position=np.asarray(rec[position], dtype=np.float64),
-                face=int(rec.get("face", -1)),
-                barycentric=np.asarray(rec.get("barycentric", [1.0, 0.0, 0.0]),
-                                       dtype=np.float64),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError):
-            point = None
-        if (point is None or point.position.shape != (3,)
-                or not np.isfinite(point.position).all()):
-            raise ParameterError(
-                f"'{key}' record {i}: expected an object with '{label}' and "
-                f"'{position}' (three finite numbers)")
-        if point.label in seen:
-            raise ParameterError(f"'{key}' record {i} repeats the label '{point.label}'")
-        seen.add(point.label)
-        pts.append(point)
-    return AuricularPointSet(points=tuple(pts))
-
-
 def load_template(path) -> list:
     """Parse a template file: one ``label x y z`` line per AP, xyz in [0,1].
 
@@ -161,12 +129,35 @@ def write_aps_json(path, aps: AuricularPointSet, meta: dict | None = None) -> No
 
 
 def read_aps_json(path) -> AuricularPointSet:
-    """APs from an APs JSON file or from a design file, whose electrode
-    centers become the APs."""
+    """APs from an APs JSON file, ``{"aps": [...]}`` as ``design --aps-out``
+    writes it.  Each record needs a ``label`` and a ``position`` of three
+    finite numbers; ``face`` and ``barycentric`` are optional.  Raises
+    ``ParameterError`` naming the first bad record, or the first that
+    repeats a label."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict) and "aps" in obj:
-        return _point_set(obj, "aps", "label", "position")
-    if isinstance(obj, dict) and "electrodes" in obj:
-        return _point_set(obj, "electrodes", "ap", "center")
-    raise ParameterError("JSON file has neither 'aps' nor 'electrodes'")
+    recs = obj.get("aps") if isinstance(obj, dict) else None
+    if not isinstance(recs, list):
+        raise ParameterError("'aps' must be a list of records "
+                             "(an APs file as 'design --aps-out' writes it)")
+    pts, seen = [], set()
+    for i, rec in enumerate(recs):
+        try:
+            point = AuricularPoint(
+                label=str(rec["label"]),
+                position=np.asarray(rec["position"], dtype=np.float64),
+                face=int(rec.get("face", -1)),
+                barycentric=np.asarray(rec.get("barycentric", [1.0, 0.0, 0.0]),
+                                       dtype=np.float64),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError):
+            point = None
+        if (point is None or point.position.shape != (3,)
+                or not np.isfinite(point.position).all()):
+            raise ParameterError(f"'aps' record {i}: expected an object with 'label' and "
+                                 f"'position' (three finite numbers)")
+        if point.label in seen:
+            raise ParameterError(f"'aps' record {i} repeats the label '{point.label}'")
+        seen.add(point.label)
+        pts.append(point)
+    return AuricularPointSet(points=tuple(pts))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
+from ..seeding import is_whole
 from .mesh import SurfaceMesh
 
 _RIDGE = 1e-10  # relative Tikhonov weight on the normal equations
@@ -123,8 +124,8 @@ def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> Curvat
     ``SurfaceMesh.k_rings`` raises ``ParameterError`` for indices outside
     the mesh.
     """
-    if k_ring < 1:
-        raise ParameterError("k_ring must be >= 1")
+    if not (is_whole(k_ring) and k_ring >= 1):
+        raise ParameterError("k_ring must be an integer >= 1")
     if vertices is None:
         query = np.arange(mesh.n_vertices, dtype=np.int64)
     else:

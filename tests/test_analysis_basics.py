@@ -285,6 +285,14 @@ def test_correlation_rejects_bad_inputs_at_its_boundary(x, n_perm, seed):
         correlation(np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0]), x, n_perm=n_perm, seed=seed)
 
 
+@pytest.mark.parametrize("seed", ["3", 2.5, True, -1],
+                         ids=["string", "fractional", "bool", "negative"])
+def test_spawn_rng_takes_only_a_whole_seed(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        spawn_rng(seed)
+    assert spawn_rng(np.uint8(3), 1).random() == spawn_rng(3, 1).random()
+
+
 @pytest.mark.parametrize("x, y", [
     ([0.0, 1.0, np.nan, 3.0], [1.0, 2.0, 3.0, 5.0]),
     ([0.0, 1.0, 2.0, 3.0], [1.0, -np.inf, 3.0, 5.0]),

@@ -31,10 +31,11 @@ def test_design_command_solves_and_reruns_identically(tmp_path):
         label + " " + " ".join(repr(float(c)) for c in xyz) + "\n"
         for label, xyz in default_template(13)[:3]))
 
-    outs = [tmp_path / "design_a.json", tmp_path / "design_b.json"]
-    for out in outs:
+    # no tilt and an explicit tilt of 0 are one configuration, with one digest
+    outs = [tmp_path / "design_a.json", tmp_path / "design_b.json", tmp_path / "tilt_0.json"]
+    for out, option in zip(outs, [[], [], ["--tilt-deg", "0"]]):
         code = main(["design", str(mesh_path), str(template_path),
-                     "--out", str(out)])
+                     "--out", str(out)] + option)
         assert code == 0
 
     obj = json.loads(outs[0].read_text())
@@ -43,7 +44,7 @@ def test_design_command_solves_and_reruns_identically(tmp_path):
     areas = np.array([e["area_mm2"] for e in obj["electrodes"]])
     # design_array's default solver tolerance is 1e-3 relative
     assert np.abs(areas - DEFAULT_TARGET_AREA).max() / DEFAULT_TARGET_AREA <= 1e-3
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def _design_inputs(tmp_path):
@@ -151,8 +152,10 @@ def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys, confi
 @pytest.mark.parametrize("aps_obj, expected", [
     ({"aps": [{}]}, "'aps' record 0"),
     ({"aps": 3}, "'aps' must be a list"),
-    ({"electrodes": [{"ap": "AP1"}]}, "'electrodes' record 0"),
-], ids=["no-label", "not-a-list", "no-center"])
+    # a design file is not an APs file: its electrodes are not read as APs
+    ({"electrodes": [{"ap": "AP1", "center": [0.0, 0.0, 0.0]}], "failed": []},
+     "'design --aps-out'"),
+], ids=["no-label", "not-a-list", "design-file"])
 def test_contour_rejects_a_malformed_aps_file(tmp_path, capsys, aps_obj, expected):
     write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
                                                       amplitude=1.0, wavelength=8.0))
@@ -164,6 +167,7 @@ def test_contour_rejects_a_malformed_aps_file(tmp_path, capsys, aps_obj, expecte
                  str(tmp_path / "values.csv"), "--out", str(tmp_path / "out.ply")])
     assert code == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert expected in err
     assert "Traceback" not in err
 
@@ -319,6 +323,21 @@ def test_analyze_rejects_a_k_range_the_elbow_cannot_use(tmp_path, capsys, k_rang
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         "error: k_range must satisfy 2 <= lo < hi <= M-1 = 19\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--normalize", "spatial"], ["--space", "pca"]],
+                         ids=["normalize", "space"])
+def test_analyze_has_one_pipeline_and_rejects_a_mode_option(tmp_path, capsys, option):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "cohort.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "cohort.csv"), *option, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: " + " ".join(option) in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -429,7 +429,10 @@ def test_kmeans_validation():
     (None, (2.5,), {}, "integers"),
     (None, (2,), {"restarts": 2.5}, "integers"),
     (None, (True,), {}, "integers"),
-], ids=["nan-point", "inf-point", "fractional-k", "fractional-restarts", "bool-k"])
+    (None, (2,), {"seed": 2.5}, "seed must be an integer >= 0"),
+    (None, (2,), {"seed": True}, "seed must be an integer >= 0"),
+], ids=["nan-point", "inf-point", "fractional-k", "fractional-restarts", "bool-k",
+        "fractional-seed", "bool-seed"])
 def test_kmeans_rejects_bad_inputs_with_one_message(bad, args, kwargs, match):
     points = np.random.default_rng(3).normal(size=(10, 2))
     if bad is not None:
@@ -597,12 +600,6 @@ def test_pipeline_sse_curve_starts_at_k1():
     assert (np.diff(rep.sse_values) <= 1e-6 * rep.sse_values[0]).all()
 
 
-def test_pipeline_raw_space_option():
-    res = simulate_cohort(None, seed=8)
-    rep = cluster_pipeline(res.rows, labels=res.labels, seed=9, space="raw")
-    assert rep.k_star >= 2
-
-
 def test_pipeline_validation():
     with pytest.raises(ParameterError):
         cluster_pipeline(np.ones((2, 4)))
@@ -610,6 +607,19 @@ def test_pipeline_validation():
         cluster_pipeline(np.ones((10, 4)) * -1.0)
     with pytest.raises(LabelError):
         cluster_pipeline(np.ones((10, 4)) + np.eye(10, 4), labels=["a"])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"k_range": (2.5, 8)}, "k_range must be two integers"),
+    ({"k_range": (2, 8.0)}, "k_range must be two integers"),
+    ({"k_range": (True, 8)}, "k_range must be two integers"),
+    ({"seed": 2.5}, "seed must be an integer >= 0"),
+    ({"seed": "3"}, "seed must be an integer >= 0"),
+], ids=["fractional-lo", "float-hi", "bool-lo", "fractional-seed", "string-seed"])
+def test_pipeline_takes_only_whole_k_and_seeds(kwargs, match):
+    rows = simulate_cohort(None, seed=6).rows
+    with pytest.raises(ParameterError, match=match):
+        cluster_pipeline(rows, **kwargs)
 
 
 def test_concordance_counts():

@@ -271,6 +271,20 @@ def test_weight_oracles_on_drawn_ap_sets(sites):
     assert at_site[grid.shape[0]:][:sites.shape[0]].all()
 
 
+def test_weight_oracles_just_outside_a_flat_triangle():
+    # find_simplex admits queries up to about 2.2e-14 outside a triangle in
+    # barycentrics: this one's clipped barycentrics sum to 1 + 1.6e-14, so
+    # its row holds only if they are divided by that sum
+    sites = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1e-7]])  # one flat triangle
+    q = np.array([[0.5, -1.6e-21]])
+    tri = Delaunay(sites)
+    assert tri.find_simplex(q)[0] == 0
+    t = tri.transform[0]
+    bary = t[:2] @ (q[0] - t[2])
+    assert min(bary.min(), 1.0 - bary.sum()) < -1e-14
+    _check_weight_oracles(sites, q, np.array([True]))
+
+
 def test_contour_command_writes_one_value_per_vertex(tmp_path):
     mesh = make_bumpy_plane(extent=30.0, spacing=1.0, amplitude=2.0,
                             wavelength=12.0)

@@ -92,8 +92,9 @@ def test_unfittable_vertices_are_flagged():
 
 
 def test_k_ring_validation(plane_coarse):
-    with pytest.raises(ParameterError):
-        curvature_field(plane_coarse, k_ring=0)
+    for k_ring in (0, 2.5, True, "2"):
+        with pytest.raises(ParameterError, match="k_ring must be an integer >= 1"):
+            curvature_field(plane_coarse, k_ring=k_ring)
 
 
 def test_vertex_subset_follows_the_given_order(icosphere_unit):
