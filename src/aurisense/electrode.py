@@ -15,11 +15,13 @@ it is clipped in its own plane against the strip |distance to axis| <= D/2.
 Everything that does not depend on D (the projected vertices, the
 per-face area ratios and a face prefilter ordered by distance from the
 axis) is built once per pathway by ``_Pathway``, from the contact face it
-is given.  ``solve_diameter`` inverts the area with a bracketed Brent
-solve (the area is continuous and monotone in D but only piecewise
-smooth), and ``design_array`` runs the solve point by point so every
-electrode of an array reaches one target area regardless of local
-curvature.
+is given.  ``solve_diameter`` inverts the area with Brent's method (the
+area is continuous and monotone in D but only piecewise smooth) on an
+exact bracket: the area is 0 at D = 0, the first trial is the flat disk's
+diameter 2 sqrt(target / pi), and doubling stops at twice the mesh's
+bounding diagonal, where the cylinder holds the whole patch.
+``design_array`` runs the solve point by point so every electrode of an
+array reaches one target area regardless of local curvature.
 
 ``_Pathway`` checks nothing; every input is checked once where it enters
 (NaN fails every check): by ``_checked_pathway`` for ``sensing_area`` and
@@ -42,7 +44,7 @@ from .errors import (
     ZeroAreaError,
 )
 from .geometry.aps import AuricularPointSet
-from .geometry.curvature import curvature_field
+from .geometry.curvature import _tangent_frames, curvature_field
 from .geometry.mesh import SurfaceMesh
 from .textio import write_report_json
 
@@ -52,7 +54,6 @@ MAX_TILT_DEG = 85.0      # beyond this the pathway is nearly tangent
 # the projected-area division loses about 1e-16 / cos relative, the strip
 # clip errs by about cos; the two meet near 1e-8.
 _PARALLEL_COS = 1e-8
-_BRACKET_LOW = 0.1  # mm, the first diameter the solve tries
 _TOL = 1e-3         # relative area error the solve accepts where the area jumps
 
 
@@ -129,8 +130,7 @@ class _Pathway:
 
     def __init__(self, mesh: SurfaceMesh, center, face: int, axis):
         axis = axis / np.linalg.norm(axis)
-        e1 = _perpendicular(axis)
-        e2 = np.cross(axis, e1)
+        (e1,), (e2,) = _tangent_frames(axis[None])
         rel = mesh.vertices - center
         x = (rel @ e1)[mesh.faces]
         y = (rel @ e2)[mesh.faces]
@@ -165,7 +165,7 @@ class _Pathway:
             per_face[par] = self._strip_areas(cand[par], radius)
         positive = cand[per_face > 0.0]
         if positive.size == 0:
-            raise ZeroAreaError("cylinder does not intersect the mesh")
+            return 0.0
         patch = _connected_patch(self.mesh, positive, self.seed)
         total = float(per_face.sum())
         patch_area = float(per_face[np.isin(cand, patch)].sum())
@@ -228,10 +228,14 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
 
     Only the connected component of the clipped surface that contains
     ``center`` counts; a cylinder grazing the far side of a fold does not
-    inflate the area.  Raises ``ZeroAreaError`` when the cylinder misses
-    the mesh and warns when it also hits a disconnected region.
+    inflate the area.  Raises ``ZeroAreaError`` when that area is 0 (a
+    diameter too small to clip any face) and warns when the cylinder also
+    hits a disconnected region.
     """
-    return _checked_pathway(mesh, center, axis, "diameter", diameter).area(diameter)
+    area = _checked_pathway(mesh, center, axis, "diameter", diameter).area(diameter)
+    if area == 0.0:
+        raise ZeroAreaError(f"a {diameter:.3g} mm cylinder clips no area from the mesh")
+    return area
 
 
 def _connected_patch(mesh, positive_faces, seed_face):
@@ -247,14 +251,17 @@ def _connected_patch(mesh, positive_faces, seed_face):
 def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float:
     """Diameter whose sensing area matches ``target_area``.
 
-    Brent's method on a bracket found by halving and doubling from
-    ``_BRACKET_LOW``, run to machine precision in the diameter; ``_TOL``
-    bounds the relative area error it accepts where the area jumps (a face
-    joining the patch with a region behind it).  Every evaluation is
-    checked against the others for monotonicity, and a decrease beyond
-    numerical slack raises ``NonMonotoneAreaError`` naming the violating
-    sub-bracket.  ``UnreachableTargetError`` signals a target beyond the
-    local patch.
+    Brent's method, run to 2e-12 mm in the diameter, on an exact bracket.
+    Its lower end is D = 0, where the area is 0.  The first trial is the
+    flat disk's diameter 2 sqrt(target_area / pi); while its area is below
+    the target it becomes the lower end and is doubled, up to d_max = 2 x
+    the mesh's bounding diagonal.  That cylinder holds the whole patch, so
+    ``UnreachableTargetError`` is raised exactly when the area at d_max is
+    below the target.  ``_TOL`` bounds the relative area error the solve
+    accepts where the area jumps (a face joining the patch with a region
+    behind it).  Every evaluation is checked against the others for
+    monotonicity, and a decrease beyond numerical slack raises
+    ``NonMonotoneAreaError`` naming the violating sub-bracket.
     """
     return _solve(_checked_pathway(mesh, center, axis, "target_area", target_area),
                   target_area)[0]
@@ -262,47 +269,27 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float
 
 def _solve(pathway, target_area):
     """(diameter, area) of ``solve_diameter`` on a prepared pathway."""
-    evals: list = []
+    evals = [(0.0, 0.0)]
 
     def area_at(d):
-        try:
-            a = pathway.area(d)
-        except ZeroAreaError:
-            a = 0.0
+        a = pathway.area(d)
         evals.append((d, a))
         _check_monotone(evals)
         return a
 
-    lo = _BRACKET_LOW
-    a_lo = area_at(lo)
-    while a_lo > target_area and lo > 1e-3:
-        lo /= 2.0
-        a_lo = area_at(lo)
-    if a_lo >= target_area:
-        if a_lo <= target_area * (1.0 + _TOL):
-            return float(lo), a_lo
-        raise UnreachableTargetError(
-            f"target {target_area:.6g} mm^2 is below the area at the "
-            f"minimum diameter {lo:.3g} mm ({a_lo:.6g} mm^2)"
-        )
-
-    hi = max(2.0 * lo, 1.0)
+    # a cylinder of radius = the bounding diagonal around a point on the
+    # mesh holds every face, so the area is largest there
+    d_max = 2.0 * pathway.mesh.bounding_diagonal()
+    lo, a_lo = 0.0, 0.0
+    hi = min(2.0 * np.sqrt(target_area / np.pi), d_max)  # the flat disk's diameter
     a_hi = area_at(hi)
-    prev_hi = a_hi
-    expansions = 0
-    while a_hi < target_area:
-        hi *= 2.0
+    while a_hi < target_area and hi < d_max:
+        lo, a_lo = hi, a_hi
+        hi = min(2.0 * hi, d_max)
         a_hi = area_at(hi)
-        expansions += 1
-        if expansions > 60:
-            raise UnreachableTargetError("bracket expansion exhausted")
-        if abs(a_hi - prev_hi) <= 1e-9 * max(target_area, a_hi):
-            # the cylinder swallowed the whole patch: the area has plateaued
-            raise UnreachableTargetError(
-                f"target {target_area:.6g} mm^2 exceeds the patch maximum "
-                f"(~{a_hi:.6g} mm^2)"
-            )
-        prev_hi = a_hi
+    if a_hi < target_area:
+        raise UnreachableTargetError(
+            f"target {target_area:.6g} mm^2 exceeds the patch maximum ({a_hi:.6g} mm^2)")
 
     d = _brent(lambda d: area_at(d) - target_area, lo, hi,
                a_lo - target_area, a_hi - target_area)
@@ -359,17 +346,13 @@ def _brent(f, a, b, fa, fb):
 
 
 def _check_monotone(evals):
-    if len(evals) < 2:
-        return
     by_d = sorted(evals)
     for (d0, a0), (d1, a1) in zip(by_d, by_d[1:]):
         slack = 5e-4 * max(a0, a1) + 1e-12
         if a1 < a0 - slack:
             raise NonMonotoneAreaError(
                 f"sensing area decreased from {a0:.6g} to {a1:.6g} mm^2 "
-                f"on diameters [{d0:.6g}, {d1:.6g}] mm",
-                bracket=(d0, d1),
-            )
+                f"on diameters [{d0:.6g}, {d1:.6g}] mm")
 
 
 @dataclass(frozen=True)
@@ -410,18 +393,11 @@ class ArrayDesign:
         }
 
 
-def _perpendicular(n):
-    """A deterministic unit vector perpendicular to the unit vector ``n``."""
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t = ref - (ref @ n) * n
-    return t / np.linalg.norm(t)
-
-
 def _tilt_axis(normal, tilt_deg):
-    """Rotate the normal by tilt_deg around a deterministic tangent direction."""
+    """Rotate the normal by tilt_deg toward the first axis of its tangent frame."""
     n = normal / np.linalg.norm(normal)
     th = np.radians(tilt_deg)
-    return np.cos(th) * n + np.sin(th) * _perpendicular(n)
+    return np.cos(th) * n + np.sin(th) * _tangent_frames(n[None])[0][0]
 
 
 def design_array(mesh: SurfaceMesh, aps: AuricularPointSet,

@@ -29,7 +29,7 @@ class PlacementError(AurisenseError):
 
 
 class ZeroAreaError(AurisenseError):
-    """Electrode cylinder does not touch the mesh."""
+    """Electrode cylinder clips no area from the mesh."""
 
 
 class UnreachableTargetError(AurisenseError):
@@ -37,11 +37,7 @@ class UnreachableTargetError(AurisenseError):
 
 
 class NonMonotoneAreaError(AurisenseError):
-    """Sensing area decreased with diameter; carries the sub-bracket."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """Sensing area decreased with diameter; the message names the sub-bracket."""
 
 
 class DomainError(AurisenseError):

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import EmptyMeshError, MeshFormatError, ParameterError
+from ..seeding import is_whole
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -180,6 +181,8 @@ class SurfaceMesh:
     def k_rings(self, vertices, k: int) -> sp.csr_array:
         """(Q, V) boolean CSR array; row r holds the sorted vertices within k
         edge hops of ``vertices[r]``, that vertex itself excluded."""
+        if not is_whole(k):
+            raise ParameterError("k must be an integer >= 0")
         query = np.asarray(vertices, dtype=np.int64).reshape(-1)
         if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
             raise ParameterError("vertex indices must lie in [0, n_vertices)")

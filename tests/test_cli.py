@@ -8,7 +8,7 @@ import pytest
 
 from aurisense import acquisition, cli
 from aurisense.cli import build_parser, main
-from aurisense.electrode import DEFAULT_TARGET_AREA
+from aurisense.electrode import _TOL, DEFAULT_TARGET_AREA
 from aurisense.errors import ParameterError
 from aurisense.analysis import read_dataset_csv, write_dataset_csv
 from aurisense.geometry import (
@@ -61,8 +61,7 @@ def _design_inputs(tmp_path):
 
 @pytest.mark.parametrize("target, reason", [
     ("1e6", "exceeds the patch maximum"),
-    ("1e-7", "below the area at the minimum diameter"),
-], ids=["above-patch", "below-minimum"])
+], ids=["above-patch"])
 def test_design_exits_2_and_lists_every_electrode_that_fails(tmp_path, capsys, target, reason):
     mesh_path, template_path = _design_inputs(tmp_path)
     labels = [f"AP{i}" for i in range(1, 14)]
@@ -78,6 +77,19 @@ def test_design_exits_2_and_lists_every_electrode_that_fails(tmp_path, capsys, t
     assert [f["ap"] for f in obj["failed"]] == labels
     assert all(reason in f["reason"] for f in obj["failed"])
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_design_meets_a_tiny_target_area(tmp_path):
+    # the bracket starts at D = 0, so no diameter is too small to try
+    mesh_path, template_path = _design_inputs(tmp_path)
+    out = tmp_path / "design.json"
+    assert main(["design", str(mesh_path), str(template_path), "--target-area", "1e-7",
+                 "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["failed"] == []
+    areas = np.array([e["area_mm2"] for e in obj["electrodes"]])
+    assert areas.size == 13
+    assert np.abs(areas / 1e-7 - 1.0).max() <= _TOL
 
 
 def test_design_aps_out_feeds_a_vtk_contour(tmp_path):

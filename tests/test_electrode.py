@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +13,17 @@ import aurisense.geometry.curvature as curvature_module
 from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
     _brent,
+    _check_monotone,
+    _Pathway,
     design_array,
     sensing_area,
     solve_diameter,
 )
 from aurisense.errors import (
+    NonMonotoneAreaError,
     ParameterError,
     UnreachableTargetError,
+    ZeroAreaError,
 )
 from aurisense.geometry import curvature_field, place_aps
 from aurisense.geometry.aps import AuricularPointSet
@@ -157,6 +162,17 @@ def test_bad_diameter(plane_fine):
         sensing_area(plane_fine, ORIGIN, Z, -1.0)
 
 
+def test_a_cylinder_too_thin_to_clip_any_area_raises(plane_fine):
+    # the squared radius underflows to 0, so no face clips a positive area
+    with pytest.raises(ZeroAreaError):
+        sensing_area(plane_fine, ORIGIN, Z, 1e-200)
+
+
+def test_a_decreasing_area_names_its_diameters():
+    with pytest.raises(NonMonotoneAreaError, match=r"on diameters \[1, 2\] mm"):
+        _check_monotone([(1.0, 2.0), (2.0, 1.0)])
+
+
 NAN3 = np.array([np.nan, 0.0, 0.0])
 
 
@@ -181,10 +197,13 @@ def test_solve_diameter_rejects_a_bad_target(plane_fine, target):
 
 
 def test_solve_diameter_plane(plane_fine):
-    d = solve_diameter(plane_fine, ORIGIN, Z, np.pi * 1.5 ** 2)
-    assert abs(d - 3.0) / 3.0 < 1e-3
-    d = solve_diameter(plane_fine, ORIGIN, Z, 12.566)
-    assert abs(d - 4.0) / 4.0 < 1e-3
+    # the plane's area is pi D^2 / (4 cos theta); along the normal the first
+    # trial, the flat disk's diameter, is the root, while a tilt leaves
+    # Brent's method a root to find, to its 2e-12 mm stop
+    for theta, target in itertools.product((0.0, 30.0), (np.pi * 1.5 ** 2, 12.566)):
+        d = solve_diameter(plane_fine, ORIGIN, tilted_axis(theta), target)
+        expected = 2.0 * np.sqrt(target * np.cos(np.radians(theta)) / np.pi)
+        assert abs(d - expected) / expected < 1e-12
 
 
 def test_solve_diameter_sphere(icosphere_r10):
@@ -223,10 +242,23 @@ def test_solver_monotone_in_target(plane_fine):
     assert d_small < d_large
 
 
-def test_unreachable_target(plane_coarse):
-    # the 20x20 mm plane holds 400 mm^2 at most
-    with pytest.raises(UnreachableTargetError):
+def test_unreachable_target(plane_coarse, monkeypatch):
+    # the 20x20 mm plane holds 400 mm^2 at most, all of it inside the
+    # cylinder as wide as twice the bounding diagonal, where doubling stops
+    tried = []
+    area = _Pathway.area
+
+    def spy(self, d):
+        tried.append(d)
+        return area(self, d)
+
+    monkeypatch.setattr(_Pathway, "area", spy)
+    with pytest.raises(UnreachableTargetError,
+                       match=r"exceeds the patch maximum \(400 mm\^2\)"):
         solve_diameter(plane_coarse, ORIGIN, Z, 5000.0)
+    d_max = 2.0 * plane_coarse.bounding_diagonal()
+    assert tried[-1] == d_max
+    assert max(tried) == d_max
 
 
 def test_design_array_plane_all_three_mm(plane_fine):
@@ -236,11 +268,15 @@ def test_design_array_plane_all_three_mm(plane_fine):
         (0.5, 0.35, 0.5), (0.65, 0.6, 0.5),
     ])]
     aps = place_aps(plane_fine, template)
-    design = design_array(plane_fine, aps, target_area=DEFAULT_TARGET_AREA)
-    assert not design.failed
-    diam = np.array([e.diameter_mm for e in design.electrodes])
-    np.testing.assert_allclose(diam, 3.0, rtol=5e-3)
-    assert design.max_rel_deviation <= 1e-3
+    # a tilt turns the disk into an ellipse of area pi D^2 / (4 cos theta)
+    for tilt in (0.0, 20.0):
+        design = design_array(plane_fine, aps, target_area=DEFAULT_TARGET_AREA,
+                              tilt_deg=tilt)
+        assert not design.failed
+        diam = np.array([e.diameter_mm for e in design.electrodes])
+        np.testing.assert_allclose(diam, 3.0 * np.sqrt(np.cos(np.radians(tilt))),
+                                   rtol=1e-12, atol=0.0)
+        assert design.max_rel_deviation <= 2e-12
 
 
 def test_design_array_curved_equalizes_area(bumpy):

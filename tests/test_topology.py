@@ -131,6 +131,15 @@ def test_k_ring_rejects_an_index_outside_the_mesh(icosphere_unit, vertex):
         icosphere_unit.k_rings([0, vertex], 1)
 
 
+@pytest.mark.parametrize("k", [2.5, True, -1], ids=["fractional", "bool", "negative"])
+def test_k_rings_take_only_a_whole_k(k):
+    mesh = make_icosphere(subdivisions=1)
+    with pytest.raises(ParameterError, match="k must be an integer >= 0"):
+        mesh.k_rings([0, 1], k)
+    with pytest.raises(ParameterError, match="k must be an integer >= 0"):
+        mesh.k_ring(0, k)
+
+
 @pytest.mark.parametrize("name", ["icosphere_unit", "bumpy"])
 def test_curvature_equals_curvature_from_reference_rings(request, monkeypatch, name):
     mesh = request.getfixturevalue(name)
