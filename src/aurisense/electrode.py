@@ -13,13 +13,18 @@ undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
 Everything that does not depend on D (the projected vertices, the
-per-face area ratios and a face prefilter ordered by distance from the
-axis) is built once per pathway by ``_Pathway``, from the contact face it
-is given.  ``solve_diameter`` inverts the area with Brent's method (the
-area is continuous and monotone in D but only piecewise smooth) on an
-exact bracket: the area is 0 at D = 0, the first trial is the flat disk's
-diameter 2 sqrt(target / pi), and doubling stops at twice the mesh's
-bounding diagonal, where the cylinder holds the whole patch.
+per-face area ratios, a face prefilter ordered by distance from the axis
+and the faces' adjacency) is built by ``_Pathway``, from the contact face
+it is given, for the faces near the axis only: the mesh's per-face
+bounding spheres rule out every face farther from the axis line than the
+radius built so far, and a larger radius rebuilds at least twice as
+wide, so a solve projects its own neighbourhood a few times at most, and
+the whole mesh only when its bracket grows that wide.  ``solve_diameter``
+inverts the area with Brent's method (the area is continuous and
+monotone in D but only piecewise smooth) on an exact bracket: the area
+is 0 at D = 0, the first trial is the flat disk's diameter
+2 sqrt(target / pi), and doubling stops at twice the mesh's bounding
+diagonal, where the cylinder holds the whole patch.
 ``design_array`` runs the solve point by point so every electrode of an
 array reaches one target area regardless of local curvature.
 
@@ -125,19 +130,43 @@ def _strip_clip_fraction(s, half_width):
 
 class _Pathway:
     """The D-independent part of the contact-patch area of one pathway
-    through ``center`` on ``face``: the mesh projected onto the plane
-    perpendicular to the axis, so that ``area(d)`` only clips a disk."""
+    through ``center`` on ``face``: the faces near the axis projected onto
+    the plane perpendicular to it, so that ``area(d)`` only clips a disk.
+
+    A face lies at least (its bounding sphere's distance from the axis
+    line) - (the sphere's radius) from the axis, so only the faces whose
+    bound is within the radius built so far are projected, with their own
+    adjacency; a call at a larger radius rebuilds at max(radius, 2 x built).
+    Every face a disk of the built radius can reach is among them, in the
+    order of the global reach sort, so no area depends on the built radius.
+    """
 
     def __init__(self, mesh: SurfaceMesh, center, face: int, axis):
         axis = axis / np.linalg.norm(axis)
         (e1,), (e2,) = _tangent_frames(axis[None])
+        self.plane = np.stack([e1, e2])
         rel = mesh.vertices - center
-        x = (rel @ e1)[mesh.faces]
-        y = (rel @ e2)[mesh.faces]
+        self.u = rel @ e1  # every vertex in the cross-section plane
+        self.v = rel @ e2
+        centroids, radii = mesh.face_spheres()
+        self.bound = np.hypot(*((centroids - center) @ self.plane.T).T) - radii
+        self.axis = axis
+        self.mesh = mesh
+        self.seed = face
+        self.built = -np.inf
+
+    def _build(self, radius):
+        """Project the faces within ``radius`` of the axis, and the seed face."""
+        keep = self.bound <= radius
+        keep[self.seed] = True
+        self.faces = np.flatnonzero(keep)
+        corners = self.mesh.faces[self.faces]
+        x = self.u[corners]
+        y = self.v[corners]
         proj = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                       - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-        self.parallel = np.abs(mesh.face_normals @ axis) < _PARALLEL_COS
-        self.ratio = mesh.face_areas / np.where(self.parallel, 1.0, proj)
+        self.parallel = np.abs(self.mesh.face_normals[self.faces] @ self.axis) < _PARALLEL_COS
+        self.ratio = self.mesh.face_areas[self.faces] / np.where(self.parallel, 1.0, proj)
         # a face's projection lies within its corners' circle about their mean,
         # so |mean| - circle radius bounds its distance from the axis from below
         cx = x.mean(axis=1)
@@ -146,15 +175,17 @@ class _Pathway:
             ((x - cx[:, None]) ** 2 + (y - cy[:, None]) ** 2).max(axis=1))
         self.order = np.argsort(reach, kind="stable")
         self.reach = reach[self.order]
-        self.mesh = mesh
-        self.seed = face
         self.x = x
         self.y = y
-        self.plane = np.stack([e1, e2])
+        self.adjacency = self.mesh.face_adjacency()[self.faces][:, self.faces]
+        self.seed_local = int(np.searchsorted(self.faces, self.seed))
+        self.built = radius
 
     def area(self, diameter: float) -> float:
         """Contact-patch area (mm^2) at ``diameter``; warns on a disconnected hit."""
         radius = diameter / 2.0
+        if radius > self.built:
+            self._build(max(radius, 2.0 * self.built))
         cand = self.order[:np.searchsorted(self.reach, radius, side="right")]
         per_face = np.zeros(cand.size)
         par = self.parallel[cand]
@@ -166,7 +197,7 @@ class _Pathway:
         positive = cand[per_face > 0.0]
         if positive.size == 0:
             return 0.0
-        patch = _connected_patch(self.mesh, positive, self.seed)
+        patch = _connected_patch(self.adjacency, positive, self.seed_local)
         total = float(per_face.sum())
         patch_area = float(per_face[np.isin(cand, patch)].sum())
         if total > patch_area * (1.0 + 1e-9) + 1e-12:
@@ -184,15 +215,16 @@ class _Pathway:
         the face normal in the cross-section plane; its points lie within the
         cylinder where |q . u| <= sqrt(r^2 - h^2), u = m turned by 90 deg.
         In the face plane u and the axis are orthonormal, so that is a strip.
+        ``faces`` are indices into the built faces.
         """
-        m = self.mesh.face_normals[faces] @ self.plane.T
+        m = self.mesh.face_normals[self.faces[faces]] @ self.plane.T
         m /= np.linalg.norm(m, axis=1)[:, None]
         x = self.x[faces]
         y = self.y[faces]
         h = x[:, 0] * m[:, 0] + y[:, 0] * m[:, 1]
         s = y * m[:, :1] - x * m[:, 1:]
         half_width = np.sqrt(np.maximum(radius * radius - h * h, 0.0))
-        return self.mesh.face_areas[faces] * _strip_clip_fraction(s, half_width)
+        return self.mesh.face_areas[self.faces[faces]] * _strip_clip_fraction(s, half_width)
 
 
 def _checked_pathway(mesh: SurfaceMesh, center, axis, name: str, size) -> _Pathway:
@@ -238,13 +270,14 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     return area
 
 
-def _connected_patch(mesh, positive_faces, seed_face):
-    """Faces of the positive-area component containing the seed face."""
+def _connected_patch(adjacency, positive_faces, seed_face):
+    """Faces of the positive-area component containing the seed face, all
+    of them indices of the face adjacency ``adjacency``."""
     # imported on use: only design needs csgraph, which adds 14 ms and 2.3 MB to start-up
     from scipy.sparse.csgraph import connected_components
 
     faces = np.union1d(positive_faces, seed_face)
-    _, label = connected_components(mesh.face_adjacency()[faces][:, faces], directed=False)
+    _, label = connected_components(adjacency[faces][:, faces], directed=False)
     return faces[label == label[np.searchsorted(faces, seed_face)]]
 
 

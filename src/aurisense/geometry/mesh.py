@@ -17,6 +17,11 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
+# relative pad of the face bounding spheres and of closest_point's upper
+# bound: rounding moves a distance computed from the mesh by about 1e-16 of
+# the largest coordinate or of the distance itself, far below the pad
+_SPHERE_PAD = 1e-9
+_FIRST_FACES = 8  # faces searched exactly for the first upper bound of closest_point
 
 
 def _ones(cols: np.ndarray, n_cols: int, dtype=bool) -> sp.csr_array:
@@ -113,6 +118,8 @@ class SurfaceMesh:
             arr.flags.writeable = False
         self._adjacency = None
         self._face_adjacency = None
+        self._spheres = None
+        self._box = None
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -126,7 +133,12 @@ class SurfaceMesh:
         return self.faces.shape[0]
 
     def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+        """(lo, hi) corners of the axis-aligned bounding box, read-only; cached."""
+        if self._box is None:
+            lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+            lo.flags.writeable = hi.flags.writeable = False
+            self._box = lo, hi
+        return self._box
 
     def bounding_diagonal(self) -> float:
         lo, hi = self.bounding_box()
@@ -200,23 +212,55 @@ class SurfaceMesh:
     # ------------------------------------------------------------------
     # closest-point queries
     # ------------------------------------------------------------------
+    def face_spheres(self):
+        """Per-face bounding spheres: (F, 3) centroids and (F,) radii, read-only.
+
+        A radius is the largest distance from the centroid to a corner,
+        padded by ``_SPHERE_PAD`` of the largest coordinate magnitude, so a
+        lower bound computed from it in floating point (the distance to the
+        centroid less the radius) never exceeds the face's own computed
+        distance.  Built on first use and cached.
+        """
+        if self._spheres is None:
+            corners = [self.vertices[self.faces[:, j]] for j in range(3)]
+            centroids = sum(corners) / 3.0
+            radii = np.sqrt(np.maximum.reduce(
+                [np.einsum("ij,ij->i", q - centroids, q - centroids) for q in corners]))
+            radii += _SPHERE_PAD * np.abs(self.vertices).max()
+            for arr in (centroids, radii):
+                arr.flags.writeable = False
+            self._spheres = centroids, radii
+        return self._spheres
+
     def closest_point(self, point):
         """Closest point on the surface to ``point``.
 
-        Returns (position, face index, barycentric coords, distance).
-        Brute force over faces, fully vectorized; fine for the mesh sizes
-        this package targets.
+        Returns (position, face index, barycentric coords, distance); the
+        position and barycentrics own their data.  Exact and equal, bit for bit,
+        to the Ericson kernel over every face with ties to the lowest face
+        index, but the kernel runs only on the faces the bounding spheres
+        cannot rule out: every face lies at least |point - centroid| - radius
+        away, so the ``_FIRST_FACES`` faces of smallest bound give an upper
+        bound ``ub`` on the distance, and only the faces whose bound is
+        within ``ub`` (padded for rounding) are searched, in index order.
         """
         p = np.asarray(point, dtype=np.float64)
+        centroids, radii = self.face_spheres()
+        offset = centroids - p
+        bound = np.sqrt(np.einsum("ij,ij->i", offset, offset)) - radii
+        first = np.argpartition(bound, min(_FIRST_FACES, bound.size - 1))[:_FIRST_FACES]
+        ub = np.sqrt(self._face_distances2(p, first)[2].min())
+        faces = np.flatnonzero(bound <= ub * (1.0 + _SPHERE_PAD))
+        pts, bary, d2 = self._face_distances2(p, faces)
+        i = int(np.argmin(d2))
+        return pts[i].copy(), int(faces[i]), bary[i].copy(), float(np.sqrt(d2[i]))
+
+    def _face_distances2(self, p, faces):
+        """Closest points, barycentrics and squared distances from ``p`` on ``faces``."""
+        tri = self.faces[faces]
         pts, bary = closest_point_on_triangles(
-            p,
-            self.vertices[self.faces[:, 0]],
-            self.vertices[self.faces[:, 1]],
-            self.vertices[self.faces[:, 2]],
-        )
-        d2 = np.einsum("ij,ij->i", pts - p, pts - p)
-        fi = int(np.argmin(d2))
-        return pts[fi], fi, bary[fi], float(np.sqrt(d2[fi]))
+            p, self.vertices[tri[:, 0]], self.vertices[tri[:, 1]], self.vertices[tri[:, 2]])
+        return pts, bary, np.einsum("ij,ij->i", pts - p, pts - p)
 
     def normal_at(self, face_index: int, bary) -> np.ndarray:
         """Unit surface normal interpolated from vertex normals."""

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from aurisense.errors import ParameterError, PlacementError
 from aurisense.geometry import (
@@ -10,7 +13,7 @@ from aurisense.geometry import (
     read_aps_json,
     write_aps_json,
 )
-from aurisense.geometry.mesh import SurfaceMesh
+from aurisense.geometry.mesh import SurfaceMesh, closest_point_on_triangles
 from aurisense.geometry.primitives import make_plane_grid
 
 
@@ -80,6 +83,58 @@ def test_translation_equivariance():
     moved = SurfaceMesh(mesh.vertices + shift, mesh.faces)
     aps2 = place_aps(moved, template)
     np.testing.assert_allclose(aps2.positions(), aps1.positions() + shift, atol=1e-8)
+
+
+def test_placed_aps_own_their_arrays_and_keep_no_mesh_sized_memory(bumpy):
+    template = default_template(13)
+    place_aps(bumpy, template)  # the mesh's own cached tables are built here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        aps = place_aps(bumpy, template)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    for p in aps:
+        assert p.position.base is None
+        assert p.barycentric.base is None
+    # a view into a per-face array would keep (F, 3) floats, 270 KB here, alive
+    assert retained < 64 * 1024 * len(aps)
+
+
+def _brute_closest_point(mesh, p):
+    """The Ericson kernel over every face; ties go to the lowest face index."""
+    v, f = mesh.vertices, mesh.faces
+    pts, bary = closest_point_on_triangles(p, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
+    d2 = np.einsum("ij,ij->i", pts - p, pts - p)
+    i = int(np.argmin(d2))
+    return pts[i], i, bary[i], float(np.sqrt(d2[i])), int((d2 == d2[i]).sum())
+
+
+@pytest.mark.parametrize("name", ["bumpy", "icosphere_r10", "bumpy-rotated"])
+def test_closest_point_equals_the_search_over_every_face(request, name):
+    mesh = request.getfixturevalue(name.removesuffix("-rotated"))
+    if name.endswith("-rotated"):
+        rot = Rotation.from_rotvec([0.4, -1.1, 0.7]).as_matrix()
+        mesh = SurfaceMesh(mesh.vertices @ rot.T + [3.0, -7.0, 12.0], mesh.faces)
+    rng = np.random.default_rng(23)
+    lo, hi = mesh.bounding_box()
+    margin = 0.1 * (hi - lo)
+    # vertices and edge midpoints lie on several faces at once: ties
+    edges = mesh.faces[rng.choice(mesh.n_faces, 30, replace=False)][:, :2]
+    points = np.concatenate([rng.uniform(lo - margin, hi + margin, size=(60, 3)),
+                             mesh.vertices[rng.choice(mesh.n_vertices, 30, replace=False)],
+                             mesh.vertices[edges].mean(axis=1)])
+    ties = 0
+    for p in points:
+        pos, face, bary, dist = mesh.closest_point(p)
+        ref_pos, ref_face, ref_bary, ref_dist, n_min = _brute_closest_point(mesh, p)
+        assert face == ref_face
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(bary, ref_bary)
+        assert dist == ref_dist
+        ties += n_min > 1
+    assert ties >= 10
 
 
 def test_far_projection_raises():

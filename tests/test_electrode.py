@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation
 
+import aurisense.electrode as electrode_module
 import aurisense.geometry.curvature as curvature_module
+import aurisense.geometry.mesh as mesh_module
 from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
     _brent,
@@ -25,10 +27,10 @@ from aurisense.errors import (
     UnreachableTargetError,
     ZeroAreaError,
 )
-from aurisense.geometry import curvature_field, place_aps
+from aurisense.geometry import curvature_field, default_template, place_aps
 from aurisense.geometry.aps import AuricularPointSet
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import make_cylinder
+from aurisense.geometry.primitives import _square_grid, make_cylinder
 
 ORIGIN = np.zeros(3)
 Z = np.array([0.0, 0.0, 1.0])
@@ -63,6 +65,55 @@ def test_tilt_monotone_up_to_60deg(plane_fine):
     assert all(b > a for a, b in zip(areas, areas[1:]))
 
 
+def _clipped_area_by_quadrature(mesh, faces, center, axis, radius):
+    """Area of ``faces`` within ``radius`` of the axis line through ``center``.
+
+    Face (a, b, c) is swept by the segments from a + s (b - a) to
+    a + s (c - a), s in [0, 1], of length s |c - b| and spaced h ds apart,
+    h |c - b| = 2 area; the cylinder cuts each segment in one interval, so
+    the clipped area is 2 area * integral of s * (inside fraction) ds.  The
+    integrand is smooth between the s where an end of the segment crosses
+    the cylinder or the segment's line touches it, which are the breakpoints.
+    """
+
+    def perp(w):
+        return w - np.multiply.outer(w @ axis, axis)
+
+    def breaks(*coeffs):  # real roots in (0, 1) of quadratics in s
+        roots = np.concatenate([np.roots(c) for c in coeffs])
+        return [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+
+    total = 0.0
+    for a, b, c in mesh.vertices[mesh.faces[faces]] - center:
+        pa, pb, pc = perp(np.stack([a, b, c]))
+        double_area = np.linalg.norm(np.cross(b - a, c - a))
+        if max(np.linalg.norm(pa), np.linalg.norm(pb), np.linalg.norm(pc)) <= radius:
+            total += 0.5 * double_area  # convex, so wholly inside
+            continue
+        eb, ec, w = pb - pa, pc - pa, pc - pb
+        m0, m1, ww, r2 = pa @ w, eb @ w, w @ w, pa @ pa - radius * radius
+        points = breaks([eb @ eb, 2.0 * (pa @ eb), r2], [ec @ ec, 2.0 * (pa @ ec), r2],
+                        [m1 * m1 - ww * (eb @ eb), 2.0 * (m0 * m1 - ww * (pa @ eb)),
+                         m0 * m0 - ww * r2])
+
+        def inside_fraction(s):
+            start, step = pa + s * eb, s * w
+            alpha, beta = step @ step, start @ step
+            gamma = start @ start - radius * radius
+            if alpha == 0.0:
+                return float(gamma <= 0.0)
+            disc = beta * beta - alpha * gamma
+            if disc <= 0.0:
+                return 0.0
+            root = np.sqrt(disc)
+            return max(0.0, min(1.0, (-beta + root) / alpha) - max(0.0, (-beta - root) / alpha))
+
+        total += double_area * quad(lambda s: s * inside_fraction(s), 0.0, 1.0,
+                                    points=points or None, epsabs=1e-15, epsrel=1e-13,
+                                    limit=200)[0]
+    return total
+
+
 def test_sphere_cap_area(icosphere_r10):
     v0 = icosphere_r10.vertices[0]
     axis = v0 / np.linalg.norm(v0)
@@ -70,6 +121,14 @@ def test_sphere_cap_area(icosphere_r10):
     # connected patch around the contact point counts
     with pytest.warns(UserWarning, match="disconnected"):
         area = sensing_area(icosphere_r10, v0, axis, 6.0)
+    # exact for the polyhedron: the near half's faces, each clipped by quadrature
+    corners = icosphere_r10.vertices[icosphere_r10.faces]
+    near = corners.mean(axis=1) @ axis > 0.0
+    within = (np.linalg.norm(np.cross(corners, axis), axis=2) < 3.0 + 1.0).any(axis=1)
+    exact = _clipped_area_by_quadrature(icosphere_r10, np.flatnonzero(near & within),
+                                        v0, axis, 3.0)
+    assert abs(area - exact) / exact < 1e-8
+    # the discretization: the smooth cap
     expected = 2 * np.pi * 10.0 * (10.0 - np.sqrt(100.0 - 9.0))  # 28.94
     assert abs(area - expected) / expected < 5e-3
 
@@ -360,6 +419,84 @@ def test_design_array_makes_no_closest_point_search(bumpy, monkeypatch):
     for e, p in zip(design.electrodes, aps):
         assert e.diameter_mm == solve_diameter(bumpy, p.position, e.axis,
                                                DEFAULT_TARGET_AREA)
+
+
+def test_prefilter_keeps_the_faces_far_along_the_axis(plane_fine):
+    # a second sheet 40 mm below: the cylinder, infinite along the axis,
+    # still meets it, though no face of it is near the contact point
+    v = plane_fine.vertices
+    two = SurfaceMesh(np.concatenate([v, v - [0.0, 0.0, 40.0]]),
+                      np.concatenate([plane_fine.faces, plane_fine.faces + len(v)]))
+    lone_area = sensing_area(plane_fine, ORIGIN, Z, 3.0)
+    with pytest.warns(UserWarning, match="disconnected"):
+        area = sensing_area(two, ORIGIN, Z, 3.0)
+    assert abs(area - lone_area) <= 1e-12 * lone_area
+
+    # the top sheet's faces keep their indices, so the APs are valid on both
+    aps = place_aps(plane_fine, default_template(10))
+    with pytest.warns(UserWarning, match="disconnected"):
+        design = design_array(two, aps)
+    assert design.to_json_obj() == design_array(plane_fine, aps).to_json_obj()
+
+
+def _folded_sheet(gap=1.0, bend_x=2.5, length=7.5):
+    """A sheet at z = 0 for x <= bend_x, folded back under itself at z = -gap
+    by a half-cylinder bend."""
+    r = gap / 2.0
+    total = 2.0 * length + np.pi * r
+    s, y, faces = _square_grid(total, 0.25)
+    s = s + total / 2.0  # arc length from the top sheet's far edge
+    phi = np.clip((s - length) / r, 0.0, np.pi)
+    x = np.where(s < length, bend_x - length + s,
+                 np.where(phi < np.pi, bend_x + r * np.sin(phi),
+                          bend_x + length + np.pi * r - s))
+    z = np.where(s < length, 0.0, r * np.cos(phi) - r)
+    return SurfaceMesh(np.stack([x, y, z], axis=1), faces)
+
+
+def test_a_fold_beyond_the_radius_stays_disconnected():
+    # a pathway built out to radius 4 holds the bend's faces, which clip
+    # nothing at radius 1.5: the patch must not run round the fold through them
+    mesh = _folded_sheet()
+    _, face, _, _ = mesh.closest_point(ORIGIN)
+    pathway = _Pathway(mesh, ORIGIN, face, Z)
+    pathway.area(8.0)
+    with pytest.warns(UserWarning, match="disconnected"):
+        area = pathway.area(3.0)
+    assert pathway.built == 4.0
+    assert abs(area - np.pi * 1.5 ** 2) <= 1e-12 * area
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+def test_design_works_only_on_the_faces_near_each_ap(bumpy, monkeypatch):
+    # the design command's path, placement and solves, counted in faces: no
+    # search, clip or pathway build may take more than a tenth of the mesh
+    sizes = []
+    search = mesh_module.closest_point_on_triangles
+    clip = electrode_module._disk_clip_areas
+    build = _Pathway._build
+
+    def spy_search(p, a, b, c):
+        sizes.append(("closest_point_on_triangles", a.shape[0]))
+        return search(p, a, b, c)
+
+    def spy_clip(x, y, radius):
+        sizes.append(("_disk_clip_areas", x.shape[0]))
+        return clip(x, y, radius)
+
+    def spy_build(self, radius):
+        build(self, radius)
+        sizes.append(("_Pathway._build", self.faces.size))
+
+    monkeypatch.setattr(mesh_module, "closest_point_on_triangles", spy_search)
+    monkeypatch.setattr(electrode_module, "_disk_clip_areas", spy_clip)
+    monkeypatch.setattr(_Pathway, "_build", spy_build)
+    for tilt in (0.0, 20.0):
+        design = design_array(bumpy, place_aps(bumpy, default_template(13)), tilt_deg=tilt)
+        assert not design.failed
+    assert {name for name, _ in sizes} == {
+        "closest_point_on_triangles", "_disk_clip_areas", "_Pathway._build"}
+    assert max(n for _, n in sizes) <= bumpy.n_faces // 10
 
 
 def test_design_json_fields(tmp_path, plane_coarse):
