@@ -12,19 +12,22 @@ sectors where it runs outside.  Multiplying by face area / projected area
 undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
-Everything that does not depend on D (the projected vertices, the
-per-face area ratios, a face prefilter ordered by distance from the axis
-and the faces' adjacency) is built by ``_Pathway``, from the contact face
-it is given, for the faces near the axis only: the mesh's per-face
-bounding spheres rule out every face farther from the axis line than the
-radius built so far, and a larger radius rebuilds at least twice as
-wide, so a solve projects its own neighbourhood a few times at most, and
-the whole mesh only when its bracket grows that wide.  ``solve_diameter``
-inverts the area with Brent's method (the area is continuous and
-monotone in D but only piecewise smooth) on an exact bracket: the area
-is 0 at D = 0, the first trial is the flat disk's diameter
-2 sqrt(target / pi), and doubling stops at twice the mesh's bounding
-diagonal, where the cylinder holds the whole patch.
+Everything that does not depend on D (the projected corners, the per-face
+area ratios and the faces' adjacency) is built by ``_Pathway``, from the
+contact face it is given, for the faces near the axis only.  One bound
+prunes: a face lies at least its bounding sphere's distance from the axis
+line less the sphere's radius (``SurfaceMesh.face_spheres``) from the
+axis.  A build takes the faces whose bound is within its radius, a larger
+radius rebuilds at least twice as wide, and each area clips the built
+faces whose bound is within its own radius, in face-index order, so it
+equals the area over every face bit for bit.  A solve projects its own
+neighbourhood a few times at most, and the whole mesh only when its
+bracket grows that wide.  ``solve_diameter`` inverts the area with
+Brent's method (the area is continuous and monotone in D but only
+piecewise smooth) on an exact bracket: the area is 0 at D = 0, the first
+trial is the flat disk's diameter 2 sqrt(target / pi), and doubling stops
+at twice the mesh's bounding diagonal, where the cylinder holds the whole
+patch.
 ``design_array`` runs the solve point by point so every electrode of an
 array reaches one target area regardless of local curvature.
 
@@ -134,47 +137,43 @@ class _Pathway:
     the plane perpendicular to it, so that ``area(d)`` only clips a disk.
 
     A face lies at least (its bounding sphere's distance from the axis
-    line) - (the sphere's radius) from the axis, so only the faces whose
-    bound is within the radius built so far are projected, with their own
-    adjacency; a call at a larger radius rebuilds at max(radius, 2 x built).
-    Every face a disk of the built radius can reach is among them, in the
-    order of the global reach sort, so no area depends on the built radius.
+    line) - (the sphere's radius) from the axis.  That bound alone prunes:
+    a build projects the faces whose bound is within its radius, with their
+    own adjacency, and a call at a larger radius rebuilds at max(radius,
+    2 x built); each call clips the built faces whose bound is within its
+    radius, in face-index order.  A face it leaves out clips exactly 0, so
+    every area equals the one over all faces, bit for bit.
     """
 
     def __init__(self, mesh: SurfaceMesh, center, face: int, axis):
         axis = axis / np.linalg.norm(axis)
         (e1,), (e2,) = _tangent_frames(axis[None])
         self.plane = np.stack([e1, e2])
-        rel = mesh.vertices - center
-        self.u = rel @ e1  # every vertex in the cross-section plane
-        self.v = rel @ e2
         centroids, radii = mesh.face_spheres()
         self.bound = np.hypot(*((centroids - center) @ self.plane.T).T) - radii
+        self.center = center
         self.axis = axis
         self.mesh = mesh
         self.seed = face
         self.built = -np.inf
+
+    def _project(self, w):
+        """(..., 3) vectors in plane coordinates (..., 2), term by term: a
+        BLAS product may round a row differently with the number of rows."""
+        e = self.plane
+        return w[..., :1] * e[:, 0] + w[..., 1:2] * e[:, 1] + w[..., 2:] * e[:, 2]
 
     def _build(self, radius):
         """Project the faces within ``radius`` of the axis, and the seed face."""
         keep = self.bound <= radius
         keep[self.seed] = True
         self.faces = np.flatnonzero(keep)
-        corners = self.mesh.faces[self.faces]
-        x = self.u[corners]
-        y = self.v[corners]
+        x, y = np.moveaxis(
+            self._project(self.mesh.vertices[self.mesh.faces[self.faces]] - self.center), -1, 0)
         proj = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                       - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
         self.parallel = np.abs(self.mesh.face_normals[self.faces] @ self.axis) < _PARALLEL_COS
         self.ratio = self.mesh.face_areas[self.faces] / np.where(self.parallel, 1.0, proj)
-        # a face's projection lies within its corners' circle about their mean,
-        # so |mean| - circle radius bounds its distance from the axis from below
-        cx = x.mean(axis=1)
-        cy = y.mean(axis=1)
-        reach = np.hypot(cx, cy) - np.sqrt(
-            ((x - cx[:, None]) ** 2 + (y - cy[:, None]) ** 2).max(axis=1))
-        self.order = np.argsort(reach, kind="stable")
-        self.reach = reach[self.order]
         self.x = x
         self.y = y
         self.adjacency = self.mesh.face_adjacency()[self.faces][:, self.faces]
@@ -186,20 +185,19 @@ class _Pathway:
         radius = diameter / 2.0
         if radius > self.built:
             self._build(max(radius, 2.0 * self.built))
-        cand = self.order[:np.searchsorted(self.reach, radius, side="right")]
-        per_face = np.zeros(cand.size)
+        cand = np.flatnonzero(self.bound[self.faces] <= radius)
         par = self.parallel[cand]
         disk = cand[~par]
-        per_face[~par] = (_disk_clip_areas(self.x[disk], self.y[disk], radius)
-                          * self.ratio[disk])
+        per_face = np.zeros(self.faces.size)
+        per_face[disk] = _disk_clip_areas(self.x[disk], self.y[disk], radius) * self.ratio[disk]
         if par.any():
-            per_face[par] = self._strip_areas(cand[par], radius)
-        positive = cand[per_face > 0.0]
+            per_face[cand[par]] = self._strip_areas(cand[par], radius)
+        positive = np.flatnonzero(per_face > 0.0)
         if positive.size == 0:
             return 0.0
         patch = _connected_patch(self.adjacency, positive, self.seed_local)
         total = float(per_face.sum())
-        patch_area = float(per_face[np.isin(cand, patch)].sum())
+        patch_area = float(per_face[patch].sum())
         if total > patch_area * (1.0 + 1e-9) + 1e-12:
             warnings.warn(
                 "cylinder intersects a disconnected surface region; "
@@ -217,7 +215,7 @@ class _Pathway:
         In the face plane u and the axis are orthonormal, so that is a strip.
         ``faces`` are indices into the built faces.
         """
-        m = self.mesh.face_normals[self.faces[faces]] @ self.plane.T
+        m = self._project(self.mesh.face_normals[self.faces[faces]])
         m /= np.linalg.norm(m, axis=1)[:, None]
         x = self.x[faces]
         y = self.y[faces]

@@ -21,7 +21,6 @@ DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 # bound: rounding moves a distance computed from the mesh by about 1e-16 of
 # the largest coordinate or of the distance itself, far below the pad
 _SPHERE_PAD = 1e-9
-_FIRST_FACES = 8  # faces searched exactly for the first upper bound of closest_point
 
 
 def _ones(cols: np.ndarray, n_cols: int, dtype=bool) -> sp.csr_array:
@@ -240,27 +239,21 @@ class SurfaceMesh:
         to the Ericson kernel over every face with ties to the lowest face
         index, but the kernel runs only on the faces the bounding spheres
         cannot rule out: every face lies at least |point - centroid| - radius
-        away, so the ``_FIRST_FACES`` faces of smallest bound give an upper
-        bound ``ub`` on the distance, and only the faces whose bound is
-        within ``ub`` (padded for rounding) are searched, in index order.
+        away, and at most |point - centroid| since the centroid lies on it,
+        so only the faces whose lower bound is within the nearest centroid's
+        distance (padded for rounding) are searched, in index order.
         """
         p = np.asarray(point, dtype=np.float64)
         centroids, radii = self.face_spheres()
         offset = centroids - p
-        bound = np.sqrt(np.einsum("ij,ij->i", offset, offset)) - radii
-        first = np.argpartition(bound, min(_FIRST_FACES, bound.size - 1))[:_FIRST_FACES]
-        ub = np.sqrt(self._face_distances2(p, first)[2].min())
-        faces = np.flatnonzero(bound <= ub * (1.0 + _SPHERE_PAD))
-        pts, bary, d2 = self._face_distances2(p, faces)
-        i = int(np.argmin(d2))
-        return pts[i].copy(), int(faces[i]), bary[i].copy(), float(np.sqrt(d2[i]))
-
-    def _face_distances2(self, p, faces):
-        """Closest points, barycentrics and squared distances from ``p`` on ``faces``."""
+        dist = np.sqrt(np.einsum("ij,ij->i", offset, offset))
+        faces = np.flatnonzero(dist - radii <= dist.min() * (1.0 + _SPHERE_PAD))
         tri = self.faces[faces]
         pts, bary = closest_point_on_triangles(
             p, self.vertices[tri[:, 0]], self.vertices[tri[:, 1]], self.vertices[tri[:, 2]])
-        return pts, bary, np.einsum("ij,ij->i", pts - p, pts - p)
+        d2 = np.einsum("ij,ij->i", pts - p, pts - p)
+        i = int(np.argmin(d2))
+        return pts[i].copy(), int(faces[i]), bary[i].copy(), float(np.sqrt(d2[i]))
 
     def normal_at(self, face_index: int, bary) -> np.ndarray:
         """Unit surface normal interpolated from vertex normals."""

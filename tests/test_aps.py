@@ -122,9 +122,16 @@ def test_closest_point_equals_the_search_over_every_face(request, name):
     margin = 0.1 * (hi - lo)
     # vertices and edge midpoints lie on several faces at once: ties
     edges = mesh.faces[rng.choice(mesh.n_faces, 30, replace=False)][:, :2]
+    # at a face centroid the upper bound is 0; five diagonals beyond the box
+    # it is loosest
+    diag = mesh.bounding_diagonal()
+    away = rng.normal(size=(20, 3))
+    away *= 5.5 * diag / np.linalg.norm(away, axis=1)[:, None]
     points = np.concatenate([rng.uniform(lo - margin, hi + margin, size=(60, 3)),
                              mesh.vertices[rng.choice(mesh.n_vertices, 30, replace=False)],
-                             mesh.vertices[edges].mean(axis=1)])
+                             mesh.vertices[edges].mean(axis=1),
+                             mesh.face_spheres()[0][rng.choice(mesh.n_faces, 20, replace=False)],
+                             (lo + hi) / 2.0 + away])
     ties = 0
     for p in points:
         pos, face, bary, dist = mesh.closest_point(p)

@@ -10,7 +10,7 @@ from aurisense.geometry.curvature import (
     _tangent_frames,
 )
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import make_icosphere, make_plane_grid
+from aurisense.geometry.primitives import _square_grid, make_icosphere, make_plane_grid
 
 
 def interior_mask(mesh, margin):
@@ -49,6 +49,23 @@ def test_cylinder_mean_curvature(cylinder_r2):
     away = np.abs(z) < 3.0  # away from the open rims
     rel = np.abs(field.mean[away] - 0.25) / 0.25
     assert rel.max() < 0.05
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.3, 0.1, -0.2), (0.05, 0.2, 0.15), (-0.4, 0.0, -0.1), (1.0, 0.5, 0.25),
+])
+def test_exact_quadric_curvature_at_the_apex(a, b, c):
+    # the grid and the surface z = a x^2 + b xy + c y^2 are both symmetric
+    # under (x, y) -> (-x, -y), so the apex normal is +z and its 2-ring lies
+    # on the fitted quadric: only the ridge term separates the fit from the
+    # sign-flipped eigenvalues of the Hessian [[2a, b], [b, 2c]]
+    x, y, faces = _square_grid(4.0, 0.5)
+    mesh = SurfaceMesh(np.stack([x, y, a * x * x + b * x * y + c * y * y], axis=1), faces)
+    apex = int(np.flatnonzero((x == 0.0) & (y == 0.0))[0])
+    field = curvature_field(mesh, k_ring=2, vertices=[apex])
+    k1, k2 = -np.linalg.eigvalsh([[2.0 * a, b], [b, 2.0 * c]])  # k1 >= k2
+    assert abs(field.kappa1[0] - k1) < 1e-8
+    assert abs(field.kappa2[0] - k2) < 1e-8
 
 
 def test_icosphere_convergence_monotone():

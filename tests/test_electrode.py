@@ -16,6 +16,8 @@ from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
     _brent,
     _check_monotone,
+    _connected_patch,
+    _disk_clip_areas,
     _Pathway,
     design_array,
     sensing_area,
@@ -33,6 +35,7 @@ from aurisense.geometry.mesh import SurfaceMesh
 from aurisense.geometry.primitives import _square_grid, make_cylinder
 
 ORIGIN = np.zeros(3)
+X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -421,12 +424,17 @@ def test_design_array_makes_no_closest_point_search(bumpy, monkeypatch):
                                                DEFAULT_TARGET_AREA)
 
 
+def _two_sheets(plane):
+    """``plane`` and a copy of it 40 mm below, the top sheet's faces first."""
+    v = plane.vertices
+    return SurfaceMesh(np.concatenate([v, v - [0.0, 0.0, 40.0]]),
+                       np.concatenate([plane.faces, plane.faces + len(v)]))
+
+
 def test_prefilter_keeps_the_faces_far_along_the_axis(plane_fine):
     # a second sheet 40 mm below: the cylinder, infinite along the axis,
     # still meets it, though no face of it is near the contact point
-    v = plane_fine.vertices
-    two = SurfaceMesh(np.concatenate([v, v - [0.0, 0.0, 40.0]]),
-                      np.concatenate([plane_fine.faces, plane_fine.faces + len(v)]))
+    two = _two_sheets(plane_fine)
     lone_area = sensing_area(plane_fine, ORIGIN, Z, 3.0)
     with pytest.warns(UserWarning, match="disconnected"):
         area = sensing_area(two, ORIGIN, Z, 3.0)
@@ -497,6 +505,57 @@ def test_design_works_only_on_the_faces_near_each_ap(bumpy, monkeypatch):
     assert {name for name, _ in sizes} == {
         "closest_point_on_triangles", "_disk_clip_areas", "_Pathway._build"}
     assert max(n for _, n in sizes) <= bumpy.n_faces // 10
+
+
+def _area_over_every_face(mesh, center, face, axis, diameter):
+    """The contact-patch area with every face of the mesh clipped, the seed's
+    component taken over the mesh's face adjacency, summed in face-index order."""
+    full = _Pathway(mesh, center, face, axis)
+    full._build(np.inf)  # every face
+    radius = diameter / 2.0
+    per_face = _disk_clip_areas(full.x, full.y, radius) * full.ratio
+    parallel = np.flatnonzero(full.parallel)
+    per_face[parallel] = full._strip_areas(parallel, radius)
+    positive = np.flatnonzero(per_face > 0.0)
+    if positive.size == 0:
+        return 0.0
+    return float(per_face[_connected_patch(mesh.face_adjacency(), positive, face)].sum())
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+@pytest.mark.parametrize("name", ["bumpy", "bumpy-tilted", "folded", "two-sheets", "cylinder"])
+def test_pruned_area_equals_the_area_over_every_face(request, name):
+    rng = np.random.default_rng(24)
+    if name.startswith("bumpy"):
+        mesh = request.getfixturevalue("bumpy")
+        centers = rng.uniform(-8.0, 8.0, size=(4, 3))
+    elif name == "folded":
+        # on the top sheet, which bends at x = 2.5 to run back 1 mm below itself
+        mesh = _folded_sheet()
+        centers = np.column_stack([rng.uniform(-4.0, 2.0, 4), rng.uniform(-3.0, 3.0, 4),
+                                   np.zeros(4)])
+    elif name == "two-sheets":
+        mesh = _two_sheets(request.getfixturevalue("plane_fine"))
+        centers = np.column_stack([rng.uniform(-5.0, 5.0, size=(4, 2)), np.zeros(4)])
+    else:
+        # along the x axis, its facets at 90 and 270 deg are clipped as strips
+        mesh = make_cylinder(radius=2.0, height=10.0, n_theta=50, n_z=20)
+        centers = np.column_stack([np.full(4, 2.0), np.zeros(4), rng.uniform(-3.0, 3.0, 4)])
+    for target in centers:
+        center, face, bary, _ = mesh.closest_point(target)
+        axis = X if name == "cylinder" else mesh.normal_at(face, bary)
+        if name == "bumpy-tilted":
+            # up to 40 deg off the normal, in a random direction
+            turn = rng.normal(size=3)
+            turn -= (turn @ axis) * axis
+            tilt = np.radians(rng.uniform(0.0, 40.0))
+            axis = np.cos(tilt) * axis + np.sin(tilt) * turn / np.linalg.norm(turn)
+        pathway = _Pathway(mesh, center, face, axis)
+        # random order: builds, rebuilds and calls inside the built radius interleave
+        for diameter in rng.permutation(np.concatenate([rng.uniform(0.2, 8.0, 13),
+                                                        [0.2, 8.0]])):
+            assert pathway.area(diameter) == _area_over_every_face(
+                mesh, center, face, axis, diameter)
 
 
 def test_design_json_fields(tmp_path, plane_coarse):
