@@ -14,18 +14,24 @@ distance to another cluster b(i):
     s(i) = 1 - a/b   (a < b),   0   (a = b),   b/a - 1   (a > b)
 
 with s(i) = 0 for singleton clusters by convention.  a and b come from the
-(M, K) per-cluster distance sums, built as ``cdist(block, points) @ onehot``
-over row blocks of at most ``_BLOCK_ELEMENTS`` distances (16 MB), so memory
-grows as M, not M^2.
+(M, K) per-cluster distance sums.  The points are sorted by cluster once,
+so each cluster is one contiguous run of columns of ``cdist(block,
+sorted_points)``, and ``np.add.reduceat`` sums every run of every row on
+its own: no sum depends on the shape of the row block.  A block holds at
+most ``_BLOCK_ELEMENTS`` distances (4 MB), so memory grows as M, not M^2.
 
 k-means runs the restarts of one K in lockstep, in restart blocks whose
 (a·K, M) distances and tiled coordinates stay within ``_BLOCK_ELEMENTS``.
-A Lloyd step is one (a·K, M) ``cdist`` of squared distances from the
-centres of the a restarts still running, summed over the coordinates in
-order, plus one index-order ``bincount`` per coordinate over labels offset
-by restart·K for the centre sums.  Convergence, the SSE check and the
-empty-cluster reseed stay per restart, so every restart gets the labels,
-centres and SSE of a run on its own.  Tests check all three.
+k-means++ seeds a block in lockstep too: each new centre of every restart
+updates one (R, M) array of squared distances by one ``cdist``, and each
+restart draws from its own row with its own generator, as
+``Generator.choice`` would.  A Lloyd step is one (a·K, M) ``cdist`` of
+squared distances from the centres of the a restarts still running, summed
+over the coordinates in order, plus one index-order ``bincount`` per
+coordinate over labels offset by restart·K for the centre sums.
+Convergence, the SSE check and the empty-cluster reseed stay per restart,
+so every restart gets the labels, centres and SSE of a run on its own.
+Tests check all three.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .pca import pca
 _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 _MAX_ITER = 300    # Lloyd iterations per restart
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
-_BLOCK_ELEMENTS = 2 ** 21  # distances per silhouette row or k-means restart block (16 MB)
+_BLOCK_ELEMENTS = 2 ** 19  # distances per silhouette row or k-means restart block (4 MB)
 
 
 # ----------------------------------------------------------------------
@@ -90,19 +96,33 @@ class KMeansResult:
         self.centers.flags.writeable = False
 
 
-def _kmeanspp_init(points, k, rng):
+def _kmeanspp_init(points, k, rngs):
+    """k-means++ centres (R, K, d) of the R restarts seeded by ``rngs``, in lockstep.
+
+    Restart r draws its first centre, and any centre once every point is
+    one, by ``rngs[r].integers(M)``.  Every other centre is the number of
+    entries of its row's cdf at or below one ``rngs[r].random()``, the cdf
+    being ``cumsum(d2 / total)`` divided by its last entry: the same draw
+    as ``rngs[r].choice(M, p=d2 / total)``.
+    """
+    from scipy.spatial.distance import cdist
+
     m = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    d2 = np.full(m, np.inf)
-    for c in range(k):
-        total = d2.sum()
-        if c == 0 or total <= 0:
-            idx = int(rng.integers(m))  # the first center, or every point is a center
-        else:
-            idx = int(rng.choice(m, p=d2 / total))
-        centers[c] = points[idx]
-        diff = points - centers[c]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    idx = np.array([rng.integers(m) for rng in rngs])
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[idx]
+    d2 = cdist(centers[:, 0], points, "sqeuclidean")
+    for c in range(1, k):
+        total = d2.sum(axis=1)  # each contiguous row is summed as its own 1-D array
+        live = total > 0
+        cdf = np.cumsum(d2[live] / total[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rng.random() for rng, draws in zip(rngs, live) if draws])
+        idx[live] = np.count_nonzero(cdf <= u[:, None], axis=1)
+        # every point of these restarts is already a centre
+        idx[~live] = [rngs[r].integers(m) for r in np.flatnonzero(~live)]
+        centers[:, c] = points[idx]
+        np.minimum(d2, cdist(centers[:, c], points, "sqeuclidean"), out=d2)
     return centers
 
 
@@ -112,7 +132,7 @@ def _lloyd(points, k, rngs):
     Returns each restart's labels (R, M), centres (R, K, d) and SSE (R,).
     """
     m, d = points.shape
-    centers = np.stack([_kmeanspp_init(points, k, rng) for rng in rngs])
+    centers = _kmeanspp_init(points, k, rngs)
     # row j holds coordinate j of every point once per restart, so its first
     # a·M entries weight the offset labels of any a running restarts
     weights = np.tile(points.T, (1, len(rngs)))
@@ -169,12 +189,13 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     ``spawn_rng(seed, r)`` and ties keep the earliest restart.  The
     restarts run in lockstep, in blocks of at most
     ``_BLOCK_ELEMENTS // (max(K, d)·M)`` (at least one), taken in restart
-    order: each step makes one (a·K, M) distance matrix for the a restarts
-    still running.  A restart leaves the block when its centres stop moving
-    or its SSE stops changing, keeping the labels of its final centres; one
-    that uses all ``_MAX_ITER`` steps is assigned to its last centres.  An
-    empty cluster is re-seeded from the farthest point of that restart,
-    which is then re-assigned alone.
+    order: k-means++ seeds a whole block at once, each restart drawing from
+    its own generator, then each step makes one (a·K, M) distance matrix for
+    the a restarts still running.  A restart leaves the block when its
+    centres stop moving or its SSE stops changing, keeping the labels of its
+    final centres; one that uses all ``_MAX_ITER`` steps is assigned to its
+    last centres.  An empty cluster is re-seeded from the farthest point of
+    that restart, which is then re-assigned alone.
     """
     points = _as_points(points)
     if not (is_whole(k) and is_whole(restarts)):
@@ -184,6 +205,11 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     if restarts < 1:
         raise ParameterError("need at least one restart")
     m, d = points.shape
+    # M times the squared bounding-box diagonal bounds every seeding total
+    with np.errstate(over="ignore"):
+        bound = m * np.square(points.max(axis=0) - points.min(axis=0)).sum()
+    if not np.isfinite(bound):
+        raise ParameterError("points are too far apart: squared distances overflow")
     # distances and tiled weights of one block stay within _BLOCK_ELEMENTS
     step = max(1, _BLOCK_ELEMENTS // (max(k, d) * m))
     best = None
@@ -212,12 +238,15 @@ def silhouette(points, assignments):
     if uniq.size < 2:
         raise UndefinedSilhouetteError("silhouette needs at least 2 clusters")
     rows = np.arange(points.shape[0])
-    onehot = np.eye(uniq.size)[labels]
-    sums = np.empty_like(onehot)  # sums[i, c]: distances from point i to cluster c
+    sizes = np.bincount(labels)
+    # cluster c is the run starts[c]:starts[c] + sizes[c] of the sorted points
+    by_cluster = points[np.argsort(labels, kind="stable")]
+    starts = np.cumsum(sizes) - sizes
+    sums = np.empty((rows.size, uniq.size))  # sums[i, c]: distances from point i to cluster c
     step = max(1, _BLOCK_ELEMENTS // rows.size)
     for lo in range(0, rows.size, step):
-        sums[lo:lo + step] = cdist(points[lo:lo + step], points) @ onehot
-    sizes = np.bincount(labels)
+        sums[lo:lo + step] = np.add.reduceat(cdist(points[lo:lo + step], by_cluster),
+                                             starts, axis=1)
     n_own = sizes[labels]
     a = sums[rows, labels] / np.maximum(n_own - 1, 1)  # the self-distance is 0
     to_other = sums / sizes

@@ -165,6 +165,42 @@ def lloyd_cases():
 RESTARTS = 5  # restarts per lockstep group in the comparisons below
 
 
+@pytest.mark.parametrize("points,k,seed", lloyd_cases())
+def test_lockstep_seeding_matches_the_reference_on_every_restart(points, k, seed):
+    """One block seeded in lockstep equals each restart seeded alone, bit for bit.
+
+    The reference builds d² with ``einsum``, which may add the coordinates in
+    another order than ``cdist`` (for d = 3, (x0² + x2²) + x1² against
+    (x0² + x1²) + x2²).  The centres still agree because no draw lands within
+    rounding of a step of its cdf.
+    """
+    centers = cluster._kmeanspp_init(points, k, [spawn_rng(seed, r) for r in range(RESTARTS)])
+    assert centers.shape == (RESTARTS, k, points.shape[1])
+    for r in range(RESTARTS):
+        np.testing.assert_array_equal(centers[r],
+                                      reference_kmeanspp_init(points, k, spawn_rng(seed, r)))
+
+
+def test_lockstep_seeding_draws_integers_where_every_point_is_a_centre():
+    # eps² underflows to 0 and (2 eps)² does not: a restart that starts at the
+    # middle point has total d² = 0 at its second centre and draws it by
+    # integers(M), while one that starts at an end draws from its cdf
+    eps = 1.5e-162
+    points = np.array([[0.0], [eps], [2 * eps]])
+    assert eps * eps == 0.0 < (2 * eps) ** 2
+    rngs = [spawn_rng(0, r) for r in range(8)]
+    refs = [reference_kmeanspp_init(points, 3, spawn_rng(0, r)) for r in range(8)]
+    spent = [ref[0, 0] == eps for ref in refs]
+    assert 0 < sum(spent) < len(spent)
+    centers = cluster._kmeanspp_init(points, 3, rngs)
+    np.testing.assert_array_equal(centers, np.stack(refs))
+    # every generator made the same draws as the reference's: the next ones agree
+    for r, rng in enumerate(rngs):
+        ref_rng = spawn_rng(0, r)
+        reference_kmeanspp_init(points, 3, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+
 def lockstep(points, k, seed, restarts=range(RESTARTS)):
     """(labels, centers, sse) arrays of the given restarts run as one lockstep group."""
     return cluster._lloyd(points, k, [spawn_rng(seed, r) for r in restarts])
@@ -224,7 +260,7 @@ def test_a_reseed_takes_the_farthest_point_of_its_own_restart(monkeypatch):
     # restart 1 needs no reseed and is farthest from 22
     points = np.array([[0.0], [1.0], [2.0], [20.0], [21.0], [22.0]])
     starts = [np.array([[0.0], [21.0], [100.0]]), np.array([[0.0], [1.0], [2.0]])]
-    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, starts: np.stack(starts))
     calls = spy_on_assign(monkeypatch)
     labels, centers, sse = cluster._lloyd(points, 3, starts)
     assert sorted(len(c) for c in calls)[0] == 1  # the reseeded restart alone
@@ -260,7 +296,7 @@ def test_lloyd_leaves_on_an_sse_plateau_while_its_centres_still_move(monkeypatch
     # yet step 2 reads SSE 3752 again and the restart leaves at (0, 100)
     points = np.array([[-1.0], [1.0], [50.0], [125.0], [125.0]])
     start = np.array([[-1e-9], [100.0]])
-    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, starts: np.stack(starts))
     calls = spy_on_assign(monkeypatch)
     labels, centers, sse = cluster._lloyd(points, 2, [start])
     assert len(calls) == 2
@@ -272,7 +308,7 @@ def test_lloyd_leaves_on_an_sse_plateau_while_its_centres_still_move(monkeypatch
 def test_lloyd_asserts_that_the_sse_never_rises(monkeypatch):
     # a faulty assignment that scales step t's squared distances by 10**t
     points = np.array([[0.0], [1.0], [10.0], [11.0]])
-    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, start: start.copy())
+    monkeypatch.setattr(cluster, "_kmeanspp_init", lambda points, k, starts: np.stack(starts))
     calls = spy_on_assign(monkeypatch)
     assign = cluster._assign
 
@@ -431,8 +467,9 @@ def test_kmeans_validation():
     (None, (True,), {}, "integers"),
     (None, (2,), {"seed": 2.5}, "seed must be an integer >= 0"),
     (None, (2,), {"seed": True}, "seed must be an integer >= 0"),
+    (1e154, (2,), {}, "squared distances overflow"),
 ], ids=["nan-point", "inf-point", "fractional-k", "fractional-restarts", "bool-k",
-        "fractional-seed", "bool-seed"])
+        "fractional-seed", "bool-seed", "overflowing-point"])
 def test_kmeans_rejects_bad_inputs_with_one_message(bad, args, kwargs, match):
     points = np.random.default_rng(3).normal(size=(10, 2))
     if bad is not None:
@@ -508,7 +545,7 @@ def test_silhouette_matches_brute_force_oracle():
 
 
 def test_silhouette_matches_the_per_point_loop_across_row_blocks():
-    # 1500 points need two row blocks; labels are non-contiguous and one
+    # 1500 points span five row blocks; labels are non-contiguous and one
     # cluster is a singleton
     rng = np.random.default_rng(12)
     points = rng.normal(size=(1500, 3)) + rng.integers(0, 3, size=(1500, 1))
@@ -521,20 +558,41 @@ def test_silhouette_matches_the_per_point_loop_across_row_blocks():
     assert mean == pytest.approx(ref.mean(), abs=1e-12)
 
 
+def silhouette_memory_case():
+    """3000 points in three dimensions with labels 0-3."""
+    rng = np.random.default_rng(13)
+    return rng.normal(size=(3000, 3)), rng.integers(0, 4, size=3000)
+
+
 def test_silhouette_memory_grows_slower_than_m_squared():
     # an (M, M) float64 matrix alone would be 72 MB at M = 3000
     import tracemalloc
 
-    rng = np.random.default_rng(13)
-    points = rng.normal(size=(3000, 3))
-    labels = rng.integers(0, 4, size=3000)
+    points, labels = silhouette_memory_case()
+    silhouette(points[:10], labels[:10])  # import scipy before tracing
     tracemalloc.start()
     try:
         silhouette(points, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert peak < 8e6
+
+
+def test_silhouette_is_the_same_for_every_row_block(monkeypatch):
+    # non-contiguous labels and one singleton; per-cluster sums that went
+    # through a BLAS product would round each row by the block's row count
+    points, labels = silhouette_memory_case()
+    labels = np.array([3, 9, 20, 41])[labels]
+    labels[123] = 77
+    runs = []
+    for block in (2 ** 12, 2 ** 15, 2 ** 19, 2 ** 21):
+        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", block)
+        runs.append(silhouette(points, labels))
+    assert runs[0][0][123] == 0.0
+    for s, mean in runs[1:]:
+        np.testing.assert_array_equal(s, runs[0][0])
+        assert mean == runs[0][1]
 
 
 # ----------------------------------------------------------------------
