@@ -22,12 +22,12 @@ radius rebuilds at least twice as wide, and each area clips the built
 faces whose bound is within its own radius, in face-index order, so it
 equals the area over every face bit for bit.  A solve projects its own
 neighbourhood a few times at most, and the whole mesh only when its
-bracket grows that wide.  ``solve_diameter`` inverts the area with
-Brent's method (the area is continuous and monotone in D but only
-piecewise smooth) on an exact bracket: the area is 0 at D = 0, the first
-trial is the flat disk's diameter 2 sqrt(target / pi), and doubling stops
-at twice the mesh's bounding diagonal, where the cylinder holds the whole
-patch.
+bracket grows that wide.  ``solve_diameter`` inverts the area by
+Newton's method in D^2, in which the area is near-linear, on the exact
+slope dA/dD that the clipping returns with the area (the transport
+theorem), inside an exact bracket: the area is 0 at D = 0, the first trial
+is the flat disk's diameter 2 sqrt(target / pi), and doubling stops at
+twice the mesh's bounding diagonal, where the cylinder holds the whole patch.
 ``design_array`` runs the solve point by point so every electrode of an
 array reaches one target area regardless of local curvature.
 
@@ -70,14 +70,17 @@ _TOL = 1e-3         # relative area error the solve accepts where the area jumps
 # ----------------------------------------------------------------------
 
 def _disk_clip_areas(x, y, radius):
-    """Signed area inside the disk |p| <= radius of each triangle.
+    """Signed area inside the disk |p| <= radius of each triangle, and its
+    derivative in the radius.
 
     ``x``, ``y`` are (K, 3) corner coordinates.  Each edge P -> Q adds the
     signed area of the disk within triangle (0, P, Q): with S1, S2 the ends
     of the edge's part inside the disk (both P when it misses the disk),
     that is sector(P, S1) + triangle(0, S1, S2) + sector(S2, Q).  A triangle
     that no edge enters and that does not contain the center is exactly 0,
-    not the rounding left of its sectors cancelling.
+    not the rounding left of its sectors cancelling.  By the transport
+    theorem the derivative is the length of the circle inside the triangle,
+    radius x the sectors' angles.
     """
     xq = np.roll(x, -1, axis=1)
     yq = np.roll(y, -1, axis=1)
@@ -103,16 +106,18 @@ def _disk_clip_areas(x, y, radius):
     area = 0.5 * (radius * radius * sectors + chords).sum(axis=1)
     cross = x * yq - y * xq
     inside = (cross >= 0.0).all(axis=1) | (cross <= 0.0).all(axis=1)
-    enters = (hit & (t2 > t1)).any(axis=1)
-    return np.where(enters | inside, area, 0.0)
+    clips = (hit & (t2 > t1)).any(axis=1) | inside
+    return np.where(clips, area, 0.0), np.where(clips, radius * sectors.sum(axis=1), 0.0)
 
 
 def _strip_clip_fraction(s, half_width):
-    """Fraction of each triangle whose coordinate ``s`` lies in [-w, w].
+    """Fraction of each triangle whose coordinate ``s`` lies in [-w, w], and
+    its derivative in w.
 
     ``s`` is (K, 3): the corners' coordinates along one in-plane direction.
     The triangle's width across s is a tent over [s0, s2] peaking at s1, so
-    the fraction with coordinate <= x is piecewise quadratic in x.
+    the fraction with coordinate <= x is piecewise quadratic in x, and its
+    derivative is the tent's density at x.
     """
     s0, s1, s2 = np.sort(s, axis=1).T
     rise = (s1 - s0) * (s2 - s0)
@@ -124,7 +129,12 @@ def _strip_clip_fraction(s, half_width):
         x = np.clip(x, s0, s2)
         return np.where(x <= s1, (x - s0) ** 2 / rise, 1.0 - (s2 - x) ** 2 / fall)
 
-    return below(half_width) - below(-half_width)
+    def density(x):
+        tent = np.where(x <= s1, 2.0 * (x - s0) / rise, 2.0 * (s2 - x) / fall)
+        return np.where((s0 < x) & (x < s2), tent, 0.0)
+
+    return (below(half_width) - below(-half_width),
+            density(half_width) + density(-half_width))
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +190,9 @@ class _Pathway:
         self.seed_local = int(np.searchsorted(self.faces, self.seed))
         self.built = radius
 
-    def area(self, diameter: float) -> float:
-        """Contact-patch area (mm^2) at ``diameter``; warns on a disconnected hit."""
+    def area(self, diameter: float) -> tuple[float, float]:
+        """Contact-patch area (mm^2) at ``diameter`` and its slope dA/dD
+        (mm), summed over the same faces; warns on a disconnected hit."""
         radius = diameter / 2.0
         if radius > self.built:
             self._build(max(radius, 2.0 * self.built))
@@ -189,12 +200,15 @@ class _Pathway:
         par = self.parallel[cand]
         disk = cand[~par]
         per_face = np.zeros(self.faces.size)
-        per_face[disk] = _disk_clip_areas(self.x[disk], self.y[disk], radius) * self.ratio[disk]
+        per_slope = np.zeros(self.faces.size)  # dA/dr
+        area, arc = _disk_clip_areas(self.x[disk], self.y[disk], radius)
+        per_face[disk] = area * self.ratio[disk]
+        per_slope[disk] = arc * self.ratio[disk]
         if par.any():
-            per_face[cand[par]] = self._strip_areas(cand[par], radius)
+            per_face[cand[par]], per_slope[cand[par]] = self._strip_areas(cand[par], radius)
         positive = np.flatnonzero(per_face > 0.0)
         if positive.size == 0:
-            return 0.0
+            return 0.0, 0.0
         patch = _connected_patch(self.adjacency, positive, self.seed_local)
         total = float(per_face.sum())
         patch_area = float(per_face[patch].sum())
@@ -204,10 +218,11 @@ class _Pathway:
                 "returning the contact-patch area only",
                 stacklevel=3,
             )
-        return patch_area
+        return patch_area, 0.5 * float(per_slope[patch].sum())
 
     def _strip_areas(self, faces, radius):
-        """Exact clipped areas of faces parallel to the axis.
+        """Exact clipped areas of faces parallel to the axis, and their
+        derivatives in the radius.
 
         Such a face projects to a segment on the line {q : q . m = h}, with m
         the face normal in the cross-section plane; its points lie within the
@@ -222,7 +237,10 @@ class _Pathway:
         h = x[:, 0] * m[:, 0] + y[:, 0] * m[:, 1]
         s = y * m[:, :1] - x * m[:, 1:]
         half_width = np.sqrt(np.maximum(radius * radius - h * h, 0.0))
-        return self.mesh.face_areas[self.faces[faces]] * _strip_clip_fraction(s, half_width)
+        fraction, density = _strip_clip_fraction(s, half_width)
+        # dw/dr = r / w, and 0 while w = 0: the cylinder has not reached the face's line
+        dw = np.divide(radius, half_width, out=np.zeros_like(half_width), where=half_width > 0.0)
+        return self.mesh.face_areas[self.faces[faces]] * np.stack([fraction, density * dw])
 
 
 def _checked_pathway(mesh: SurfaceMesh, center, axis, name: str, size) -> _Pathway:
@@ -262,7 +280,7 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     diameter too small to clip any face) and warns when the cylinder also
     hits a disconnected region.
     """
-    area = _checked_pathway(mesh, center, axis, "diameter", diameter).area(diameter)
+    area = _checked_pathway(mesh, center, axis, "diameter", diameter).area(diameter)[0]
     if area == 0.0:
         raise ZeroAreaError(f"a {diameter:.3g} mm cylinder clips no area from the mesh")
     return area
@@ -282,98 +300,76 @@ def _connected_patch(adjacency, positive_faces, seed_face):
 def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float:
     """Diameter whose sensing area matches ``target_area``.
 
-    Brent's method, run to 2e-12 mm in the diameter, on an exact bracket.
+    Newton's method in D^2 on the exact slope dA/dD, in an exact bracket.
     Its lower end is D = 0, where the area is 0.  The first trial is the
     flat disk's diameter 2 sqrt(target_area / pi); while its area is below
     the target it becomes the lower end and is doubled, up to d_max = 2 x
     the mesh's bounding diagonal.  That cylinder holds the whole patch, so
     ``UnreachableTargetError`` is raised exactly when the area at d_max is
-    below the target.  ``_TOL`` bounds the relative area error the solve
-    accepts where the area jumps (a face joining the patch with a region
-    behind it).  Every evaluation is checked against the others for
-    monotonicity, and a decrease beyond numerical slack raises
-    ``NonMonotoneAreaError`` naming the violating sub-bracket.
+    below the target.  Each step starts from the bracket end nearest the
+    target in area, and bisects where Newton would leave the bracket.  With
+    brentq's delta = (2e-12 + 4 eps D) / 2 mm, the solve stops at a Newton
+    step within delta or a bracket 2 delta wide, the latter where the area
+    jumps (a face joining the patch with a region behind it); ``_TOL``
+    bounds the relative area error it accepts there.  Every evaluation is
+    checked against the others for monotonicity, and a decrease beyond
+    numerical slack raises ``NonMonotoneAreaError`` naming the violating
+    sub-bracket.
     """
     return _solve(_checked_pathway(mesh, center, axis, "target_area", target_area),
                   target_area)[0]
 
 
 def _solve(pathway, target_area):
-    """(diameter, area) of ``solve_diameter`` on a prepared pathway."""
+    """(diameter, area) of ``solve_diameter`` on a prepared pathway: a pair it evaluated."""
     evals = [(0.0, 0.0)]
 
     def area_at(d):
-        a = pathway.area(d)
+        a, slope = pathway.area(d)
         evals.append((d, a))
         _check_monotone(evals)
-        return a
+        return d, a, slope
 
     # a cylinder of radius = the bounding diagonal around a point on the
     # mesh holds every face, so the area is largest there
     d_max = 2.0 * pathway.mesh.bounding_diagonal()
-    lo, a_lo = 0.0, 0.0
-    hi = min(2.0 * np.sqrt(target_area / np.pi), d_max)  # the flat disk's diameter
-    a_hi = area_at(hi)
-    while a_hi < target_area and hi < d_max:
-        lo, a_lo = hi, a_hi
-        hi = min(2.0 * hi, d_max)
-        a_hi = area_at(hi)
-    if a_hi < target_area:
+    lo = (0.0, 0.0, 0.0)
+    hi = area_at(min(2.0 * np.sqrt(target_area / np.pi), d_max))  # the flat disk's diameter
+    while hi[1] < target_area and hi[0] < d_max:
+        lo = hi
+        hi = area_at(min(2.0 * hi[0], d_max))
+    if hi[1] < target_area:
         raise UnreachableTargetError(
-            f"target {target_area:.6g} mm^2 exceeds the patch maximum ({a_hi:.6g} mm^2)")
+            f"target {target_area:.6g} mm^2 exceeds the patch maximum ({hi[1]:.6g} mm^2)")
 
-    d = _brent(lambda d: area_at(d) - target_area, lo, hi,
-               a_lo - target_area, a_hi - target_area)
-    area = dict(evals)[d]
-    if abs(area - target_area) > _TOL * target_area:
+    def off(e):
+        return abs(e[1] - target_area)
+
+    d, a, slope = min(lo, hi, key=off)
+    for _ in range(100):
+        delta = (2e-12 + 4.0 * np.finfo(float).eps * d) / 2.0  # brentq's stop
+        if a == target_area or hi[0] - lo[0] <= 2.0 * delta:
+            break
+        d_new = 0.5 * (lo[0] + hi[0])
+        if slope > 0.0:
+            # Newton in D^2, in which the area is near-linear: dA/d(D^2) = slope / 2D
+            newton = float(np.sqrt(max(d * d + 2.0 * d * (target_area - a) / slope, 0.0)))
+            if abs(newton - d) <= delta:
+                break
+            if lo[0] < newton < hi[0]:
+                d_new = newton
+        e = area_at(d_new)
+        if e[1] < target_area:
+            lo = e
+        else:
+            hi = e
+        d, a, slope = min(lo, hi, key=off)
+    if abs(a - target_area) > _TOL * target_area:
         raise AurisenseError(
-            f"diameter solve stopped at {d:.6g} mm with {area:.6g} mm^2, off the "
+            f"diameter solve stopped at {d:.6g} mm with {a:.6g} mm^2, off the "
             f"target {target_area:.6g} mm^2 (the area jumps there)"
         )
-    return float(d), area
-
-
-def _brent(f, a, b, fa, fb):
-    """Root of ``f`` in [a, b], where fa = f(a) and fb = f(b) differ in sign.
-
-    Brent's method (Brent 1973, ch. 4), step for step as in
-    ``scipy.optimize.brentq``: inverse quadratic or secant steps while they
-    shrink the bracket fast enough, bisection otherwise.  Returns a point
-    at which ``f`` was evaluated.  Importing ``scipy.optimize`` for this
-    alone would add about 10 MB of resident memory to a process running
-    the CLI.
-    """
-    xtol, rtol = 2e-12, 4 * np.finfo(float).eps  # brentq's defaults
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk, fblk, spre, scur = 0.0, 0.0, 0.0, 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    return xcur
+    return float(d), a
 
 
 def _check_monotone(evals):

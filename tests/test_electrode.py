@@ -1,3 +1,4 @@
+import collections
 import itertools
 from dataclasses import replace
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.spatial.transform import Rotation
 
 import aurisense.electrode as electrode_module
@@ -14,16 +14,17 @@ import aurisense.geometry.curvature as curvature_module
 import aurisense.geometry.mesh as mesh_module
 from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
-    _brent,
     _check_monotone,
     _connected_patch,
     _disk_clip_areas,
     _Pathway,
+    _solve,
     design_array,
     sensing_area,
     solve_diameter,
 )
 from aurisense.errors import (
+    AurisenseError,
     NonMonotoneAreaError,
     ParameterError,
     UnreachableTargetError,
@@ -278,24 +279,44 @@ def test_solve_diameter_sphere(icosphere_r10):
     assert abs(area - target) / target <= 1e-3
 
 
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.exp(x) - 10.0, 0.0, 5.0),
-    (lambda x: abs(x - 0.3) + 2.0 * x - 1.0, 0.0, 1.0),  # a kink, as where faces join
-], ids=["cubic", "cos", "exp", "kink"])
-def test_brent_matches_scipy_brentq(f, a, b):
+@pytest.fixture
+def area_calls(monkeypatch):
+    """(pathway, diameter, (area, slope)) of every ``_Pathway.area`` call, in order."""
     calls = []
+    area = _Pathway.area
 
-    def counted(x):
-        calls.append(x)
-        return f(x)
+    def spy(self, d):
+        calls.append((self, d, area(self, d)))
+        return calls[-1][2]
 
-    root = _brent(counted, a, b, f(a), f(b))
-    expected, info = brentq(f, a, b, full_output=True)
-    assert abs(root - expected) <= 2e-12  # brentq's default xtol
-    assert root in calls  # the solver reuses the area at the returned point
-    assert len(calls) <= info.function_calls - 2  # the bracket ends are not re-evaluated
+    monkeypatch.setattr(_Pathway, "area", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+def test_newton_in_d_squared_takes_few_area_evaluations(plane_fine, bumpy, area_calls):
+    # the plane's area is linear in D^2, so one Newton step from the first
+    # trial lands on the root, and the next step is below the stop
+    for theta, target in itertools.product((0.0, 30.0), (np.pi * 1.5 ** 2, 12.566)):
+        area_calls.clear()
+        solve_diameter(plane_fine, ORIGIN, tilted_axis(theta), target)
+        assert len(area_calls) <= 2
+    aps = place_aps(bumpy, default_template(13))
+    for tilt in (0.0, 20.0):
+        area_calls.clear()
+        assert not design_array(bumpy, aps, tilt_deg=tilt).failed
+        per_ap = collections.Counter(pathway for pathway, _, _ in area_calls)
+        assert len(per_ap) == len(aps) and max(per_ap.values()) <= 5
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+def test_the_solve_returns_a_pair_it_evaluated(bumpy, area_calls):
+    aps = place_aps(bumpy, default_template(13))
+    design = design_array(bumpy, aps, tilt_deg=20.0)
+    assert not design.failed
+    evaluated = {(d, result[0]) for _, d, result in area_calls}
+    for e in design.electrodes:
+        assert (e.diameter_mm, e.sensing_area_mm2) in evaluated
 
 
 def test_solver_monotone_in_target(plane_fine):
@@ -304,21 +325,14 @@ def test_solver_monotone_in_target(plane_fine):
     assert d_small < d_large
 
 
-def test_unreachable_target(plane_coarse, monkeypatch):
+def test_unreachable_target(plane_coarse, area_calls):
     # the 20x20 mm plane holds 400 mm^2 at most, all of it inside the
     # cylinder as wide as twice the bounding diagonal, where doubling stops
-    tried = []
-    area = _Pathway.area
-
-    def spy(self, d):
-        tried.append(d)
-        return area(self, d)
-
-    monkeypatch.setattr(_Pathway, "area", spy)
     with pytest.raises(UnreachableTargetError,
                        match=r"exceeds the patch maximum \(400 mm\^2\)"):
         solve_diameter(plane_coarse, ORIGIN, Z, 5000.0)
     d_max = 2.0 * plane_coarse.bounding_diagonal()
+    tried = [d for _, d, _ in area_calls]
     assert tried[-1] == d_max
     assert max(tried) == d_max
 
@@ -470,9 +484,21 @@ def test_a_fold_beyond_the_radius_stays_disconnected():
     pathway = _Pathway(mesh, ORIGIN, face, Z)
     pathway.area(8.0)
     with pytest.warns(UserWarning, match="disconnected"):
-        area = pathway.area(3.0)
+        area = pathway.area(3.0)[0]
     assert pathway.built == 4.0
     assert abs(area - np.pi * 1.5 ** 2) <= 1e-12 * area
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+def test_a_target_inside_an_area_jump_fails_at_the_jump(area_calls):
+    # the pathway through the top sheet reaches the sheet folded 1 mm below
+    # it at D = 5.90 mm, where the patch grows at once from 27.5 to 55.0 mm^2;
+    # the bracket shrinks onto the jump within two evaluations of Brent's method's 43
+    mesh = _folded_sheet()
+    _, face, _, _ = mesh.closest_point(ORIGIN)
+    with pytest.raises(AurisenseError, match="the area jumps there"):
+        _solve(_Pathway(mesh, ORIGIN, face, Z), 41.2)
+    assert len(area_calls) <= 45
 
 
 @pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
@@ -513,19 +539,18 @@ def _area_over_every_face(mesh, center, face, axis, diameter):
     full = _Pathway(mesh, center, face, axis)
     full._build(np.inf)  # every face
     radius = diameter / 2.0
-    per_face = _disk_clip_areas(full.x, full.y, radius) * full.ratio
+    per_face = _disk_clip_areas(full.x, full.y, radius)[0] * full.ratio
     parallel = np.flatnonzero(full.parallel)
-    per_face[parallel] = full._strip_areas(parallel, radius)
+    per_face[parallel] = full._strip_areas(parallel, radius)[0]
     positive = np.flatnonzero(per_face > 0.0)
     if positive.size == 0:
         return 0.0
     return float(per_face[_connected_patch(mesh.face_adjacency(), positive, face)].sum())
 
 
-@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
-@pytest.mark.parametrize("name", ["bumpy", "bumpy-tilted", "folded", "two-sheets", "cylinder"])
-def test_pruned_area_equals_the_area_over_every_face(request, name):
-    rng = np.random.default_rng(24)
+def _pathway_cases(request, name, rng):
+    """(mesh, center, face, axis) of four pathways of the case ``name``, drawn
+    from ``rng`` one after another."""
     if name.startswith("bumpy"):
         mesh = request.getfixturevalue("bumpy")
         centers = rng.uniform(-8.0, 8.0, size=(4, 3))
@@ -550,12 +575,46 @@ def test_pruned_area_equals_the_area_over_every_face(request, name):
             turn -= (turn @ axis) * axis
             tilt = np.radians(rng.uniform(0.0, 40.0))
             axis = np.cos(tilt) * axis + np.sin(tilt) * turn / np.linalg.norm(turn)
+        yield mesh, center, face, axis
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+@pytest.mark.parametrize("name", ["bumpy", "bumpy-tilted", "folded", "two-sheets", "cylinder"])
+def test_pruned_area_equals_the_area_over_every_face(request, name):
+    rng = np.random.default_rng(24)
+    for mesh, center, face, axis in _pathway_cases(request, name, rng):
         pathway = _Pathway(mesh, center, face, axis)
         # random order: builds, rebuilds and calls inside the built radius interleave
         for diameter in rng.permutation(np.concatenate([rng.uniform(0.2, 8.0, 13),
                                                         [0.2, 8.0]])):
-            assert pathway.area(diameter) == _area_over_every_face(
+            assert pathway.area(diameter)[0] == _area_over_every_face(
                 mesh, center, face, axis, diameter)
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+@pytest.mark.parametrize("name", ["bumpy", "bumpy-tilted", "cylinder"])
+def test_area_slope_matches_central_differences(request, name):
+    # the cylinder's diameters keep its strip faces' half-width w away from 0,
+    # where dw/dr = r / w has no bound
+    low, high = (4.3, 7.7) if name == "cylinder" else (0.5, 6.0)
+    h = 1e-6
+    rng = np.random.default_rng(26)
+    for mesh, center, face, axis in _pathway_cases(request, name, rng):
+        pathway = _Pathway(mesh, center, face, axis)
+        for diameter in rng.uniform(low, high, 6):
+            slope = pathway.area(diameter)[1]
+            numeric = (pathway.area(diameter + h)[0] - pathway.area(diameter - h)[0]) / (2.0 * h)
+            assert abs(slope - numeric) <= 1e-7 * slope
+
+
+@pytest.mark.parametrize("theta", [0.0, 30.0])
+def test_plane_area_slope(plane_fine, theta):
+    # area pi D^2 / (4 cos theta), slope pi D / (2 cos theta)
+    _, face, _, _ = plane_fine.closest_point(ORIGIN)
+    pathway = _Pathway(plane_fine, ORIGIN, face, tilted_axis(theta))
+    for diameter in (0.7, 3.0, 5.5):
+        expected = np.pi * diameter / (2.0 * np.cos(np.radians(theta)))
+        assert abs(pathway.area(diameter)[1] - expected) <= 1e-12 * expected
 
 
 def test_design_json_fields(tmp_path, plane_coarse):
