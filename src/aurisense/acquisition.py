@@ -151,111 +151,73 @@ class CohortResult:
         self.archetype.flags.writeable = False
 
 
-def _matched_pair_quota(sizes, concordance):
-    """Pairs-per-archetype so totals are exact and mismatches can be paired.
+def _pairs(sizes, concordance) -> np.ndarray:
+    """(n, 2) archetype pairs of n = sum(sizes) / 2 subjects: k =
+    round(concordance * n) matched pairs first, then the mismatched ones.
 
-    Deterministic largest-remainder allocation with a feasibility fix-up:
-    a leftover pool is pairable iff its largest entry does not exceed the
-    sum of the others (and the total is even).
+    The leftover ears pair across archetypes iff no archetype keeps more
+    than n - k of them, so the matched counts m form a box with sum k:
+    lo_a = max(0, ceil((s_a - (n - k)) / 2)) <= m_a <= floor(s_a / 2) = hi_a.
+    m starts at the size-proportional quota floor(k s / sum(s)), clipped to
+    the box, and steps by 1 at the archetype farthest from its quota until
+    it sums to k.  The leftover ears, sorted by archetype, pair ear i with
+    ear i + n - k, which never puts one archetype on both sides.
     """
-    total = sum(sizes)
-    n_subjects = total // 2
-    k_matched = int(round(concordance * n_subjects))
-    quotas = [k_matched * s / total for s in sizes]
-    m = [min(int(np.floor(q)), s // 2) for q, s in zip(quotas, sizes)]
-    # distribute the remainder by largest fractional part, capacity permitting
-    order = sorted(range(len(sizes)), key=lambda a: quotas[a] - np.floor(quotas[a]),
-                   reverse=True)
-    i = 0
-    while sum(m) < k_matched and i < 4 * len(sizes):
-        a = order[i % len(sizes)]
-        if m[a] + 1 <= sizes[a] // 2:
-            m[a] += 1
-        i += 1
-    if sum(m) < k_matched:
-        raise ParameterError(
-            "concordance unreachable for these archetype sizes"
-        )
-
-    def leftovers():
-        return [s - 2 * q for s, q in zip(sizes, m)]
-
-    guard = 0
-    while True:
-        lo = leftovers()
-        big = int(np.argmax(lo))
-        if lo[big] * 2 <= sum(lo):
-            break
-        # pair two ears of the dominant archetype; release a pair elsewhere
-        if m[big] + 1 > sizes[big] // 2:
-            raise ParameterError("concordance unreachable for these archetype sizes")
-        m[big] += 1
-        candidates = [a for a in range(len(sizes)) if a != big and m[a] > 0]
-        if not candidates:
-            raise ParameterError("concordance unreachable for these archetype sizes")
-        donor = min(candidates, key=lambda a: leftovers()[a])
-        m[donor] -= 1
-        guard += 1
-        if guard > 10 * total:
-            raise ParameterError("concordance quota fix-up did not converge")
-    return m
+    s = np.asarray(sizes, dtype=np.int64)
+    n = int(s.sum()) // 2
+    k = round(concordance * n)
+    lo = np.maximum(0, -((n - k - s) // 2))
+    hi = s // 2
+    if lo.sum() > k or hi.sum() < k:
+        raise ParameterError("concordance unreachable for these archetype sizes")
+    quota = k * s / s.sum()
+    m = np.clip(np.floor(quota).astype(np.int64), lo, hi)
+    while step := int(np.sign(k - m.sum())):
+        movable = (m + step >= lo) & (m + step <= hi)
+        m[np.argmax(np.where(movable, step * (quota - m), -np.inf))] += step
+    arch = np.arange(s.size)
+    left = np.repeat(arch, s - 2 * m)
+    return np.concatenate([np.repeat(arch, m)[:, None].repeat(2, axis=1),
+                           np.stack([left[:n - k], left[n - k:]], axis=1)])
 
 
 def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     """Synthetic two-ears-per-subject AESR cohort with labeled ground truth.
 
     Archetype sizes are met exactly; the number of subjects whose two ears
-    share an archetype equals round(concordance * n_subjects).  Which
-    subjects are which, the side assignment, and the multiplicative noise
-    all come from the seed.
+    share an archetype equals k = round(concordance * n_subjects).  That is
+    possible iff the matched counts fit the box of ``_pairs``: the sum over
+    archetypes of max(0, ceil((s_a - (n - k)) / 2)) is at most k and that
+    of floor(s_a / 2) at least k; otherwise it raises ``ParameterError``.
+
+    The stream: ``spawn_rng(seed, 0)`` shuffles the pairs into subjects and
+    then swaps each subject's sides with probability 1/2; ear e draws its N
+    AP noises and then its scale from ``spawn_rng(seed, 1, e)``.
     """
     cfg = simulation_config("cohort", config)
     trends = np.asarray(cfg["archetypes"], dtype=np.float64)
-    sizes = [int(s) for s in cfg["sizes"]]
-    concordance = float(cfg["concordance"])
     noise = float(cfg["noise"])
     scale_sigma = noise * float(cfg["scale_sigma_factor"])
 
-    m = _matched_pair_quota(sizes, concordance)
-    pairs = []  # (archetype_left_candidate, archetype_right_candidate)
-    for a, q in enumerate(m):
-        pairs.extend([(a, a)] * q)
-    lo = [s - 2 * q for s, q in zip(sizes, m)]
-    pool = {a: l for a, l in enumerate(lo)}
-    while sum(pool.values()) > 0:
-        ranked = sorted(pool, key=lambda a: (-pool[a], a))
-        a, b = ranked[0], ranked[1]
-        if pool[b] == 0:
-            raise ParameterError("mismatch pairing failed")  # guarded by quota
-        pairs.append((a, b))
-        pool[a] -= 1
-        pool[b] -= 1
-
+    pairs = _pairs(cfg["sizes"], cfg["concordance"])
     rng = spawn_rng(seed, 0)
-    order = rng.permutation(len(pairs))
-    labels, rows, truth, subjects, sides = [], [], [], [], []
-    ear_index = 0
-    for subj_i, pi in enumerate(order):
-        a, b = pairs[pi]
-        if rng.random() < 0.5:
-            a, b = b, a
-        sid = f"S{subj_i + 1:02d}"
-        for side, arch in (("L", a), ("R", b)):
-            ear_rng = spawn_rng(seed, 1, ear_index)
-            row = trends[arch] * np.exp(noise * ear_rng.standard_normal(trends.shape[1]))
-            row *= np.exp(scale_sigma * ear_rng.standard_normal())
-            labels.append(f"{sid}-{side}")
-            rows.append(row)
-            truth.append(arch)
-            subjects.append(sid)
-            sides.append(side)
-            ear_index += 1
+    pairs = pairs[rng.permutation(len(pairs))]
+    swap = rng.random(len(pairs)) < 0.5
+    pairs[swap] = pairs[swap, ::-1]
+    arch = pairs.ravel()
+    n_aps = trends.shape[1]
+    z = np.empty((arch.size, n_aps + 1))
+    for e, draws in enumerate(z):
+        spawn_rng(seed, 1, e).standard_normal(out=draws)
+    rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
+    subjects = tuple(f"S{i + 1:02d}" for i in range(len(pairs)) for _ in "LR")
+    sides = ("L", "R") * len(pairs)
     return CohortResult(
-        labels=tuple(labels),
-        rows=np.asarray(rows),
-        archetype=np.asarray(truth, dtype=np.int64),
-        subjects=tuple(subjects),
-        sides=tuple(sides),
+        labels=tuple(f"{s}-{side}" for s, side in zip(subjects, sides)),
+        rows=rows,
+        archetype=arch,
+        subjects=subjects,
+        sides=sides,
         config=cfg,
     )
 

@@ -272,8 +272,9 @@ class ElbowResult:
         self.chord_distances.flags.writeable = False
 
 
-def select_k_elbow(sse_by_k, ks=None) -> ElbowResult:
-    """Elbow of the SSE-vs-K curve: the interior point farthest from the chord.
+def select_k_elbow(sse_by_k, ks) -> ElbowResult:
+    """Elbow of the SSE-vs-K curve, ``sse_by_k`` at the candidate K ``ks``:
+    the interior point farthest from the chord.
 
     Both axes are normalized to [0, 1] before measuring the perpendicular
     distance to the line joining the first and last points.  Ties pick the
@@ -282,12 +283,9 @@ def select_k_elbow(sse_by_k, ks=None) -> ElbowResult:
     sse = np.asarray(sse_by_k, dtype=np.float64)
     if sse.size < 3:
         raise ParameterError("need SSE values for at least 3 candidate K")
-    if ks is None:
-        ks = np.arange(1, sse.size + 1)
-    else:
-        ks = np.asarray(ks)
-        if ks.size != sse.size:
-            raise ParameterError("ks and sse lengths differ")
+    ks = np.asarray(ks)
+    if ks.size != sse.size:
+        raise ParameterError("ks and sse lengths differ")
     warning = None
     rises = np.diff(sse) > 1e-9 * max(float(sse.max()), 1.0)
     if rises.any():

@@ -186,6 +186,16 @@ class _Pathway:
         self.ratio = self.mesh.face_areas[self.faces] / np.where(self.parallel, 1.0, proj)
         self.x = x
         self.y = y
+        # a face parallel to the axis projects to a segment on the line
+        # {q : q . m = h}, m its normal in the plane, and s holds its
+        # corners' coordinates along m turned by 90 deg (0 for other faces)
+        par = np.flatnonzero(self.parallel)
+        m = self._project(self.mesh.face_normals[self.faces[par]])
+        m /= np.linalg.norm(m, axis=1)[:, None]
+        self.h = np.zeros(self.faces.size)
+        self.s = np.zeros((self.faces.size, 3))
+        self.h[par] = x[par, 0] * m[:, 0] + y[par, 0] * m[:, 1]
+        self.s[par] = y[par] * m[:, :1] - x[par] * m[:, 1:]
         self.adjacency = self.mesh.face_adjacency()[self.faces][:, self.faces]
         self.seed_local = int(np.searchsorted(self.faces, self.seed))
         self.built = radius
@@ -224,20 +234,14 @@ class _Pathway:
         """Exact clipped areas of faces parallel to the axis, and their
         derivatives in the radius.
 
-        Such a face projects to a segment on the line {q : q . m = h}, with m
-        the face normal in the cross-section plane; its points lie within the
-        cylinder where |q . u| <= sqrt(r^2 - h^2), u = m turned by 90 deg.
-        In the face plane u and the axis are orthonormal, so that is a strip.
-        ``faces`` are indices into the built faces.
+        Such a face's points lie within the cylinder where |s| <= sqrt(r^2 -
+        h^2), with h and s from ``_build``.  In the face plane the direction
+        of s and the axis are orthonormal, so that is a strip.  ``faces``
+        are indices into the built faces.
         """
-        m = self._project(self.mesh.face_normals[self.faces[faces]])
-        m /= np.linalg.norm(m, axis=1)[:, None]
-        x = self.x[faces]
-        y = self.y[faces]
-        h = x[:, 0] * m[:, 0] + y[:, 0] * m[:, 1]
-        s = y * m[:, :1] - x * m[:, 1:]
+        h = self.h[faces]
         half_width = np.sqrt(np.maximum(radius * radius - h * h, 0.0))
-        fraction, density = _strip_clip_fraction(s, half_width)
+        fraction, density = _strip_clip_fraction(self.s[faces], half_width)
         # dw/dr = r / w, and 0 while w = 0: the cylinder has not reached the face's line
         dw = np.divide(radius, half_width, out=np.zeros_like(half_width), where=half_width > 0.0)
         return self.mesh.face_areas[self.faces[faces]] * np.stack([fraction, density * dw])

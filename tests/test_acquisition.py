@@ -1,6 +1,9 @@
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aurisense.acquisition import (
@@ -12,9 +15,10 @@ from aurisense.acquisition import (
     simulate_exercise_session,
     simulation_config,
 )
-from aurisense.acquisition import _matched_pair_quota
+from aurisense.acquisition import _pairs
 from aurisense.analysis import concordance as cluster_concordance
 from aurisense.errors import ParameterError
+from aurisense.seeding import spawn_rng
 
 
 # ----------------------------------------------------------------------
@@ -39,23 +43,41 @@ def test_cohort_matched_subject_count_is_exact():
     assert matched == 24  # round(0.8 * 30)
 
 
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=5), st.floats(0.0, 1.0),
+@lru_cache(maxsize=None)
+def _mismatch_pairable(counts):
+    """Whether ears with these per-archetype counts pair up with no pair of
+    one archetype: the first ear left tries every other archetype."""
+    if not any(counts):
+        return True
+    a = next(i for i, c in enumerate(counts) if c)
+    return any(_mismatch_pairable(tuple(c - (i in (a, b)) for i, c in enumerate(counts)))
+               for b in range(a + 1, len(counts)) if counts[b])
+
+
+def _pairing_exists(sizes, k):
+    """Brute force: some matched counts m with sum k leave pairable ears."""
+    return any(sum(m) == k and _mismatch_pairable(tuple(s - 2 * q for s, q in zip(sizes, m)))
+               for m in product(*(range(s // 2 + 1) for s in sizes)))
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=4), st.floats(0.0, 1.0),
        st.integers(0, 2 ** 32))
 @settings(max_examples=80, deadline=None)
-def test_cohort_sizes_and_matched_count_are_exact_for_feasible_configs(sizes, concordance,
-                                                                       seed):
+def test_cohort_raises_iff_no_pairing_exists_else_sizes_and_matched_count_are_exact(
+        sizes, concordance, seed):
     sizes[0] += sum(sizes) % 2
-    assume(sum(sizes) > 0)
-    try:
-        _matched_pair_quota(sizes, concordance)
-    except ParameterError:
-        assume(False)  # concordance unreachable for these sizes
+    if sum(sizes) == 0:
+        sizes[0] = 2
     cfg = {"archetypes": [[1.0 + a, 2.0, 3.0] for a in range(len(sizes))],
            "sizes": sizes, "concordance": concordance}
-    res = simulate_cohort(cfg, seed)
-    np.testing.assert_array_equal(np.bincount(res.archetype, minlength=len(sizes)), sizes)
     n_subjects = sum(sizes) // 2
     matched = round(concordance * n_subjects)
+    if not _pairing_exists(sizes, matched):
+        with pytest.raises(ParameterError, match="concordance unreachable"):
+            simulate_cohort(cfg, seed)
+        return
+    res = simulate_cohort(cfg, seed)
+    np.testing.assert_array_equal(np.bincount(res.archetype, minlength=len(sizes)), sizes)
 
     class TruthReport:  # the true archetypes as cluster assignments
         assignments = res.archetype
@@ -66,6 +88,33 @@ def test_cohort_sizes_and_matched_count_are_exact_for_feasible_configs(sizes, co
     assert con.n_subjects == n_subjects
     assert np.trace(con.match_matrix) == matched
     assert con.fraction == matched / n_subjects
+
+
+@pytest.mark.parametrize("sizes, seed", [([35, 17, 5, 3], 4), ([6, 0, 9, 1], 13)],
+                         ids=["default-sizes", "an-empty-archetype"])
+def test_cohort_ears_follow_the_documented_stream(sizes, seed):
+    """Subject i holds pair order[i] of the shuffle, sides swapped by the
+    i-th draw, both from spawn_rng(seed, 0); ear e draws its AP noises and
+    then its scale from spawn_rng(seed, 1, e)."""
+    cfg = dict(default_cohort_config(), sizes=sizes)
+    cfg["archetypes"] = cfg["archetypes"][:len(sizes)]
+    res = simulate_cohort(cfg, seed)
+    trends = np.asarray(cfg["archetypes"])
+    pairs = _pairs(sizes, cfg["concordance"])
+    rng = spawn_rng(seed, 0)
+    order = rng.permutation(len(pairs))
+    swaps = [rng.random() < 0.5 for _ in pairs]
+    sigma = cfg["noise"] * cfg["scale_sigma_factor"]
+    assert len(res.labels) == 2 * len(pairs) and (pairs[:, 0] != pairs[:, 1]).any()
+    for e in range(2 * len(pairs)):
+        subject, side = divmod(e, 2)
+        arch = pairs[order[subject], side ^ swaps[subject]]
+        ear_rng = spawn_rng(seed, 1, e)
+        row = trends[arch] * np.exp(cfg["noise"] * ear_rng.standard_normal(trends.shape[1]))
+        row *= np.exp(sigma * ear_rng.standard_normal())
+        assert res.labels[e] == f"S{subject + 1:02d}-{'LR'[side]}"
+        assert res.archetype[e] == arch
+        assert res.rows[e].tobytes() == row.tobytes()
 
 
 def test_cohort_noise_zero_single_archetype_identical_rows():

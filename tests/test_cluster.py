@@ -600,30 +600,32 @@ def test_silhouette_is_the_same_for_every_row_block(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_elbow_hand_computed_example():
-    res = select_k_elbow([100.0, 20.0, 18.0, 17.0, 16.0])
+    res = select_k_elbow([100.0, 20.0, 18.0, 17.0, 16.0], [1, 2, 3, 4, 5])
     assert res.k_star == 2
     assert res.warning is None
 
 
 def test_elbow_linear_decline_ties_to_smallest_interior():
-    res = select_k_elbow([50.0, 40.0, 30.0, 20.0, 10.0])
+    res = select_k_elbow([50.0, 40.0, 30.0, 20.0, 10.0], [1, 2, 3, 4, 5])
     assert res.k_star == 2
 
 
 def test_elbow_non_monotone_warning():
-    res = select_k_elbow([100.0, 20.0, 30.0, 10.0])
+    res = select_k_elbow([100.0, 20.0, 30.0, 10.0], [1, 2, 3, 4])
     assert res.warning is not None
     assert "K=2" in res.warning
 
 
 def test_elbow_needs_three_points():
     with pytest.raises(ParameterError):
-        select_k_elbow([10.0, 5.0])
+        select_k_elbow([10.0, 5.0], [1, 2])
 
 
 def test_elbow_custom_ks():
-    res = select_k_elbow([100.0, 20.0, 18.0, 17.0], ks=[1, 2, 3, 4])
-    assert res.k_star == 2
+    res = select_k_elbow([100.0, 20.0, 18.0, 17.0], ks=[2, 3, 4, 5])
+    assert res.k_star == 3
+    with pytest.raises(ParameterError, match="lengths differ"):
+        select_k_elbow([100.0, 20.0, 18.0, 17.0], ks=[2, 3, 4])
 
 
 # ----------------------------------------------------------------------
