@@ -2,9 +2,8 @@
 
 Everything here is a pure function of (config, seed): synthetic population
 cohorts with labeled archetypes, and exercise sessions over the four
-measurement periods.  Sub-streams are derived with
-``aurisense.seeding.spawn_rng`` so parallel generation would match a
-sequential run exactly.
+measurement periods.  Each kind of draw has its own ``spawn_rng`` stream
+(listed in ``aurisense.seeding``), so draws of one kind never shift another.
 
 Noise is multiplicative lognormal, so its relative spread does not depend
 on the resistance scale.
@@ -159,9 +158,10 @@ def _pairs(sizes, concordance) -> np.ndarray:
     than n - k of them, so the matched counts m form a box with sum k:
     lo_a = max(0, ceil((s_a - (n - k)) / 2)) <= m_a <= floor(s_a / 2) = hi_a.
     m starts at the size-proportional quota floor(k s / sum(s)), clipped to
-    the box, and steps by 1 at the archetype farthest from its quota until
-    it sums to k.  The leftover ears, sorted by archetype, pair ear i with
-    ear i + n - k, which never puts one archetype on both sides.
+    the box, and steps by 1 at the movable archetype with the largest
+    relative shortfall step * (quota - m) / quota until it sums to k.  The
+    leftover ears, sorted by archetype, pair ear i with ear i + n - k, which
+    never puts one archetype on both sides.
     """
     s = np.asarray(sizes, dtype=np.int64)
     n = int(s.sum()) // 2
@@ -174,7 +174,8 @@ def _pairs(sizes, concordance) -> np.ndarray:
     m = np.clip(np.floor(quota).astype(np.int64), lo, hi)
     while step := int(np.sign(k - m.sum())):
         movable = (m + step >= lo) & (m + step <= hi)
-        m[np.argmax(np.where(movable, step * (quota - m), -np.inf))] += step
+        short = np.divide(step * (quota - m), quota, out=np.zeros_like(quota), where=quota > 0)
+        m[np.argmax(np.where(movable, short, -np.inf))] += step
     arch = np.arange(s.size)
     left = np.repeat(arch, s - 2 * m)
     return np.concatenate([np.repeat(arch, m)[:, None].repeat(2, axis=1),
@@ -190,9 +191,10 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     archetypes of max(0, ceil((s_a - (n - k)) / 2)) is at most k and that
     of floor(s_a / 2) at least k; otherwise it raises ``ParameterError``.
 
-    The stream: ``spawn_rng(seed, 0)`` shuffles the pairs into subjects and
-    then swaps each subject's sides with probability 1/2; ear e draws its N
-    AP noises and then its scale from ``spawn_rng(seed, 1, e)``.
+    Two streams: ``spawn_rng(seed, 0)`` shuffles the pairs into subjects and
+    then swaps each subject's sides with probability 1/2; row e of one
+    (M, N + 1) standard-normal draw from ``spawn_rng(seed, 1)`` holds ear
+    e's N AP noises and then its scale, whatever M is (the fill is row-major).
     """
     cfg = simulation_config("cohort", config)
     trends = np.asarray(cfg["archetypes"], dtype=np.float64)
@@ -206,9 +208,7 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     pairs[swap] = pairs[swap, ::-1]
     arch = pairs.ravel()
     n_aps = trends.shape[1]
-    z = np.empty((arch.size, n_aps + 1))
-    for e, draws in enumerate(z):
-        spawn_rng(seed, 1, e).standard_normal(out=draws)
+    z = spawn_rng(seed, 1).standard_normal((arch.size, n_aps + 1))
     rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
     subjects = tuple(f"S{i + 1:02d}" for i in range(len(pairs)) for _ in "LR")
     sides = ("L", "R") * len(pairs)

@@ -368,9 +368,9 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
     p = pca(normalize_spatial(x), k=min(_N_COMPONENTS, m - 1, x.shape[1]))
     points = p.scores
 
-    k_lo, k_hi = k_range[0], k_range[1]
-    if not (is_whole(k_lo) and is_whole(k_hi)):
+    if len(k_range) != 2 or not all(is_whole(k) for k in k_range):
         raise ParameterError("k_range must be two integers")
+    k_lo, k_hi = k_range
     # the elbow needs K = 1 and at least two candidates
     if not 2 <= k_lo < k_hi <= m - 1:
         raise ParameterError(f"k_range must satisfy 2 <= lo < hi <= M-1 = {m - 1}")

@@ -25,10 +25,9 @@ from ..seeding import is_whole, spawn_rng
 # verdict rule: uncorrelated iff p > 0.05 or |PCC| < 0.4
 P_THRESHOLD = 0.05
 PCC_THRESHOLD = 0.4
-# shuffles drawn per tile in ``_permutations`` and scored per gather in
-# ``correlation``: a block's intp indices and gathered yc take 8·n bytes per
-# row.  In a fresh process on one Xeon core, one n = 80, 10 000-shuffle test
-# took 2.1-2.5 ms in blocks of 256 against 6.1-7.9 ms in blocks of 1024
+# shuffles scored per gather in ``correlation``: a block's intp indices and
+# gathered yc take 8·n bytes per row.  On one Xeon core, a fresh process's
+# n = 80, 10 000-shuffle test took 2.1-2.5 ms in blocks of 256, 6.1-7.9 in 1024
 PERM_BLOCK = 256
 
 
@@ -71,18 +70,14 @@ def pearson(x, y) -> float:
 def _permutations(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only (n_perm, n) array whose rows are the test's index shuffles.
 
-    Permuting the rows of a tile in turn draws the same stream as repeated
-    ``rng.permutation(n)``, and a shuffle depends only on that stream and on
-    n, so ``y[perms]`` holds the permutations of any y of length n.  The
-    indices take the smallest unsigned dtype that holds n - 1: one byte each
-    up to n = 256.
+    One in-place ``permuted`` of the tiled ``arange(n)`` shuffles its rows
+    in turn, as repeated ``rng.permutation(n)`` would, and a shuffle depends
+    only on that stream and on n, so ``y[perms]`` holds the permutations of
+    any y of length n.  The indices take the smallest unsigned dtype that
+    holds n - 1: one byte each up to n = 256.
     """
-    rng = spawn_rng(seed)
-    perms = np.empty((n_perm, n), dtype=np.min_scalar_type(n - 1))
-    for start in range(0, n_perm, PERM_BLOCK):
-        rows = min(PERM_BLOCK, n_perm - start)
-        perms[start:start + rows] = rng.permuted(
-            np.tile(np.arange(n, dtype=perms.dtype), (rows, 1)), axis=1)
+    perms = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (n_perm, 1))
+    spawn_rng(seed).permuted(perms, axis=1, out=perms)
     perms.flags.writeable = False
     return perms
 

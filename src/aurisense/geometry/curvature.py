@@ -7,10 +7,10 @@ curvatures come from the shape operator of that Monge patch; the sign
 convention makes a sphere with outward normals convex-positive
 (H = 1/R > 0).
 
-The fit needs at least 5 distinct neighbors; vertices below that are
-retried with progressively larger rings and flagged if they never reach
-5.  Each vertex's neighborhood is a row of ``SurfaceMesh.k_rings``, and one
-batched solve fits every vertex of a ring size at once.
+Each vertex is fitted on its 2-ring, a row of ``SurfaceMesh.k_rings``, and
+one batched solve fits every vertex of a ring size at once.  The fit needs
+at least 5 distinct neighbors; vertices below that are retried with rings
+up to the 5-ring and flagged if they never reach 5.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ParameterError
-from ..seeding import is_whole
 from .mesh import SurfaceMesh
 
 _RIDGE = 1e-10  # relative Tikhonov weight on the normal equations
 _MIN_NEIGHBORS = 5
-_MAX_RING_GROWTH = 3
+_K_RING = 2    # the ring every vertex is fitted on first
+_MAX_RING = 5  # the largest ring a too-small neighborhood grows to
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,17 @@ def _fit_coeffs(vertices, t1, t2, normals, query, indptr, indices):
     return coeffs, ok
 
 
-def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> CurvatureField:
+def curvature_field(mesh: SurfaceMesh, vertices=None) -> CurvatureField:
     """Principal and mean curvature at every vertex, or at ``vertices`` only.
 
     With ``vertices`` (vertex indices) the curvature arrays follow their
     order; each value equals the full-field one, since every vertex is
     fitted on its own.  Vertices whose neighborhood is too small for the
-    quadric fit are retried with rings up to ``k_ring + 3``; any survivor
+    quadric fit are retried with rings up to ``_MAX_RING``; any survivor
     is reported (by vertex index) in ``flagged`` with curvature set to 0.
     ``SurfaceMesh.k_rings`` raises ``ParameterError`` for indices outside
     the mesh.
     """
-    if not (is_whole(k_ring) and k_ring >= 1):
-        raise ParameterError("k_ring must be an integer >= 1")
     if vertices is None:
         query = np.arange(mesh.n_vertices, dtype=np.int64)
     else:
@@ -134,8 +131,8 @@ def curvature_field(mesh: SurfaceMesh, k_ring: int = 2, vertices=None) -> Curvat
     k1 = np.zeros(query.size)
     k2 = np.zeros(query.size)
     pending = np.arange(query.size)  # positions in query
-    ring = k_ring
-    while pending.size and ring <= k_ring + _MAX_RING_GROWTH:
+    ring = _K_RING
+    while pending.size and ring <= _MAX_RING:
         rings = mesh.k_rings(query[pending], ring)
         coeffs, ok = _fit_coeffs(mesh.vertices, t1, t2, mesh.vertex_normals,
                                  query[pending], rings.indptr, rings.indices)

@@ -1,10 +1,13 @@
 """Deterministic seed derivation, and the integer rule every seed and count follows.
 
-All randomness in the simulators flows from one integer seed.  Sub-streams
-(per ear, per restart, ...) are derived with a counter-based
-``SeedSequence`` split keyed on an integer path, so that work items can be
-generated in any order, or in parallel, and still match a sequential run
-bit for bit.
+All randomness flows from one integer seed.  ``spawn_rng`` names a stream
+by an integer path under it (a ``SeedSequence`` spawn key); a path exists
+only where one kind of draw must not shift another.  k-means restart r
+draws from (r,), the same values whatever restart block it runs in, and
+``cluster_pipeline`` seeds the k-means of each K from (K,); a cohort pairs
+its ears from (0,) and draws their noise from (1,); a session draws from
+(), and its subject's trait from (7,) under the subject's CRC-32; a
+correlation test draws its permutation table from ().
 """
 
 import numpy as np

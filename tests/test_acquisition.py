@@ -94,27 +94,64 @@ def test_cohort_raises_iff_no_pairing_exists_else_sizes_and_matched_count_are_ex
                          ids=["default-sizes", "an-empty-archetype"])
 def test_cohort_ears_follow_the_documented_stream(sizes, seed):
     """Subject i holds pair order[i] of the shuffle, sides swapped by the
-    i-th draw, both from spawn_rng(seed, 0); ear e draws its AP noises and
-    then its scale from spawn_rng(seed, 1, e)."""
+    i-th draw, both from spawn_rng(seed, 0); ear e's AP noises and then its
+    scale are row e of one standard-normal draw from spawn_rng(seed, 1),
+    whose rows do not depend on how many follow them."""
     cfg = dict(default_cohort_config(), sizes=sizes)
     cfg["archetypes"] = cfg["archetypes"][:len(sizes)]
     res = simulate_cohort(cfg, seed)
     trends = np.asarray(cfg["archetypes"])
+    n_aps = trends.shape[1]
     pairs = _pairs(sizes, cfg["concordance"])
     rng = spawn_rng(seed, 0)
     order = rng.permutation(len(pairs))
     swaps = [rng.random() < 0.5 for _ in pairs]
+    z = spawn_rng(seed, 1).standard_normal((4 * len(pairs), n_aps + 1))
     sigma = cfg["noise"] * cfg["scale_sigma_factor"]
     assert len(res.labels) == 2 * len(pairs) and (pairs[:, 0] != pairs[:, 1]).any()
     for e in range(2 * len(pairs)):
         subject, side = divmod(e, 2)
         arch = pairs[order[subject], side ^ swaps[subject]]
-        ear_rng = spawn_rng(seed, 1, e)
-        row = trends[arch] * np.exp(cfg["noise"] * ear_rng.standard_normal(trends.shape[1]))
-        row *= np.exp(sigma * ear_rng.standard_normal())
+        row = trends[arch] * np.exp(cfg["noise"] * z[e, :n_aps])
+        row *= np.exp(sigma * z[e, n_aps])
         assert res.labels[e] == f"S{subject + 1:02d}-{'LR'[side]}"
         assert res.archetype[e] == arch
         assert res.rows[e].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1, 80], ids=["60-ears", "4800-ears"])
+def test_cohort_draws_from_two_streams_whatever_its_size(monkeypatch, scale):
+    calls = []
+
+    def counting_spawn_rng(seed, *path):
+        calls.append(path)
+        return spawn_rng(seed, *path)
+
+    monkeypatch.setattr("aurisense.acquisition.spawn_rng", counting_spawn_rng)
+    cfg = dict(default_cohort_config(), sizes=[35 * scale, 17 * scale, 5 * scale, 3 * scale])
+    assert simulate_cohort(cfg, seed=2).rows.shape[0] == 60 * scale
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("scale", [20, 80], ids=["1200-ears", "4800-ears"])
+def test_pairs_balance_the_relative_shortfall_of_the_movable_archetypes(scale):
+    """The box lifts the largest archetype's matched count above its quota,
+    so the others step down; each step goes where step * (quota - m) / quota
+    is largest, which leaves those shortfalls within one step, 1 / quota."""
+    sizes = np.array([35, 17, 5, 3]) * scale
+    concordance = default_cohort_config()["concordance"]
+    pairs = _pairs(sizes, concordance)
+    m = np.bincount(pairs[pairs[:, 0] == pairs[:, 1], 0], minlength=sizes.size)
+    n = sizes.sum() // 2
+    k = round(concordance * n)
+    lo = np.maximum(0, -((n - k - sizes) // 2))
+    quota = k * sizes / sizes.sum()
+    step = int(np.sign(k - np.clip(np.floor(quota), lo, sizes // 2).sum()))
+    assert m.sum() == k and step == -1
+    movable = (m + step >= lo) & (m + step <= sizes // 2)
+    assert movable.tolist() == [False, True, True, True]
+    short = step * (quota - m) / quota
+    assert np.ptp(short[movable]) <= (1.0 / quota[movable]).max() + 1e-12
 
 
 def test_cohort_noise_zero_single_archetype_identical_rows():

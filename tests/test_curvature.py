@@ -21,7 +21,7 @@ def interior_mask(mesh, margin):
 
 
 def test_plane_curvature_zero(plane_coarse):
-    field = curvature_field(plane_coarse, k_ring=2)
+    field = curvature_field(plane_coarse)
     inner = interior_mask(plane_coarse, 2.0)
     assert np.abs(field.mean[inner]).max() < 1e-6
     assert np.abs(field.kappa1[inner]).max() < 1e-6
@@ -30,7 +30,7 @@ def test_plane_curvature_zero(plane_coarse):
 
 
 def test_unit_icosphere_mean_curvature(icosphere_unit):
-    field = curvature_field(icosphere_unit, k_ring=2)
+    field = curvature_field(icosphere_unit)
     # analytic H = 1/R = 1, convex-positive for outward normals
     rel = np.abs(field.mean - 1.0)
     assert rel.max() < 0.05
@@ -44,7 +44,7 @@ def test_mean_is_half_sum(icosphere_unit):
 
 
 def test_cylinder_mean_curvature(cylinder_r2):
-    field = curvature_field(cylinder_r2, k_ring=2)
+    field = curvature_field(cylinder_r2)
     z = cylinder_r2.vertices[:, 2]
     away = np.abs(z) < 3.0  # away from the open rims
     rel = np.abs(field.mean[away] - 0.25) / 0.25
@@ -62,7 +62,7 @@ def test_exact_quadric_curvature_at_the_apex(a, b, c):
     x, y, faces = _square_grid(4.0, 0.5)
     mesh = SurfaceMesh(np.stack([x, y, a * x * x + b * x * y + c * y * y], axis=1), faces)
     apex = int(np.flatnonzero((x == 0.0) & (y == 0.0))[0])
-    field = curvature_field(mesh, k_ring=2, vertices=[apex])
+    field = curvature_field(mesh, vertices=[apex])
     k1, k2 = -np.linalg.eigvalsh([[2.0 * a, b], [b, 2.0 * c]])  # k1 >= k2
     assert abs(field.kappa1[0] - k1) < 1e-8
     assert abs(field.kappa2[0] - k2) < 1e-8
@@ -94,24 +94,32 @@ def _fan_mesh(n):
     return SurfaceMesh(verts, np.asarray(faces))
 
 
+def _strip_mesh(n):
+    """Flat 2 x n vertex strip of 2(n - 1) triangles."""
+    x = np.tile(np.arange(n, dtype=np.float64), 2)
+    y = np.repeat([0.0, 1.0], n)
+    i = np.arange(n - 1)
+    faces = np.concatenate([np.stack([i, i + 1, n + i + 1], axis=1),
+                            np.stack([i, n + i + 1, n + i], axis=1)])
+    return SurfaceMesh(np.stack([x, y, np.zeros(2 * n)], axis=1), faces)
+
+
 def test_underdetermined_vertex_falls_back_to_larger_ring():
-    # 5-fan: rim vertices have only 3 one-ring neighbors, but the grown
-    # ring reaches all 5 others, so the fit succeeds everywhere
-    field = curvature_field(_fan_mesh(5), k_ring=1)
+    # the strip's end vertices 5 and 6 have 4 neighbors in their 2-ring and
+    # 6 in their 3-ring, so the grown ring fits them and nothing is flagged
+    mesh = _strip_mesh(6)
+    assert np.diff(mesh.k_rings(np.array([5, 6]), 2).indptr).tolist() == [4, 4]
+    assert np.diff(mesh.k_rings(np.array([5, 6]), 3).indptr).tolist() == [6, 6]
+    field = curvature_field(mesh)
     assert field.flagged.size == 0
+    assert np.abs(field.mean).max() < 1e-12
 
 
 def test_unfittable_vertices_are_flagged():
     # 4-fan: even the full mesh offers at most 4 neighbors per vertex
-    field = curvature_field(_fan_mesh(4), k_ring=1)
+    field = curvature_field(_fan_mesh(4))
     assert field.flagged.size == 5
     assert np.isfinite(field.mean).all()
-
-
-def test_k_ring_validation(plane_coarse):
-    for k_ring in (0, 2.5, True, "2"):
-        with pytest.raises(ParameterError, match="k_ring must be an integer >= 1"):
-            curvature_field(plane_coarse, k_ring=k_ring)
 
 
 def test_vertex_subset_follows_the_given_order(icosphere_unit):
