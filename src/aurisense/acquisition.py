@@ -6,7 +6,8 @@ measurement periods.  Each kind of draw has its own ``spawn_rng`` stream
 (listed in ``aurisense.seeding``), so draws of one kind never shift another.
 
 Noise is multiplicative lognormal, so its relative spread does not depend
-on the resistance scale.
+on the resistance scale.  A session's only config field is its noise; its
+response model (drops, recovery, HR and BP) is fixed by module constants.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ PERIODS = ("I", "II", "III", "IV")
 # simulation configs
 # ----------------------------------------------------------------------
 
-_COUNTS = {"sizes", "n_aps"}
-_POSITIVE = {"archetypes", "hr_baseline", "bp_baseline", "baseline_range"}
-_FRACTIONS = {"concordance", "active_drops", "inactive_drop_max", "recovery_level",
-              "vital_recovery_remainder"}
+_COUNTS = {"sizes"}
+_POSITIVE = {"archetypes"}
+_FRACTIONS = {"concordance"}
 
 
 def simulation_config(kind: str, config: dict | None = None) -> dict:
@@ -68,10 +68,6 @@ def simulation_config(kind: str, config: dict | None = None) -> dict:
             raise ParameterError("sizes must add up to a positive, even ear count")
         if len(cfg["archetypes"]) != len(cfg["sizes"]) or not len(cfg["archetypes"][0]):
             raise ParameterError("need one archetype trend of at least one AP per size entry")
-    elif int(cfg["n_aps"]) < max(len(cfg["active_drops"]), 1):
-        raise ParameterError("n_aps must be at least 1 and at least the active-drop count")
-    elif len(cfg["baseline_range"]) != 2 or cfg["baseline_range"][0] > cfg["baseline_range"][1]:
-        raise ParameterError("baseline_range must be [low, high] with low <= high")
     return cfg
 
 
@@ -82,6 +78,9 @@ def simulation_config(kind: str, config: dict | None = None) -> dict:
 # APs per default archetype trend, and the side of the offsets' tetrahedron
 ARCHETYPE_APS = 10
 ARCHETYPE_SEPARATION = 0.9
+# an ear's overall resistance scale spreads this many times the AP noise:
+# ears differ more in level than in pattern (illustrative)
+SCALE_SIGMA_FACTOR = 3.0
 
 
 def default_archetypes() -> np.ndarray:
@@ -132,7 +131,6 @@ def default_cohort_config() -> dict:
         "sizes": [35, 17, 5, 3],
         "concordance": 0.8,
         "noise": 0.045,
-        "scale_sigma_factor": 3.0,
     }
 
 
@@ -199,7 +197,7 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     cfg = simulation_config("cohort", config)
     trends = np.asarray(cfg["archetypes"], dtype=np.float64)
     noise = float(cfg["noise"])
-    scale_sigma = noise * float(cfg["scale_sigma_factor"])
+    scale_sigma = noise * SCALE_SIGMA_FACTOR
 
     pairs = _pairs(cfg["sizes"], cfg["concordance"])
     rng = spawn_rng(seed, 0)
@@ -225,6 +223,27 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
 # ----------------------------------------------------------------------
 # exercise sessions
 # ----------------------------------------------------------------------
+
+# The session response model.  Illustrative values that reproduce the
+# pattern the paper reports after cycling, not measured data.
+SESSION_APS = 13  # APs per session, as in the built-in 13-AP template
+# fraction of the period-I level lost at period II at the active APs AP1..AP6
+ACTIVE_DROPS = (0.608, 0.668, 0.554, 0.649, 0.578, 0.513)
+INACTIVE_DROP_MAX = 0.235  # the inactive APs AP7+ drop by a uniform draw in [0, this]
+RECOVERY_LEVEL = 0.677  # period III climbs back to this fraction of the period-I level
+HR_BASELINE = 75.0  # bpm at rest: a typical adult resting heart rate
+BP_BASELINE = 118.0  # mmHg at rest: a typical adult resting systolic pressure
+HR_RISE = 0.429  # fractional HR rise at period II, right after cycling
+BP_RISE = 0.16  # fractional BP rise at period II
+VITAL_RECOVERY_REMAINDER = 0.543  # fraction of the HR/BP rise still there at period III
+BASELINE_RANGE = (2.0e5, 1.2e6)  # ohm: per-AP baselines drawn log-uniform in this range
+# test-to-test exertion coupling: one latent factor with this spread scales
+# the AESR drop depth and the HR/BP rise, so their changes correlate
+EXERTION_SD = 0.07
+DROP_JITTER = 0.045  # per-AP spread of the drop around the shared exertion factor
+HR_JITTER = 0.07  # spread of the HR rise around the shared exertion factor
+BP_JITTER = 0.08  # spread of the BP rise around the shared exertion factor
+
 
 @dataclass(frozen=True)
 class SessionRecord:
@@ -263,29 +282,9 @@ class SessionRecord:
 
 
 def default_session_config() -> dict:
-    return {
-        "n_aps": 13,
-        # fraction of the period-I level lost at period II, AP1..AP6
-        "active_drops": [0.608, 0.668, 0.554, 0.649, 0.578, 0.513],
-        # AP7+ drop drawn uniform in [0, inactive_drop_max]
-        "inactive_drop_max": 0.235,
-        # period III climbs back to this fraction of the period-I level
-        "recovery_level": 0.677,
-        "hr_baseline": 75.0,
-        "bp_baseline": 118.0,
-        "hr_rise": 0.429,
-        "bp_rise": 0.16,
-        # fraction of the period-II excursion still present at period III
-        "vital_recovery_remainder": 0.543,
-        "baseline_range": [2.0e5, 1.2e6],
-        "noise": 0.027,
-        # test-to-test exertion coupling: one latent factor scales the AESR
-        # drop depth and the HR/BP rise, so their changes correlate
-        "exertion_sd": 0.07,
-        "drop_jitter": 0.045,
-        "hr_jitter": 0.07,
-        "bp_jitter": 0.08,
-    }
+    """The session's one config field, the noise; the response model is
+    fixed by the module constants above."""
+    return {"noise": 0.027}
 
 
 def simulate_exercise_session(config: dict | None, subject: str, test: str,
@@ -293,20 +292,20 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
     """One test (cycling 'A*' or control 'B*') over periods I-IV.
 
     Cycling tests drop the active-AP resistances at period II, recover to
-    the configured fraction of baseline at period III and to baseline at
-    period IV; HR and BP rise at period II and decay back by period IV.
-    Controls hold every multiplier at one.  A shared per-test exertion
-    factor (when ``exertion_sd`` > 0) couples the AESR drop depth with the
-    HR/BP rise so their changes correlate across tests.
+    ``RECOVERY_LEVEL`` of baseline at period III and to baseline at period
+    IV; HR and BP rise at period II and decay back by period IV.  Controls
+    hold every multiplier at one.  A shared per-test exertion factor (when
+    the noise is > 0) couples the AESR drop depth with the HR/BP rise so
+    their changes correlate across tests.
     """
     cfg = simulation_config("session", config)
-    n = int(cfg["n_aps"])
-    drops = np.asarray(cfg["active_drops"], dtype=np.float64)
+    n = SESSION_APS
+    drops = np.asarray(ACTIVE_DROPS)
     noise = float(cfg["noise"])
     is_cycling = test.upper().startswith("A")
 
     rng = spawn_rng(seed)
-    lo, hi = cfg["baseline_range"]
+    lo, hi = BASELINE_RANGE
     baseline = np.exp(rng.uniform(np.log(lo), np.log(hi), n))
 
     mult = np.ones((4, n))
@@ -314,10 +313,9 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
     bp_mult = np.ones(4)
     if is_cycling:
         # noise == 0 is a master switch: the response multipliers become
-        # exactly the configured values, with no exertion or jitter terms
-        stochastic = noise > 0
-        e_sd, d_jit, h_jit, b_jit = (float(cfg[k]) if stochastic else 0.0 for k in (
-            "exertion_sd", "drop_jitter", "hr_jitter", "bp_jitter"))
+        # exactly the model's values, with no exertion or jitter terms
+        e_sd, d_jit, h_jit, b_jit = ((EXERTION_SD, DROP_JITTER, HR_JITTER, BP_JITTER)
+                                     if noise > 0 else (0.0,) * 4)
         z = float(np.clip(1.0 + e_sd * rng.standard_normal(), 0.2, 1.8))
         drop_eff = np.empty(n)
         jit = d_jit * rng.standard_normal(drops.size)
@@ -325,23 +323,21 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
         # the inactive-AP response is a stable per-subject trait, so it is
         # drawn from a stream keyed on the subject id, not on the session
         subject_rng = spawn_rng(zlib.crc32(subject.encode("utf-8")), 7)
-        drop_eff[drops.size:] = subject_rng.uniform(
-            0.0, float(cfg["inactive_drop_max"]), n - drops.size)
+        drop_eff[drops.size:] = subject_rng.uniform(0.0, INACTIVE_DROP_MAX, n - drops.size)
         drop_eff = np.clip(drop_eff, 0.0, 0.95)
         m2 = 1.0 - drop_eff
-        recovery = float(cfg["recovery_level"])
-        m3 = np.maximum(m2, recovery)  # APs that never dropped that far stay put
+        m3 = np.maximum(m2, RECOVERY_LEVEL)  # APs that never dropped that far stay put
         mult[1] = m2
         mult[2] = m3
-        rem = float(cfg["vital_recovery_remainder"])
-        hr_peak = float(cfg["hr_rise"]) * max(z + h_jit * rng.standard_normal(), 0.05)
-        bp_peak = float(cfg["bp_rise"]) * max(z + b_jit * rng.standard_normal(), 0.05)
+        rem = VITAL_RECOVERY_REMAINDER
+        hr_peak = HR_RISE * max(z + h_jit * rng.standard_normal(), 0.05)
+        bp_peak = BP_RISE * max(z + b_jit * rng.standard_normal(), 0.05)
         hr_mult[1] = 1.0 + hr_peak
         hr_mult[2] = 1.0 + hr_peak * rem
         bp_mult[1] = 1.0 + bp_peak
         bp_mult[2] = 1.0 + bp_peak * rem
 
     aesr = baseline[None, :] * mult * np.exp(noise * rng.standard_normal(mult.shape))
-    hr = float(cfg["hr_baseline"]) * hr_mult
-    bp = float(cfg["bp_baseline"]) * bp_mult
+    hr = HR_BASELINE * hr_mult
+    bp = BP_BASELINE * bp_mult
     return SessionRecord(subject=subject, test=test, aesr=aesr, hr=hr, bp=bp, config=cfg)

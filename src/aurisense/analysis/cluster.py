@@ -265,11 +265,7 @@ def silhouette(points, assignments):
 @dataclass(frozen=True)
 class ElbowResult:
     k_star: int
-    chord_distances: np.ndarray
     warning: str | None = None
-
-    def __post_init__(self):
-        self.chord_distances.flags.writeable = False
 
 
 def select_k_elbow(sse_by_k, ks) -> ElbowResult:
@@ -304,7 +300,7 @@ def select_k_elbow(sse_by_k, ks) -> ElbowResult:
     dist = np.abs(dx * (y - y[0]) - dy * (x - x[0])) / norm
     interior = slice(1, sse.size - 1)
     rel = np.argmax(dist[interior])  # argmax takes the first (smallest K) on ties
-    return ElbowResult(k_star=int(ks[1 + rel]), chord_distances=dist, warning=warning)
+    return ElbowResult(k_star=int(ks[1 + rel]), warning=warning)
 
 
 # ----------------------------------------------------------------------

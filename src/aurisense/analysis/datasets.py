@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DatasetFormatError
-from ..textio import format_rows, read_lines, table, write_report_json
+from ..textio import format_rows, read_lines, require, table, write_report_json
 
 __all__ = ["read_dataset_csv", "write_dataset_csv", "write_report_json"]
 
@@ -35,7 +35,7 @@ def read_dataset_csv(path):
     """Parse a dataset CSV; returns (labels, rows).
 
     Raises ``DatasetFormatError`` naming the file line of the first
-    malformed row.
+    malformed row, or of the first row with a ``nan`` or ``inf`` cell.
     """
     rows, lines = read_lines(path, DatasetFormatError, comment="#")
     if not rows:
@@ -45,5 +45,7 @@ def read_dataset_csv(path):
         raise DatasetFormatError("header must be 'label,<column>,...'", line=int(lines[0]))
     if len(rows) < 2:
         raise DatasetFormatError("file has no data rows")
-    return table(rows[1:], lines[1:], len(header) - 1, np.float64, DatasetFormatError,
-                 sep=",", label=True)
+    labels, values = table(rows[1:], lines[1:], len(header) - 1, np.float64,
+                           DatasetFormatError, sep=",", label=True)
+    require(np.isfinite(values).all(axis=1), lines[1:], DatasetFormatError, "non-finite cell")
+    return labels, values

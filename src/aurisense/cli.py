@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="deterministic cohort/session generator")
     s.add_argument("kind", choices=["cohort", "session"])
-    s.add_argument("config", help="JSON config path, or 'default'")
+    s.add_argument("config", help="JSON config path, or 'default'; a cohort config "
+                                  "takes archetypes, sizes, concordance and noise, "
+                                  "a session config takes noise")
     s.add_argument("--seed", type=int, required=True,
                    help="integer seed (required; no wall-clock seeding)")
     s.add_argument("--out", required=True)

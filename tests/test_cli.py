@@ -404,26 +404,28 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize("kind, config", [
-    ("session", '{"baseline_range": [-1, 1e6]}'),
-    ("session", '{"baseline_range": [1e6]}'),
-    ("session", '{"hr_baseline": NaN}'),
-    ("session", '{"noise": NaN}'),
-    ("cohort", '{"noise": NaN}'),
-    ("cohort", '{"sizes": [0, 0, 0, 0]}'),
-    ("cohort", '{"sizes": "abc"}'),
-    ("cohort", '{"sizes": [35, 17, 5, -3]}'),
-    ("cohort", '{"sizes": [35.7, 17, 5, 3]}'),
-    ("cohort", '{"scale_sigma_factor": NaN}'),
-], ids=["negative-baseline", "one-baseline", "nan-hr", "nan-session-noise",
+@pytest.mark.parametrize("kind, config, message", [
+    ("session", '{"baseline_range": [-1, 1e6]}', "unknown config field 'baseline_range'"),
+    ("session", '{"hr_baseline": NaN}', "unknown config field 'hr_baseline'"),
+    ("session", '{"hr_rise": 0.4}', "unknown config field 'hr_rise'"),
+    ("session", '{"noise": NaN}', "'noise'"),
+    ("cohort", '{"noise": NaN}', "'noise'"),
+    ("cohort", '{"sizes": [0, 0, 0, 0]}', "positive, even"),
+    ("cohort", '{"sizes": "abc"}', "'sizes'"),
+    ("cohort", '{"sizes": [35, 17, 5, -3]}', "'sizes'"),
+    ("cohort", '{"sizes": [35.7, 17, 5, 3]}', "'sizes'"),
+    ("cohort", '{"scale_sigma_factor": NaN}', "unknown config field 'scale_sigma_factor'"),
+], ids=["negative-baseline", "nan-hr", "removed-field", "nan-session-noise",
         "nan-cohort-noise", "no-ears", "string-sizes", "negative-size", "fractional-size",
         "nan-scale-sigma"])
-def test_simulate_rejects_a_bad_config_field_with_one_message(tmp_path, capsys, kind, config):
+def test_simulate_rejects_a_bad_config_field_with_one_message(tmp_path, capsys, kind, config,
+                                                              message):
     (tmp_path / "config.json").write_text(config)
     out = tmp_path / "out"
     assert main(["simulate", kind, str(tmp_path / "config.json"), "--seed", "1",
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()

@@ -233,7 +233,7 @@ def test_a_cylinder_too_thin_to_clip_any_area_raises(plane_fine):
 
 def test_a_decreasing_area_names_its_diameters():
     with pytest.raises(NonMonotoneAreaError, match=r"on diameters \[1, 2\] mm"):
-        _check_monotone([(1.0, 2.0), (2.0, 1.0)])
+        _check_monotone((1.0, 2.0), (2.0, 1.0))
 
 
 NAN3 = np.array([np.nan, 0.0, 0.0])

@@ -161,6 +161,9 @@ CASES = {
                                   DatasetFormatError, 2),
     "dataset-every-row-too-wide": ("dataset", "label,AP1\nb,1,2,3\nc,1,2,3\n",
                                    DatasetFormatError, 2),
+    # numpy reads 'nan' and 'inf' as numbers: the reader still names their line
+    "values-nan": ("values", VALUES.replace("AP2,0.5", "AP2,nan"), DatasetFormatError, 3),
+    "dataset-inf": ("dataset", DATASET.replace("S01-R,1.5", "S01-R,inf"), DatasetFormatError, 4),
     "ply-face-too-short": ("ply", H + "3 0 1\n", MeshFormatError, 13),
     "ply-quad-declared": ("ply", H + "4 0 1 2\n", UnsupportedTopologyError, 13),
     "ply-face-past-int64": ("ply", H + "3 0 1 99999999999999999999\n", MeshFormatError, 13),
