@@ -19,11 +19,17 @@ field is bounded by the AP values; four branches write them:
   sliver between nearly collinear sites, which joins no cavity), or where
   Sibson's weights do not hold, the triangle's barycentrics.
 
-Sibson rows are weighted in groups: vertices whose cavity (the triangles
-whose circumcircle holds them) is the same share its boundary edges and
-each neighbor's fan of old circumcenters, so a group needs one array pass
-for its new circumcenters and one batched shoelace for every stolen
-polygon.  A dozen APs give a few dozen groups for a whole mesh.
+Sibson rows are weighted in one array pass.  Vertices whose cavity (the
+triangles whose circumcircle holds them) is the same share its topology:
+its boundary edges, its neighbors and the corners of each neighbor's
+stolen polygon (the old circumcenters of its cavity triangles and the new
+ones of its boundary edges).  A dozen APs give a few dozen cavity
+patterns for a whole mesh; their topology is worked out once, as index
+arrays padded to the largest pattern, and every vertex's new
+circumcenters, polygon areas and row are then a fixed number of array
+passes over query blocks of at most ``_BLOCK`` polygon corners (or cavity
+cells), so memory is bounded whatever the mesh size and a row does not
+depend on the block it is computed in.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from ..geometry.mesh import SurfaceMesh
 # a Delaunay triangle whose height is below FLAT of its longest edge is
 # flat: its circumcircle is too wide to weigh, so it joins no cavity
 FLAT = 1e-6
+# entries (cavity cells, or polygon corners) per block of Sibson's pass
+_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,10 @@ def interpolation_weights(sites, queries) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     scale = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
 
-    # coincident with a site: a unit row.  W reuses the distance buffer
+    # coincident with a site: a unit row.  W reuses the squared distances
     dqs = sites[None, :, :] - queries[:, None, :]
     w = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
+    del dqs  # (Q, S, 2): twice W, not kept through the passes below
     rows = np.arange(queries.shape[0])
     nearest = np.argmin(w, axis=1)
     at_site = w[rows, nearest] <= _site_tol2(sites)
@@ -148,18 +157,10 @@ def interpolation_weights(sites, queries) -> np.ndarray:
     fallback = (located >= 0) & flat[located] & ~at_site
     inside = np.flatnonzero((located >= 0) & ~flat[located] & ~at_site)
 
-    # Bowyer-Watson cavities as rows of a (Q, T) matrix, grouped by row
+    # a triangle is in a query's Bowyer-Watson cavity when its circumcircle holds the query
     r2tol = r2 * (1.0 + 1e-12) + (1e-12 * scale) ** 2
-    dq = cc[None, :, :] - queries[inside, None, :]
-    cavity = np.einsum("qtj,qtj->qt", dq, dq) < r2tol
-    patterns, group = np.unique(cavity, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g, pattern in enumerate(patterns):
-        members = inside[group == g]
-        weights, valid = _sibson_weights(sites, simplices[keep[pattern]],
-                                         cc[pattern], queries[members])
-        w[members[valid]] = weights[valid]
-        fallback[members[~valid]] = True
+    holds = _sibson_rows(w, inside, sites, simplices[keep], cc, r2tol, queries)
+    fallback[inside[~holds]] = True
     # flat triangles and the cocircular/collinear edge case: linear in the
     # simplex, by its barycentrics clipped to it
     fallback = np.flatnonzero(fallback)
@@ -192,41 +193,90 @@ def _circumcenters(a, b, c):
     return np.stack([a[..., 0] + ux, a[..., 1] + uy], axis=-1), ok
 
 
-def _sibson_weights(sites, tris, tri_cc, q):
-    """Stolen-area weights (G, S) of queries q (G, 2) whose cavity is the
-    triangles ``tris`` (C, 3), and the mask of queries whose weights hold
-    (no degenerate new circumcenter, a positive finite total)."""
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    edges, count = np.unique(edges, axis=0, return_counts=True)
-    boundary = edges[count == 1]  # (E, 2)
-    new_cc, ok = _circumcenters(q[:, None, :], sites[boundary[:, 0]],
-                                sites[boundary[:, 1]])  # (G, E, 2)
-    # neighbor v's stolen polygon: the old circumcenters of its cavity
-    # triangles and the new circumcenters of its boundary edges
-    points = np.concatenate(
-        [np.broadcast_to(tri_cc, (q.shape[0],) + tri_cc.shape), new_cc], axis=1)
-    corners = np.concatenate([tris, boundary[:, [0, 1, 1]]])  # (C + E, 3)
-    nbrs = np.unique(tris)
-    member = (corners[None, :, :] == nbrs[:, None, None]).any(axis=2)
-    size = member.sum(axis=1)
-    # pad each polygon to the largest with copies of its first point, which
-    # sort next to it and add nothing to the shoelace sum
-    real = np.arange(size.max(initial=0)) < size[:, None]  # (N, m)
-    cols = np.argsort(~member, axis=1, kind="stable")[:, :real.shape[1]]
-    poly = points[:, np.where(real, cols, cols[:, :1])]  # (G, N, m, 2)
-    weights = np.zeros((q.shape[0], sites.shape[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center = (poly * real[..., None]).sum(axis=2) / size[:, None]
-        rel = poly - center[:, :, None, :]
-        order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=2)
-        p = np.take_along_axis(rel, order[..., None], axis=2)
-        x, y = p[..., 0], p[..., 1]
-        area = 0.5 * np.abs((x * np.roll(y, -1, axis=2)).sum(axis=2)
-                            - (y * np.roll(x, -1, axis=2)).sum(axis=2))
-        weights[:, nbrs] = np.where(size >= 3, area, 0.0)
-        total = weights.sum(axis=1)
-        weights /= total[:, None]
-    return weights, ok.all(axis=1) & (total > 0) & np.isfinite(total)
+def _sibson_rows(w, rows, sites, tris, cc, r2tol, queries):
+    """Write Sibson's stolen-area weights into the ``rows`` of W and return
+    the mask of rows whose weights hold (no degenerate new circumcenter, a
+    positive finite total).  ``tris`` (T, 3) are the triangles that may join
+    a cavity, ``cc`` their circumcenters and ``r2tol`` their squared radii
+    with slack."""
+    q = queries[rows]
+    n_sites, n_tris = sites.shape[0], tris.shape[0]
+    if q.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+
+    # grouping: each query's cavity as a row of bits, packed into a byte
+    # string, so that one 1-D unique finds the patterns
+    packed = np.empty((q.shape[0], (n_tris + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK // n_tris)
+    for s in range(0, q.shape[0], step):
+        dq = cc[None, :, :] - q[s:s + step, None, :]
+        packed[s:s + step] = np.packbits(np.einsum("qtj,qtj->qt", dq, dq) < r2tol, axis=1)
+    _, first, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    cavity = np.unpackbits(packed[first], axis=1, count=n_tris).astype(bool)  # (P, T)
+
+    # per-pattern topology, padded to the largest pattern: boundary edges
+    # (edges of one cavity triangle), neighbors (corners of the cavity) and
+    # each neighbor's polygon, as indices into [old circumcenters (T),
+    # new circumcenters of the pattern's boundary edges]
+    tri_edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, edge_of = np.unique(tri_edges[:, 0] * n_sites + tri_edges[:, 1], return_inverse=True)
+    edges = np.stack(np.divmod(keys, n_sites), axis=1)  # (E, 2), in lexicographic order
+    tri_edge = np.zeros((n_tris, edges.shape[0]), dtype=np.intp)
+    tri_edge[np.repeat(np.arange(n_tris), 3), edge_of.reshape(-1)] = 1
+    tri_site = np.zeros((n_tris, n_sites), dtype=np.intp)
+    tri_site[np.arange(n_tris)[:, None], tris] = 1
+    counts = cavity.astype(np.intp)
+    boundary, edge_real = _padded(counts @ tri_edge == 1)  # (P, K)
+    boundary = edges[boundary]  # (P, K, 2)
+    nbrs, nbr_real = _padded(counts @ tri_site > 0)  # (P, N)
+    member = np.concatenate([
+        cavity[:, None, :] & (tri_site.T[nbrs] > 0),
+        edge_real[:, None, :] & (boundary[:, None] == nbrs[:, :, None, None]).any(axis=3),
+    ], axis=2) & nbr_real[:, :, None]  # (P, N, T + K)
+    corners, real = _padded(member)  # (P, N, m)
+    # pad each polygon with copies of its first point, which sort next to
+    # it and add nothing to the shoelace sum
+    corners = np.where(real, corners, corners[..., :1])
+    size = real.sum(axis=2)
+    nbrs = np.where(nbr_real, nbrs, n_sites)  # padding weighs a spare column
+
+    # per-query pass over blocks of at most _BLOCK polygon corners
+    holds = np.empty(q.shape[0], dtype=bool)
+    step = max(1, _BLOCK // max(corners.shape[1] * corners.shape[2], 1))
+    for s in range(0, q.shape[0], step):
+        g = group[s:s + step]
+        qb = q[s:s + step]
+        bnd = boundary[g]
+        new_cc, ok = _circumcenters(qb[:, None, :], sites[bnd[..., 0]], sites[bnd[..., 1]])
+        points = np.concatenate([np.broadcast_to(cc, (qb.shape[0],) + cc.shape), new_cc], axis=1)
+        poly = points[np.arange(qb.shape[0])[:, None, None], corners[g]]  # (G, N, m, 2)
+        n = size[g]
+        weights = np.zeros((qb.shape[0], n_sites + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poly -= ((poly * real[g][..., None]).sum(axis=2) / n[..., None])[:, :, None, :]
+            order = np.argsort(np.arctan2(poly[..., 1], poly[..., 0]), axis=2)
+            p = np.take_along_axis(poly, order[..., None], axis=2)
+            x, y = p[..., 0], p[..., 1]
+            # the shoelace term by term: a repeated point's term is exactly 0
+            area = 0.5 * np.abs((x * np.roll(y, -1, axis=2)
+                                 - y * np.roll(x, -1, axis=2)).sum(axis=2))
+            weights[np.arange(qb.shape[0])[:, None], nbrs[g]] = np.where(n >= 3, area, 0.0)
+            weights = weights[:, :n_sites]
+            total = weights.sum(axis=1)
+            weights /= total[:, None]
+        valid = (ok | ~edge_real[g]).all(axis=1) & (total > 0) & np.isfinite(total)
+        w[rows[s:s + step][valid]] = weights[valid]
+        holds[s:s + step] = valid
+    return holds
+
+
+def _padded(mask):
+    """The indices of the True entries of each row of ``mask``, in order and
+    padded to the longest row, and the mask of the real ones."""
+    size = mask.sum(axis=-1)
+    real = np.arange(size.max(initial=0)) < size[..., None]
+    return np.argsort(~mask, axis=-1, kind="stable")[..., :real.shape[-1]], real
 
 
 def _hull_edge_weights(w, rows, sites, hull_edges, queries):

@@ -292,13 +292,26 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
 
 def _connected_patch(adjacency, positive_faces, seed_face):
     """Faces of the positive-area component containing the seed face, all
-    of them indices of the face adjacency ``adjacency``."""
+    of them indices of the CSR face adjacency ``adjacency``."""
     # imported on use: only design needs csgraph, which adds 14 ms and 2.3 MB to start-up
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    faces = np.union1d(positive_faces, seed_face)
-    _, label = connected_components(adjacency[faces][:, faces], directed=False)
-    return faces[label == label[np.searchsorted(faces, seed_face)]]
+    # the adjacency's edges between patch faces, renumbered, as a CSR built
+    # directly: slicing the adjacency costs scipy far more than the search
+    in_patch = np.zeros(adjacency.shape[0], dtype=bool)
+    in_patch[positive_faces] = True
+    in_patch[seed_face] = True
+    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
+    keep = in_patch[rows] & in_patch[adjacency.indices]
+    local = np.cumsum(in_patch) - 1
+    faces = np.flatnonzero(in_patch)
+    indptr = np.zeros(faces.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(local[rows[keep]], minlength=faces.size), out=indptr[1:])
+    graph = csr_array((np.ones(indptr[-1]), local[adjacency.indices[keep]], indptr),
+                      shape=(faces.size, faces.size))
+    _, label = connected_components(graph, directed=False)
+    return faces[label == label[local[seed_face]]]
 
 
 def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float:
@@ -311,7 +324,8 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float
     the mesh's bounding diagonal.  That cylinder holds the whole patch, so
     ``UnreachableTargetError`` is raised exactly when the area at d_max is
     below the target.  Each step starts from the bracket end nearest the
-    target in area, and bisects where Newton would leave the bracket.  With
+    target in area, and bisects where Newton would leave the bracket or
+    would not halve the previous step (the rule of rtsafe).  With
     brentq's delta = (2e-12 + 4 eps D) / 2 mm, the solve stops at a Newton
     step within delta or a bracket 2 delta wide, the latter where the area
     jumps (a face joining the patch with a region behind it); ``_TOL``
@@ -349,6 +363,7 @@ def _solve(pathway, target_area):
         return abs(e[1] - target_area)
 
     d, a, slope = min(lo, hi, key=off)
+    step = hi[0] - lo[0]  # the step before the first: the whole bracket
     for _ in range(100):
         delta = (2e-12 + 4.0 * np.finfo(float).eps * d) / 2.0  # brentq's stop
         if a == target_area or hi[0] - lo[0] <= 2.0 * delta:
@@ -359,8 +374,11 @@ def _solve(pathway, target_area):
             newton = float(np.sqrt(max(d * d + 2.0 * d * (target_area - a) / slope, 0.0)))
             if abs(newton - d) <= delta:
                 break
-            if lo[0] < newton < hi[0]:
+            # rtsafe's rule: a step that leaves the bracket or does not
+            # halve the previous step bisects instead
+            if lo[0] < newton < hi[0] and abs(newton - d) <= 0.5 * step:
                 d_new = newton
+        step = abs(d_new - d)
         e = area_at(d_new, lo, hi)
         if e[1] < target_area:
             lo = e

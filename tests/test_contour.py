@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
 from aurisense.analysis import interpolate_contour
+import aurisense.analysis.contour as contour
 from aurisense.analysis.contour import _parameterize, interpolation_weights
 from aurisense.errors import ParameterError
 from aurisense.cli import main
@@ -253,6 +254,8 @@ _collinear_aps = st.builds(
 
 
 @given(st.one_of(_grid_aps, _collinear_aps))
+# one query's polygon order taken for every query of its cavity breaks these
+@example(sites=np.array([(0, 0), (0, 1), (0, 2), (2, 0)]) / 4.0)
 @settings(max_examples=80, deadline=None)
 def test_weight_oracles_on_drawn_ap_sets(sites):
     g = np.linspace(-4.0, 14.0, 37)
@@ -283,6 +286,65 @@ def test_weight_oracles_just_outside_a_flat_triangle():
     bary = t[:2] @ (q[0] - t[2])
     assert min(bary.min(), 1.0 - bary.sum()) < -1e-14
     _check_weight_oracles(sites, q, np.array([True]))
+
+
+def _block_cases():
+    mesh = make_bumpy_plane(extent=30.0, spacing=1.0, amplitude=2.0, wavelength=12.0)
+    yield _parameterize(place_aps(mesh, default_template(13)).positions(), mesh.vertices)
+    # slivers along the hull and rows whose Sibson weights fail
+    grid = np.array([(i, j) for i in range(5) for j in range(3)][:13],
+                    dtype=np.float64) * [3.0, 2.0]
+    rng = np.random.default_rng(3)
+    sites = grid + rng.normal(0.0, 1e-11, grid.shape)
+    yield sites, rng.uniform(sites.min(axis=0) - 1.0, sites.max(axis=0) + 1.0, size=(2000, 2))
+    g = np.linspace(-1.0, 3.0, 41)
+    yield (np.array([(0, 0), (0, 1), (0, 2), (2, 0)]) / 4.0,
+           np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2) / 4.0)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_sibson_blocks_change_no_row(monkeypatch, case):
+    # one query per block and every query in one block: a row must not
+    # depend on the other rows computed with it
+    sites, queries = list(_block_cases())[case]
+    runs = []
+    for block in (1, contour._BLOCK, 2 ** 40):
+        monkeypatch.setattr(contour, "_BLOCK", block)
+        runs.append(interpolation_weights(sites, queries))
+    for w in runs[1:]:
+        np.testing.assert_array_equal(w, runs[0])
+
+
+def test_sibson_memory_grows_no_faster_than_the_queries(monkeypatch):
+    # the pass holds a few bytes per query and blocks of at most _BLOCK
+    # polygon corners; one (Q, N, m, 2) array of every query's polygon
+    # corners would add over 1 KB per query
+    import tracemalloc
+
+    sibson = contour._sibson_rows
+    peaks = {}
+
+    def traced(w, rows, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        holds = sibson(w, rows, *args)
+        peaks[rows.size] = tracemalloc.get_traced_memory()[1] - before
+        return holds
+
+    sites, _ = _ap_sites(seed=4)
+    rng = np.random.default_rng(4)
+    q = rng.uniform(-10.0, 10.0, size=(100_000, 2))
+    q = q[Delaunay(sites).find_simplex(q) >= 0]
+    interpolation_weights(sites, q[:10])  # import scipy before tracing
+    monkeypatch.setattr(contour, "_sibson_rows", traced)
+    tracemalloc.start()
+    try:
+        for n in (q.shape[0] // 8, q.shape[0]):
+            interpolation_weights(sites, q[:n])
+    finally:
+        tracemalloc.stop()
+    (small, small_peak), (large, large_peak) = sorted(peaks.items())
+    assert large_peak - small_peak <= 100 * (large - small)
 
 
 def test_contour_command_writes_one_value_per_vertex(tmp_path):

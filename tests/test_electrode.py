@@ -493,12 +493,13 @@ def test_a_fold_beyond_the_radius_stays_disconnected():
 def test_a_target_inside_an_area_jump_fails_at_the_jump(area_calls):
     # the pathway through the top sheet reaches the sheet folded 1 mm below
     # it at D = 5.90 mm, where the patch grows at once from 27.5 to 55.0 mm^2;
-    # the bracket shrinks onto the jump within two evaluations of Brent's method's 43
+    # a Newton step that barely shrinks the bracket bisects instead, so the
+    # bracket shrinks onto the jump within the 43 evaluations of Brent's method
     mesh = _folded_sheet()
     _, face, _, _ = mesh.closest_point(ORIGIN)
     with pytest.raises(AurisenseError, match="the area jumps there"):
         _solve(_Pathway(mesh, ORIGIN, face, Z), 41.2)
-    assert len(area_calls) <= 45
+    assert len(area_calls) <= 43
 
 
 @pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
