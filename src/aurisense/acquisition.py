@@ -117,8 +117,6 @@ def default_archetypes() -> np.ndarray:
     trends = np.tile(base, (4, 1))
     for k in range(4):
         trends[k, 1:] += coords[k, 0] * u1 + coords[k, 1] * u2 + coords[k, 2] * u3
-    if trends.min() <= 0.05:
-        raise ParameterError("archetype trends must stay positive")
     return trends
 
 

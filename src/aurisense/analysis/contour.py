@@ -28,8 +28,10 @@ patterns for a whole mesh; their topology is worked out once, as index
 arrays padded to the largest pattern, and every vertex's new
 circumcenters, polygon areas and row are then a fixed number of array
 passes over query blocks of at most ``_BLOCK`` polygon corners (or cavity
-cells), so memory is bounded whatever the mesh size and a row does not
-depend on the block it is computed in.
+cells).  The at-site and hull-edge passes run over query blocks of at
+most ``_BLOCK`` query-site or query-edge pairs, so the temporaries of all
+three passes are bounded whatever the mesh size, and a row does not depend
+on the block it is computed in.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from ..geometry.mesh import SurfaceMesh
 # a Delaunay triangle whose height is below FLAT of its longest edge is
 # flat: its circumcircle is too wide to weigh, so it joins no cavity
 FLAT = 1e-6
-# entries (cavity cells, or polygon corners) per block of Sibson's pass
+# entries (query-site pairs, query-edge pairs, cavity cells or polygon
+# corners) per block of a pass over the queries
 _BLOCK = 2 ** 14
 
 
@@ -122,10 +125,15 @@ def interpolation_weights(sites, queries) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     scale = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]), 1e-12)
 
-    # coincident with a site: a unit row.  W reuses the squared distances
-    dqs = sites[None, :, :] - queries[:, None, :]
-    w = np.einsum("qsj,qsj->qs", dqs, dqs)  # (Q, S)
-    del dqs  # (Q, S, 2): twice W, not kept through the passes below
+    # coincident with a site: a unit row.  W holds the squared distances
+    # first, formed over query blocks of at most _BLOCK entries
+    w = np.empty((queries.shape[0], sites.shape[0]))  # (Q, S)
+    step = max(1, _BLOCK // sites.shape[0])
+    for s in range(0, queries.shape[0], step):
+        block = w[s:s + step]
+        np.subtract(queries[s:s + step, :1], sites[:, 0], out=block)
+        block *= block
+        block += (queries[s:s + step, 1:] - sites[:, 1]) ** 2
     rows = np.arange(queries.shape[0])
     nearest = np.argmin(w, axis=1)
     at_site = w[rows, nearest] <= _site_tol2(sites)
@@ -285,9 +293,12 @@ def _hull_edge_weights(w, rows, sites, hull_edges, queries):
     a, b = sites[hull_edges].transpose(1, 0, 2)  # (H, 2) each
     ab = b - a
     ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    q = queries[rows][:, None, :]
-    t = np.clip(np.einsum("qhj,hj->qh", q - a, ab) / ab2, 0.0, 1.0)  # (Q, H)
-    off = q - (a + t[:, :, None] * ab)
-    best = np.argmin(np.einsum("qhj,qhj->qh", off, off), axis=1)
-    tb = t[np.arange(rows.size), best]
-    w[rows[:, None], hull_edges[best]] = np.column_stack([1.0 - tb, tb])
+    step = max(1, _BLOCK // hull_edges.shape[0])
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step]
+        q = queries[r][:, None, :]
+        t = np.clip(np.einsum("qhj,hj->qh", q - a, ab) / ab2, 0.0, 1.0)  # (G, H)
+        off = q - (a + t[:, :, None] * ab)
+        best = np.argmin(np.einsum("qhj,qhj->qh", off, off), axis=1)
+        tb = t[np.arange(r.size), best]
+        w[r[:, None], hull_edges[best]] = np.column_stack([1.0 - tb, tb])

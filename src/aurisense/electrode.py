@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import (
     AurisenseError,
-    NonMonotoneAreaError,
     ParameterError,
     UnreachableTargetError,
     ZeroAreaError,
@@ -329,11 +328,13 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float
     brentq's delta = (2e-12 + 4 eps D) / 2 mm, the solve stops at a Newton
     step within delta or a bracket 2 delta wide, the latter where the area
     jumps (a face joining the patch with a region behind it); ``_TOL``
-    bounds the relative area error it accepts there.  Every evaluation
-    becomes a bracket end, so a new one's neighbours in D are the ends
-    around it; it is checked against them for monotonicity, and a decrease
-    beyond numerical slack raises ``NonMonotoneAreaError`` naming the
-    violating sub-bracket.
+    bounds the relative area error it accepts there.
+
+    The bracket is exact because the area never decreases in D.  Each disk
+    face's clipped area times its ``ratio`` is >= 0 (both carry the sign of
+    the projected area) and grows with the radius r; each strip face grows
+    with its half-width w = sqrt(r^2 - h^2).  So the set of positive faces
+    only grows, and with it the component that holds the seed face.
     """
     return _solve(_checked_pathway(mesh, center, axis, "target_area", target_area),
                   target_area)[0]
@@ -341,20 +342,16 @@ def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float
 
 def _solve(pathway, target_area):
     """(diameter, area) of ``solve_diameter`` on a prepared pathway: a pair it evaluated."""
-    def area_at(d, lo, *hi):
-        """(d, area, slope), checked against the bracket ends around d."""
-        e = (d, *pathway.area(d))
-        _check_monotone(lo, e, *hi)
-        return e
-
     # a cylinder of radius = the bounding diagonal around a point on the
     # mesh holds every face, so the area is largest there
     d_max = 2.0 * pathway.mesh.bounding_diagonal()
     lo = (0.0, 0.0, 0.0)
     # the first trial is the flat disk's diameter
-    hi = area_at(min(2.0 * np.sqrt(target_area / np.pi), d_max), lo)
-    while hi[1] < target_area and hi[0] < d_max:
-        lo, hi = hi, area_at(min(2.0 * hi[0], d_max), hi)
+    d = min(2.0 * np.sqrt(target_area / np.pi), d_max)
+    hi = (d, *pathway.area(d))
+    while hi[1] < target_area and d < d_max:
+        d = min(2.0 * d, d_max)
+        lo, hi = hi, (d, *pathway.area(d))
     if hi[1] < target_area:
         raise UnreachableTargetError(
             f"target {target_area:.6g} mm^2 exceeds the patch maximum ({hi[1]:.6g} mm^2)")
@@ -379,7 +376,7 @@ def _solve(pathway, target_area):
             if lo[0] < newton < hi[0] and abs(newton - d) <= 0.5 * step:
                 d_new = newton
         step = abs(d_new - d)
-        e = area_at(d_new, lo, hi)
+        e = (d_new, *pathway.area(d_new))
         if e[1] < target_area:
             lo = e
         else:
@@ -391,16 +388,6 @@ def _solve(pathway, target_area):
             f"target {target_area:.6g} mm^2 (the area jumps there)"
         )
     return float(d), a
-
-
-def _check_monotone(*evals):
-    """Raise ``NonMonotoneAreaError`` where the area falls between two
-    consecutive evaluations, (d, area, ...) tuples in increasing d."""
-    for (d0, a0, *_), (d1, a1, *_) in zip(evals, evals[1:]):
-        if a1 < a0 - (5e-4 * max(a0, a1) + 1e-12):
-            raise NonMonotoneAreaError(
-                f"sensing area decreased from {a0:.6g} to {a1:.6g} mm^2 "
-                f"on diameters [{d0:.6g}, {d1:.6g}] mm")
 
 
 @dataclass(frozen=True)

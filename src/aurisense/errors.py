@@ -36,10 +36,6 @@ class UnreachableTargetError(AurisenseError):
     """Target sensing area exceeds what the local patch can provide."""
 
 
-class NonMonotoneAreaError(AurisenseError):
-    """Sensing area decreased with diameter; the message names the sub-bracket."""
-
-
 class DomainError(AurisenseError):
     """Input values outside the mathematical domain of an operation."""
 

@@ -35,6 +35,13 @@ def test_default_cohort_counts():
     assert (res.rows > 0).all()
 
 
+def test_default_archetype_trends_stay_positive():
+    # every AP of every default trend keeps a resistance well above 0
+    trends = default_archetypes()
+    assert trends.shape == (4, 10)
+    assert trends.min() > 0.05
+
+
 def test_cohort_matched_subject_count_is_exact():
     res = simulate_cohort(None, seed=3)
     by_subject = {}

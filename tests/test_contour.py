@@ -315,36 +315,78 @@ def test_sibson_blocks_change_no_row(monkeypatch, case):
         np.testing.assert_array_equal(w, runs[0])
 
 
-def test_sibson_memory_grows_no_faster_than_the_queries(monkeypatch):
-    # the pass holds a few bytes per query and blocks of at most _BLOCK
-    # polygon corners; one (Q, N, m, 2) array of every query's polygon
-    # corners would add over 1 KB per query
+def _peak_growth(monkeypatch, helper, sites, queries):
+    """(added queries, added bytes) of the ``tracemalloc`` peak of the
+    contour pass ``helper`` (called as helper(w, rows, ...)) between
+    ``interpolation_weights`` on an eighth of the queries and on all of them."""
     import tracemalloc
 
-    sibson = contour._sibson_rows
+    run = getattr(contour, helper)
     peaks = {}
 
     def traced(w, rows, *args):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        holds = sibson(w, rows, *args)
+        out = run(w, rows, *args)
         peaks[rows.size] = tracemalloc.get_traced_memory()[1] - before
-        return holds
+        return out
 
+    interpolation_weights(sites, queries[:10])  # import scipy before tracing
+    monkeypatch.setattr(contour, helper, traced)
+    tracemalloc.start()
+    try:
+        for n in (queries.shape[0] // 8, queries.shape[0]):
+            interpolation_weights(sites, queries[:n])
+    finally:
+        tracemalloc.stop()
+    (small, small_peak), (large, large_peak) = sorted(peaks.items())
+    return large - small, large_peak - small_peak
+
+
+def test_sibson_memory_grows_no_faster_than_the_queries(monkeypatch):
+    # the pass holds a few bytes per query and blocks of at most _BLOCK
+    # polygon corners; one (Q, N, m, 2) array of every query's polygon
+    # corners would add over 1 KB per query
     sites, _ = _ap_sites(seed=4)
     rng = np.random.default_rng(4)
     q = rng.uniform(-10.0, 10.0, size=(100_000, 2))
     q = q[Delaunay(sites).find_simplex(q) >= 0]
+    added, grown = _peak_growth(monkeypatch, "_sibson_rows", sites, q)
+    assert grown <= 100 * added
+
+
+def test_hull_edge_memory_grows_no_faster_than_the_queries(monkeypatch):
+    # blocks of at most _BLOCK query-edge pairs; (Q, H, 2) arrays of every
+    # outside query against every hull edge add about 300 B per query here
+    sites, _ = _ap_sites(seed=4)
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-20.0, 20.0, size=(100_000, 2))
+    q = q[Delaunay(sites).find_simplex(q) < 0]
+    added, grown = _peak_growth(monkeypatch, "_hull_edge_weights", sites, q)
+    assert grown <= 100 * added
+
+
+def test_weights_memory_grows_by_w_and_a_few_index_bytes_per_query():
+    # every pass holds blocks of at most _BLOCK entries, so past W's 8 S
+    # bytes a query adds only its entries of (Q,) index arrays (about 30 B);
+    # (Q, S, 2) site differences alone would add 16 S
+    import tracemalloc
+
+    sites, _ = _ap_sites(seed=4)
+    q = np.random.default_rng(6).uniform(-20.0, 20.0, size=(24_000, 2))
     interpolation_weights(sites, q[:10])  # import scipy before tracing
-    monkeypatch.setattr(contour, "_sibson_rows", traced)
+    peaks = []
     tracemalloc.start()
     try:
         for n in (q.shape[0] // 8, q.shape[0]):
-            interpolation_weights(sites, q[:n])
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            w = interpolation_weights(sites, q[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del w
     finally:
         tracemalloc.stop()
-    (small, small_peak), (large, large_peak) = sorted(peaks.items())
-    assert large_peak - small_peak <= 100 * (large - small)
+    assert peaks[1] - peaks[0] <= (8 * len(sites) + 64) * (q.shape[0] - q.shape[0] // 8)
 
 
 def test_contour_command_writes_one_value_per_vertex(tmp_path):

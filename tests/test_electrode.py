@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial import Delaunay
 from scipy.spatial.transform import Rotation
 
 import aurisense.electrode as electrode_module
@@ -14,7 +15,6 @@ import aurisense.geometry.curvature as curvature_module
 import aurisense.geometry.mesh as mesh_module
 from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
-    _check_monotone,
     _connected_patch,
     _disk_clip_areas,
     _Pathway,
@@ -25,7 +25,6 @@ from aurisense.electrode import (
 )
 from aurisense.errors import (
     AurisenseError,
-    NonMonotoneAreaError,
     ParameterError,
     UnreachableTargetError,
     ZeroAreaError,
@@ -229,11 +228,6 @@ def test_a_cylinder_too_thin_to_clip_any_area_raises(plane_fine):
     # the squared radius underflows to 0, so no face clips a positive area
     with pytest.raises(ZeroAreaError):
         sensing_area(plane_fine, ORIGIN, Z, 1e-200)
-
-
-def test_a_decreasing_area_names_its_diameters():
-    with pytest.raises(NonMonotoneAreaError, match=r"on diameters \[1, 2\] mm"):
-        _check_monotone((1.0, 2.0), (2.0, 1.0))
 
 
 NAN3 = np.array([np.nan, 0.0, 0.0])
@@ -549,12 +543,37 @@ def _area_over_every_face(mesh, center, face, axis, diameter):
     return float(per_face[_connected_patch(mesh.face_adjacency(), positive, face)].sum())
 
 
+def _graded_plane():
+    """The plane z = 0, triangulated 40 x finer within 1 mm of the origin
+    than beyond 1.5 mm, as a scan decimated away from a feature.  Its face
+    areas lie 1600 x apart, so a patch that dropped the faces small beside
+    the largest one clipped would shrink as the cylinder reaches the coarse
+    faces."""
+
+    def grid(half, n):
+        return np.stack(np.meshgrid(*[np.linspace(-half, half, n)] * 2), axis=-1).reshape(-1, 2)
+
+    coarse = grid(10.0, 11)
+    xy = np.concatenate([grid(1.0, 41), coarse[np.abs(coarse).max(axis=1) > 1.5]])
+    faces = Delaunay(xy).simplices
+    a, b, c = xy[faces].transpose(1, 0, 2)
+    cw = (b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0] < 0.0
+    faces[cw] = faces[cw][:, ::-1]  # every face CCW seen from +z
+    return SurfaceMesh(np.column_stack([xy, np.zeros(len(xy))]), faces)
+
+
 def _pathway_cases(request, name, rng):
     """(mesh, center, face, axis) of four pathways of the case ``name``, drawn
     from ``rng`` one after another."""
     if name.startswith("bumpy"):
         mesh = request.getfixturevalue("bumpy")
         centers = rng.uniform(-8.0, 8.0, size=(4, 3))
+    elif name == "icosphere":
+        mesh = request.getfixturevalue("icosphere_r10")
+        centers = rng.normal(size=(4, 3))
+    elif name == "graded":
+        mesh = _graded_plane()
+        centers = np.column_stack([rng.uniform(-0.8, 0.8, size=(4, 2)), np.zeros(4)])
     elif name == "folded":
         # on the top sheet, which bends at x = 2.5 to run back 1 mm below itself
         mesh = _folded_sheet()
@@ -590,6 +609,22 @@ def test_pruned_area_equals_the_area_over_every_face(request, name):
                                                         [0.2, 8.0]])):
             assert pathway.area(diameter)[0] == _area_over_every_face(
                 mesh, center, face, axis, diameter)
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+@pytest.mark.parametrize("name", ["bumpy", "bumpy-tilted", "folded", "two-sheets", "cylinder",
+                                  "icosphere", "graded"])
+def test_area_never_decreases_with_the_diameter(request, name):
+    # the solve's exact bracket rests on this, with no slack: each face's
+    # share is >= 0 and grows with the radius, so the positive faces and the
+    # seed's component of them only grow
+    rng = np.random.default_rng(31)
+    for mesh, center, face, axis in _pathway_cases(request, name, rng):
+        pathway = _Pathway(mesh, center, face, axis)
+        diameters = np.sort(np.concatenate([rng.uniform(0.01, 1.0, 20),
+                                            rng.uniform(1.0, 20.0, 20)]))
+        areas = np.array([pathway.area(d)[0] for d in diameters])
+        assert (np.diff(areas) >= 0.0).all()
 
 
 @pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
