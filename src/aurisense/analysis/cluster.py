@@ -27,8 +27,10 @@ updates one (R, M) array of squared distances by one ``cdist``, and each
 restart draws from its own row with its own generator, as
 ``Generator.choice`` would.  A Lloyd step is one (a·K, M) ``cdist`` of
 squared distances from the centres of the a restarts still running, summed
-over the coordinates in order, plus one index-order ``bincount`` per
-coordinate over labels offset by restart·K for the centre sums.
+over the coordinates in order, whose minimum over the K rows is d²; the
+label is the lowest row at that minimum.  The labels, offset by restart·K
+once per step, feed one ``bincount`` of the cluster sizes and one
+index-order ``bincount`` per coordinate of the centre sums.
 Convergence, the SSE check and the empty-cluster reseed stay per restart,
 so every restart gets the labels, centres and SSE of a run on its own.
 Tests check all three.
@@ -65,24 +67,19 @@ def _as_points(points):
 def _assign(points, centers):
     """Labels and squared distances of every point under each (K, d) centre set.
 
-    ``centers`` is (a, K, d).  One (a·K, M) ``cdist`` serves all a sets;
-    a running minimum over the K rows with a strict ``<`` keeps the lowest
-    index on ties, as ``argmin`` does.  Returns two (a, M) arrays.
+    ``centers`` is (a, K, d).  One (a·K, M) ``cdist`` serves all a sets.  d²
+    is the minimum of the K rows; each row c at it scores K - c, and the
+    largest score, K minus the label, is the lowest tied index, as
+    ``argmin`` gives.  Returns two (a, M) arrays.
     """
     # imported on use: `import aurisense.cli` loads no scipy module
     from scipy.spatial.distance import cdist
 
     a, k, d = centers.shape
     dist = cdist(centers.reshape(a * k, d), points, "sqeuclidean").reshape(a, k, -1)
-    d2 = dist[:, 0].copy()
-    labels = np.zeros(d2.shape, dtype=np.int64)
-    for c in range(1, k):
-        row = dist[:, c]
-        # c exceeds every label so far: the maximum relabels the closer points
-        # without the branch per element of a masked copy
-        np.maximum(labels, (row < d2) * c, out=labels)
-        np.minimum(d2, row, out=d2)
-    return labels, d2
+    d2 = np.minimum.reduce(dist, axis=1)
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    return k - np.maximum.reduce((dist == d2[:, None]) * rank, axis=1), d2
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,8 @@ def _lloyd(points, k, rngs):
         a = running.size
         labels, d2 = _assign(points, centers)
         offsets = k * np.arange(a)[:, None]
-        counts = np.bincount((labels + offsets).ravel(), minlength=a * k).reshape(a, k)
+        labels = labels + offsets
+        counts = np.bincount(labels.ravel(), minlength=a * k).reshape(a, k)
         # empty clusters: deterministically re-seed from the restart's farthest
         # point; re-assignment may empty another cluster, so sweep until stable
         for i in np.flatnonzero(~counts.all(axis=1)):
@@ -155,21 +153,21 @@ def _lloyd(points, k, rngs):
                 for c in np.flatnonzero(counts[i] == 0):
                     centers[i, c] = points[int(np.argmax(d2[i]))]
                     lab, dd = _assign(points, centers[i:i + 1])
-                    labels[i], d2[i] = lab[0], dd[0]
-                counts[i] = np.bincount(labels[i], minlength=k)
+                    labels[i], d2[i] = lab[0] + offsets[i], dd[0]
+                counts[i] = np.bincount(lab[0], minlength=k)
         sse = d2.sum(axis=1)  # each contiguous row is summed as its own 1-D array
         assert (sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK).all(), \
             "SSE increased within a Lloyd run"
         # bincount adds rows in index order; a still-empty cluster keeps its center
-        flat = (labels + offsets).ravel()
-        sums = np.stack([np.bincount(flat, w[:a * m], a * k) for w in weights],
+        sums = np.stack([np.bincount(labels.ravel(), w[:a * m], a * k) for w in weights],
                         axis=1).reshape(a, k, d)
         new_centers = np.where(counts[..., None] > 0,
                                sums / np.maximum(counts, 1)[..., None], centers)
         done = (new_centers == centers).all(axis=(1, 2)) | (sse == prev_sse)
         # a converged restart leaves with the labels and d2 of its current centers
         ids = running[done]
-        out_labels[ids], out_centers[ids], out_sse[ids] = labels[done], centers[done], sse[done]
+        out_labels[ids] = labels[done] - offsets[done]
+        out_centers[ids], out_sse[ids] = centers[done], sse[done]
         running = running[~done]
         if running.size == 0:
             break

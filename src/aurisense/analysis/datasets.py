@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DatasetFormatError
-from ..textio import format_rows, read_lines, require, table, write_report_json
+from ..textio import read_lines, require, table, write_report_json, write_rows
 
 __all__ = ["read_dataset_csv", "write_dataset_csv", "write_report_json"]
 
@@ -28,7 +28,7 @@ def write_dataset_csv(path, labels, rows, comments=()) -> None:
         for c in comments:
             fh.write(f"# {c}\n")
         fh.write("label," + ",".join(f"AP{i + 1}" for i in range(n)) + "\n")
-        fh.write(format_rows(rows, labels=labels, sep=","))
+        write_rows(fh, [rows], labels=labels, sep=",")
 
 
 def read_dataset_csv(path):

@@ -47,9 +47,11 @@ def _without_own(a, own: np.ndarray) -> sp.csr_array:
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """(b - a) x (c - a) of each face (a, b, c): its normal times twice its area."""
     a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
-    return np.cross(b - a, c - a)
+    ab = vertices[faces[:, 1]]
+    ab -= a
+    ac = vertices[faces[:, 2]]
+    ac -= a
+    return np.cross(ab, ac)
 
 
 class SurfaceMesh:

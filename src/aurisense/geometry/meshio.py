@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from ..errors import MeshFormatError, UnsupportedTopologyError
-from ..textio import format_rows, read_lines, require, table
+from ..textio import read_lines, require, table, write_rows
 from .mesh import SurfaceMesh
 
 # in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference
@@ -48,6 +48,7 @@ def load_mesh(path) -> SurfaceMesh:
         (vertices, v_lines), (faces, f_lines) = _parse_obj(rows, lines)
     else:
         (vertices, v_lines), (faces, f_lines), _ = _parse_ply(rows, lines)
+    del rows  # the row strings outweigh the arrays: free them before the mesh is built
     require(np.isfinite(vertices).all(axis=1), v_lines, MeshFormatError,
             "non-finite vertex coordinate")
     require(((faces >= 0) & (faces < len(vertices))).all(axis=1), f_lines,
@@ -155,8 +156,8 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
-        fh.write(format_rows(np.column_stack([mesh.vertices, *scalars.values()])))
-        fh.write(format_rows(np.column_stack([np.full(mesh.n_faces, 3), mesh.faces])))
+        write_rows(fh, [mesh.vertices, *scalars.values()])
+        write_rows(fh, [np.broadcast_to(3, mesh.n_faces), mesh.faces])
 
 
 def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
@@ -168,11 +169,11 @@ def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
         fh.write(title + "\n")
         fh.write("ASCII\nDATASET POLYDATA\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
-        fh.write(format_rows(mesh.vertices))
+        write_rows(fh, [mesh.vertices])
         fh.write(f"POLYGONS {mesh.n_faces} {4 * mesh.n_faces}\n")
-        fh.write(format_rows(np.column_stack([np.full(mesh.n_faces, 3), mesh.faces])))
+        write_rows(fh, [np.broadcast_to(3, mesh.n_faces), mesh.faces])
         if scalars:
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, vals in scalars.items():
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                fh.write(format_rows(vals[:, None]))
+                write_rows(fh, [vals])

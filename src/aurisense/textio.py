@@ -2,7 +2,7 @@
 
 Every ASCII reader (OBJ, PLY, AP template, dataset and values CSV) reads
 its file with ``read_lines`` and parses its body rows with ``table``;
-every ASCII writer formats its body rows with ``format_rows``.
+every ASCII writer writes its body rows with ``write_rows``.
 
 Parse rule: a file is UTF-8 text, split into lines at ``\n``, ``\r\n`` or
 ``\r`` and counted from 1; lines are stripped, and blank lines and, in
@@ -24,8 +24,9 @@ that line; a fault of the whole file, such as a truncated body, carries
 ``line=None``.
 
 Writer: each cell is written as the ``repr`` of its Python number (for a
-float the shortest text that reads back exactly), and a whole table is
-spelled by one ``%`` format of a row template repeated once per row.
+float the shortest text that reads back exactly).  A table is written in
+blocks of ``_WRITE_ROWS`` rows, each spelled by one ``%`` format of a row
+template repeated once per row, so the text held at once stays one block's.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ from itertools import compress, repeat
 
 import numpy as np
 
+_WRITE_ROWS = 4096  # rows per block of ``write_rows``
+
 
 def _split_lines(text: str) -> list:
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_lines(path, error, comment: str | None = None):
@@ -136,6 +141,16 @@ def _read(body, ncols: int, dtype, sep):
         except (ValueError, OverflowError, DeprecationWarning):
             return None
     return values if values.shape == (len(body), ncols) else None
+
+
+def write_rows(fh, columns, labels=None, sep: str = " ") -> None:
+    """Write to ``fh`` the rows of the side-by-side ``columns``, 1-D or 2-D
+    arrays of one length, as ``format_rows`` spells them, ``_WRITE_ROWS``
+    rows at a time: the text in memory is one block's, not the table's."""
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        block = slice(lo, lo + _WRITE_ROWS)
+        fh.write(format_rows(np.column_stack([c[block] for c in columns]),
+                             None if labels is None else labels[block], sep))
 
 
 def format_rows(values, labels=None, sep: str = " ") -> str:

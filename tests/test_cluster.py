@@ -102,6 +102,21 @@ def reference_assign(points, centers):
     return labels.astype(np.int64), d2[np.arange(points.shape[0]), labels]
 
 
+@pytest.mark.parametrize("k", [1, 3, 17, 255, 256, 300])
+def test_assign_takes_the_lowest_of_tied_centres(k):
+    # centres drawn with repeats from 16 grid points: past K = 16 some repeat,
+    # and a grid point can be as near to two distinct centres; past K = 255
+    # the rank K - c no longer fits one byte
+    rng = np.random.default_rng(k)
+    points = rng.integers(0, 4, size=(300, 2)).astype(np.float64)
+    centers = points[rng.integers(0, 300, size=(3, k))]
+    labels, d2 = cluster._assign(points, centers)
+    for r in range(3):
+        ref_labels, ref_d2 = reference_assign(points, centers[r])
+        np.testing.assert_array_equal(labels[r], ref_labels)
+        np.testing.assert_array_equal(d2[r], ref_d2)
+
+
 def reference_lloyd(points, k, rng, max_iter=300):
     """Lloyd's loop with np.add.at centre sums and a closing assignment.
 

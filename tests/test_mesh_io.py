@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from aurisense import textio
 from aurisense.analysis import write_dataset_csv
 from aurisense.errors import (
     EmptyMeshError,
@@ -16,6 +18,7 @@ from aurisense.geometry import (
     write_ply,
     write_vtk,
 )
+from aurisense.geometry import meshio
 from aurisense.geometry.primitives import make_bumpy_plane, make_cylinder, make_icosphere
 
 
@@ -158,21 +161,61 @@ def _reference_dataset_csv(path, labels, rows, comments):
             fh.write(str(label) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def test_writers_match_the_per_row_reference(tmp_path):
+def test_writers_match_the_per_row_reference(tmp_path, monkeypatch):
     awkward = np.array([-0.0, 1e-300, 1e16, 0.1, -2.5e-7, 1.0 / 3.0])
     verts = np.array([[0.0, 0.0, 0.0], [1e16, 0.1, -0.0], [1e-300, 1.0, 0.1],
                       [1.0 / 3.0, -2.5e-7, 1e16], [0.1, 0.1, 0.1], [-0.0, 2.0, 1e-300]])
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2], [0, 2, 3], [1, 3, 4], [2, 4, 5]]))
     scalars = {"aesr": awkward, "rank": np.arange(6)}
-    write_ply(tmp_path / "new.ply", mesh, scalars=scalars, comments=("seed=1",))
-    _reference_ply(tmp_path / "ref.ply", mesh, scalars, ("seed=1",))
-    assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
-
     labels = ["S01-L", "S01-R", "S02-L"]
     rows = np.stack([awkward, awkward[::-1], awkward * 7.0])
-    write_dataset_csv(tmp_path / "new.csv", labels, rows, comments=("seed=1",))
+    _reference_ply(tmp_path / "ref.ply", mesh, scalars, ("seed=1",))
     _reference_dataset_csv(tmp_path / "ref.csv", labels, rows, ("seed=1",))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # rows written one, two, or all in a block
+    for rows_per_block in (1, 2, textio._WRITE_ROWS):
+        monkeypatch.setattr(textio, "_WRITE_ROWS", rows_per_block)
+        write_ply(tmp_path / "new.ply", mesh, scalars=scalars, comments=("seed=1",))
+        assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
+        write_dataset_csv(tmp_path / "new.csv", labels, rows, comments=("seed=1",))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_load_mesh_frees_its_row_strings_before_building_the_mesh(tmp_path, monkeypatch):
+    # the parsed rows of a PLY take over three times the bytes of its arrays;
+    # kept alive while SurfaceMesh ran, they set load_mesh's peak
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(spacing=0.4))
+    build, live = meshio.SurfaceMesh, []
+
+    def spy(vertices, faces):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return build(vertices, faces)
+
+    monkeypatch.setattr(meshio, "SurfaceMesh", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mesh = load_mesh(tmp_path / "mesh.ply")
+    finally:
+        tracemalloc.stop()
+    # 0.64 MB at 5 776 vertices, with 0.41 MB of arrays; 2.04 MB with the rows alive
+    assert live[0] - before < 2 * (mesh.vertices.nbytes + mesh.faces.nbytes)
+
+
+def test_write_ply_memory_does_not_grow_with_the_mesh(tmp_path):
+    # 11 250 and 45 000 faces: both tables span several blocks, and the text
+    # held at once is one block's
+    peaks = []
+    for spacing in (0.4, 0.2):
+        mesh = make_bumpy_plane(spacing=spacing)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_ply(tmp_path / "mesh.ply", mesh)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    # 844 kB at both sizes; 2.3 and 9.2 MB when each table was one string
+    assert peaks[1] - peaks[0] < 64e3
 
 
 def test_degenerate_faces_dropped():

@@ -8,6 +8,7 @@ import contextlib
 import io
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -443,3 +444,16 @@ def _float_tables(draw):
 def test_float_and_labelled_rows_match_one_repr_per_cell(table, sep):
     values, labels = table
     assert textio.format_rows(values, labels, sep) == _repr_rows(values, labels, sep)
+    # blocks of one row, of a few rows, and of the whole table write the same text
+    for rows_per_block in (1, 5, textio._WRITE_ROWS):
+        out = io.StringIO()
+        with mock.patch.object(textio, "_WRITE_ROWS", rows_per_block):
+            textio.write_rows(out, [values[:, :1], values[:, 1:]], labels, sep)
+        assert out.getvalue() == _repr_rows(values, labels, sep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="a\r\n", max_size=12))
+@example(text="a\r\n\r\r\n\n")
+def test_lines_split_at_every_line_break(text):
+    assert textio._split_lines(text) == text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
