@@ -137,8 +137,6 @@ class CohortResult:
     labels: tuple          # "S01-L" style, one per ear
     rows: np.ndarray       # (M, N) AESR trends x noise
     archetype: np.ndarray  # (M,) true archetype index per ear
-    subjects: tuple
-    sides: tuple
     config: dict           # the checked config the cohort was drawn from
 
     def __post_init__(self):
@@ -206,14 +204,10 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     n_aps = trends.shape[1]
     z = spawn_rng(seed, 1).standard_normal((arch.size, n_aps + 1))
     rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
-    subjects = tuple(f"S{i + 1:02d}" for i in range(len(pairs)) for _ in "LR")
-    sides = ("L", "R") * len(pairs)
     return CohortResult(
-        labels=tuple(f"{s}-{side}" for s, side in zip(subjects, sides)),
+        labels=tuple(f"S{i + 1:02d}-{side}" for i in range(len(pairs)) for side in "LR"),
         rows=rows,
         archetype=arch,
-        subjects=subjects,
-        sides=sides,
         config=cfg,
     )
 

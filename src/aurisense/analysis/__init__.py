@@ -11,7 +11,7 @@ from .cluster import (
     select_k_elbow,
     silhouette,
 )
-from .stats import CorrelationResult, correlation, pearson
+from .stats import CorrelationResult, correlation
 from .contour import ContourField, interpolate_contour, interpolation_weights
 from .datasets import read_dataset_csv, write_dataset_csv, write_report_json
 
@@ -30,7 +30,6 @@ __all__ = [
     "silhouette",
     "CorrelationResult",
     "correlation",
-    "pearson",
     "ContourField",
     "interpolate_contour",
     "interpolation_weights",

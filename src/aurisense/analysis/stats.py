@@ -59,13 +59,6 @@ def _centred(x, y):
     return xc, yc, sx, sy
 
 
-def pearson(x, y) -> float:
-    """Plain product-moment correlation coefficient of finite, 1-D x and y
-    of equal length >= 3."""
-    xc, yc, sx, sy = _centred(x, y)
-    return float((xc * yc).sum() / (sx * sy))
-
-
 @lru_cache(maxsize=1)
 def _permutations(seed: int, n: int, n_perm: int) -> np.ndarray:
     """Read-only (n_perm, n) array whose rows are the test's index shuffles.
@@ -85,10 +78,10 @@ def _permutations(seed: int, n: int, n_perm: int) -> np.ndarray:
 def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     """PCC with a two-sided seeded permutation p-value.
 
-    p = (1 + #{|r_perm| >= |r_obs|}) / (n_perm + 1); the smallest reachable
-    p is therefore 1/(n_perm + 1).  x and y are finite, 1-D and of equal
-    length >= 3, as ``pearson`` checks; ``n_perm`` and ``seed`` are
-    integers >= 0.
+    r_obs = sum(xc * yc) / (|xc| |yc|) of the centred inputs, and p = (1 +
+    #{|r_perm| >= |r_obs|}) / (n_perm + 1); the smallest reachable p is
+    therefore 1/(n_perm + 1).  x and y are finite, 1-D and of equal length
+    >= 3, as ``_centred`` checks; ``n_perm`` and ``seed`` are integers >= 0.
     """
     if not (is_whole(n_perm) and is_whole(seed)):
         raise ParameterError("n_perm and seed must be integers >= 0")

@@ -10,7 +10,8 @@ Each command runs one pipeline on one format per input.  ``analyze``
 divides each row of the dataset by its AP1, clusters the rows' PCA scores
 with k-means and the elbow, and scores the result by silhouette and
 left/right concordance.  ``contour`` reads its APs from the
-``{"aps": [...]}`` file that ``design --aps-out`` writes.
+``{"aps": [...]}`` file that ``design --aps-out`` writes, and writes the
+field as the ``aesr`` vertex property of an ASCII PLY.
 
 Exit codes: 0 success, 1 input/configuration error, 2 partial numeric
 failure (e.g. some electrodes could not reach the target area).
@@ -41,7 +42,7 @@ from .analysis import (
 )
 from .electrode import DEFAULT_TARGET_AREA, MAX_TILT_DEG, design_array, write_design_json
 from .errors import AurisenseError, DatasetFormatError, LabelError
-from .geometry import load_mesh, place_aps, read_aps_json, write_ply, write_vtk
+from .geometry import load_mesh, place_aps, read_aps_json, write_ply
 from .geometry.aps import write_aps_json
 from .textio import read_lines
 
@@ -186,14 +187,9 @@ def cmd_contour(args) -> int:
         "mesh": _file_digest(args.mesh),
         "aps": _file_digest(args.aps),
         "values": _file_digest(args.values),
-        "format": args.format,
     })
-    note = f"seed=none config={stamp} version={__version__}"
-    if args.format == "ply":
-        write_ply(args.out, mesh, scalars={"aesr": field.values},
-                  comments=(note,))
-    else:
-        write_vtk(args.out, mesh, scalars={"aesr": field.values}, title=note)
+    write_ply(args.out, mesh, scalars={"aesr": field.values},
+              comments=(f"seed=none config={stamp} version={__version__}",))
     print(f"contour: {mesh.n_vertices} vertices, scalar range "
           f"[{field.values.min():.4g}, {field.values.max():.4g}] -> {args.out}")
     return 0
@@ -250,13 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True, help="report JSON output")
     a.set_defaults(func=cmd_analyze)
 
-    c = sub.add_parser("contour", help="interpolate AP values over the mesh")
-    c.add_argument("mesh")
+    c = sub.add_parser("contour", help="interpolate AP values over the mesh into "
+                                       "the 'aesr' vertex property of an ASCII PLY")
+    c.add_argument("mesh", help="ASCII OBJ or PLY mesh (mm)")
     c.add_argument("aps", help="APs JSON written by 'design --aps-out'")
     c.add_argument("values", help="CSV: a 'label,value' header, then one "
                                   "'label,value' line per AP")
-    c.add_argument("--format", choices=["ply", "vtk"], default="ply")
-    c.add_argument("--out", required=True)
+    c.add_argument("--out", required=True, help="contour PLY output")
     c.set_defaults(func=cmd_contour)
     return ap
 

@@ -1,5 +1,5 @@
 from .mesh import SurfaceMesh
-from .meshio import load_mesh, read_ply_vertex_scalars, write_ply, write_vtk
+from .meshio import load_mesh, read_ply_vertex_scalars, write_ply
 from .curvature import CurvatureField, curvature_field
 from .aps import (
     AuricularPoint,
@@ -17,7 +17,6 @@ __all__ = [
     "load_mesh",
     "read_ply_vertex_scalars",
     "write_ply",
-    "write_vtk",
     "CurvatureField",
     "curvature_field",
     "AuricularPoint",

@@ -1,4 +1,4 @@
-"""ASCII OBJ / PLY readers and PLY / legacy-VTK writers.
+"""ASCII OBJ / PLY readers and the PLY writer.
 
 The format is taken from the file extension, ``.obj`` or ``.ply``.  Both
 readers follow the parse rule and line-number contract of
@@ -130,21 +130,17 @@ def read_ply_vertex_scalars(path) -> dict:
     return _parse_ply(*read_lines(path, MeshFormatError))[2]
 
 
-def _checked_scalars(mesh: SurfaceMesh, scalars: dict | None) -> dict:
-    """Float columns of one value per vertex, checked before a file is opened."""
+def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
+              comments: tuple = ()) -> None:
+    """Write an ASCII PLY, optionally with named per-vertex scalar properties.
+
+    Each scalar is one float per vertex, checked before the file is opened."""
     scalars = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in (scalars or {}).items()}
     for name, vals in scalars.items():
         if vals.shape != (mesh.n_vertices,):
             raise ValueError(f"scalar '{name}' has shape {vals.shape}; a mesh of "
                              f"{mesh.n_vertices} vertices needs ({mesh.n_vertices},)")
-    return scalars
-
-
-def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
-              comments: tuple = ()) -> None:
-    """Write an ASCII PLY, optionally with named per-vertex scalar properties."""
-    scalars = _checked_scalars(mesh, scalars)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         for c in comments:
@@ -159,21 +155,3 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         write_rows(fh, [mesh.vertices, *scalars.values()])
         write_rows(fh, [np.broadcast_to(3, mesh.n_faces), mesh.faces])
 
-
-def write_vtk(path, mesh: SurfaceMesh, scalars: dict | None = None,
-              title: str = "aurisense surface") -> None:
-    """Write legacy ASCII VTK PolyData with optional POINT_DATA scalars."""
-    scalars = _checked_scalars(mesh, scalars)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        write_rows(fh, [mesh.vertices])
-        fh.write(f"POLYGONS {mesh.n_faces} {4 * mesh.n_faces}\n")
-        write_rows(fh, [np.broadcast_to(3, mesh.n_faces), mesh.faces])
-        if scalars:
-            fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-            for name, vals in scalars.items():
-                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                write_rows(fh, [vals])

@@ -45,8 +45,8 @@ def test_default_archetype_trends_stay_positive():
 def test_cohort_matched_subject_count_is_exact():
     res = simulate_cohort(None, seed=3)
     by_subject = {}
-    for s, a in zip(res.subjects, res.archetype):
-        by_subject.setdefault(s, []).append(a)
+    for label, a in zip(res.labels, res.archetype):
+        by_subject.setdefault(label.split("-")[0], []).append(a)
     matched = sum(1 for ears in by_subject.values() if ears[0] == ears[1])
     assert matched == 24  # round(0.8 * 30)
 
@@ -175,8 +175,8 @@ def test_cohort_full_concordance_with_even_sizes():
     cfg.update({"sizes": [20, 16, 14, 10], "concordance": 1.0})
     res = simulate_cohort(cfg, seed=5)
     by_subject = {}
-    for s, a in zip(res.subjects, res.archetype):
-        by_subject.setdefault(s, []).append(a)
+    for label, a in zip(res.labels, res.archetype):
+        by_subject.setdefault(label.split("-")[0], []).append(a)
     assert all(e[0] == e[1] for e in by_subject.values())
 
 

@@ -10,7 +10,7 @@ from aurisense import acquisition, cli
 from aurisense.cli import build_parser, main
 from aurisense.electrode import _TOL, DEFAULT_TARGET_AREA
 from aurisense.errors import ParameterError
-from aurisense.analysis import read_dataset_csv, write_dataset_csv
+from aurisense.analysis import interpolate_contour, read_dataset_csv, write_dataset_csv
 from aurisense.geometry import (
     default_template,
     load_mesh,
@@ -92,7 +92,7 @@ def test_design_meets_a_tiny_target_area(tmp_path):
     assert np.abs(areas / 1e-7 - 1.0).max() <= _TOL
 
 
-def test_design_aps_out_feeds_a_vtk_contour(tmp_path):
+def test_design_aps_out_feeds_a_contour_whose_ply_holds_the_interpolated_field(tmp_path):
     mesh_path, template_path = _design_inputs(tmp_path)
     aps_path = tmp_path / "aps.json"
     assert main(["design", str(mesh_path), str(template_path), "--out",
@@ -102,19 +102,14 @@ def test_design_aps_out_feeds_a_vtk_contour(tmp_path):
     placed = place_aps(mesh, template_path)
     assert aps.labels == placed.labels
     assert np.array_equal(aps.positions(), placed.positions())
+    values = 0.5 + 0.1 * np.arange(len(aps))
     (tmp_path / "values.csv").write_text("label,value\n" + "".join(
-        f"{lab},{0.5 + 0.1 * i!r}\n" for i, lab in enumerate(aps.labels)))
-    field = {}
-    for fmt in ("ply", "vtk"):
-        out = tmp_path / f"contour.{fmt}"
-        assert main(["contour", str(mesh_path), str(aps_path), str(tmp_path / "values.csv"),
-                     "--format", fmt, "--out", str(out)]) == 0
-        field[fmt] = out
-    lines = field["vtk"].read_text().splitlines()
-    assert f"POINT_DATA {mesh.n_vertices}" in lines
-    start = lines.index("LOOKUP_TABLE default") + 1
-    vtk_values = [float(x) for x in lines[start:]]
-    assert np.array_equal(vtk_values, read_ply_vertex_scalars(field["ply"])["aesr"])
+        f"{lab},{v!r}\n" for lab, v in zip(aps.labels, values.tolist())))
+    out = tmp_path / "contour.ply"
+    assert main(["contour", str(mesh_path), str(aps_path), str(tmp_path / "values.csv"),
+                 "--out", str(out)]) == 0
+    assert np.array_equal(read_ply_vertex_scalars(out)["aesr"],
+                          interpolate_contour(mesh, aps, values).values)
 
 
 @pytest.mark.parametrize("option", [

@@ -573,6 +573,44 @@ def test_silhouette_matches_the_per_point_loop_across_row_blocks():
     assert mean == pytest.approx(ref.mean(), abs=1e-12)
 
 
+def euclidean_silhouette(points, labels):
+    """Silhouette from one (M, M) ``cdist(..., "euclidean")`` whose columns are
+    sorted by cluster, each row's runs summed by ``np.add.reduceat``."""
+    from scipy.spatial.distance import cdist
+
+    inv = np.unique(labels, return_inverse=True)[1]
+    sizes = np.bincount(inv)
+    sums = np.add.reduceat(cdist(points, points[np.argsort(inv, kind="stable")], "euclidean"),
+                           np.cumsum(sizes) - sizes, axis=1)
+    rows = np.arange(len(points))
+    a = sums[rows, inv] / np.maximum(sizes[inv] - 1, 1)
+    to_other = sums / sizes
+    to_other[rows, inv] = np.inf
+    b = to_other.min(axis=1)
+    s = np.zeros(len(points))
+    s[a < b] = 1.0 - a[a < b] / b[a < b]
+    s[a > b] = b[a > b] / a[a > b] - 1.0
+    s[sizes[inv] <= 1] = 0.0
+    return s
+
+
+def test_silhouette_equals_the_euclidean_cdist_reference_bit_for_bit(monkeypatch):
+    # a distance kernel that rounds any distance unlike cdist's "euclidean"
+    # (say, one built on a matrix product) would show in some s(i); 700
+    # points span eleven row blocks of 64 rows
+    monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 64 * 700)
+    rng = np.random.default_rng(14)
+    base = rng.normal(size=(700, 3)) + rng.integers(0, 3, size=(700, 1))
+    labels = rng.choice([4, 1, 9], size=700)
+    labels[5] = 30
+    for scale in (1e-8, 1.0, 1e8):
+        s, mean = silhouette(base * scale, labels)
+        ref = euclidean_silhouette(base * scale, labels)
+        assert s[5] == 0.0
+        np.testing.assert_array_equal(s, ref)
+        assert mean == float(ref.mean())
+
+
 def silhouette_memory_case():
     """3000 points in three dimensions with labels 0-3."""
     rng = np.random.default_rng(13)

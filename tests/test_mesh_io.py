@@ -16,7 +16,6 @@ from aurisense.geometry import (
     load_mesh,
     read_ply_vertex_scalars,
     write_ply,
-    write_vtk,
 )
 from aurisense.geometry import meshio
 from aurisense.geometry.primitives import make_bumpy_plane, make_cylinder, make_icosphere
@@ -84,40 +83,14 @@ def test_ply_scalar_roundtrip(tmp_path):
     np.testing.assert_allclose(scalars["aesr"], vals)
 
 
-def test_vtk_writer_structure(tmp_path):
-    mesh = make_icosphere(subdivisions=1)
-    p = tmp_path / "mesh.vtk"
-    write_vtk(p, mesh, scalars={"aesr": np.ones(mesh.n_vertices)})
-    text = p.read_text()
-    assert "DATASET POLYDATA" in text
-    assert f"POINTS {mesh.n_vertices} double" in text
-    assert "SCALARS aesr double 1" in text
-    assert f"POINT_DATA {mesh.n_vertices}" in text
-
-
-def test_vtk_points_and_scalars_read_back_exactly(tmp_path):
-    mesh = make_icosphere(subdivisions=1)
-    vals = np.linspace(-1.0, 1.0, mesh.n_vertices) / 3.0
-    p = tmp_path / "mesh.vtk"
-    write_vtk(p, mesh, scalars={"aesr": vals})
-    lines = p.read_text().splitlines()
-    start = lines.index(f"POINTS {mesh.n_vertices} double") + 1
-    points = [[float(x) for x in row.split()] for row in lines[start:start + mesh.n_vertices]]
-    assert np.array_equal(np.array(points), mesh.vertices)
-    start = lines.index("LOOKUP_TABLE default") + 1
-    assert np.array_equal([float(x) for x in lines[start:]], vals)
-
-
-@pytest.mark.parametrize("writer, name", [(write_ply, "old.ply"), (write_vtk, "old.vtk")],
-                         ids=["ply", "vtk"])
-@pytest.mark.parametrize("bad", [np.ones(24), np.ones((25, 1))], ids=["short", "column"])
-def test_bad_scalars_leave_an_existing_file_unchanged(tmp_path, writer, name, bad):
+@pytest.mark.parametrize("bad", [np.ones(24), np.ones((25, 1))], ids=["short-ply", "column-ply"])
+def test_bad_scalars_leave_an_existing_file_unchanged(tmp_path, bad):
     mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
     assert mesh.n_vertices == 25
-    p = tmp_path / name
+    p = tmp_path / "old.ply"
     p.write_text("previous contents\n")
     with pytest.raises(ValueError, match="'aesr' has"):
-        writer(p, mesh, scalars={"ok": np.zeros(25), "aesr": bad})
+        write_ply(p, mesh, scalars={"ok": np.zeros(25), "aesr": bad})
     assert p.read_text() == "previous contents\n"
 
 
