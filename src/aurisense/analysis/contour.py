@@ -21,17 +21,24 @@ field is bounded by the AP values; four branches write them:
 
 Sibson rows are weighted in one array pass.  Vertices whose cavity (the
 triangles whose circumcircle holds them) is the same share its topology:
-its boundary edges, its neighbors and the corners of each neighbor's
-stolen polygon (the old circumcenters of its cavity triangles and the new
-ones of its boundary edges).  A dozen APs give a few dozen cavity
-patterns for a whole mesh; their topology is worked out once, as index
-arrays padded to the largest pattern, and every vertex's new
-circumcenters, polygon areas and row are then a fixed number of array
-passes over query blocks of at most ``_BLOCK`` polygon corners (or cavity
-cells).  The at-site and hull-edge passes run over query blocks of at
-most ``_BLOCK`` query-site or query-edge pairs, so the temporaries of all
-three passes are bounded whatever the mesh size, and a row does not depend
-on the block it is computed in.
+its boundary edges, its neighbors and the corners of each neighbor n's
+stolen polygon (the old circumcenters of its cavity triangles at n and
+the new ones of its boundary edges at n).  They share the corners'
+cyclic order as well: a corner stands for a wedge at n, a triangle by its
+centroid and an edge by its midpoint, and the order of the wedges around
+n is set by the sites, whatever the query.  About the old corner after
+the polygon's closing edge (its one step between new corners), the
+shoelace steps between old corners sum to a constant of the pattern, so
+a query's polygon area is that constant plus two cross products.  A
+dozen APs give a few dozen cavity patterns for a whole mesh; their
+topology, order and constants are worked out once, as arrays padded to
+the largest pattern, and every vertex's new circumcenters, areas and row
+are then a fixed number of array passes over query blocks of at most
+``_BLOCK // 8`` new circumcenters (or ``_BLOCK`` cavity cells).  The
+at-site and hull-edge passes run over query blocks of at most ``_BLOCK``
+query-site or query-edge pairs, so the temporaries of all three passes
+are bounded whatever the mesh size, and a row does not depend on the
+block it is computed in.
 """
 
 from __future__ import annotations
@@ -47,8 +54,9 @@ from ..geometry.mesh import SurfaceMesh
 # a Delaunay triangle whose height is below FLAT of its longest edge is
 # flat: its circumcircle is too wide to weigh, so it joins no cavity
 FLAT = 1e-6
-# entries (query-site pairs, query-edge pairs, cavity cells or polygon
-# corners) per block of a pass over the queries
+# entries (query-site pairs, query-edge pairs or cavity cells) per block of
+# a pass over the queries; the Sibson pass holds each new circumcenter in
+# over a dozen arrays at once, so its blocks take an eighth as many
 _BLOCK = 2 ** 14
 
 
@@ -203,10 +211,21 @@ def _circumcenters(a, b, c):
 
 def _sibson_rows(w, rows, sites, tris, cc, r2tol, queries):
     """Write Sibson's stolen-area weights into the ``rows`` of W and return
-    the mask of rows whose weights hold (no degenerate new circumcenter, a
-    positive finite total).  ``tris`` (T, 3) are the triangles that may join
-    a cavity, ``cc`` their circumcenters and ``r2tol`` their squared radii
-    with slack."""
+    the mask of rows whose weights hold (every neighbor's polygon closes
+    by one step between new corners, no degenerate new circumcenter, a
+    positive finite total).  ``tris`` (T, 3) are the triangles that may
+    join a cavity, ``cc`` their circumcenters and ``r2tol`` their squared
+    radii with slack.
+
+    A polygon's corners are put in the order of their wedges around their
+    neighbor once per cavity pattern: the triangles and edges around a
+    site do not move with the query.  The closing step X -> Y, on the
+    bisector of the neighbor and the query, is then the one step between
+    new corners, and the shoelace about the old corner o after Y is the
+    pattern's sum over steps between old corners plus the two cross
+    products of the steps into X and out of it.  No term is taken about a
+    far point, so a new circumcenter far out beyond a hull edge costs no
+    digits."""
     q = queries[rows]
     n_sites, n_tris = sites.shape[0], tris.shape[0]
     if q.shape[0] == 0:
@@ -217,8 +236,9 @@ def _sibson_rows(w, rows, sites, tris, cc, r2tol, queries):
     packed = np.empty((q.shape[0], (n_tris + 7) // 8), dtype=np.uint8)
     step = max(1, _BLOCK // n_tris)
     for s in range(0, q.shape[0], step):
-        dq = cc[None, :, :] - q[s:s + step, None, :]
-        packed[s:s + step] = np.packbits(np.einsum("qtj,qtj->qt", dq, dq) < r2tol, axis=1)
+        dx = cc[:, 0] - q[s:s + step, :1]
+        dy = cc[:, 1] - q[s:s + step, 1:]
+        packed[s:s + step] = np.packbits(dx * dx + dy * dy < r2tol, axis=1)
     _, first, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                 return_index=True, return_inverse=True)
     cavity = np.unpackbits(packed[first], axis=1, count=n_tris).astype(bool)  # (P, T)
@@ -243,37 +263,61 @@ def _sibson_rows(w, rows, sites, tris, cc, r2tol, queries):
         edge_real[:, None, :] & (boundary[:, None] == nbrs[:, :, None, None]).any(axis=3),
     ], axis=2) & nbr_real[:, :, None]  # (P, N, T + K)
     corners, real = _padded(member)  # (P, N, m)
-    # pad each polygon with copies of its first point, which sort next to
-    # it and add nothing to the shoelace sum
-    corners = np.where(real, corners, corners[..., :1])
-    size = real.sum(axis=2)
+
+    # each polygon's corners in the cyclic order of their wedges about the
+    # neighbor (a triangle's centroid, an edge's midpoint), padding last
+    n_pat, m = corners.shape[0], corners.shape[2]
+    wedges = np.concatenate([np.broadcast_to(sites[tris].mean(axis=1), (n_pat, n_tris, 2)),
+                             sites[boundary].mean(axis=2)], axis=1)  # (P, T + K, 2)
+    toward = wedges[np.arange(n_pat)[:, None, None], corners] - sites[nbrs][:, :, None]
+    angle = np.where(real, np.arctan2(toward[..., 1], toward[..., 0]), np.inf)
+    corners = np.take_along_axis(corners, np.argsort(angle, axis=2, kind="stable"), axis=2)
+    size = real.sum(axis=2, keepdims=True)  # (P, N, 1)
+    new = (corners >= n_tris) & (np.arange(m) < size)
+
+    def rotated(by):
+        return np.take_along_axis(corners, (np.arange(m) + by) % np.maximum(size, 1), axis=2)
+
+    # X of the one new-to-new step X -> Y that closes a polygon, and each
+    # closed polygon from X on: X, Y, o, ..., the last old corner
+    closing = new & (rotated(1) >= n_tris)
+    closes = (closing.sum(axis=2) == 1) & (new.sum(axis=2) == 2)
+    pattern_holds = (closes | ~nbr_real).all(axis=1)
+    poly = np.where(closes[..., None], rotated(np.argmax(closing, axis=2)[..., None]),
+                    np.where(np.arange(m) < 2, n_tris, 0))
+    x_new, y_new = poly[..., 0] - n_tris, poly[..., 1] - n_tris
+    # the old corners from o on, padded by o, about o: the shoelace terms
+    # of their steps sum to a constant of the pattern
+    run = np.where(np.arange(m) < size, poly, poly[..., 2:3])[..., 2:]
+    ox, oy = cc[run[..., 0], 0], cc[run[..., 0], 1]
+    rx, ry = cc[run, 0] - ox[..., None], cc[run, 1] - oy[..., None]
+    const = (rx[..., :-1] * ry[..., 1:] - ry[..., :-1] * rx[..., 1:]).sum(axis=2)
+    last = np.maximum(size - 3, 0)
+    lx, ly = np.take_along_axis(rx, last, 2)[..., 0], np.take_along_axis(ry, last, 2)[..., 0]
     nbrs = np.where(nbr_real, nbrs, n_sites)  # padding weighs a spare column
 
-    # per-query pass over blocks of at most _BLOCK polygon corners
+    # per-query pass over blocks of at most _BLOCK // 8 new circumcenters
+    # (or neighbors)
     holds = np.empty(q.shape[0], dtype=bool)
-    step = max(1, _BLOCK // max(corners.shape[1] * corners.shape[2], 1))
+    step = max(1, _BLOCK // (8 * max(boundary.shape[1], nbrs.shape[1], 1)))
     for s in range(0, q.shape[0], step):
         g = group[s:s + step]
         qb = q[s:s + step]
         bnd = boundary[g]
         new_cc, ok = _circumcenters(qb[:, None, :], sites[bnd[..., 0]], sites[bnd[..., 1]])
-        points = np.concatenate([np.broadcast_to(cc, (qb.shape[0],) + cc.shape), new_cc], axis=1)
-        poly = points[np.arange(qb.shape[0])[:, None, None], corners[g]]  # (G, N, m, 2)
-        n = size[g]
+        r = np.arange(qb.shape[0])[:, None]
+        xi, yi = x_new[g], y_new[g]
+        xx, xy = new_cc[r, xi, 0] - ox[g], new_cc[r, xi, 1] - oy[g]
+        yx, yy = new_cc[r, yi, 0] - ox[g], new_cc[r, yi, 1] - oy[g]
         weights = np.zeros((qb.shape[0], n_sites + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            poly -= ((poly * real[g][..., None]).sum(axis=2) / n[..., None])[:, :, None, :]
-            order = np.argsort(np.arctan2(poly[..., 1], poly[..., 0]), axis=2)
-            p = np.take_along_axis(poly, order[..., None], axis=2)
-            x, y = p[..., 0], p[..., 1]
-            # the shoelace term by term: a repeated point's term is exactly 0
-            area = 0.5 * np.abs((x * np.roll(y, -1, axis=2)
-                                 - y * np.roll(x, -1, axis=2)).sum(axis=2))
-            weights[np.arange(qb.shape[0])[:, None], nbrs[g]] = np.where(n >= 3, area, 0.0)
+            weights[r, nbrs[g]] = 0.5 * np.abs(const[g] + (lx[g] * xy - ly[g] * xx)
+                                               + (xx * yy - xy * yx))
             weights = weights[:, :n_sites]
             total = weights.sum(axis=1)
             weights /= total[:, None]
-        valid = (ok | ~edge_real[g]).all(axis=1) & (total > 0) & np.isfinite(total)
+        valid = (pattern_holds[g] & (ok | ~edge_real[g]).all(axis=1)
+                 & (total > 0) & np.isfinite(total))
         w[rows[s:s + step][valid]] = weights[valid]
         holds[s:s + step] = valid
     return holds
@@ -290,15 +334,15 @@ def _padded(mask):
 def _hull_edge_weights(w, rows, sites, hull_edges, queries):
     """Write the rows of W for outside queries: each is projected to its
     nearest hull edge and weighs the edge's two ends linearly along it."""
-    a, b = sites[hull_edges].transpose(1, 0, 2)  # (H, 2) each
-    ab = b - a
-    ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    ax, ay = sites[hull_edges[:, 0]].T  # (H,) each
+    abx, aby = (sites[hull_edges[:, 1]] - sites[hull_edges[:, 0]]).T
+    ab2 = np.maximum(abx * abx + aby * aby, 1e-300)
     step = max(1, _BLOCK // hull_edges.shape[0])
     for s in range(0, rows.size, step):
         r = rows[s:s + step]
-        q = queries[r][:, None, :]
-        t = np.clip(np.einsum("qhj,hj->qh", q - a, ab) / ab2, 0.0, 1.0)  # (G, H)
-        off = q - (a + t[:, :, None] * ab)
-        best = np.argmin(np.einsum("qhj,qhj->qh", off, off), axis=1)
+        qx, qy = queries[r, :1], queries[r, 1:]
+        t = np.clip(((qx - ax) * abx + (qy - ay) * aby) / ab2, 0.0, 1.0)  # (G, H)
+        offx, offy = qx - (ax + t * abx), qy - (ay + t * aby)
+        best = np.argmin(offx * offx + offy * offy, axis=1)
         tb = t[np.arange(r.size), best]
         w[r[:, None], hull_edges[best]] = np.column_stack([1.0 - tb, tb])

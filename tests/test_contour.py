@@ -196,6 +196,31 @@ def test_linear_precision_on_jittered_grids_under_a_similarity(
     np.testing.assert_allclose(out, _plane(q), rtol=0, atol=1e-9)
 
 
+def _just_inside_hull_edges(sites, depth):
+    """The points at 1/4, 1/2 and 3/4 of each hull edge of the sites, moved
+    inward by ``depth`` of their spread."""
+    spread = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]))
+    a, b = sites[Delaunay(sites).convex_hull].transpose(1, 0, 2)
+    inward = np.stack([a[:, 1] - b[:, 1], b[:, 0] - a[:, 0]], axis=1)
+    inward *= np.sign(((sites.mean(axis=0) - a) * inward).sum(axis=1))[:, None]
+    inward /= np.linalg.norm(inward, axis=1)[:, None]
+    return np.concatenate([a + t * (b - a) + depth * spread * inward for t in (0.25, 0.5, 0.75)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_precision_just_inside_a_hull_edge(seed):
+    # the new circumcenter of the query and the hull edge lies about
+    # spread / (8 depth) out: a shoelace taken about any far point, such
+    # as a centroid it pulls out, cancels terms of that size squared
+    sites, _ = _ap_sites(seed=seed)
+    spread = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]))
+    for depth in (1e-12, 1e-9, 1e-6):
+        q = _just_inside_hull_edges(sites, depth)
+        assert (Delaunay(sites).find_simplex(q) >= 0).all()
+        np.testing.assert_allclose(interpolation_weights(sites, q) @ sites, q,
+                                   rtol=0, atol=1e-12 * spread)
+
+
 def test_linear_precision_far_from_the_origin():
     # sites spread over 0.01-0.2 and shifted by up to 100: the stolen areas
     # must be measured about their own centre, not about the origin
@@ -288,6 +313,27 @@ def test_weight_oracles_just_outside_a_flat_triangle():
     _check_weight_oracles(sites, q, np.array([True]))
 
 
+def test_a_cavity_pinched_at_a_site_does_not_hold():
+    # two cavity triangles that meet only at the centre site: its stolen
+    # region is two polygons, with two steps between new corners, so no
+    # one shoelace weighs it and the row must take the fallback
+    angle = np.arange(6) * np.pi / 3.0
+    sites = np.concatenate([[[0.0, 0.0]], np.stack([np.cos(angle), np.sin(angle)], axis=1)])
+    tris = Delaunay(sites).simplices
+    assert tris.shape[0] == 6 and (tris == 0).any(axis=1).all()
+    cc, _ = contour._circumcenters(*sites[tris].transpose(1, 0, 2))
+    centroids = sites[tris].mean(axis=1)
+    # the triangle opposite the first one shares only the centre with it
+    opposite = np.argmax(((centroids - centroids[0]) ** 2).sum(axis=1))
+    r2tol = np.full(tris.shape[0], -1.0)
+    r2tol[[0, opposite]] = np.inf
+    queries = np.array([[0.1, 0.05], [-0.2, 0.3]])
+    w = np.zeros((2, sites.shape[0]))
+    holds = contour._sibson_rows(w, np.arange(2), sites, tris, cc, r2tol, queries)
+    assert not holds.any()
+    assert not w.any()
+
+
 def _block_cases():
     mesh = make_bumpy_plane(extent=30.0, spacing=1.0, amplitude=2.0, wavelength=12.0)
     yield _parameterize(place_aps(mesh, default_template(13)).positions(), mesh.vertices)
@@ -300,9 +346,12 @@ def _block_cases():
     g = np.linspace(-1.0, 3.0, 41)
     yield (np.array([(0, 0), (0, 1), (0, 2), (2, 0)]) / 4.0,
            np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2) / 4.0)
+    # new circumcenters far out beyond the hull edges
+    sites, _ = _ap_sites(seed=1)
+    yield sites, _just_inside_hull_edges(sites, 1e-12)
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_sibson_blocks_change_no_row(monkeypatch, case):
     # one query per block and every query in one block: a row must not
     # depend on the other rows computed with it
