@@ -13,11 +13,12 @@ undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
 Everything that does not depend on D (the projected corners, the per-face
-area ratios and the faces' adjacency) is built by ``_Pathway``, from the
-contact face it is given, for the faces near the axis only.  One bound
-prunes: a face lies at least its bounding sphere's distance from the axis
-line less the sphere's radius (``SurfaceMesh.face_spheres``) from the
-axis.  A build takes the faces whose bound is within its radius, a larger
+area ratios and the adjacency among the built faces, from those faces'
+rows of the face-vertex incidence alone) is built by ``_Pathway``, from
+the contact face it is given, for the faces near the axis only: no
+mesh-wide adjacency is built.  One bound prunes: a face lies at least its
+bounding sphere's distance from the axis line less the sphere's radius
+(``SurfaceMesh.face_spheres``) from the axis.  A build takes the faces whose bound is within its radius, a larger
 radius rebuilds at least twice as wide, and each area clips the built
 faces whose bound is within its own radius, in face-index order, so it
 equals the area over every face bit for bit.  A solve projects its own
@@ -195,7 +196,7 @@ class _Pathway:
         self.s = np.zeros((self.faces.size, 3))
         self.h[par] = x[par, 0] * m[:, 0] + y[par, 0] * m[:, 1]
         self.s[par] = y[par] * m[:, :1] - x[par] * m[:, 1:]
-        self.adjacency = self.mesh.face_adjacency()[self.faces][:, self.faces]
+        self.adjacency = self.mesh.face_adjacency_among(self.faces)
         self.seed_local = int(np.searchsorted(self.faces, self.seed))
         self.built = radius
 

@@ -23,13 +23,13 @@ DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 _SPHERE_PAD = 1e-9
 
 
-def _ones(cols: np.ndarray, n_cols: int, dtype=bool) -> sp.csr_array:
-    """(R, n_cols) CSR array with a 1 in row r at each column of ``cols[r]``;
-    ``cols`` is (R, c) and holds no repeat within a row."""
+def _ones(cols: np.ndarray, n_cols: int) -> sp.csr_array:
+    """(R, n_cols) boolean CSR array with a True in row r at each column of
+    ``cols[r]``; ``cols`` is (R, c) and holds no repeat within a row."""
     # imported on use: `import aurisense.cli` loads no scipy module
     import scipy.sparse as sp
 
-    return sp.csr_array((np.ones(cols.size, dtype=dtype), cols.ravel(),
+    return sp.csr_array((np.ones(cols.size, dtype=bool), cols.ravel(),
                          np.arange(0, cols.size + 1, cols.shape[1])),
                         shape=(cols.shape[0], n_cols))
 
@@ -42,6 +42,20 @@ def _without_own(a, own: np.ndarray) -> sp.csr_array:
     a.eliminate_zeros()
     a.sort_indices()
     return a
+
+
+def _edge_sharing(inc) -> sp.csr_array:
+    """(R, R) boolean CSR pattern of the rows of the (R, V) face-vertex
+    incidence ``inc`` that share two corners, an edge, on a non-manifold
+    edge too; the diagonal is left out."""
+    # counts fit int8, as two faces share at most 3 corners
+    inc = inc.astype(np.int8)
+    shared = inc @ inc.T
+    # in place: `shared >= 2` would sort every entry first; dropping the
+    # pairs with one shared corner shrinks what `_without_own` scans
+    shared.data = shared.data >= 2
+    shared.eliminate_zeros()
+    return _without_own(shared, np.arange(inc.shape[0]))
 
 
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -60,9 +74,14 @@ class SurfaceMesh:
     Immutable after construction: the vertex/face arrays are marked
     read-only so instances can be shared freely across threads.  The
     topology queries return boolean ``scipy.sparse.csr_array`` patterns
-    with sorted indices, all derived from the (F, V) face-vertex incidence:
-    the vertex and face adjacencies are sparse products of it, built on
-    first use and cached, and a k-ring is k sparse hops over the former.
+    with sorted indices, all derived from the boolean (F, V) face-vertex
+    incidence Inc, which is built on first use and cached with its
+    transpose, both O(F).  A k-ring is k hops from vertices to their faces
+    and back, ``reach + (reach @ Inc.T) @ Inc``; ``face_adjacency_among`` pairs
+    the given faces that share two corners, from ``Inc[faces]`` alone.  So
+    the curvature fit and the electrode solve touch only the incidence rows
+    they use.  The mesh-wide (V, V) and (F, F) adjacencies are built on
+    first use and cached, for callers that want the whole mesh.
 
     Parameters
     ----------
@@ -117,6 +136,7 @@ class SurfaceMesh:
         for arr in (self.vertices, self.faces, self.face_areas,
                     self.face_normals, self.vertex_normals):
             arr.flags.writeable = False
+        self._incidence = None
         self._adjacency = None
         self._face_adjacency = None
         self._spheres = None
@@ -165,31 +185,35 @@ class SurfaceMesh:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def _incidence(self) -> sp.csr_array:
-        """(F, V) int8 face-vertex incidence: row f holds a 1 at each corner of face f."""
-        return _ones(self.faces, self.n_vertices, np.int8)
+    def _incidences(self):
+        """The (F, V) boolean face-vertex incidence, row f holding a True at
+        each corner of face f, and its (V, F) transpose, both CSR; cached."""
+        if self._incidence is None:
+            inc = _ones(self.faces, self.n_vertices)
+            self._incidence = inc, inc.T.tocsr()
+        return self._incidence
 
     def vertex_adjacency(self) -> sp.csr_array:
         """(V, V) boolean CSR array; row i holds the sorted 1-ring of vertex i."""
         if self._adjacency is None:
             # two vertices are adjacent when some face holds both
-            inc = self._incidence().astype(bool, copy=False)
-            self._adjacency = _without_own(inc.T @ inc, np.arange(self.n_vertices))
+            inc, inc_t = self._incidences()
+            self._adjacency = _without_own(inc_t @ inc, np.arange(self.n_vertices))
         return self._adjacency
 
     def face_adjacency(self) -> sp.csr_array:
         """(F, F) boolean CSR array; row f holds the sorted faces sharing an edge with f."""
         if self._face_adjacency is None:
-            # two faces share an edge when they share two corners, on a
-            # non-manifold edge too; counts fit int8, as faces share at most 3
-            inc = self._incidence()
-            shared = inc @ inc.T
-            # in place: `shared >= 2` would sort every entry first; dropping the
-            # pairs with one shared corner shrinks what `_without_own` scans
-            shared.data = shared.data >= 2
-            shared.eliminate_zeros()
-            self._face_adjacency = _without_own(shared, np.arange(self.n_faces))
+            self._face_adjacency = _edge_sharing(self._incidences()[0])
         return self._face_adjacency
+
+    def face_adjacency_among(self, faces) -> sp.csr_array:
+        """(R, R) boolean CSR array over the R distinct face indices
+        ``faces``: row r holds the sorted positions in ``faces`` of the faces
+        sharing an edge with ``faces[r]``.  The pattern of
+        ``face_adjacency()[faces][:, faces]``, built from those faces'
+        incidence rows alone."""
+        return _edge_sharing(self._incidences()[0][faces])
 
     def k_rings(self, vertices, k: int) -> sp.csr_array:
         """(Q, V) boolean CSR array; row r holds the sorted vertices within k
@@ -199,11 +223,10 @@ class SurfaceMesh:
         query = np.asarray(vertices, dtype=np.int64).reshape(-1)
         if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
             raise ParameterError("vertex indices must lie in [0, n_vertices)")
-        adj = self.vertex_adjacency()
-        start = _ones(query[:, None], self.n_vertices)
-        reach = start
-        for _ in range(k):  # each hop adds the neighbours of everything reached
-            reach = reach + reach @ adj
+        inc, inc_t = self._incidences()
+        reach = _ones(query[:, None], self.n_vertices)
+        for _ in range(k):  # each hop adds the corners of every face touching what is reached
+            reach = reach + (reach @ inc_t) @ inc
         return _without_own(reach, query)
 
     def k_ring(self, vertex: int, k: int) -> np.ndarray:

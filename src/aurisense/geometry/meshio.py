@@ -5,7 +5,12 @@ readers follow the parse rule and line-number contract of
 ``aurisense.textio``: a fault in one body row (a bad number or column
 count, a non-finite coordinate, a face index naming no vertex) raises
 ``MeshFormatError``, or ``UnsupportedTopologyError`` for a face that is
-not a triangle, naming that row's line.
+not a triangle, naming that row's line.  OBJ files are read as
+``read_lines`` rows.  A PLY file that ``textio.plain_lines`` accepts has
+its header parsed from its first lines and each table read straight from
+the file by one ``np.loadtxt`` run; any other PLY file, or one whose
+tables do not read, is read as ``read_lines`` rows by the same header
+parser.  ``load_mesh`` and ``read_ply_vertex_scalars`` take the same route.
 
 - OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
   dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
@@ -25,7 +30,7 @@ import re
 import numpy as np
 
 from ..errors import MeshFormatError, UnsupportedTopologyError
-from ..textio import read_lines, require, table, write_rows
+from ..textio import file_table, plain_lines, read_lines, require, table, write_rows
 from .mesh import SurfaceMesh
 
 # in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference
@@ -43,12 +48,12 @@ def load_mesh(path) -> SurfaceMesh:
     if ext not in (".obj", ".ply"):
         raise MeshFormatError(f"cannot infer mesh format for '{path}'; "
                               f"expected a .obj or .ply file")
-    rows, lines = read_lines(path, MeshFormatError)
     if ext == ".obj":
+        rows, lines = read_lines(path, MeshFormatError)
         (vertices, v_lines), (faces, f_lines) = _parse_obj(rows, lines)
+        del rows  # the row strings outweigh the arrays: free them before the mesh is built
     else:
-        (vertices, v_lines), (faces, f_lines), _ = _parse_ply(rows, lines)
-    del rows  # the row strings outweigh the arrays: free them before the mesh is built
+        (vertices, v_lines), (faces, f_lines), _ = _read_ply(path)
     require(np.isfinite(vertices).all(axis=1), v_lines, MeshFormatError,
             "non-finite vertex coordinate")
     require(((faces >= 0) & (faces < len(vertices))).all(axis=1), f_lines,
@@ -77,14 +82,62 @@ def _parse_obj(rows, lines):
     return (vertices, v_lines), (faces, f_lines)
 
 
-def _parse_ply(rows, lines):
+def _read_ply(path):
     """((vertices, their lines), (faces, their lines), extra vertex columns)
-    of ASCII PLY rows."""
+    of an ASCII PLY file, by the route the module docstring describes."""
+    tables = _read_plain_ply(path)
+    if tables is None:
+        return _parse_ply(*read_lines(path, MeshFormatError))
+    return tables
+
+
+def _read_plain_ply(path):
+    """``_read_ply``'s result from ``np.loadtxt`` runs on a plain file, or
+    None for any other file or for tables that do not read.  A header
+    fault of a plain file is raised here, at its line."""
+    with open(path, "rb") as fh:
+        head = []
+        for raw in fh:  # the header's lines, up to end_header
+            head.append(raw)
+            if raw.decode("latin-1").split()[:1] == ["end_header"]:
+                break
+        n_body = plain_lines(fh.read())
+    if n_body is None or plain_lines(b"".join(head)) != len(head):
+        return None
+    top = len(head)  # the lines above the first vertex row
+    props, nv, nf = _ply_header([raw.decode().strip() for raw in head],
+                                np.arange(1, top + 1))[:3]
+    if n_body < nv + nf:
+        return None
+    values = file_table(path, top, nv, len(props), np.float64)
+    faces = file_table(path, top + nv, nf, 4, np.int64)
+    if values is None or faces is None:
+        return None
+    return _ply_tables(props, values, range(top + 1, top + nv + 1),
+                       faces, range(top + nv + 1, top + nv + nf + 1))
+
+
+def _parse_ply(rows, lines):
+    """``_read_ply``'s result from the ``read_lines`` rows of a PLY file."""
+    props, nv, nf, end = _ply_header(rows, lines)
+    body, body_lines = rows[end + 1:], lines[end + 1:]
+    if len(body) < nv + nf:
+        raise MeshFormatError(f"PLY body ended after {len(body)} of the "
+                              f"{nv + nf} vertex and face rows")
+    values = table(body[:nv], body_lines[:nv], len(props), np.float64, MeshFormatError)
+    f_rows, f_lines = body[nv:nv + nf], body_lines[nv:nv + nf]
+    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError, wide=_NOT_TRIANGLE)
+    return _ply_tables(props, values, body_lines[:nv], faces, f_lines)
+
+
+def _ply_header(rows, lines):
+    """(vertex property names in declaration order, vertex count, face
+    count, index of the end_header row) of the rows of a PLY file."""
     if not rows or rows[0] != "ply":
         raise MeshFormatError("not a PLY file (missing 'ply' magic)",
                               line=int(lines[0]) if rows else None)
     counts = {}
-    props = []  # vertex property names in declaration order
+    props = []
     element = None
     for i in range(1, len(rows)):
         parts = rows[i].split()
@@ -109,25 +162,22 @@ def _parse_ply(rows, lines):
     if "vertex" not in counts or "face" not in counts or not {"x", "y", "z"} <= set(props):
         raise MeshFormatError("PLY header lacks a vertex element with x, y, z "
                               "properties or a face element")
+    return props, counts["vertex"], counts["face"], i
 
-    body, body_lines = rows[i + 1:], lines[i + 1:]
-    nv, nf = counts["vertex"], counts["face"]
-    if len(body) < nv + nf:
-        raise MeshFormatError(f"PLY body ended after {len(body)} of the "
-                              f"{nv + nf} vertex and face rows")
-    values = table(body[:nv], body_lines[:nv], len(props), np.float64, MeshFormatError)
+
+def _ply_tables(props, values, v_lines, faces, f_lines):
+    """((vertices, their lines), (faces, their lines), extra vertex columns)
+    of the PLY vertex table ``values``, whose columns are ``props``, and face
+    table ``faces``, whose rows must start with 3."""
+    require(faces[:, 0] == 3, f_lines, *_NOT_TRIANGLE)
     xyz = [props.index(c) for c in ("x", "y", "z")]
     extras = {name: values[:, j] for j, name in enumerate(props) if name not in ("x", "y", "z")}
-
-    f_rows, f_lines = body[nv:nv + nf], body_lines[nv:nv + nf]
-    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError, wide=_NOT_TRIANGLE)
-    require(faces[:, 0] == 3, f_lines, *_NOT_TRIANGLE)
-    return (values[:, xyz], body_lines[:nv]), (faces[:, 1:], f_lines), extras
+    return (values[:, xyz], v_lines), (faces[:, 1:], f_lines), extras
 
 
 def read_ply_vertex_scalars(path) -> dict:
     """Per-vertex scalar properties (beyond x/y/z) from an ASCII PLY file."""
-    return _parse_ply(*read_lines(path, MeshFormatError))[2]
+    return _read_ply(path)[2]
 
 
 def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,

@@ -1,8 +1,13 @@
 """Text tables: the one path between the package's ASCII files and arrays.
 
-Every ASCII reader (OBJ, PLY, AP template, dataset and values CSV) reads
-its file with ``read_lines`` and parses its body rows with ``table``;
-every ASCII writer writes its body rows with ``write_rows``.
+The OBJ, AP template, dataset and values CSV readers read their file with
+``read_lines`` and parse its body rows with ``table``.  The PLY reader
+reads the tables of a file that ``plain_lines`` accepts straight from the
+file with ``file_table``, with no string per row; there line n is row n,
+so a row's line is the header's length plus its place in the body.  Any
+other PLY file, or one whose tables do not read, takes ``read_lines`` and
+``table``, which alone find the line of a row that does not parse.
+Every ASCII writer writes its body rows with ``write_rows``.
 
 Parse rule: a file is UTF-8 text, split into lines at ``\n``, ``\r\n`` or
 ``\r`` and counted from 1; lines are stripped, and blank lines and, in
@@ -32,12 +37,17 @@ template repeated once per row, so the text held at once stays one block's.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from itertools import compress, repeat
 
 import numpy as np
 
 _WRITE_ROWS = 4096  # rows per block of ``write_rows``
+# a newline, then a line of nothing but the ASCII whitespace that
+# ``str.strip`` removes, ended by a newline or, if it is not empty, by the
+# end of the text; the leading newline lets a search skip from line to line
+_BLANK_LINE = re.compile(rb"\n(?:[\t\x0b\x0c\x1c-\x1f ]*\n|[\t\x0b\x0c\x1c-\x1f ]+\Z)")
 
 
 def _split_lines(text: str) -> list:
@@ -124,23 +134,46 @@ def table(rows, lines, ncols: int, dtype, error, sep: str | None = None,
     raise error(f"the rows do not read as a table of {width} cells")
 
 
-def _read(body, ncols: int, dtype, sep):
-    """The ``(len(body), ncols)`` array of the cells of ``body``, or None if
-    they are not one."""
-    if not body:
-        return np.empty((0, ncols), dtype)
-    if not all(body):  # np.loadtxt would skip a blank row
+def file_table(path, skiprows: int, nrows: int, ncols: int, dtype):
+    """The ``(nrows, ncols)`` array of ``dtype`` on the ``nrows`` lines of
+    the file at ``path`` after its first ``skiprows``, read straight from
+    the file, or None if they are not one; for lines ``plain_lines`` accepts."""
+    return _read(path, ncols, dtype, skiprows=skiprows, nrows=nrows)
+
+
+def plain_lines(data: bytes):
+    """The number of lines of the text ``data`` when each of them is a row
+    as ``read_lines`` keeps it, at its own line number, else None: ASCII,
+    no ``\r``, and no blank or whitespace-only line but the empty one after
+    a final newline."""
+    first = data[:data.find(b"\n") + 1 or len(data)]
+    if (not data.isascii() or b"\r" in data or _BLANK_LINE.match(b"\n" + first)
+            or _BLANK_LINE.search(data)):
         return None
+    return data.count(b"\n") + bool(data and not data.endswith(b"\n"))
+
+
+def _read(body, ncols: int, dtype, sep=None, skiprows: int = 0, nrows=None):
+    """The ``(nrows, ncols)`` array of the cells of ``body``, or None if
+    they are not one: ``body`` is a list of rows, all of them read, or a
+    file path, whose ``nrows`` lines after the first ``skiprows`` are read."""
+    if nrows is None:
+        nrows = len(body)
+        if not all(body):  # np.loadtxt would skip a blank row
+            return None
+    if not nrows:
+        return np.empty((0, ncols), dtype)
     # numpy 1.23 to 2.x read an integer cell such as '1.5' as a float and
     # truncate it, with only a DeprecationWarning: that cell is a fault
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
             values = np.loadtxt(body, dtype, delimiter=sep, comments=None,
-                                quotechar=None, ndmin=2)
+                                quotechar=None, ndmin=2, skiprows=skiprows,
+                                max_rows=nrows, encoding="utf-8")
         except (ValueError, OverflowError, DeprecationWarning):
             return None
-    return values if values.shape == (len(body), ncols) else None
+    return values if values.shape == (nrows, ncols) else None
 
 
 def write_rows(fh, columns, labels=None, sep: str = " ") -> None:

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,6 +167,63 @@ def test_jittered_grid_with_nearly_collinear_hull_sites():
         q = q[Delaunay(sites).find_simplex(q) >= 0]
         np.testing.assert_allclose(interpolation_weights(sites, q) @ _plane(sites),
                                    _plane(q), rtol=0, atol=1e-9)
+
+
+def _in_exact_hull(sites, hull, q):
+    """Whether each point of ``q`` lies inside or on the hull of ``sites``
+    whose edges are ``hull``, by exact rational orientation tests."""
+    exact = [tuple(map(Fraction, p.tolist())) for p in sites]
+    cx, cy = sum(p[0] for p in exact) / len(exact), sum(p[1] for p in exact) / len(exact)
+    inside = []
+    for p in q.tolist():
+        x, y = map(Fraction, p)
+        ok = True
+        for i, j in hull:
+            (ax, ay), (bx, by) = exact[i], exact[j]
+            side = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            ok &= side * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0
+        inside.append(ok)
+    return np.array(inside, dtype=bool)
+
+
+def test_jittered_grid_rows_off_linear_precision_are_counted(monkeypatch):
+    # 120 grids of 2-6 by 2-6 sites 2 mm apart, jittered by N(0, 1e-11),
+    # queried on the 0.25 mm lattice that holds the grid lines.  A located
+    # row off W @ sites == q by more than 1e-12 of the spread lies outside
+    # the exact hull, where no non-negative weights reproduce q, or is a
+    # fallback row: clipped barycentrics within the jitter of nearly
+    # collinear hull sites, never a Sibson row.  The counts are pinned so
+    # that a change to the rows near the hull shows here
+    sibson_rows = contour._sibson_rows
+    sibson = []
+
+    def spy(w, rows, *args):
+        holds = sibson_rows(w, rows, *args)
+        sibson.append(rows[holds])
+        return holds
+
+    monkeypatch.setattr(contour, "_sibson_rows", spy)
+    rng = np.random.default_rng(0)
+    located = off = fallback = outside = 0
+    for _ in range(120):
+        nx, ny = rng.integers(2, 7, size=2)
+        grid = np.stack(np.meshgrid(np.arange(nx) * 2.0, np.arange(ny) * 2.0), -1).reshape(-1, 2)
+        sites = grid + rng.normal(0.0, 1e-11, grid.shape)
+        xs, ys = np.arange(8 * nx - 7) * 0.25, np.arange(8 * ny - 7) * 0.25
+        q = np.stack(np.meshgrid(xs, ys), -1).reshape(-1, 2)
+        tri = Delaunay(sites)
+        q = q[tri.find_simplex(q) >= 0]
+        sibson.clear()
+        w = interpolation_weights(sites, q)
+        spread = max(np.ptp(sites[:, 0]), np.ptp(sites[:, 1]))
+        bad = np.flatnonzero(np.abs(w @ sites - q).max(axis=1) > 1e-12 * spread)
+        inside = _in_exact_hull(sites, tri.convex_hull, q[bad])
+        assert not np.isin(bad[inside], np.concatenate(sibson)).any()
+        located += q.shape[0]
+        off += bad.size
+        fallback += inside.sum()
+        outside += bad.size - inside.sum()
+    assert (located, off, fallback, outside) == (64891, 843, 781, 62)
 
 
 @given(st.integers(2, 6), st.integers(2, 6), st.floats(0.5, 4.0), st.floats(0.5, 4.0),

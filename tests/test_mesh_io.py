@@ -174,6 +174,49 @@ def test_load_mesh_frees_its_row_strings_before_building_the_mesh(tmp_path, monk
     assert live[0] - before < 2 * (mesh.vertices.nbytes + mesh.faces.nbytes)
 
 
+def _relaid(text, layout):
+    """The PLY ``text`` with its body laid out as ``layout`` says."""
+    if layout == "crlf":
+        return text.replace("\n", "\r\n")
+    head, body = text.split("end_header\n")
+    rows = body.splitlines()
+    if layout == "blank":
+        rows[1:1], rows[-2:-2] = [""], ["", ""]
+    elif layout == "whitespace-only":
+        rows[1:1], rows[-2:-2] = ["  \t "], ["\x0c", "\x1c"]
+    elif layout == "tabs":
+        rows = [row.replace(" ", "\t") for row in rows]
+    elif layout == "extra-rows":
+        rows += ["3 0 1 2", "extra row"]
+    return head + "end_header\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("layout", ["lf", "crlf", "blank", "whitespace-only", "tabs",
+                                    "extra-rows"])
+def test_every_layout_of_a_ply_body_reads_the_same_arrays(tmp_path, monkeypatch, layout):
+    # a plain body is read straight from the file; a \r or a blank line
+    # sends the file to the rows of read_lines, which skip it
+    mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
+    aesr = np.linspace(-1.0, 1.0, mesh.n_vertices) ** 3
+    write_ply(tmp_path / "lf.ply", mesh, {"aesr": aesr})
+    path = tmp_path / f"{layout}.ply"
+    path.write_bytes(_relaid((tmp_path / "lf.ply").read_text(), layout).encode())
+    rows_read = []
+    read_lines = meshio.read_lines
+
+    def spy(path, error):
+        rows_read.append(path)
+        return read_lines(path, error)
+
+    monkeypatch.setattr(meshio, "read_lines", spy)
+    back = load_mesh(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.faces, mesh.faces)
+    assert np.array_equal(read_ply_vertex_scalars(path)["aesr"], aesr)
+    plain = layout in ("lf", "tabs", "extra-rows")
+    assert len(rows_read) == (0 if plain else 2)
+
+
 def test_write_ply_memory_does_not_grow_with_the_mesh(tmp_path):
     # 11 250 and 45 000 faces: both tables span several blocks, and the text
     # held at once is one block's

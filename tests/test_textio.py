@@ -34,6 +34,7 @@ from aurisense.geometry import (
     write_aps_json,
     write_ply,
 )
+from aurisense.geometry import meshio
 from aurisense.geometry.primitives import make_bumpy_plane
 
 PLY = ("ply\nformat ascii 1.0\ncomment by hand\nelement vertex 4\n"
@@ -235,6 +236,46 @@ def test_fractional_integer_cells_name_their_line(tmp_path, valid, monkeypatch,
     assert code == 1 and err.strip().endswith(f"(line {line})")
 
 
+def _outcome(reader, path):
+    """What ``reader`` does with ``path``: its result, or its fault's class,
+    line and message."""
+    try:
+        return "read", reader(path)
+    except AurisenseError as exc:
+        return type(exc), exc.line, str(exc)
+
+
+def _same_outcome(a, b):
+    if a[0] != "read" or b[0] != "read":
+        return a == b
+    if isinstance(a[1], dict):
+        return a[1].keys() == b[1].keys() and all(
+            np.array_equal(a[1][k], b[1][k], equal_nan=True) for k in a[1])
+    return (np.array_equal(a[1].vertices, b[1].vertices)
+            and np.array_equal(a[1].faces, b[1].faces))
+
+
+def _ply_routes_agree(path):
+    """Assert that the PLY readers do the same with and without the route
+    that reads a plain file straight from it."""
+    for reader in (load_mesh, read_ply_vertex_scalars):
+        plain = _outcome(reader, path)
+        with mock.patch.object(meshio, "_read_plain_ply", lambda path: None):
+            rows = _outcome(reader, path)
+        assert _same_outcome(plain, rows), (plain, rows)
+
+
+@pytest.mark.parametrize("case", [c for c in {**CASES, **FRACTIONAL} if c.startswith("ply")])
+def test_both_ply_routes_raise_the_same_fault(tmp_path, case):
+    kind, content, error, line = {**CASES, **FRACTIONAL}[case]
+    path = tmp_path / "mesh.ply"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(error) as exc:
+        load_mesh(path)
+    assert exc.value.line == line
+    _ply_routes_agree(path)
+
+
 _SOUP = ["", "x", "nan", "-inf", "-1", "0", "3", "4", "1e999", "9" * 25, "/", "#",
          "v", "f", "label", "ply", "element", "vertex", "face", "property", "end_header"]
 
@@ -292,6 +333,17 @@ def test_fuzzed_files_raise_only_aurisense_errors_with_real_lines(valid, kind, d
         _read(kind, path, valid)
     except AurisenseError as exc:
         assert exc.line is None or 1 <= exc.line <= _n_lines(content)
+
+
+# fuzzed meshes may hold slivers or huge coordinates
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_ply_files_read_alike_by_both_routes(valid, data):
+    text = data.draw(st.sampled_from([KINDS["ply"][1], TRI]))
+    path = _fuzz_dir(valid, "ply-routes") / "mesh.ply"
+    path.write_bytes(data.draw(st.one_of(_mutated(text), _soup(text))))
+    _ply_routes_agree(path)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

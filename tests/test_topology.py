@@ -3,10 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from aurisense.electrode import _Pathway, design_array
 from aurisense.errors import ParameterError
-from aurisense.geometry import curvature_field
+from aurisense.geometry import curvature_field, default_template, place_aps
 from aurisense.geometry.mesh import SurfaceMesh
 from aurisense.geometry.primitives import make_icosphere
+from test_electrode import _two_sheets
 
 # ----------------------------------------------------------------------
 # set-based references: one neighbour set per vertex / face, then sorted
@@ -156,3 +158,38 @@ def test_curvature_equals_curvature_from_reference_rings(request, monkeypatch, n
     np.testing.assert_array_equal(field.kappa1, ref.kappa1)
     np.testing.assert_array_equal(field.kappa2, ref.kappa2)
     np.testing.assert_array_equal(field.flagged, ref.flagged)
+
+
+@pytest.mark.parametrize("name", ["bumpy", "two-sheets", "non-manifold"])
+def test_pathway_adjacency_is_the_mesh_adjacency_among_its_faces(request, name):
+    mesh = {
+        "bumpy": lambda: request.getfixturevalue("bumpy"),
+        "two-sheets": lambda: _two_sheets(request.getfixturevalue("plane_fine")),
+        "non-manifold": non_manifold_fan,
+    }[name]()
+    full = mesh.face_adjacency()
+    for target in ([0.3, -1.7, 5.0], [6.1, 2.2, 5.0]):
+        center, face, bary, _ = mesh.closest_point(target)
+        pathway = _Pathway(mesh, center, face, mesh.normal_at(face, bary))
+        # the seed alone, a few rings of faces, wider than a sheet, every face
+        for radius in (0.0, 0.5, 2.0, 8.0, 100.0):
+            pathway._build(radius)
+            expected = full[pathway.faces][:, pathway.faces]
+            expected.sort_indices()
+            assert pathway.adjacency.has_sorted_indices
+            assert rows(pathway.adjacency) == rows(expected)
+        assert pathway.faces.size == mesh.n_faces
+
+
+@pytest.mark.filterwarnings("ignore:cylinder intersects a disconnected")
+def test_design_array_builds_no_mesh_wide_adjacency(bumpy, monkeypatch):
+    # the curvature fit hops through the incidence and each pathway pairs
+    # its own faces: no design step needs the (V, V) or (F, F) adjacency
+    def refuse(self):
+        raise AssertionError("a mesh-wide adjacency was built")
+
+    monkeypatch.setattr(SurfaceMesh, "vertex_adjacency", refuse)
+    monkeypatch.setattr(SurfaceMesh, "face_adjacency", refuse)
+    aps = place_aps(bumpy, default_template(13))
+    for tilt in (0.0, 20.0):
+        assert not design_array(bumpy, aps, tilt_deg=tilt).failed
