@@ -18,10 +18,15 @@ with s(i) = 0 for singleton clusters by convention.  a and b come from the
 so each cluster is one contiguous run of columns of ``cdist(block,
 sorted_points)``, and ``np.add.reduceat`` sums every run of every row on
 its own: no sum depends on the shape of the row block.  A block holds at
-most ``_BLOCK_ELEMENTS`` distances (4 MB), so memory grows as M, not M^2.
+most ``_SILHOUETTE_ELEMENTS`` distances (1 MB), so memory grows as M, not
+M^2.  Here the block only bounds memory: the work is M^2 distances
+whatever its size, and at M = 4800 a 1 MB block still takes 27 rows per
+``cdist`` call, so it gets the smaller budget.
 
 k-means runs the restarts of one K in lockstep, in restart blocks whose
-(a·K, M) distances and tiled coordinates stay within ``_BLOCK_ELEMENTS``.
+(a·K, M) distances and tiled coordinates stay within ``_BLOCK_ELEMENTS``
+(4 MB).  That budget is wider because its width is what runs restarts in
+lockstep: a narrower block runs fewer restarts per ``cdist`` call.
 k-means++ seeds a block in lockstep too: each new centre of every restart
 updates one (R, M) array of squared distances by one ``cdist``, and each
 restart draws from its own row with its own generator, as
@@ -50,7 +55,8 @@ from .pca import pca
 _SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 _MAX_ITER = 300    # Lloyd iterations per restart
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
-_BLOCK_ELEMENTS = 2 ** 19  # distances per silhouette row or k-means restart block (4 MB)
+_BLOCK_ELEMENTS = 2 ** 19  # distances and tiled coordinates per k-means restart block (4 MB)
+_SILHOUETTE_ELEMENTS = 2 ** 17  # distances per silhouette row block (1 MB)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +247,7 @@ def silhouette(points, assignments):
     by_cluster = points[np.argsort(labels, kind="stable")]
     starts = np.cumsum(sizes) - sizes
     sums = np.empty((rows.size, uniq.size))  # sums[i, c]: distances from point i to cluster c
-    step = max(1, _BLOCK_ELEMENTS // rows.size)
+    step = max(1, _SILHOUETTE_ELEMENTS // rows.size)
     for lo in range(0, rows.size, step):
         sums[lo:lo + step] = np.add.reduceat(cdist(points[lo:lo + step], by_cluster),
                                              starts, axis=1)

@@ -58,14 +58,40 @@ def _edge_sharing(inc) -> sp.csr_array:
     return _without_own(shared, np.arange(inc.shape[0]))
 
 
+def _corner_column(vertices, faces, k: int, c: int) -> np.ndarray:
+    """(F,) coordinate c of corner k of every face."""
+    return vertices[:, c][faces[:, k]]
+
+
 def _face_cross(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    """(b - a) x (c - a) of each face (a, b, c): its normal times twice its area."""
-    a = vertices[faces[:, 0]]
-    ab = vertices[faces[:, 1]]
-    ab -= a
-    ac = vertices[faces[:, 2]]
-    ac -= a
-    return np.cross(ab, ac)
+    """(b - a) x (c - a) of each face (a, b, c): its normal times twice its area.
+
+    Built one component at a time from (F,) coordinate differences, so no
+    (F, 3) array but the result is made.  Component j is ``ab[p] * ac[q] -
+    ab[q] * ac[p]`` with (p, q) = (j + 1, j + 2) mod 3, in the order
+    ``np.cross`` takes, so the result equals ``np.cross(ab, ac)`` bit for bit.
+    """
+    def diff(k, c):  # coordinate c of corner k less that of corner 0
+        d = _corner_column(vertices, faces, k, c)
+        d -= _corner_column(vertices, faces, 0, c)
+        return d
+
+    cross = np.empty((faces.shape[0], 3))
+    for j in range(3):
+        p, q = (j + 1) % 3, (j + 2) % 3
+        np.multiply(diff(1, p), diff(2, q), out=cross[:, j])
+        cross[:, j] -= diff(1, q) * diff(2, p)
+    return cross
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """(N,) Euclidean norms of the rows of an (N, 3) array, summed as
+    ``(x² + y²) + z²``, which is how ``np.linalg.norm(rows, axis=1)`` sums
+    them, without its (N, 3) array of squares."""
+    norm = np.square(rows[:, 0])
+    for j in (1, 2):
+        norm += np.square(rows[:, j])
+    return np.sqrt(norm, out=norm)
 
 
 class SurfaceMesh:
@@ -90,6 +116,11 @@ class SurfaceMesh:
 
     Faces with area < 1e-12 mm^2 are dropped with a warning: scan-derived
     meshes commonly contain slivers.
+
+    C-contiguous float64 vertices and int64 faces are kept uncopied.  The
+    face and vertex normals, the areas and ``face_spheres`` are built from
+    (F,) coordinate columns into the arrays they keep, with the arithmetic
+    of ``np.cross``, ``np.linalg.norm`` and a per-coordinate ``bincount``.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is caught below
@@ -110,7 +141,7 @@ class SurfaceMesh:
             raise MeshFormatError("face references an out-of-range vertex index")
 
         cross = _face_cross(vertices, faces)
-        norm = np.linalg.norm(cross, axis=1)
+        norm = _row_norms(cross)
         areas = 0.5 * norm
         degenerate = areas < DEGENERATE_AREA
         if degenerate.any():
@@ -127,7 +158,9 @@ class SurfaceMesh:
         self.vertices = vertices
         self.faces = faces
         self.face_areas = areas
-        self.face_normals = cross / norm[:, None]
+        cross /= norm[:, None]
+        del norm  # one (F,) column less while the vertex normals are summed
+        self.face_normals = cross
         self.vertex_normals = self._compute_vertex_normals()
         if not all(np.isfinite(a).all() for a in (areas, self.face_normals,
                                                    self.vertex_normals)):
@@ -173,14 +206,18 @@ class SurfaceMesh:
         holds everywhere.
         """
         corners = self.faces.T.ravel()  # every face's first corners, then seconds, thirds
-        weighted = self.face_normals * self.face_areas[:, None]
-        vn = np.stack([np.bincount(corners, np.tile(weighted[:, j], 3), self.n_vertices)
-                       for j in range(3)], axis=1)
-        norm = np.linalg.norm(vn, axis=1)
+        vn = np.empty((self.n_vertices, 3))
+        weighted = np.empty((3, self.n_faces))  # one coordinate's face weights, tiled
+        for j in range(3):
+            np.multiply(self.face_normals[:, j], self.face_areas, out=weighted[0])
+            weighted[1:] = weighted[0]
+            vn[:, j] = np.bincount(corners, weighted.ravel(), self.n_vertices)
+        norm = _row_norms(vn)
         orphan = norm < 1e-300
         vn[orphan] = (0.0, 0.0, 1.0)
         norm[orphan] = 1.0
-        return vn / norm[:, None]
+        vn /= norm[:, None]
+        return vn
 
     # ------------------------------------------------------------------
     # topology
@@ -246,11 +283,22 @@ class SurfaceMesh:
         distance.  Built on first use and cached.
         """
         if self._spheres is None:
-            corners = [self.vertices[self.faces[:, j]] for j in range(3)]
-            centroids = sum(corners) / 3.0
-            radii = np.sqrt(np.maximum.reduce(
-                [np.einsum("ij,ij->i", q - centroids, q - centroids) for q in corners]))
-            radii += _SPHERE_PAD * np.abs(self.vertices).max()
+            v, f = self.vertices, self.faces
+            pad = _SPHERE_PAD * np.abs(v).max()
+            centroids = np.empty((self.n_faces, 3))
+            for c in range(3):
+                total = _corner_column(v, f, 0, c)
+                total += _corner_column(v, f, 1, c)
+                total += _corner_column(v, f, 2, c)
+                np.divide(total, 3.0, out=centroids[:, c])
+            offset = np.empty((self.n_faces, 3))  # one corner less the centroid
+            radii = np.zeros(self.n_faces)  # squared, until the square root
+            for k in range(3):
+                for c in range(3):
+                    np.subtract(_corner_column(v, f, k, c), centroids[:, c], out=offset[:, c])
+                np.maximum(radii, np.einsum("ij,ij->i", offset, offset), out=radii)
+            np.sqrt(radii, out=radii)
+            radii += pad
             for arr in (centroids, radii):
                 arr.flags.writeable = False
             self._spheres = centroids, radii

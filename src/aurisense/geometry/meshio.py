@@ -11,15 +11,18 @@ its header parsed from its first lines and each table read straight from
 the file by one ``np.loadtxt`` run; any other PLY file, or one whose
 tables do not read, is read as ``read_lines`` rows by the same header
 parser.  ``load_mesh`` and ``read_ply_vertex_scalars`` take the same route.
+Either route returns the vertex and face tables as new C-contiguous
+arrays, which ``SurfaceMesh`` keeps without a copy.
 
 - OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
   dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
   reference; a negative reference counts back from the last ``v`` row
   above the face.  Every other row is skipped.
 - PLY reads ``format``, ``element`` and ``property`` header lines (others
-  are skipped), then the vertex rows of float properties and the face
-  rows ``3 i j k``; later rows are ignored.  Vertex properties beyond
-  x/y/z are returned by ``read_ply_vertex_scalars``.
+  are skipped), then the vertex rows and the face rows ``3 i j k``; later
+  rows are ignored.  Every vertex property is read as float64, whatever
+  its declared type; ``write_ply`` declares each one ``double``.  Vertex
+  properties beyond x/y/z are returned by ``read_ply_vertex_scalars``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def load_mesh(path) -> SurfaceMesh:
         (vertices, v_lines), (faces, f_lines) = _parse_obj(rows, lines)
         del rows  # the row strings outweigh the arrays: free them before the mesh is built
     else:
-        (vertices, v_lines), (faces, f_lines), _ = _read_ply(path)
+        # the extra columns are views that would keep the vertex table alive
+        (vertices, v_lines), (faces, f_lines) = _read_ply(path)[:2]
     require(np.isfinite(vertices).all(axis=1), v_lines, MeshFormatError,
             "non-finite vertex coordinate")
     require(((faces >= 0) & (faces < len(vertices))).all(axis=1), f_lines,
@@ -168,11 +172,13 @@ def _ply_header(rows, lines):
 def _ply_tables(props, values, v_lines, faces, f_lines):
     """((vertices, their lines), (faces, their lines), extra vertex columns)
     of the PLY vertex table ``values``, whose columns are ``props``, and face
-    table ``faces``, whose rows must start with 3."""
+    table ``faces``, whose rows must start with 3.  The vertices and faces
+    are new C-contiguous arrays, so ``SurfaceMesh`` copies neither and the
+    (F, 4) face table is freed once its caller drops it."""
     require(faces[:, 0] == 3, f_lines, *_NOT_TRIANGLE)
     xyz = [props.index(c) for c in ("x", "y", "z")]
     extras = {name: values[:, j] for j, name in enumerate(props) if name not in ("x", "y", "z")}
-    return (values[:, xyz], v_lines), (faces[:, 1:], f_lines), extras
+    return (values.take(xyz, axis=1), v_lines), (faces[:, 1:].copy(), f_lines), extras
 
 
 def read_ply_vertex_scalars(path) -> dict:
@@ -184,7 +190,8 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
               comments: tuple = ()) -> None:
     """Write an ASCII PLY, optionally with named per-vertex scalar properties.
 
-    Each scalar is one float per vertex, checked before the file is opened."""
+    Each scalar is one float64 per vertex, checked before the file is
+    opened.  Every vertex property is declared ``double``."""
     scalars = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in (scalars or {}).items()}
     for name, vals in scalars.items():
@@ -196,9 +203,10 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         for c in comments:
             fh.write(f"comment {c}\n")
         fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
+        # the cells are float64, which PLY names double (its float is 32-bit)
+        fh.write("property double x\nproperty double y\nproperty double z\n")
         for name in scalars:
-            fh.write(f"property float {name}\n")
+            fh.write(f"property double {name}\n")
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")

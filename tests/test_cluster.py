@@ -598,7 +598,7 @@ def test_silhouette_equals_the_euclidean_cdist_reference_bit_for_bit(monkeypatch
     # a distance kernel that rounds any distance unlike cdist's "euclidean"
     # (say, one built on a matrix product) would show in some s(i); 700
     # points span eleven row blocks of 64 rows
-    monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 64 * 700)
+    monkeypatch.setattr(cluster, "_SILHOUETTE_ELEMENTS", 64 * 700)
     rng = np.random.default_rng(14)
     base = rng.normal(size=(700, 3)) + rng.integers(0, 3, size=(700, 1))
     labels = rng.choice([4, 1, 9], size=700)
@@ -629,7 +629,8 @@ def test_silhouette_memory_grows_slower_than_m_squared():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    # 1.25 MB with 1 MB row blocks; 4.40 MB with 4 MB blocks
+    assert peak < 2e6
 
 
 def test_silhouette_is_the_same_for_every_row_block(monkeypatch):
@@ -639,8 +640,8 @@ def test_silhouette_is_the_same_for_every_row_block(monkeypatch):
     labels = np.array([3, 9, 20, 41])[labels]
     labels[123] = 77
     runs = []
-    for block in (2 ** 12, 2 ** 15, 2 ** 19, 2 ** 21):
-        monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", block)
+    for block in (2 ** 12, 2 ** 15, 2 ** 17, 2 ** 19, 2 ** 21):
+        monkeypatch.setattr(cluster, "_SILHOUETTE_ELEMENTS", block)
         runs.append(silhouette(points, labels))
     assert runs[0][0][123] == 0.0
     for s, mean in runs[1:]:

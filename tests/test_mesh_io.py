@@ -18,6 +18,7 @@ from aurisense.geometry import (
     write_ply,
 )
 from aurisense.geometry import meshio
+from aurisense.geometry.mesh import _SPHERE_PAD, DEGENERATE_AREA
 from aurisense.geometry.primitives import make_bumpy_plane, make_cylinder, make_icosphere
 
 
@@ -109,9 +110,9 @@ def _reference_ply(path, mesh, scalars, comments):
         for c in comments:
             fh.write(f"comment {c}\n")
         fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write("property double x\nproperty double y\nproperty double z\n")
         for name in scalars:
-            fh.write(f"property float {name}\n")
+            fh.write(f"property double {name}\n")
         fh.write(f"element face {mesh.n_faces}\n")
         fh.write("property list uchar int vertex_indices\n")
         fh.write("end_header\n")
@@ -209,7 +210,16 @@ def test_every_layout_of_a_ply_body_reads_the_same_arrays(tmp_path, monkeypatch,
         return read_lines(path, error)
 
     monkeypatch.setattr(meshio, "read_lines", spy)
+    build, built = meshio.SurfaceMesh, []
+
+    def build_spy(vertices, faces):
+        built.append((vertices, faces))
+        return build(vertices, faces)
+
+    monkeypatch.setattr(meshio, "SurfaceMesh", build_spy)
     back = load_mesh(path)
+    # either route hands over C-contiguous tables, which the mesh keeps uncopied
+    assert back.vertices is built[0][0] and back.faces is built[0][1]
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
     assert np.array_equal(read_ply_vertex_scalars(path)["aesr"], aesr)
@@ -297,6 +307,83 @@ def add_at_vertex_normals(mesh):
 def test_vertex_normals_match_the_add_at_oracle_bit_for_bit(make):
     mesh = make()
     assert np.array_equal(mesh.vertex_normals, add_at_vertex_normals(mesh))
+
+
+def whole_array_mesh(vertices, faces):
+    """Oracle: face areas, unit normals, vertex normals, centroids and
+    radii by whole-array formulas: ``np.cross`` of (F, 3) corner gathers,
+    ``np.linalg.norm``, the stacked per-coordinate ``bincount``, and the
+    ``sum`` of the corners over 3 with ``einsum`` radii."""
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    cross = np.cross(b - a, c - a)
+    norm = np.linalg.norm(cross, axis=1)
+    keep = 0.5 * norm >= DEGENERATE_AREA
+    faces, cross, norm = faces[keep], cross[keep], norm[keep]
+    areas = 0.5 * norm
+    normals = cross / norm[:, None]
+    weighted = normals * areas[:, None]
+    vn = np.stack([np.bincount(faces.T.ravel(), np.tile(weighted[:, j], 3), len(vertices))
+                   for j in range(3)], axis=1)
+    vnorm = np.linalg.norm(vn, axis=1)
+    orphan = vnorm < 1e-300
+    vn[orphan] = (0.0, 0.0, 1.0)
+    vnorm[orphan] = 1.0
+    corners = [vertices[faces[:, k]] for k in range(3)]
+    centroids = sum(corners) / 3.0
+    radii = np.sqrt(np.maximum.reduce(
+        [np.einsum("ij,ij->i", q - centroids, q - centroids) for q in corners]))
+    radii += _SPHERE_PAD * np.abs(vertices).max()
+    return areas, normals, vn / vnorm[:, None], centroids, radii
+
+
+def _tables(mesh):
+    return mesh.vertices, mesh.faces
+
+
+def _with_a_degenerate_face():
+    vertices, faces = _tables(make_icosphere(2))
+    # face (5, 5, 9) repeats a corner, so its area is 0 and it is dropped
+    return vertices, np.vstack([faces[:40], [[5, 5, 9]], faces[40:]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _tables(make_bumpy_plane(spacing=0.4)),
+    lambda: _tables(make_icosphere(4)),
+    lambda: _tables(make_cylinder()),
+    _with_a_degenerate_face,
+], ids=["bumpy-plane", "icosphere", "cylinder", "degenerate-face"])
+def test_mesh_arrays_match_the_whole_array_oracle_bit_for_bit(make):
+    vertices, faces = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the dropped face's warning
+        mesh = SurfaceMesh(vertices, faces)
+    areas, normals, vertex_normals, centroids, radii = whole_array_mesh(vertices, faces)
+    assert mesh.n_faces == len(areas)
+    np.testing.assert_array_equal(mesh.face_areas, areas)
+    np.testing.assert_array_equal(mesh.face_normals, normals)
+    np.testing.assert_array_equal(mesh.vertex_normals, vertex_normals)
+    np.testing.assert_array_equal(mesh.face_spheres()[0], centroids)
+    np.testing.assert_array_equal(mesh.face_spheres()[1], radii)
+
+
+def test_mesh_build_holds_a_few_face_columns_beyond_its_outputs():
+    # 45 000 faces; the vertices and faces are C-contiguous, so the mesh
+    # keeps them without a copy and the outputs are the arrays it builds
+    made = make_bumpy_plane(spacing=0.2)
+    v, f = made.vertices, made.faces
+    tracemalloc.start()
+    try:
+        mesh = SurfaceMesh(v, f)
+        spheres = mesh.face_spheres()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (mesh.face_areas, mesh.face_normals,
+                                     mesh.vertex_normals, *spheres))
+    column = 8 * mesh.n_faces  # one (F,) float64 column
+    # 5.0 columns past the 3.43 MB of outputs; 17.0 with (F, 3) corner
+    # gathers, np.cross and the stacked vertex-normal sums
+    assert peak < outputs + 6 * column
 
 
 def test_mesh_is_immutable(icosphere_unit):
