@@ -13,13 +13,14 @@ undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
 Everything that does not depend on D (the projected corners, the per-face
-area ratios and the adjacency among the built faces, from those faces'
-rows of the face-vertex incidence alone) is built by ``_Pathway``, from
-the contact face it is given, for the faces near the axis only: no
-mesh-wide adjacency is built.  One bound prunes: a face lies at least its
-bounding sphere's distance from the axis line less the sphere's radius
-(``SurfaceMesh.face_spheres``) from the axis.  A build takes the faces whose bound is within its radius, a larger
-radius rebuilds at least twice as wide, and each area clips the built
+area ratios and the edge list of the adjacency among the built faces, from
+those faces' rows of the face-vertex incidence alone) is built by
+``_Pathway``, from the contact face it is given, for the faces near the
+axis only: no mesh-wide adjacency is built.  One bound prunes: a face lies
+at least its bounding sphere's distance from the axis line less the
+sphere's radius (``SurfaceMesh.face_spheres``) from the axis.  A build
+takes the faces whose bound is within its radius, a larger radius
+rebuilds at least twice as wide, and each area clips the built
 faces whose bound is within its own radius, in face-index order, so it
 equals the area over every face bit for bit.  A solve projects its own
 neighbourhood a few times at most, and the whole mesh only when its
@@ -31,6 +32,12 @@ is the flat disk's diameter 2 sqrt(target / pi), and doubling stops at
 twice the mesh's bounding diagonal, where the cylinder holds the whole patch.
 ``design_array`` runs the solve point by point so every electrode of an
 array reaches one target area regardless of local curvature.
+
+The contact patch is the component of the seed face among the faces of
+positive area, over that edge list.  ``_connected_patch`` finds it in
+numpy by min-label hooking and pointer jumping: an area evaluation labels
+one small graph, for which importing ``scipy.sparse.csgraph`` would cost
+more, in memory and start-up, than every search of a design together.
 
 ``_Pathway`` checks nothing; every input is checked once where it enters
 (NaN fails every check): by ``_checked_pathway`` for ``sensing_area`` and
@@ -196,7 +203,7 @@ class _Pathway:
         self.s = np.zeros((self.faces.size, 3))
         self.h[par] = x[par, 0] * m[:, 0] + y[par, 0] * m[:, 1]
         self.s[par] = y[par] * m[:, :1] - x[par] * m[:, 1:]
-        self.adjacency = self.mesh.face_adjacency_among(self.faces)
+        self.edges = _edge_list(self.mesh.face_adjacency_among(self.faces))
         self.seed_local = int(np.searchsorted(self.faces, self.seed))
         self.built = radius
 
@@ -219,7 +226,7 @@ class _Pathway:
         positive = np.flatnonzero(per_face > 0.0)
         if positive.size == 0:
             return 0.0, 0.0
-        patch = _connected_patch(self.adjacency, positive, self.seed_local)
+        patch = _connected_patch(self.edges, self.faces.size, positive, self.seed_local)
         total = float(per_face.sum())
         patch_area = float(per_face[patch].sum())
         if total > patch_area * (1.0 + 1e-9) + 1e-12:
@@ -290,28 +297,45 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     return area
 
 
-def _connected_patch(adjacency, positive_faces, seed_face):
-    """Faces of the positive-area component containing the seed face, all
-    of them indices of the CSR face adjacency ``adjacency``."""
-    # imported on use: only design needs csgraph, which adds 14 ms and 2.3 MB to start-up
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
+def _edge_list(adjacency) -> np.ndarray:
+    """(2, E) face pairs (u, v), u < v, one per edge of the symmetric CSR
+    face adjacency ``adjacency``."""
+    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
+    upper = rows < adjacency.indices
+    return np.stack([rows[upper], adjacency.indices[upper]])
 
-    # the adjacency's edges between patch faces, renumbered, as a CSR built
-    # directly: slicing the adjacency costs scipy far more than the search
-    in_patch = np.zeros(adjacency.shape[0], dtype=bool)
+
+def _connected_patch(edges, n_faces, positive_faces, seed_face):
+    """Faces of the positive-area component containing the seed face, all
+    of them indices below ``n_faces``; ``edges`` is the adjacency's
+    ``_edge_list``.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982) over
+    the edges between patch faces.  Every face starts as its own root.  A
+    round hooks the higher root of every edge that joins two labels under
+    the lower one, then jumps ``label = label[label]`` until every face
+    points at its root.  Each round merges roots, so the rounds end when no
+    edge joins two labels (after two hooking rounds on the benchmark's
+    ears).  In numpy, as ``scipy.sparse.csgraph`` would add more to a
+    design's start-up and memory than all its searches take.
+    """
+    in_patch = np.zeros(n_faces, dtype=bool)
     in_patch[positive_faces] = True
     in_patch[seed_face] = True
-    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
-    keep = in_patch[rows] & in_patch[adjacency.indices]
-    local = np.cumsum(in_patch) - 1
-    faces = np.flatnonzero(in_patch)
-    indptr = np.zeros(faces.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(local[rows[keep]], minlength=faces.size), out=indptr[1:])
-    graph = csr_array((np.ones(indptr[-1]), local[adjacency.indices[keep]], indptr),
-                      shape=(faces.size, faces.size))
-    _, label = connected_components(graph, directed=False)
-    return faces[label == label[local[seed_face]]]
+    u, v = edges[:, in_patch[edges[0]] & in_patch[edges[1]]]
+    label = np.arange(n_faces)
+    while True:
+        lu, lv = label[u], label[v]
+        join = lu != lv
+        if not join.any():
+            break
+        np.minimum.at(label, np.maximum(lu[join], lv[join]), np.minimum(lu[join], lv[join]))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return np.flatnonzero(in_patch & (label == label[seed_face]))
 
 
 def solve_diameter(mesh: SurfaceMesh, center, axis, target_area: float) -> float:

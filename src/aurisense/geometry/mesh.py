@@ -117,10 +117,16 @@ class SurfaceMesh:
     Faces with area < 1e-12 mm^2 are dropped with a warning: scan-derived
     meshes commonly contain slivers.
 
-    C-contiguous float64 vertices and int64 faces are kept uncopied.  The
-    face and vertex normals, the areas and ``face_spheres`` are built from
-    (F,) coordinate columns into the arrays they keep, with the arithmetic
-    of ``np.cross``, ``np.linalg.norm`` and a per-coordinate ``bincount``.
+    The mesh takes over C-contiguous float64 ``vertices`` and int64
+    ``faces``: it keeps such an array without a copy and marks it
+    read-only, so the caller can no longer write it (the base of such a
+    view stays writable, and writing it would change the mesh).  Any other
+    input (another dtype or layout, a list) is copied, and the caller's
+    array left writable; so are faces from which degenerate ones were
+    dropped.  The face and vertex normals, the areas and
+    ``face_spheres`` are built from (F,) coordinate columns into the arrays
+    they keep, with the arithmetic of ``np.cross``, ``np.linalg.norm`` and a
+    per-coordinate ``bincount``.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is caught below

@@ -258,6 +258,25 @@ def test_building_the_set_up_inputs_loads_no_scipy_module(tmp_path):
     assert (tmp_path / "aps.json").exists()
 
 
+def test_design_command_leaves_out_scipy_graph_package(tmp_path):
+    # the contact patch's component is found in numpy: a design loads
+    # scipy.sparse for the mesh topology and nothing of scipy.sparse.csgraph
+    mesh_path, template_path = _design_inputs(tmp_path)
+    src = Path(__import__("aurisense").__file__).resolve().parent.parent
+    code = (
+        "import json, sys\n"
+        "from aurisense.cli import main\n"
+        "assert main(['design', *sys.argv[1:]]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(mesh_path), str(template_path),
+                          "--out", str(tmp_path / "design.json")], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    modules = json.loads(out.splitlines()[-1])  # after the command's summary line
+    assert "scipy.sparse" in modules
+    assert not [m for m in modules if m.startswith("scipy.sparse.csgraph")]
+
+
 def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     # a '_'-prefixed key is a comment: the outputs match those of the bare config
     (tmp_path / "plain.json").write_text('{"sizes": [8, 6, 4, 2]}')

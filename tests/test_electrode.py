@@ -17,6 +17,7 @@ from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
     _connected_patch,
     _disk_clip_areas,
+    _edge_list,
     _Pathway,
     _solve,
     design_array,
@@ -528,19 +529,79 @@ def test_design_works_only_on_the_faces_near_each_ap(bumpy, monkeypatch):
     assert max(n for _, n in sizes) <= bumpy.n_faces // 10
 
 
-def _area_over_every_face(mesh, center, face, axis, diameter):
-    """The contact-patch area with every face of the mesh clipped, the seed's
-    component taken over the mesh's face adjacency, summed in face-index order."""
+def _every_face(mesh, center, face, axis):
+    """The pathway with every face of the mesh built."""
     full = _Pathway(mesh, center, face, axis)
-    full._build(np.inf)  # every face
+    full._build(np.inf)
+    return full
+
+
+def _clipped_areas(full, diameter):
+    """Each built face's clipped area at ``diameter``, in face-index order."""
     radius = diameter / 2.0
     per_face = _disk_clip_areas(full.x, full.y, radius)[0] * full.ratio
     parallel = np.flatnonzero(full.parallel)
     per_face[parallel] = full._strip_areas(parallel, radius)[0]
+    return per_face
+
+
+def _area_over_every_face(mesh, center, face, axis, diameter):
+    """The contact-patch area with every face of the mesh clipped, the seed's
+    component taken over the mesh's face adjacency, summed in face-index order."""
+    per_face = _clipped_areas(_every_face(mesh, center, face, axis), diameter)
     positive = np.flatnonzero(per_face > 0.0)
     if positive.size == 0:
         return 0.0
-    return float(per_face[_connected_patch(mesh.face_adjacency(), positive, face)].sum())
+    patch = _connected_patch(_edge_list(mesh.face_adjacency()), mesh.n_faces, positive, face)
+    return float(per_face[patch].sum())
+
+
+def _component_by_csgraph(adjacency, positive, seed):
+    """The seed's component among the faces ``positive`` and the seed, by
+    scipy's ``connected_components`` on the adjacency among those faces."""
+    from scipy.sparse.csgraph import connected_components  # the reference only
+
+    faces = np.union1d(positive, [seed])
+    _, label = connected_components(adjacency[faces][:, faces], directed=False)
+    return faces[label == label[np.searchsorted(faces, seed)]]
+
+
+@pytest.mark.parametrize("name", ["folded", "two-sheets"])
+def test_connected_patch_matches_csgraph_on_the_sheet_meshes(request, name):
+    # the cylinder meets both sheets, or both layers of the fold, so the
+    # positive faces split into several components
+    split = 0
+    for mesh, center, face, axis in _pathway_cases(request, name, np.random.default_rng(38)):
+        adjacency = mesh.face_adjacency()
+        full = _every_face(mesh, center, face, axis)
+        for diameter in (0.2, 1.0, 3.0, 6.0, 8.0):
+            positive = np.flatnonzero(_clipped_areas(full, diameter) > 0.0)
+            patch = _connected_patch(_edge_list(adjacency), mesh.n_faces, positive, face)
+            np.testing.assert_array_equal(patch, _component_by_csgraph(adjacency, positive, face))
+            split += patch.size < positive.size
+    assert split > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere=st.booleans(), rng_seed=st.integers(0, 2 ** 32 - 1),
+       radius=st.floats(0.5, 12.0), density=st.floats(0.05, 1.0),
+       seed_near=st.booleans(), seed_positive=st.booleans())
+def test_connected_patch_matches_csgraph_on_drawn_subsets(
+        bumpy, icosphere_r10, sphere, rng_seed, radius, density, seed_near, seed_positive):
+    # a random share of the faces within ``radius`` of one face: a sparse
+    # share splits into many components, and the seed may lie anywhere,
+    # positive or not
+    mesh = icosphere_r10 if sphere else bumpy
+    adjacency = mesh.face_adjacency()
+    rng = np.random.default_rng(rng_seed)
+    centroids = mesh.face_spheres()[0]
+    near = np.linalg.norm(centroids - centroids[rng.integers(mesh.n_faces)], axis=1) <= radius
+    positive = np.flatnonzero(near & (rng.random(mesh.n_faces) < density))
+    seed = int(rng.choice(np.flatnonzero(near)) if seed_near else rng.integers(mesh.n_faces))
+    positive = np.union1d(positive, [seed]) if seed_positive else positive[positive != seed]
+    np.testing.assert_array_equal(
+        _connected_patch(_edge_list(adjacency), mesh.n_faces, positive, seed),
+        _component_by_csgraph(adjacency, positive, seed))
 
 
 def _graded_plane():

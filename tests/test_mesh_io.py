@@ -389,3 +389,32 @@ def test_mesh_build_holds_a_few_face_columns_beyond_its_outputs():
 def test_mesh_is_immutable(icosphere_unit):
     with pytest.raises(ValueError):
         icosphere_unit.vertices[0, 0] = 5.0
+
+
+def test_mesh_takes_over_exact_arrays_and_copies_any_other():
+    # C-contiguous float64 vertices and int64 faces are kept, and frozen
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]], dtype=np.float64)
+    faces = np.array([[0, 1, 2]], dtype=np.int64)
+    mesh = SurfaceMesh(verts, faces)
+    assert mesh.vertices is verts and mesh.faces is faces
+    for arr in (verts, faces):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 3
+
+    # another dtype, a Fortran layout or a list is copied and left writable
+    others = [(verts.astype(np.float32), faces.astype(np.int32)),
+              (np.asfortranarray(verts), np.asfortranarray([[0, 1, 2], [0, 2, 1]])),
+              (verts.tolist(), faces.tolist())]
+    for v, f in others:
+        mesh = SurfaceMesh(v, f)
+        for given, kept in ((v, mesh.vertices), (f, mesh.faces)):
+            assert not np.shares_memory(given, kept)
+            if isinstance(given, np.ndarray):
+                given[0, 0] = 3
+        assert mesh.vertices[0, 0] == 0.0 and mesh.faces[0, 0] == 0
+
+    # dropping degenerate faces copies the faces, so the caller's stay writable
+    faces = np.array([[0, 1, 2], [0, 1, 3]], dtype=np.int64)  # the second is a sliver
+    with pytest.warns(UserWarning, match="degenerate"):
+        mesh = SurfaceMesh(verts, faces)
+    assert mesh.faces is not faces and faces.flags.writeable

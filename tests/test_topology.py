@@ -176,8 +176,12 @@ def test_pathway_adjacency_is_the_mesh_adjacency_among_its_faces(request, name):
             pathway._build(radius)
             expected = full[pathway.faces][:, pathway.faces]
             expected.sort_indices()
-            assert pathway.adjacency.has_sorted_indices
-            assert rows(pathway.adjacency) == rows(expected)
+            among = mesh.face_adjacency_among(pathway.faces)
+            assert among.has_sorted_indices
+            assert rows(among) == rows(expected)
+            # the pathway keeps each edge once, as a pair (u, v) with u < v
+            assert sorted(zip(*pathway.edges.tolist())) == [
+                (u, v) for u, row in enumerate(rows(expected)) for v in row if u < v]
         assert pathway.faces.size == mesh.n_faces
 
 
