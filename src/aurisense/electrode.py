@@ -13,8 +13,8 @@ undoes the projection.  A face parallel to the axis projects to a segment;
 it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
 Everything that does not depend on D (the projected corners, the per-face
-area ratios and the edge list of the adjacency among the built faces, from
-those faces' rows of the face-vertex incidence alone) is built by
+area ratios and the pairs of built faces that share an edge, from those
+faces' rows of the face-vertex incidence alone) is built by
 ``_Pathway``, from the contact face it is given, for the faces near the
 axis only: no mesh-wide adjacency is built.  One bound prunes: a face lies
 at least its bounding sphere's distance from the axis line less the
@@ -34,7 +34,7 @@ twice the mesh's bounding diagonal, where the cylinder holds the whole patch.
 array reaches one target area regardless of local curvature.
 
 The contact patch is the component of the seed face among the faces of
-positive area, over that edge list.  ``_connected_patch`` finds it in
+positive area, over those pairs.  ``_connected_patch`` finds it in
 numpy by min-label hooking and pointer jumping: an area evaluation labels
 one small graph, for which importing ``scipy.sparse.csgraph`` would cost
 more, in memory and start-up, than every search of a design together.
@@ -155,10 +155,10 @@ class _Pathway:
 
     A face lies at least (its bounding sphere's distance from the axis
     line) - (the sphere's radius) from the axis.  That bound alone prunes:
-    a build projects the faces whose bound is within its radius, with their
-    own adjacency, and a call at a larger radius rebuilds at max(radius,
-    2 x built); each call clips the built faces whose bound is within its
-    radius, in face-index order.  A face it leaves out clips exactly 0, so
+    a build projects the faces whose bound is within its radius, with the
+    pairs of them that share an edge, and a call at a larger radius
+    rebuilds at max(radius, 2 x built); each call clips the built faces
+    whose bound is within its radius, in face-index order.  A face it leaves out clips exactly 0, so
     every area equals the one over all faces, bit for bit.
     """
 
@@ -203,7 +203,7 @@ class _Pathway:
         self.s = np.zeros((self.faces.size, 3))
         self.h[par] = x[par, 0] * m[:, 0] + y[par, 0] * m[:, 1]
         self.s[par] = y[par] * m[:, :1] - x[par] * m[:, 1:]
-        self.edges = _edge_list(self.mesh.face_adjacency_among(self.faces))
+        self.edges = self.mesh.face_pairs_among(self.faces)
         self.seed_local = int(np.searchsorted(self.faces, self.seed))
         self.built = radius
 
@@ -297,18 +297,10 @@ def sensing_area(mesh: SurfaceMesh, center, axis, diameter: float) -> float:
     return area
 
 
-def _edge_list(adjacency) -> np.ndarray:
-    """(2, E) face pairs (u, v), u < v, one per edge of the symmetric CSR
-    face adjacency ``adjacency``."""
-    rows = np.repeat(np.arange(adjacency.shape[0]), np.diff(adjacency.indptr))
-    upper = rows < adjacency.indices
-    return np.stack([rows[upper], adjacency.indices[upper]])
-
-
 def _connected_patch(edges, n_faces, positive_faces, seed_face):
     """Faces of the positive-area component containing the seed face, all
-    of them indices below ``n_faces``; ``edges`` is the adjacency's
-    ``_edge_list``.
+    of them indices below ``n_faces``; ``edges`` holds the (2, E) pairs of
+    faces that share an edge, as ``SurfaceMesh.face_pairs_among`` gives them.
 
     Min-label hooking with pointer jumping (Shiloach & Vishkin 1982) over
     the edges between patch faces.  Every face starts as its own root.  A

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ParameterError
+from ..seeding import whole_indices
 from .mesh import SurfaceMesh
 
 _RIDGE = 1e-10  # relative Tikhonov weight on the normal equations
@@ -120,13 +122,13 @@ def curvature_field(mesh: SurfaceMesh, vertices=None) -> CurvatureField:
     fitted on its own.  Vertices whose neighborhood is too small for the
     quadric fit are retried with rings up to ``_MAX_RING``; any survivor
     is reported (by vertex index) in ``flagged`` with curvature set to 0.
-    ``SurfaceMesh.k_rings`` raises ``ParameterError`` for indices outside
-    the mesh.
+    Indices that are not whole numbers raise ``ParameterError``, and so,
+    from ``SurfaceMesh.k_rings``, do indices outside the mesh.
     """
     if vertices is None:
         query = np.arange(mesh.n_vertices, dtype=np.int64)
     else:
-        query = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        query = whole_indices(vertices, ParameterError, "vertex indices").reshape(-1)
     t1, t2 = _tangent_frames(mesh.vertex_normals)
     k1 = np.zeros(query.size)
     k2 = np.zeros(query.size)

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import EmptyMeshError, MeshFormatError, ParameterError
-from ..seeding import is_whole
+from ..seeding import is_whole, whole_indices
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -42,20 +42,6 @@ def _without_own(a, own: np.ndarray) -> sp.csr_array:
     a.eliminate_zeros()
     a.sort_indices()
     return a
-
-
-def _edge_sharing(inc) -> sp.csr_array:
-    """(R, R) boolean CSR pattern of the rows of the (R, V) face-vertex
-    incidence ``inc`` that share two corners, an edge, on a non-manifold
-    edge too; the diagonal is left out."""
-    # counts fit int8, as two faces share at most 3 corners
-    inc = inc.astype(np.int8)
-    shared = inc @ inc.T
-    # in place: `shared >= 2` would sort every entry first; dropping the
-    # pairs with one shared corner shrinks what `_without_own` scans
-    shared.data = shared.data >= 2
-    shared.eliminate_zeros()
-    return _without_own(shared, np.arange(inc.shape[0]))
 
 
 def _corner_column(vertices, faces, k: int, c: int) -> np.ndarray:
@@ -99,15 +85,16 @@ class SurfaceMesh:
 
     Immutable after construction: the vertex/face arrays are marked
     read-only so instances can be shared freely across threads.  The
-    topology queries return boolean ``scipy.sparse.csr_array`` patterns
-    with sorted indices, all derived from the boolean (F, V) face-vertex
-    incidence Inc, which is built on first use and cached with its
-    transpose, both O(F).  A k-ring is k hops from vertices to their faces
-    and back, ``reach + (reach @ Inc.T) @ Inc``; ``face_adjacency_among`` pairs
-    the given faces that share two corners, from ``Inc[faces]`` alone.  So
-    the curvature fit and the electrode solve touch only the incidence rows
-    they use.  The mesh-wide (V, V) and (F, F) adjacencies are built on
-    first use and cached, for callers that want the whole mesh.
+    topology is derived from the boolean (F, V) face-vertex incidence Inc,
+    which is built on first use and cached with its transpose, both O(F).
+    A k-ring is k hops from vertices to their faces and back, ``reach +
+    (reach @ Inc.T) @ Inc``; ``face_pairs_among`` pairs the given faces
+    that share two corners, from ``Inc[faces]`` alone.  So the curvature
+    fit and the electrode solve touch only the incidence rows they use.
+    The mesh-wide (V, V) and (F, F) adjacencies, boolean
+    ``scipy.sparse.csr_array`` patterns with sorted indices, are the
+    1-rings of every vertex and the pairs among every face, built anew on
+    each call.
 
     Parameters
     ----------
@@ -115,7 +102,8 @@ class SurfaceMesh:
     faces : (F, 3) int array of vertex indices
 
     Faces with area < 1e-12 mm^2 are dropped with a warning: scan-derived
-    meshes commonly contain slivers.
+    meshes commonly contain slivers.  Face indices that are not whole
+    numbers raise ``MeshFormatError``.
 
     The mesh takes over C-contiguous float64 ``vertices`` and int64
     ``faces``: it keeps such an array without a copy and marks it
@@ -132,7 +120,7 @@ class SurfaceMesh:
     @np.errstate(over="ignore", invalid="ignore")  # overflow is caught below
     def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        faces = np.ascontiguousarray(faces, dtype=np.int64)
+        faces = np.asarray(faces)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshFormatError("vertices must be an (V, 3) array")
         if faces.size == 0:
@@ -141,6 +129,7 @@ class SurfaceMesh:
             raise MeshFormatError("faces must be an (F, 3) array")
         if vertices.shape[0] == 0 or faces.shape[0] == 0:
             raise EmptyMeshError("mesh has no vertices or no faces")
+        faces = np.ascontiguousarray(whole_indices(faces, MeshFormatError, "face indices"))
         if not np.isfinite(vertices).all():
             raise MeshFormatError("non-finite vertex coordinates")
         if faces.min() < 0 or faces.max() >= vertices.shape[0]:
@@ -176,8 +165,6 @@ class SurfaceMesh:
                     self.face_normals, self.vertex_normals):
             arr.flags.writeable = False
         self._incidence = None
-        self._adjacency = None
-        self._face_adjacency = None
         self._spheres = None
         self._box = None
 
@@ -238,32 +225,34 @@ class SurfaceMesh:
 
     def vertex_adjacency(self) -> sp.csr_array:
         """(V, V) boolean CSR array; row i holds the sorted 1-ring of vertex i."""
-        if self._adjacency is None:
-            # two vertices are adjacent when some face holds both
-            inc, inc_t = self._incidences()
-            self._adjacency = _without_own(inc_t @ inc, np.arange(self.n_vertices))
-        return self._adjacency
+        return self.k_rings(np.arange(self.n_vertices), 1)
 
     def face_adjacency(self) -> sp.csr_array:
         """(F, F) boolean CSR array; row f holds the sorted faces sharing an edge with f."""
-        if self._face_adjacency is None:
-            self._face_adjacency = _edge_sharing(self._incidences()[0])
-        return self._face_adjacency
+        import scipy.sparse as sp
 
-    def face_adjacency_among(self, faces) -> sp.csr_array:
-        """(R, R) boolean CSR array over the R distinct face indices
-        ``faces``: row r holds the sorted positions in ``faces`` of the faces
-        sharing an edge with ``faces[r]``.  The pattern of
-        ``face_adjacency()[faces][:, faces]``, built from those faces'
-        incidence rows alone."""
-        return _edge_sharing(self._incidences()[0][faces])
+        u, v = self.face_pairs_among(np.arange(self.n_faces))
+        return sp.csr_array((np.ones(2 * u.size, dtype=bool), (np.r_[u, v], np.r_[v, u])),
+                            shape=(self.n_faces, self.n_faces))
+
+    def face_pairs_among(self, faces) -> np.ndarray:
+        """(2, E) array of the pairs (u, v), u < v, of positions in the R
+        distinct face indices ``faces`` whose faces share two corners, an
+        edge, on a non-manifold edge too: the upper triangle of
+        ``face_adjacency()[faces][:, faces]``, from those faces' incidence
+        rows alone."""
+        # counts fit int8, as two faces share at most 3 corners
+        inc = self._incidences()[0][faces].astype(np.int8)
+        shared = (inc @ inc.T).tocoo()
+        upper = (shared.data >= 2) & (shared.row < shared.col)
+        return np.stack([shared.row[upper], shared.col[upper]])
 
     def k_rings(self, vertices, k: int) -> sp.csr_array:
         """(Q, V) boolean CSR array; row r holds the sorted vertices within k
         edge hops of ``vertices[r]``, that vertex itself excluded."""
         if not is_whole(k):
             raise ParameterError("k must be an integer >= 0")
-        query = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        query = whole_indices(vertices, ParameterError, "vertex indices").reshape(-1)
         if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
             raise ParameterError("vertex indices must lie in [0, n_vertices)")
         inc, inc_t = self._incidences()

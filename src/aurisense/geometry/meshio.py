@@ -6,13 +6,15 @@ readers follow the parse rule and line-number contract of
 count, a non-finite coordinate, a face index naming no vertex) raises
 ``MeshFormatError``, or ``UnsupportedTopologyError`` for a face that is
 not a triangle, naming that row's line.  OBJ files are read as
-``read_lines`` rows.  A PLY file that ``textio.plain_lines`` accepts has
-its header parsed from its first lines and each table read straight from
-the file by one ``np.loadtxt`` run; any other PLY file, or one whose
-tables do not read, is read as ``read_lines`` rows by the same header
-parser.  ``load_mesh`` and ``read_ply_vertex_scalars`` take the same route.
-Either route returns the vertex and face tables as new C-contiguous
-arrays, which ``SurfaceMesh`` keeps without a copy.
+``read_lines`` rows.  A PLY file is read in one pass over one UTF-8 text
+handle: its header rows, then each table by one ``textio.file_table`` run,
+then the rest of the file, which is only decoded.  Only when the header
+or a table does not read, or a byte is not UTF-8, is the file read again
+as ``read_lines`` rows by the same header parser, which name the faulty
+line.  A row that reads but fails a check finds its line through
+``textio.FileLines``.  ``load_mesh`` and ``read_ply_vertex_scalars`` take
+the same route, which returns the vertex and face tables as new
+C-contiguous arrays that ``SurfaceMesh`` keeps without a copy.
 
 - OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
   dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
@@ -33,7 +35,7 @@ import re
 import numpy as np
 
 from ..errors import MeshFormatError, UnsupportedTopologyError
-from ..textio import file_table, plain_lines, read_lines, require, table, write_rows
+from ..textio import FileLines, file_table, read_lines, require, table, write_rows
 from .mesh import SurfaceMesh
 
 # in OBJ rows joined by newlines: the '/vt/vn' tail of a face reference
@@ -89,36 +91,26 @@ def _parse_obj(rows, lines):
 def _read_ply(path):
     """((vertices, their lines), (faces, their lines), extra vertex columns)
     of an ASCII PLY file, by the route the module docstring describes."""
-    tables = _read_plain_ply(path)
-    if tables is None:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            head, lines = [], []  # the header's kept rows, up to end_header
+            for line, row in enumerate(map(str.strip, fh), 1):
+                if row:
+                    head.append(row)
+                    lines.append(line)
+                    if row.split()[0] == "end_header":
+                        break
+            props, nv, nf = _ply_header(head, lines)[:3]
+            values = file_table(fh, nv, len(props), np.float64)
+            faces = None if values is None else file_table(fh, nf, 4, np.int64)
+            fh.read()  # a byte past the tables that is not UTF-8 is a fault too
+    except (MeshFormatError, UnicodeDecodeError):
+        faces = None
+    if faces is None:  # the rows name the line at fault
         return _parse_ply(*read_lines(path, MeshFormatError))
-    return tables
-
-
-def _read_plain_ply(path):
-    """``_read_ply``'s result from ``np.loadtxt`` runs on a plain file, or
-    None for any other file or for tables that do not read.  A header
-    fault of a plain file is raised here, at its line."""
-    with open(path, "rb") as fh:
-        head = []
-        for raw in fh:  # the header's lines, up to end_header
-            head.append(raw)
-            if raw.decode("latin-1").split()[:1] == ["end_header"]:
-                break
-        n_body = plain_lines(fh.read())
-    if n_body is None or plain_lines(b"".join(head)) != len(head):
-        return None
-    top = len(head)  # the lines above the first vertex row
-    props, nv, nf = _ply_header([raw.decode().strip() for raw in head],
-                                np.arange(1, top + 1))[:3]
-    if n_body < nv + nf:
-        return None
-    values = file_table(path, top, nv, len(props), np.float64)
-    faces = file_table(path, top + nv, nf, 4, np.int64)
-    if values is None or faces is None:
-        return None
-    return _ply_tables(props, values, range(top + 1, top + nv + 1),
-                       faces, range(top + nv + 1, top + nv + nf + 1))
+    top = len(head)
+    return _ply_tables(props, values, FileLines(path, MeshFormatError, top),
+                       faces, FileLines(path, MeshFormatError, top + nv))
 
 
 def _parse_ply(rows, lines):

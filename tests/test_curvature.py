@@ -132,6 +132,16 @@ def test_vertex_subset_follows_the_given_order(icosphere_unit):
         curvature_field(icosphere_unit, vertices=[icosphere_unit.n_vertices])
 
 
+@pytest.mark.parametrize("vertices", [[0.5], [3, np.nan], [True]], ids=["fraction", "nan", "bool"])
+def test_vertex_subset_takes_only_whole_indices(icosphere_unit, vertices):
+    # 0.5 once fitted vertex 0
+    with pytest.raises(ParameterError, match="vertex indices must be integers"):
+        curvature_field(icosphere_unit, vertices=vertices)
+    full = curvature_field(icosphere_unit, vertices=[40, 3])
+    np.testing.assert_array_equal(curvature_field(icosphere_unit, vertices=[40.0, 3.0]).mean,
+                                  full.mean)
+
+
 # per-vertex reference for the batched kernel: one 5x5 system at a time
 def _fit_coeffs_loop(vertices, t1, t2, normals, query, indptr, indices):
     nq = query.shape[0]

@@ -17,7 +17,6 @@ from aurisense.electrode import (
     DEFAULT_TARGET_AREA,
     _connected_patch,
     _disk_clip_areas,
-    _edge_list,
     _Pathway,
     _solve,
     design_array,
@@ -547,12 +546,13 @@ def _clipped_areas(full, diameter):
 
 def _area_over_every_face(mesh, center, face, axis, diameter):
     """The contact-patch area with every face of the mesh clipped, the seed's
-    component taken over the mesh's face adjacency, summed in face-index order."""
+    component taken over the pairs among all its faces, summed in face-index order."""
     per_face = _clipped_areas(_every_face(mesh, center, face, axis), diameter)
     positive = np.flatnonzero(per_face > 0.0)
     if positive.size == 0:
         return 0.0
-    patch = _connected_patch(_edge_list(mesh.face_adjacency()), mesh.n_faces, positive, face)
+    patch = _connected_patch(mesh.face_pairs_among(np.arange(mesh.n_faces)), mesh.n_faces,
+                             positive, face)
     return float(per_face[patch].sum())
 
 
@@ -573,10 +573,11 @@ def test_connected_patch_matches_csgraph_on_the_sheet_meshes(request, name):
     split = 0
     for mesh, center, face, axis in _pathway_cases(request, name, np.random.default_rng(38)):
         adjacency = mesh.face_adjacency()
+        pairs = mesh.face_pairs_among(np.arange(mesh.n_faces))
         full = _every_face(mesh, center, face, axis)
         for diameter in (0.2, 1.0, 3.0, 6.0, 8.0):
             positive = np.flatnonzero(_clipped_areas(full, diameter) > 0.0)
-            patch = _connected_patch(_edge_list(adjacency), mesh.n_faces, positive, face)
+            patch = _connected_patch(pairs, mesh.n_faces, positive, face)
             np.testing.assert_array_equal(patch, _component_by_csgraph(adjacency, positive, face))
             split += patch.size < positive.size
     assert split > 0
@@ -600,7 +601,8 @@ def test_connected_patch_matches_csgraph_on_drawn_subsets(
     seed = int(rng.choice(np.flatnonzero(near)) if seed_near else rng.integers(mesh.n_faces))
     positive = np.union1d(positive, [seed]) if seed_positive else positive[positive != seed]
     np.testing.assert_array_equal(
-        _connected_patch(_edge_list(adjacency), mesh.n_faces, positive, seed),
+        _connected_patch(mesh.face_pairs_among(np.arange(mesh.n_faces)), mesh.n_faces,
+                         positive, seed),
         _component_by_csgraph(adjacency, positive, seed))
 
 

@@ -184,19 +184,21 @@ def _relaid(text, layout):
     if layout == "blank":
         rows[1:1], rows[-2:-2] = [""], ["", ""]
     elif layout == "whitespace-only":
-        rows[1:1], rows[-2:-2] = ["  \t "], ["\x0c", "\x1c"]
+        rows[1:1], rows[-2:-2] = ["  \t "], ["\x0c", "\x1c", "\x85\xa0 \u2028\u3000"]
     elif layout == "tabs":
         rows = [row.replace(" ", "\t") for row in rows]
     elif layout == "extra-rows":
         rows += ["3 0 1 2", "extra row"]
+    elif layout == "utf8-comment":
+        head = head.replace("format ascii 1.0\n", "format ascii 1.0\ncomment scan \u00e9 \u2013 \u8033\n")
     return head + "end_header\n" + "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("layout", ["lf", "crlf", "blank", "whitespace-only", "tabs",
-                                    "extra-rows"])
+                                    "extra-rows", "utf8-comment"])
 def test_every_layout_of_a_ply_body_reads_the_same_arrays(tmp_path, monkeypatch, layout):
-    # a plain body is read straight from the file; a \r or a blank line
-    # sends the file to the rows of read_lines, which skip it
+    # every layout is read in one pass over the file: a \r, a blank line or
+    # a non-ASCII comment sends none of them to the rows of read_lines
     mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
     aesr = np.linspace(-1.0, 1.0, mesh.n_vertices) ** 3
     write_ply(tmp_path / "lf.ply", mesh, {"aesr": aesr})
@@ -218,13 +220,72 @@ def test_every_layout_of_a_ply_body_reads_the_same_arrays(tmp_path, monkeypatch,
 
     monkeypatch.setattr(meshio, "SurfaceMesh", build_spy)
     back = load_mesh(path)
-    # either route hands over C-contiguous tables, which the mesh keeps uncopied
+    # the reader hands over C-contiguous tables, which the mesh keeps uncopied
     assert back.vertices is built[0][0] and back.faces is built[0][1]
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.faces, mesh.faces)
     assert np.array_equal(read_ply_vertex_scalars(path)["aesr"], aesr)
-    plain = layout in ("lf", "tabs", "extra-rows")
-    assert len(rows_read) == (0 if plain else 2)
+    assert rows_read == []
+
+
+def test_every_layout_of_a_ply_loads_in_the_memory_of_a_plain_one(tmp_path):
+    # no layout builds a string per row: each peak is the plain file's
+    write_ply(tmp_path / "lf.ply", make_bumpy_plane(spacing=0.4))
+    text = (tmp_path / "lf.ply").read_text()
+    peaks = {}
+    for layout in ("lf", "crlf", "blank"):
+        path = tmp_path / f"{layout}.ply"
+        path.write_bytes(_relaid(text, layout).encode())
+        tracemalloc.start()
+        try:
+            load_mesh(path)
+            peaks[layout] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 1.51 MiB each at 5 776 vertices; 2.64 and 2.58 MiB for the crlf and
+    # blank copies when they were read as rows
+    assert max(peaks["crlf"], peaks["blank"]) < peaks["lf"] + 128e3
+
+
+PLY_FAULTS = {  # the faulty row, replacing vertex row 5 or the last face row
+    "non-finite": ("vertex", "0 nan 0", MeshFormatError),
+    "out-of-range": ("face", "3 0 1 999", MeshFormatError),
+    "quad": ("face", "4 0 1 2", UnsupportedTopologyError),
+    "bad-cell": ("vertex", "0 x 0", MeshFormatError),
+}
+
+
+@pytest.mark.parametrize("fault", list(PLY_FAULTS))
+@pytest.mark.parametrize("layout", ["crlf", "blank", "utf8-comment"])
+def test_a_faulty_ply_row_names_the_line_read_lines_gives(tmp_path, monkeypatch, layout, fault):
+    mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
+    write_ply(tmp_path / "lf.ply", mesh)
+    head, body = (tmp_path / "lf.ply").read_text().split("end_header\n")
+    rows = body.splitlines()
+    table, row, error = PLY_FAULTS[fault]
+    rows[5 if table == "vertex" else -1] = row
+    path = tmp_path / "mesh.ply"
+    path.write_bytes(_relaid(head + "end_header\n" + "\n".join(rows) + "\n", layout).encode())
+    kept, lines = textio.read_lines(path, MeshFormatError)
+    with pytest.raises(error) as exc:
+        load_mesh(path)
+    assert exc.value.line == lines[kept.index(row)]
+    # the same class, line and message as on the rows of read_lines alone
+    monkeypatch.setattr(meshio, "file_table", lambda *args: None)
+    with pytest.raises(error) as rows_exc:
+        load_mesh(path)
+    assert (rows_exc.value.line, str(rows_exc.value)) == (exc.value.line, str(exc.value))
+
+
+def test_a_byte_past_the_ply_tables_that_is_not_utf8_names_its_line(tmp_path):
+    # 40 kB of later rows past the tables, far beyond the text decoded with
+    # them: only reading on to the end of the file finds the byte
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=4.0, spacing=1.0))
+    data = (tmp_path / "mesh.ply").read_bytes() + b"a later row\n" * 4000
+    (tmp_path / "mesh.ply").write_bytes(data + b"extra \xff row\n")
+    with pytest.raises(MeshFormatError, match="not UTF-8") as exc:
+        load_mesh(tmp_path / "mesh.ply")
+    assert exc.value.line == data.count(b"\n") + 1
 
 
 def test_write_ply_memory_does_not_grow_with_the_mesh(tmp_path):
@@ -255,6 +316,19 @@ def test_degenerate_faces_dropped():
 def test_bad_face_index():
     with pytest.raises(MeshFormatError):
         SurfaceMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
+
+
+@pytest.mark.parametrize("faces", [[[0, 1, 2.7]], [[0, 1, np.nan]], [[0, 1, 2e30]],
+                                   [[True, False, True]], [["0", "1", "2"]]],
+                         ids=["fraction", "nan", "past-int64", "bool", "str"])
+def test_face_indices_must_be_whole_numbers(faces):
+    # 2.7 once built face (0, 1, 2), and '2' was read as 2
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.]])
+    with pytest.raises(MeshFormatError, match="face indices must be integers"):
+        SurfaceMesh(verts, faces)
+    with pytest.raises(EmptyMeshError):  # an empty list is no mesh, not a bad index
+        SurfaceMesh(verts, [])
+    np.testing.assert_array_equal(SurfaceMesh(verts, [[0, 1, 2.0]]).faces, [[0, 1, 2]])
 
 
 def test_nonfinite_vertex_rejected():

@@ -256,13 +256,13 @@ def _same_outcome(a, b):
 
 
 def _ply_routes_agree(path):
-    """Assert that the PLY readers do the same with and without the route
-    that reads a plain file straight from it."""
+    """Assert that the PLY readers do the same in their one pass over the
+    file as on its ``read_lines`` rows alone, with the one pass switched off."""
     for reader in (load_mesh, read_ply_vertex_scalars):
-        plain = _outcome(reader, path)
-        with mock.patch.object(meshio, "_read_plain_ply", lambda path: None):
+        one_pass = _outcome(reader, path)
+        with mock.patch.object(meshio, "file_table", lambda *args: None):
             rows = _outcome(reader, path)
-        assert _same_outcome(plain, rows), (plain, rows)
+        assert _same_outcome(one_pass, rows), (one_pass, rows)
 
 
 @pytest.mark.parametrize("case", [c for c in {**CASES, **FRACTIONAL} if c.startswith("ply")])

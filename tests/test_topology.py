@@ -103,7 +103,6 @@ def test_adjacency_matches_set_reference(mesh):
     assert vadj.has_sorted_indices and fadj.has_sorted_indices
     assert rows(vadj) == ref_vertex_adjacency(mesh)
     assert rows(fadj) == ref_face_adjacency(mesh)
-    assert mesh.vertex_adjacency() is vadj  # built once
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -131,6 +130,18 @@ def test_k_ring_rejects_an_index_outside_the_mesh(icosphere_unit, vertex):
         icosphere_unit.k_ring(vertex, 2)
     with pytest.raises(ParameterError):
         icosphere_unit.k_rings([0, vertex], 1)
+
+
+@pytest.mark.parametrize("vertices", [[1.9], [0, np.nan], [True, False], ["1"]],
+                         ids=["fraction", "nan", "bool", "str"])
+def test_k_rings_take_only_whole_vertex_indices(vertices):
+    # 1.9 once took the ring of vertex 1
+    mesh = make_icosphere(subdivisions=1)
+    with pytest.raises(ParameterError, match="vertex indices must be integers"):
+        mesh.k_rings(vertices, 1)
+    with pytest.raises(ParameterError, match="vertex indices must be integers"):
+        mesh.k_ring(vertices[-1], 1)
+    assert rows(mesh.k_rings([1.0, 0.0], 2)) == rows(mesh.k_rings([1, 0], 2))
 
 
 @pytest.mark.parametrize("k", [2.5, True, -1], ids=["fractional", "bool", "negative"])
@@ -176,12 +187,12 @@ def test_pathway_adjacency_is_the_mesh_adjacency_among_its_faces(request, name):
             pathway._build(radius)
             expected = full[pathway.faces][:, pathway.faces]
             expected.sort_indices()
-            among = mesh.face_adjacency_among(pathway.faces)
-            assert among.has_sorted_indices
-            assert rows(among) == rows(expected)
-            # the pathway keeps each edge once, as a pair (u, v) with u < v
-            assert sorted(zip(*pathway.edges.tolist())) == [
-                (u, v) for u, row in enumerate(rows(expected)) for v in row if u < v]
+            # each edge once, as a pair (u, v) with u < v
+            pairs = [(u, v) for u, row in enumerate(rows(expected)) for v in row if u < v]
+            among = mesh.face_pairs_among(pathway.faces)
+            assert among.shape == (2, len(pairs))
+            assert sorted(zip(*among.tolist())) == pairs
+            assert sorted(zip(*pathway.edges.tolist())) == pairs
         assert pathway.faces.size == mesh.n_faces
 
 
