@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from ..errors import ParameterError, PlacementError
+from ..seeding import whole_indices
 from ..textio import read_lines, require, table, write_report_json
 from .mesh import SurfaceMesh
 
@@ -128,12 +129,34 @@ def write_aps_json(path, aps: AuricularPointSet, meta: dict | None = None) -> No
     write_report_json(path, obj)
 
 
+def _three_finite(value) -> np.ndarray | None:
+    """``value`` as a (3,) float64 array if it is a list of three finite JSON
+    numbers (a bool or a numeric string is not one), else None."""
+    if not (isinstance(value, list) and len(value) == 3
+            and all(type(x) in (int, float) for x in value)):
+        return None
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _face_index(value) -> int | None:
+    """``value`` as an int if it is one whole number >= 0, else None."""
+    try:
+        face = whole_indices(value, ValueError, "face")
+    except ValueError:
+        return None
+    return int(face) if face.shape == () and face >= 0 else None
+
+
 def read_aps_json(path) -> AuricularPointSet:
     """APs from an APs JSON file, ``{"aps": [...]}`` as ``design --aps-out``
-    writes it.  Each record needs a ``label`` and a ``position`` of three
-    finite numbers; ``face`` and ``barycentric`` are optional.  Raises
-    ``ParameterError`` naming the first bad record, or the first that
-    repeats a label."""
+    writes it.  Each record needs a string ``label`` and a ``position`` of
+    three finite numbers; ``face`` (a whole number >= 0) and ``barycentric``
+    (three finite numbers) are optional.  Raises ``ParameterError`` naming
+    the first bad record, or the first that repeats a label."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     recs = obj.get("aps") if isinstance(obj, dict) else None
@@ -142,22 +165,20 @@ def read_aps_json(path) -> AuricularPointSet:
                              "(an APs file as 'design --aps-out' writes it)")
     pts, seen = [], set()
     for i, rec in enumerate(recs):
-        try:
-            point = AuricularPoint(
-                label=str(rec["label"]),
-                position=np.asarray(rec["position"], dtype=np.float64),
-                face=int(rec.get("face", -1)),
-                barycentric=np.asarray(rec.get("barycentric", [1.0, 0.0, 0.0]),
-                                       dtype=np.float64),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError):
-            point = None
-        if (point is None or point.position.shape != (3,)
-                or not np.isfinite(point.position).all()):
-            raise ParameterError(f"'aps' record {i}: expected an object with 'label' and "
-                                 f"'position' (three finite numbers)")
-        if point.label in seen:
-            raise ParameterError(f"'aps' record {i} repeats the label '{point.label}'")
-        seen.add(point.label)
-        pts.append(point)
+        rec = rec if isinstance(rec, dict) else {}
+        label, position = rec.get("label"), _three_finite(rec.get("position"))
+        if not isinstance(label, str) or position is None:
+            raise ParameterError(f"'aps' record {i}: expected an object with a string 'label' "
+                                 f"and 'position' (three finite numbers)")
+        face = _face_index(rec["face"]) if "face" in rec else -1
+        if face is None:
+            raise ParameterError(f"'aps' record {i}: 'face' must be a whole number >= 0")
+        barycentric = _three_finite(rec.get("barycentric", [1.0, 0.0, 0.0]))
+        if barycentric is None:
+            raise ParameterError(f"'aps' record {i}: 'barycentric' must be three finite numbers")
+        if label in seen:
+            raise ParameterError(f"'aps' record {i} repeats the label '{label}'")
+        seen.add(label)
+        pts.append(AuricularPoint(label=label, position=position, face=face,
+                                  barycentric=barycentric))
     return AuricularPointSet(points=tuple(pts))

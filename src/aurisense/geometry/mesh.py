@@ -304,14 +304,17 @@ class SurfaceMesh:
 
         Returns (position, face index, barycentric coords, distance); the
         position and barycentrics own their data.  Exact and equal, bit for bit,
-        to the Ericson kernel over every face with ties to the lowest face
-        index, but the kernel runs only on the faces the bounding spheres
-        cannot rule out: every face lies at least |point - centroid| - radius
-        away, and at most |point - centroid| since the centroid lies on it,
-        so only the faces whose lower bound is within the nearest centroid's
-        distance (padded for rounding) are searched, in index order.
+        to ``closest_point_on_triangles`` over every face with ties to the
+        lowest face index, but the kernel runs only on the faces the bounding
+        spheres cannot rule out: every face lies at least |point - centroid| -
+        radius away, and at most |point - centroid| since the centroid lies on
+        it, so only the faces whose lower bound is within the nearest
+        centroid's distance (padded for rounding) are searched, in index order.
+        A point that is not finite raises ``ParameterError``.
         """
         p = np.asarray(point, dtype=np.float64)
+        if not np.isfinite(p).all():
+            raise ParameterError("closest_point needs a finite point")
         centroids, radii = self.face_spheres()
         offset = centroids - p
         dist = np.sqrt(np.einsum("ij,ij->i", offset, offset))
@@ -333,70 +336,34 @@ class SurfaceMesh:
 def closest_point_on_triangles(p, a, b, c):
     """Closest points to ``p`` on each triangle (a_i, b_i, c_i).
 
-    Vectorized form of the classic Ericson region test.  Returns the
-    closest points (F, 3) and their barycentric coordinates (F, 3).
+    Returns the closest points (F, 3) and their barycentric coordinates
+    (F, 3).  The dot products d1..d6 and the signed areas va, vb, vc are
+    Ericson's (*Real-Time Collision Detection*, 2004, §5.1.5).  Where all
+    three areas are positive, ``p`` projects inside the triangle and the
+    closest point is the plane's foot.  Elsewhere it is the nearest of the
+    closest points of the edges ab, ac and bc, each at Ericson's edge
+    parameter clipped to [0, 1]; a tie goes to the first edge.
     """
-    ab = b - a
-    ac = c - a
-    ap = p - a
-
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
+    ab, ac = b - a, c - a
+    d1, d2, d3, d4, d5, d6 = (np.einsum("ij,ij->i", edge, off)
+                              for off in (p - a, p - b, p - c) for edge in (ab, ac))
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
-
-    n = a.shape[0]
-    u = np.empty(n)
-    v = np.empty(n)
-    # interior case by default
-    denom = va + vb + vc
-    safe = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-    u[:] = vb / safe
-    v[:] = vc / safe
-
-    # vertex regions
-    reg_a = (d1 <= 0) & (d2 <= 0)
-    reg_b = (d3 >= 0) & (d4 <= d3)
-    reg_c = (d6 >= 0) & (d5 <= d6)
-    # edge regions
-    denom_ab = np.where(np.abs(d1 - d3) < 1e-300, 1.0, d1 - d3)
-    t_ab = d1 / denom_ab
-    reg_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    denom_ac = np.where(np.abs(d2 - d6) < 1e-300, 1.0, d2 - d6)
-    t_ac = d2 / denom_ac
-    reg_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    denom_bc = np.where(np.abs((d4 - d3) + (d5 - d6)) < 1e-300, 1.0, (d4 - d3) + (d5 - d6))
-    t_bc = (d4 - d3) / denom_bc
-    reg_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-
-    u = np.where(reg_bc, 1.0 - t_bc, u)
-    v = np.where(reg_bc, t_bc, v)
-    u = np.where(reg_ac, 0.0, u)
-    v = np.where(reg_ac, t_ac, v)
-    u = np.where(reg_ab, t_ab, u)
-    v = np.where(reg_ab, 0.0, v)
-    u = np.where(reg_c, 0.0, u)
-    v = np.where(reg_c, 1.0, v)
-    u = np.where(reg_b, 1.0, u)
-    v = np.where(reg_b, 0.0, v)
-    u = np.where(reg_a, 0.0, u)
-    v = np.where(reg_a, 0.0, v)
-
-    u = np.clip(u, 0.0, 1.0)
-    v = np.clip(v, 0.0, 1.0)
-    over = u + v > 1.0
-    scale = np.where(over, u + v, 1.0)
-    u = u / scale
-    v = v / scale
-
+    # the foot is used only inside, where va + vb + vc > 0; an edge short
+    # against the distances to p can round its parameter to 0/0, which
+    # fmax/fmin, unlike np.clip, send to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        foot_u, foot_v = vb / (va + vb + vc), vc / (va + vb + vc)
+        t = np.array([d1 / (d1 - d3), d2 / (d2 - d6), (d4 - d3) / ((d4 - d3) + (d5 - d6))])
+    t = np.fmin(np.fmax(t, 0.0), 1.0)
+    zero = np.zeros_like(d1)
+    edge_u, edge_v = np.array([t[0], zero, 1.0 - t[2]]), np.array([zero, t[1], t[2]])
+    gap = a + ab * edge_u[..., None] + ac * edge_v[..., None] - p
+    nearest = np.argmin(np.einsum("eij,eij->ei", gap, gap), axis=0), np.arange(len(d1))
+    inside = (va > 0) & (vb > 0) & (vc > 0)
+    u = np.where(inside, foot_u, edge_u[nearest])
+    v = np.where(inside, foot_v, edge_v[nearest])
     pts = a + ab * u[:, None] + ac * v[:, None]
     bary = np.stack([1.0 - u - v, u, v], axis=1)
     return pts, bary

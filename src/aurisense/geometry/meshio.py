@@ -190,7 +190,7 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         if vals.shape != (mesh.n_vertices,):
             raise ValueError(f"scalar '{name}' has shape {vals.shape}; a mesh of "
                              f"{mesh.n_vertices} vertices needs ({mesh.n_vertices},)")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         for c in comments:
             fh.write(f"comment {c}\n")

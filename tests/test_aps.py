@@ -103,7 +103,8 @@ def test_placed_aps_own_their_arrays_and_keep_no_mesh_sized_memory(bumpy):
 
 
 def _brute_closest_point(mesh, p):
-    """The Ericson kernel over every face; ties go to the lowest face index."""
+    """``closest_point_on_triangles`` over every face; ties go to the lowest
+    face index."""
     v, f = mesh.vertices, mesh.faces
     pts, bary = closest_point_on_triangles(p, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
     d2 = np.einsum("ij,ij->i", pts - p, pts - p)
@@ -142,6 +143,83 @@ def test_closest_point_equals_the_search_over_every_face(request, name):
         assert dist == ref_dist
         ties += n_min > 1
     assert ties >= 10
+
+
+def _oracle_queries(rng, n):
+    """(4n, 3, 3) triangle corners, each relative to its query point.
+
+    Four families of n random triangles: ordinary ones, slivers (c within
+    1e-3 of the line ab), needles (ab 1e-3 long), and ordinary ones whose
+    query lies about 1e3 off the plane.  Each query is a + s ab + t ac + h n
+    for the unit normal n; (s, t) covers all seven regions of the plane,
+    and in each family an eighth of the queries lies on each edge, an eighth
+    at a vertex and an eighth in the plane (h = 0).
+    """
+    a, ab, ac = (rng.normal(size=(4, n, 3)) for _ in range(3))
+    ac[1] = ab[1] * rng.uniform(-0.5, 1.5, size=(n, 1)) + 1e-3 * rng.normal(size=(n, 3))
+    ab[2] *= 1e-3
+    normal = np.cross(ab, ac)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    st = rng.uniform(-1.5, 2.5, size=(4, n, 2))
+    k = n // 8
+    s = rng.uniform(size=(4, k))
+    st[:, :k] = np.stack([s, 0 * s], axis=-1)
+    st[:, k:2 * k] = np.stack([0 * s, s], axis=-1)
+    st[:, 2 * k:3 * k] = np.stack([s, 1 - s], axis=-1)
+    st[:, 3 * k:4 * k] = np.array([[0, 0], [1, 0], [0, 1]])[rng.integers(3, size=(4, k))]
+    h = rng.normal(size=(4, n, 1))
+    h[:, 4 * k:5 * k] = 0.0
+    h[3] *= 1e3
+    query = a + st[..., :1] * ab + st[..., 1:] * ac + h * normal
+    return (np.stack([a, a + ab, a + ac], axis=2) - query[:, :, None]).reshape(-1, 3, 3)
+
+
+@pytest.mark.parametrize("p", [[0.0, 0.0, 0.0], [1e4, -1e4, 1e4]], ids=["origin", "far"])
+def test_closest_point_on_triangles_meets_the_projection_conditions(p):
+    """q is the closest point of a triangle to p exactly when q lies on the
+    triangle and (p - q).(x - q) <= 0 for each corner x: the kernel is
+    checked against these conditions, not against a second kernel."""
+    p = np.asarray(p)
+    x = _oracle_queries(np.random.default_rng(5), 400) + p
+    q, bary = closest_point_on_triangles(p, x[:, 0], x[:, 1], x[:, 2])
+    assert np.isfinite(q).all() and np.isfinite(bary).all()
+    assert bary.min() >= -1e-9
+    np.testing.assert_allclose(bary.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q, np.einsum("ik,ikj->ij", bary, x), rtol=0,
+                               atol=1e-12 * (1.0 + np.abs(x).max()))
+    # a q within delta of the true closest point gives at most about
+    # delta (|p - q| + diam) here; Ericson's areas lose accuracy as a sliver
+    # thins, and put q a few 1e-9 of the diameter off at the 1e-3 slivers
+    diam = np.linalg.norm(x - np.roll(x, 1, axis=1), axis=2).max(axis=1)
+    gap = np.linalg.norm(p - q, axis=1)
+    for corner in range(3):
+        worst = np.einsum("ij,ij->i", p - q, x[:, corner] - q)
+        assert (worst <= 1e-7 * diam * (gap + diam)).all()
+
+
+def test_closest_point_on_triangles_is_finite_on_every_face_a_mesh_keeps():
+    # each face just above the degenerate area, or with an edge whose length
+    # rounds away against the others: the edge's parameter is 0/0
+    tris = np.array([
+        [[0, 0, 0], [1e3, 0, 0], [1e3, 1e-14, 0]],
+        [[0, 0, 0], [1e-14, 1e3, 0], [0, 1e3, 0]],
+        [[1e6, 1e6, 1e6], [1e6 + 2e-6, 1e6, 1e6], [1e6, 1e6 + 2e-6, 1e6]],
+        [[0, 0, 0], [1e-6, 0, 0], [0, 4e-6, 0]],
+    ])
+    mesh = SurfaceMesh(tris.reshape(-1, 3), np.arange(12).reshape(4, 3))
+    assert mesh.n_faces == 4
+    v, f = mesh.vertices, mesh.faces
+    for p in np.concatenate([v, v + [3.0, -2.0, 1.0], 1.5 * v + 7.0, [[5e3, 5e3, 5e3]]]):
+        q, bary = closest_point_on_triangles(p, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
+        assert np.isfinite(q).all() and np.isfinite(bary).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_point_that_is_not_finite_is_a_parameter_error(plane_coarse, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        plane_coarse.closest_point([bad, 0.0, 0.0])
+    with pytest.raises(ParameterError, match="finite"):
+        place_aps(plane_coarse, [("A", [bad, 0.5, 0.5])])
 
 
 def test_far_projection_raises():

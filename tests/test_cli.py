@@ -156,13 +156,34 @@ def test_simulate_rejects_a_config_that_is_not_an_object(tmp_path, capsys, confi
     assert "Traceback" not in err
 
 
+_AP = {"label": "AP1", "position": [0.0, 0.0, 0.0]}
+
+
 @pytest.mark.parametrize("aps_obj, expected", [
     ({"aps": [{}]}, "'aps' record 0"),
     ({"aps": 3}, "'aps' must be a list"),
     # a design file is not an APs file: its electrodes are not read as APs
     ({"electrodes": [{"ap": "AP1", "center": [0.0, 0.0, 0.0]}], "failed": []},
      "'design --aps-out'"),
-], ids=["no-label", "not-a-list", "design-file"])
+    ({"aps": [_AP, {**_AP, "label": None}]}, "'aps' record 1: expected an object with a string"),
+    ({"aps": [{**_AP, "label": 7}]}, "'aps' record 0: expected an object with a string"),
+    # an integer too large for a float
+    ({"aps": [{**_AP, "position": [10 ** 400, 0, 0]}]}, "'aps' record 0: expected"),
+    ({"aps": [{**_AP, "position": ["1", "2", "3"]}]}, "'aps' record 0: expected"),
+    ({"aps": [{**_AP, "face": 2.7}]}, "'aps' record 0: 'face' must be a whole number"),
+    ({"aps": [{**_AP, "face": True}]}, "'aps' record 0: 'face' must be a whole number"),
+    ({"aps": [{**_AP, "face": "3"}]}, "'aps' record 0: 'face' must be a whole number"),
+    ({"aps": [{**_AP, "face": -1}]}, "'aps' record 0: 'face' must be a whole number"),
+    ({"aps": [{**_AP, "face": [3]}]}, "'aps' record 0: 'face' must be a whole number"),
+    ({"aps": [{**_AP, "barycentric": [1, 2]}]}, "'aps' record 0: 'barycentric' must be three"),
+    ({"aps": [{**_AP, "barycentric": [float("nan"), 0, 1]}]},
+     "'aps' record 0: 'barycentric' must be three"),
+    ({"aps": [{**_AP, "barycentric": [True, False, False]}]},
+     "'aps' record 0: 'barycentric' must be three"),
+], ids=["no-label", "not-a-list", "design-file", "null-label", "number-label",
+        "position-past-float", "string-position", "fractional-face", "bool-face",
+        "string-face", "negative-face", "list-face", "two-barycentrics", "nan-barycentric",
+        "bool-barycentric"])
 def test_contour_rejects_a_malformed_aps_file(tmp_path, capsys, aps_obj, expected):
     write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
                                                       amplitude=1.0, wavelength=8.0))

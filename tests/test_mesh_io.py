@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aurisense import textio
-from aurisense.analysis import write_dataset_csv
+from aurisense.analysis import datasets, write_dataset_csv
 from aurisense.errors import (
     EmptyMeshError,
     MeshFormatError,
@@ -152,6 +152,26 @@ def test_writers_match_the_per_row_reference(tmp_path, monkeypatch):
         assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
         write_dataset_csv(tmp_path / "new.csv", labels, rows, comments=("seed=1",))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_writers_end_lines_with_lf_whatever_the_platform_separator(tmp_path, monkeypatch):
+    # a file opened for text without newline="\n" has each "\n" written as
+    # the platform's separator; patch the writers' open to act as on Windows
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        if "w" in mode and newline is None:
+            newline = "\r\n"
+        return open(file, mode, *args, newline=newline, **kwargs)
+
+    for module in (meshio, datasets, textio):
+        monkeypatch.setattr(module, "open", crlf_open, raising=False)
+    mesh = make_icosphere(subdivisions=1, radius=1.0)
+    write_ply(tmp_path / "out.ply", mesh, scalars={"s": np.arange(mesh.n_vertices)},
+              comments=("seed=1",))
+    write_dataset_csv(tmp_path / "out.csv", ["S01-L"], [[1.0, 2.0]], comments=("seed=1",))
+    textio.write_report_json(tmp_path / "out.json", {"a": [1, 2]})
+    for name in ("out.ply", "out.csv", "out.json"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\n" in data and b"\r" not in data, name
 
 
 def test_load_mesh_frees_its_row_strings_before_building_the_mesh(tmp_path, monkeypatch):
