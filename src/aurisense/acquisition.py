@@ -40,6 +40,8 @@ def simulation_config(kind: str, config: dict | None = None) -> dict:
     Keys starting with '_' are comments and drop out; other unknown keys are
     errors.  Values are kept as given, so the digest is of what was written.
     """
+    if kind not in ("cohort", "session"):
+        raise ParameterError(f"config kind must be 'cohort' or 'session', not {kind!r}")
     defaults = default_cohort_config() if kind == "cohort" else default_session_config()
     config = {} if config is None else config
     if not isinstance(config, dict):

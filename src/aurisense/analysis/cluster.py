@@ -365,15 +365,15 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
     m = x.shape[0]
     if labels is not None and len(labels) != m:
         raise LabelError(f"{len(labels)} labels for {m} rows")
-    p = pca(normalize_spatial(x), k=min(_N_COMPONENTS, m - 1, x.shape[1]))
-    points = p.scores
-
-    if len(k_range) != 2 or not all(is_whole(k) for k in k_range):
+    if not (isinstance(k_range, (tuple, list, np.ndarray)) and len(k_range) == 2
+            and all(is_whole(k) for k in k_range)):
         raise ParameterError("k_range must be two integers")
     k_lo, k_hi = k_range
     # the elbow needs K = 1 and at least two candidates
     if not 2 <= k_lo < k_hi <= m - 1:
         raise ParameterError(f"k_range must satisfy 2 <= lo < hi <= M-1 = {m - 1}")
+    p = pca(normalize_spatial(x), k=min(_N_COMPONENTS, m - 1, x.shape[1]))
+    points = p.scores
 
     centroid = points.mean(axis=0)
     sse1 = float(np.einsum("ij,ij->", points - centroid, points - centroid))

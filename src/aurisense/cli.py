@@ -19,10 +19,10 @@ failure (e.g. some electrodes could not reach the target area).
 Start-up pays only for what every command needs: the package imports each
 scipy module where it is used, so ``import aurisense.cli`` loads none, and
 one process builds the argument parser once, however often it calls
-``main``.  ``design`` loads ``scipy.sparse`` (the mesh topology);
-``contour`` and ``analyze`` load ``scipy.spatial`` (Delaunay, ``cdist``),
-which brings ``scipy.sparse``, ``scipy.linalg`` and ``scipy.special``
-along; ``simulate`` loads no scipy module.
+``main``.  ``design`` and ``simulate`` load no scipy module: the mesh
+topology is numpy index arrays.  ``contour`` and ``analyze`` load
+``scipy.spatial`` (Delaunay, ``cdist``), which brings ``scipy.sparse``,
+``scipy.linalg`` and ``scipy.special`` along.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ it is clipped in its own plane against the strip |distance to axis| <= D/2.
 
 Everything that does not depend on D (the projected corners, the per-face
 area ratios and the pairs of built faces that share an edge, from those
-faces' rows of the face-vertex incidence alone) is built by
+faces' edges alone) is built by
 ``_Pathway``, from the contact face it is given, for the faces near the
 axis only: no mesh-wide adjacency is built.  One bound prunes: a face lies
 at least its bounding sphere's distance from the axis line less the

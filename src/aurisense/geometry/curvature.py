@@ -7,10 +7,11 @@ curvatures come from the shape operator of that Monge patch; the sign
 convention makes a sphere with outward normals convex-positive
 (H = 1/R > 0).
 
-Each vertex is fitted on its 2-ring, a row of ``SurfaceMesh.k_rings``, and
-one batched solve fits every vertex of a ring size at once.  The fit needs
-at least 5 distinct neighbors; vertices below that are retried with rings
-up to the 5-ring and flagged if they never reach 5.
+Each vertex is fitted on its 2-ring, a row of the ``(indptr, indices)``
+numpy arrays (no scipy) that ``SurfaceMesh.k_rings`` returns, and one
+batched solve fits every vertex of a ring size at once.  The fit needs at
+least 5 distinct neighbors; vertices below that are retried with rings up
+to the 5-ring and flagged if they never reach 5.
 """
 
 from __future__ import annotations
@@ -135,9 +136,8 @@ def curvature_field(mesh: SurfaceMesh, vertices=None) -> CurvatureField:
     pending = np.arange(query.size)  # positions in query
     ring = _K_RING
     while pending.size and ring <= _MAX_RING:
-        rings = mesh.k_rings(query[pending], ring)
         coeffs, ok = _fit_coeffs(mesh.vertices, t1, t2, mesh.vertex_normals,
-                                 query[pending], rings.indptr, rings.indices)
+                                 query[pending], *mesh.k_rings(query[pending], ring))
         done = pending[ok]
         ka, kb = _principal_from_coeffs(*(coeffs[ok].T))
         k1[done] = ka

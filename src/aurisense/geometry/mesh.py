@@ -6,15 +6,11 @@ Coordinates are millimeters throughout; no unit autodetection is done.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import EmptyMeshError, MeshFormatError, ParameterError
 from ..seeding import is_whole, whole_indices
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 # relative pad of the face bounding spheres and of closest_point's upper
@@ -23,25 +19,13 @@ DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 _SPHERE_PAD = 1e-9
 
 
-def _ones(cols: np.ndarray, n_cols: int) -> sp.csr_array:
-    """(R, n_cols) boolean CSR array with a True in row r at each column of
-    ``cols[r]``; ``cols`` is (R, c) and holds no repeat within a row."""
-    # imported on use: `import aurisense.cli` loads no scipy module
-    import scipy.sparse as sp
-
-    return sp.csr_array((np.ones(cols.size, dtype=bool), cols.ravel(),
-                         np.arange(0, cols.size + 1, cols.shape[1])),
-                        shape=(cols.shape[0], n_cols))
-
-
-def _without_own(a, own: np.ndarray) -> sp.csr_array:
-    """Sorted boolean CSR pattern of the true entries of ``a``, entry
-    (r, own[r]) of each row r left out.  May modify ``a`` in place."""
-    a = a.tocsr()
-    a.data = a.data.astype(bool, copy=False) & (a.indices != np.repeat(own, np.diff(a.indptr)))
-    a.eliminate_zeros()
-    a.sort_indices()
-    return a
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the int64 array ``keys``, sorted, by sorting it in
+    place and masking each value equal to the one before (``np.unique`` is slower)."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _corner_column(vertices, faces, k: int, c: int) -> np.ndarray:
@@ -85,16 +69,12 @@ class SurfaceMesh:
 
     Immutable after construction: the vertex/face arrays are marked
     read-only so instances can be shared freely across threads.  The
-    topology is derived from the boolean (F, V) face-vertex incidence Inc,
-    which is built on first use and cached with its transpose, both O(F).
-    A k-ring is k hops from vertices to their faces and back, ``reach +
-    (reach @ Inc.T) @ Inc``; ``face_pairs_among`` pairs the given faces
-    that share two corners, from ``Inc[faces]`` alone.  So the curvature
-    fit and the electrode solve touch only the incidence rows they use.
-    The mesh-wide (V, V) and (F, F) adjacencies, boolean
-    ``scipy.sparse.csr_array`` patterns with sorted indices, are the
-    1-rings of every vertex and the pairs among every face, built anew on
-    each call.
+    topology is numpy index arrays: the faces of each vertex, an (indptr,
+    face) pair cached on first use, O(F).  ``k_rings`` hops from vertices to
+    their faces and back, and ``face_pairs_among`` pairs the given faces
+    that share an edge from their corners alone, so the curvature fit and
+    the electrode solve touch only the faces they use.  ``vertex_adjacency()``
+    and ``face_adjacency()`` do so for every vertex and face, on each call.
 
     Parameters
     ----------
@@ -164,7 +144,7 @@ class SurfaceMesh:
         for arr in (self.vertices, self.faces, self.face_areas,
                     self.face_normals, self.vertex_normals):
             arr.flags.writeable = False
-        self._incidence = None
+        self._faces_of = None
         self._spheres = None
         self._box = None
 
@@ -215,55 +195,72 @@ class SurfaceMesh:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def _incidences(self):
-        """The (F, V) boolean face-vertex incidence, row f holding a True at
-        each corner of face f, and its (V, F) transpose, both CSR; cached."""
-        if self._incidence is None:
-            inc = _ones(self.faces, self.n_vertices)
-            self._incidence = inc, inc.T.tocsr()
-        return self._incidence
-
-    def vertex_adjacency(self) -> sp.csr_array:
-        """(V, V) boolean CSR array; row i holds the sorted 1-ring of vertex i."""
+    def vertex_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``k_rings`` of every vertex at k = 1: row i holds the sorted 1-ring of vertex i."""
         return self.k_rings(np.arange(self.n_vertices), 1)
 
-    def face_adjacency(self) -> sp.csr_array:
-        """(F, F) boolean CSR array; row f holds the sorted faces sharing an edge with f."""
-        import scipy.sparse as sp
-
-        u, v = self.face_pairs_among(np.arange(self.n_faces))
-        return sp.csr_array((np.ones(2 * u.size, dtype=bool), (np.r_[u, v], np.r_[v, u])),
-                            shape=(self.n_faces, self.n_faces))
+    def face_adjacency(self) -> np.ndarray:
+        """``face_pairs_among`` every face: the (2, E) pairs of faces that share an edge."""
+        return self.face_pairs_among(np.arange(self.n_faces))
 
     def face_pairs_among(self, faces) -> np.ndarray:
         """(2, E) array of the pairs (u, v), u < v, of positions in the R
-        distinct face indices ``faces`` whose faces share two corners, an
-        edge, on a non-manifold edge too: the upper triangle of
-        ``face_adjacency()[faces][:, faces]``, from those faces' incidence
-        rows alone."""
-        # counts fit int8, as two faces share at most 3 corners
-        inc = self._incidences()[0][faces].astype(np.int8)
-        shared = (inc @ inc.T).tocoo()
-        upper = (shared.data >= 2) & (shared.row < shared.col)
-        return np.stack([shared.row[upper], shared.col[upper]])
+        distinct face indices ``faces`` whose faces share an edge, on a
+        non-manifold edge too; each pair once, in sorted order.  In the sorted
+        3R edge keys ``lo * V + hi`` of those faces alone an edge's faces sit
+        side by side: keys d places apart and equal, for d = 1, 2, ... while
+        any are, pair them.  Duplicate faces share three edges: repeats go."""
+        corners = self.faces[faces]
+        n_pos = corners.shape[0]
+        turned = np.roll(corners, -1, axis=1)  # each corner's successor: the edges
+        keys = (np.minimum(corners, turned) * self.n_vertices + np.maximum(corners, turned)).ravel()
+        order = np.argsort(keys, kind="stable")  # an edge's faces stay in order: u < v
+        keys, owner = keys[order], order // 3
+        pairs = [np.empty(0, dtype=np.int64)]  # as u * R + v
+        for d in range(1, keys.size):
+            same = np.flatnonzero(keys[d:] == keys[:-d])
+            if not same.size:
+                break
+            pairs.append(owner[same] * n_pos + owner[same + d])
+        return np.stack(np.divmod(_distinct(np.concatenate(pairs)), n_pos))
 
-    def k_rings(self, vertices, k: int) -> sp.csr_array:
-        """(Q, V) boolean CSR array; row r holds the sorted vertices within k
-        edge hops of ``vertices[r]``, that vertex itself excluded."""
+    def k_rings(self, vertices, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: ``indices[indptr[r]:indptr[r + 1]]`` holds
+        the sorted vertices within k edge hops of ``vertices[r]``, itself
+        excluded.  Each hop adds the corners of every face on a reached
+        vertex, as the distinct keys ``r * V + vertex``, and the hops stop
+        once one reaches no new vertex."""
         if not is_whole(k):
             raise ParameterError("k must be an integer >= 0")
         query = whole_indices(vertices, ParameterError, "vertex indices").reshape(-1)
         if query.size and (query.min() < 0 or query.max() >= self.n_vertices):
             raise ParameterError("vertex indices must lie in [0, n_vertices)")
-        inc, inc_t = self._incidences()
-        reach = _ones(query[:, None], self.n_vertices)
-        for _ in range(k):  # each hop adds the corners of every face touching what is reached
-            reach = reach + (reach @ inc_t) @ inc
-        return _without_own(reach, query)
+        n = self.n_vertices
+        if self._faces_of is None:  # vertex i lies on face[indptr[i]:indptr[i + 1]], in order
+            corners = self.faces.ravel()
+            face = np.argsort(corners, kind="stable") // 3
+            indptr = np.r_[0, np.cumsum(np.bincount(corners, minlength=n))]
+            indptr.flags.writeable = face.flags.writeable = False
+            self._faces_of = indptr, face
+        indptr, face = self._faces_of
+        rows, reach = np.arange(query.size), query  # reach[i] is reached from query[rows[i]]
+        for _ in range(k):
+            count = indptr[reach + 1] - indptr[reach]
+            # where in ``face`` the faces of each reached vertex lie
+            at = np.repeat(indptr[reach] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            hit = self.faces[face[at]]
+            hit += np.repeat(rows * n, count)[:, None]
+            keys = _distinct(hit.ravel())
+            # a vertex is a corner of its own faces: keys for those alone means none is new
+            if keys.size == np.count_nonzero(count):
+                break
+            rows, reach = np.divmod(keys, n)
+        ring = reach != query[rows]
+        return np.searchsorted(rows[ring], np.arange(query.size + 1)), reach[ring]
 
     def k_ring(self, vertex: int, k: int) -> np.ndarray:
         """Sorted vertex indices within k edge hops of ``vertex`` (itself excluded)."""
-        return self.k_rings([vertex], k).indices
+        return self.k_rings([vertex], k)[1]
 
     # ------------------------------------------------------------------
     # closest-point queries

@@ -224,12 +224,16 @@ def test_config_merges_partial_dicts_and_drops_comment_keys():
     ("session", {"hr_rise": 0.4}, "unknown config field 'hr_rise'"),
     ("session", {"noise": float("nan")}, "'noise'"),
     ("session", [1, 2], "config must be a JSON object"),
+    ("cohrt", None, "config kind must be 'cohort' or 'session', not 'cohrt'"),
 ], ids=["misspelt", "no-ears", "negative-size", "fractional-size", "string-sizes",
         "nan-cohort-noise", "nan-scale-sigma", "ragged-archetypes", "bool-concordance", "no-aps",
-        "negative-baseline", "nan-hr", "removed-field", "nan-session-noise", "list-config"])
+        "negative-baseline", "nan-hr", "removed-field", "nan-session-noise", "list-config",
+        "misspelt-kind"])
 def test_simulators_reject_a_bad_config_field(kind, config, message):
     with pytest.raises(ParameterError, match=message):
         simulation_config(kind, config)
+    if kind not in ("cohort", "session"):
+        return  # each simulator names its own kind
     with pytest.raises(ParameterError, match=message):
         if kind == "cohort":
             simulate_cohort(config, 1)

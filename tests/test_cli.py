@@ -279,9 +279,9 @@ def test_building_the_set_up_inputs_loads_no_scipy_module(tmp_path):
     assert (tmp_path / "aps.json").exists()
 
 
-def test_design_command_leaves_out_scipy_graph_package(tmp_path):
-    # the contact patch's component is found in numpy: a design loads
-    # scipy.sparse for the mesh topology and nothing of scipy.sparse.csgraph
+def test_design_command_loads_no_scipy_module(tmp_path):
+    # the mesh topology is index arrays and the contact patch's component is
+    # found by label hooking, both in numpy: a design loads no scipy module
     mesh_path, template_path = _design_inputs(tmp_path)
     src = Path(__import__("aurisense").__file__).resolve().parent.parent
     code = (
@@ -291,11 +291,11 @@ def test_design_command_leaves_out_scipy_graph_package(tmp_path):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code, str(mesh_path), str(template_path),
-                          "--out", str(tmp_path / "design.json")], cwd=src,
+                          "--out", str(tmp_path / "design.json"),
+                          "--aps-out", str(tmp_path / "aps.json")], cwd=src,
                          capture_output=True, text=True, check=True).stdout
-    modules = json.loads(out.splitlines()[-1])  # after the command's summary line
-    assert "scipy.sparse" in modules
-    assert not [m for m in modules if m.startswith("scipy.sparse.csgraph")]
+    assert json.loads(out.splitlines()[-1]) == []  # after the command's summary line
+    assert (tmp_path / "aps.json").exists()
 
 
 def test_simulate_and_analyze_commands_rerun_identically(tmp_path):

@@ -729,10 +729,12 @@ def test_pipeline_validation():
     ({"k_range": (True, 8)}, "k_range must be two integers"),
     ({"k_range": (2,)}, "k_range must be two integers"),
     ({"k_range": (2, 5, 7)}, "k_range must be two integers"),
+    ({"k_range": 5}, "k_range must be two integers"),
+    ({"k_range": None}, "k_range must be two integers"),
     ({"seed": 2.5}, "seed must be an integer >= 0"),
     ({"seed": "3"}, "seed must be an integer >= 0"),
-], ids=["fractional-lo", "float-hi", "bool-lo", "one-bound", "three-bounds", "fractional-seed",
-        "string-seed"])
+], ids=["fractional-lo", "float-hi", "bool-lo", "one-bound", "three-bounds", "one-integer",
+        "none", "fractional-seed", "string-seed"])
 def test_pipeline_takes_only_whole_k_and_seeds(kwargs, match):
     rows = simulate_cohort(None, seed=6).rows
     with pytest.raises(ParameterError, match=match):

@@ -108,8 +108,8 @@ def test_underdetermined_vertex_falls_back_to_larger_ring():
     # the strip's end vertices 5 and 6 have 4 neighbors in their 2-ring and
     # 6 in their 3-ring, so the grown ring fits them and nothing is flagged
     mesh = _strip_mesh(6)
-    assert np.diff(mesh.k_rings(np.array([5, 6]), 2).indptr).tolist() == [4, 4]
-    assert np.diff(mesh.k_rings(np.array([5, 6]), 3).indptr).tolist() == [6, 6]
+    assert np.diff(mesh.k_rings(np.array([5, 6]), 2)[0]).tolist() == [4, 4]
+    assert np.diff(mesh.k_rings(np.array([5, 6]), 3)[0]).tolist() == [6, 6]
     field = curvature_field(mesh)
     assert field.flagged.size == 0
     assert np.abs(field.mean).max() < 1e-12
@@ -197,8 +197,7 @@ def test_numpy_fit_matches_loop_kernel(query):
     mesh = make_icosphere(subdivisions=2)
     assert mesh.n_vertices == 162
     t1, t2 = _tangent_frames(mesh.vertex_normals)
-    rings = mesh.k_rings(query, 2)
-    args = (mesh.vertices, t1, t2, mesh.vertex_normals, query, rings.indptr, rings.indices)
+    args = (mesh.vertices, t1, t2, mesh.vertex_normals, query, *mesh.k_rings(query, 2))
     coeffs, ok = _fit_coeffs(*args)
     ref_coeffs, ref_ok = _fit_coeffs_loop(*args)
     np.testing.assert_array_equal(ok, ref_ok)

@@ -556,11 +556,16 @@ def _area_over_every_face(mesh, center, face, axis, diameter):
     return float(per_face[patch].sum())
 
 
-def _component_by_csgraph(adjacency, positive, seed):
+def _component_by_csgraph(pairs, n_faces, positive, seed):
     """The seed's component among the faces ``positive`` and the seed, by
-    scipy's ``connected_components`` on the adjacency among those faces."""
-    from scipy.sparse.csgraph import connected_components  # the reference only
+    scipy's ``connected_components`` on the adjacency among those faces, a
+    CSR array of the (2, E) face ``pairs``."""
+    import scipy.sparse as sp  # the reference only
+    from scipy.sparse.csgraph import connected_components
 
+    u, v = pairs
+    adjacency = sp.csr_array((np.ones(2 * u.size, dtype=bool), (np.r_[u, v], np.r_[v, u])),
+                             shape=(n_faces, n_faces))
     faces = np.union1d(positive, [seed])
     _, label = connected_components(adjacency[faces][:, faces], directed=False)
     return faces[label == label[np.searchsorted(faces, seed)]]
@@ -572,13 +577,13 @@ def test_connected_patch_matches_csgraph_on_the_sheet_meshes(request, name):
     # positive faces split into several components
     split = 0
     for mesh, center, face, axis in _pathway_cases(request, name, np.random.default_rng(38)):
-        adjacency = mesh.face_adjacency()
-        pairs = mesh.face_pairs_among(np.arange(mesh.n_faces))
+        pairs = mesh.face_adjacency()
         full = _every_face(mesh, center, face, axis)
         for diameter in (0.2, 1.0, 3.0, 6.0, 8.0):
             positive = np.flatnonzero(_clipped_areas(full, diameter) > 0.0)
             patch = _connected_patch(pairs, mesh.n_faces, positive, face)
-            np.testing.assert_array_equal(patch, _component_by_csgraph(adjacency, positive, face))
+            np.testing.assert_array_equal(
+                patch, _component_by_csgraph(pairs, mesh.n_faces, positive, face))
             split += patch.size < positive.size
     assert split > 0
 
@@ -593,17 +598,15 @@ def test_connected_patch_matches_csgraph_on_drawn_subsets(
     # share splits into many components, and the seed may lie anywhere,
     # positive or not
     mesh = icosphere_r10 if sphere else bumpy
-    adjacency = mesh.face_adjacency()
+    pairs = mesh.face_adjacency()
     rng = np.random.default_rng(rng_seed)
     centroids = mesh.face_spheres()[0]
     near = np.linalg.norm(centroids - centroids[rng.integers(mesh.n_faces)], axis=1) <= radius
     positive = np.flatnonzero(near & (rng.random(mesh.n_faces) < density))
     seed = int(rng.choice(np.flatnonzero(near)) if seed_near else rng.integers(mesh.n_faces))
     positive = np.union1d(positive, [seed]) if seed_positive else positive[positive != seed]
-    np.testing.assert_array_equal(
-        _connected_patch(mesh.face_pairs_among(np.arange(mesh.n_faces)), mesh.n_faces,
-                         positive, seed),
-        _component_by_csgraph(adjacency, positive, seed))
+    np.testing.assert_array_equal(_connected_patch(pairs, mesh.n_faces, positive, seed),
+                                  _component_by_csgraph(pairs, mesh.n_faces, positive, seed))
 
 
 def _graded_plane():

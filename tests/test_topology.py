@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -45,9 +43,26 @@ def ref_k_ring(adjacency, v, k):
     return sorted(seen - {v})
 
 
-def rows(csr):
-    return [csr.indices[csr.indptr[r]:csr.indptr[r + 1]].tolist()
-            for r in range(csr.shape[0])]
+def ref_pairs_among(adjacency, faces):
+    """The sorted pairs (u, v), u < v, of positions in ``faces`` whose faces
+    are neighbours in the set reference ``adjacency``."""
+    pos = {f: u for u, f in enumerate(faces)}
+    return sorted((u, pos[g]) for u, f in enumerate(faces) for g in adjacency[f]
+                  if pos.get(g, -1) > u)
+
+
+def rows(rings):
+    indptr, indices = rings
+    return [indices[indptr[r]:indptr[r + 1]].tolist() for r in range(indptr.size - 1)]
+
+
+def neighbours(pairs, n):
+    """The sorted neighbours of each of n items, from (2, E) pairs."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs.T.tolist():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [sorted(s) for s in nbrs]
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +111,14 @@ def mesh(request, bumpy):
 
 
 def test_adjacency_matches_set_reference(mesh):
-    vadj = mesh.vertex_adjacency()
-    fadj = mesh.face_adjacency()
-    assert vadj.shape == (mesh.n_vertices, mesh.n_vertices)
-    assert fadj.shape == (mesh.n_faces, mesh.n_faces)
-    assert vadj.has_sorted_indices and fadj.has_sorted_indices
-    assert rows(vadj) == ref_vertex_adjacency(mesh)
-    assert rows(fadj) == ref_face_adjacency(mesh)
+    indptr, indices = mesh.vertex_adjacency()
+    pairs = mesh.face_adjacency()
+    assert indptr.shape == (mesh.n_vertices + 1,)
+    assert pairs.shape[0] == 2 and (pairs[0] < pairs[1]).all()
+    # sorted, each pair once
+    assert list(zip(*pairs.tolist())) == sorted(set(zip(*pairs.tolist())))
+    assert rows((indptr, indices)) == ref_vertex_adjacency(mesh)
+    assert neighbours(pairs, mesh.n_faces) == ref_face_adjacency(mesh)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -118,8 +134,48 @@ def test_k_rings_match_set_reference(mesh, k):
     assert rows(mesh.k_rings(query, k)) == [expected[v] for v in query]
 
 
+def test_k_rings_of_no_hop_and_of_no_vertex(mesh):
+    indptr, indices = mesh.k_rings(np.arange(mesh.n_vertices), 0)
+    assert indptr.tolist() == [0] * (mesh.n_vertices + 1) and indices.size == 0
+    for query in ([], np.empty(0, dtype=np.int64)):
+        for k in (0, 1, 3):
+            indptr, indices = mesh.k_rings(query, k)
+            assert indptr.tolist() == [0] and indices.size == 0
+
+
+def test_bare_vertex_rows_do_not_end_the_hops_of_the_others():
+    # vertex 4 lies on no face, so a hop finds nothing for its rows; that
+    # must not end the hops while vertex 1's row still grows
+    mesh = orphan_vertex_mesh()
+    for k in (1, 2):
+        assert rows(mesh.k_rings([4, 4, 1], k)) == [[], [], [0, 2] if k == 1 else [0, 2, 3]]
+
+
+def test_k_rings_stop_hopping_past_the_mesh_reach(icosphere_unit):
+    # a hop that reaches no new vertex ends the hops: k = 10**9 once made
+    # 10**9 of them, each over every vertex reached.  24 hops reach every
+    # vertex from each of these, 23 not from vertex 0
+    query = [0, 321, 641]
+    far = rows(icosphere_unit.k_rings(query, 10 ** 9))
+    assert far == rows(icosphere_unit.k_rings(query, 24))
+    assert [len(r) for r in far] == [641] * 3
+    assert icosphere_unit.k_ring(0, 23).size == 640
+    assert icosphere_unit.k_ring(0, 10 ** 9).tolist() == far[0]
+
+
+def test_face_pairs_among_match_set_reference_on_face_subsets(mesh):
+    adjacency = ref_face_adjacency(mesh)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        faces = rng.permutation(mesh.n_faces)[:rng.integers(mesh.n_faces + 1)]
+        among = mesh.face_pairs_among(faces)
+        expected = ref_pairs_among(adjacency, faces.tolist())
+        assert among.shape == (2, len(expected))
+        assert list(zip(*among.tolist())) == expected
+
+
 def test_non_manifold_edge_pairs_all_its_faces():
-    fadj = rows(non_manifold_fan().face_adjacency())
+    fadj = neighbours(non_manifold_fan().face_adjacency(), 4)
     assert fadj == [[1, 2, 3], [0, 2], [0, 1], [0]]
 
 
@@ -161,8 +217,8 @@ def test_curvature_equals_curvature_from_reference_rings(request, monkeypatch, n
 
     def ref_k_rings(query, k):
         rings = [ref_k_ring(adjacency, int(v), k) for v in query]
-        return SimpleNamespace(indptr=np.cumsum([0] + [len(r) for r in rings]),
-                               indices=np.array([u for r in rings for u in r], dtype=np.int64))
+        return (np.cumsum([0] + [len(r) for r in rings]),
+                np.array([u for r in rings for u in r], dtype=np.int64))
 
     monkeypatch.setattr(mesh, "k_rings", ref_k_rings)
     ref = curvature_field(mesh)
@@ -178,20 +234,18 @@ def test_pathway_adjacency_is_the_mesh_adjacency_among_its_faces(request, name):
         "two-sheets": lambda: _two_sheets(request.getfixturevalue("plane_fine")),
         "non-manifold": non_manifold_fan,
     }[name]()
-    full = mesh.face_adjacency()
+    adjacency = ref_face_adjacency(mesh)
     for target in ([0.3, -1.7, 5.0], [6.1, 2.2, 5.0]):
         center, face, bary, _ = mesh.closest_point(target)
         pathway = _Pathway(mesh, center, face, mesh.normal_at(face, bary))
         # the seed alone, a few rings of faces, wider than a sheet, every face
         for radius in (0.0, 0.5, 2.0, 8.0, 100.0):
             pathway._build(radius)
-            expected = full[pathway.faces][:, pathway.faces]
-            expected.sort_indices()
             # each edge once, as a pair (u, v) with u < v
-            pairs = [(u, v) for u, row in enumerate(rows(expected)) for v in row if u < v]
+            pairs = ref_pairs_among(adjacency, pathway.faces.tolist())
             among = mesh.face_pairs_among(pathway.faces)
             assert among.shape == (2, len(pairs))
-            assert sorted(zip(*among.tolist())) == pairs
+            assert list(zip(*among.tolist())) == pairs
             assert sorted(zip(*pathway.edges.tolist())) == pairs
         assert pathway.faces.size == mesh.n_faces
 
