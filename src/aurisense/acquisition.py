@@ -185,7 +185,8 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     share an archetype equals k = round(concordance * n_subjects).  That is
     possible iff the matched counts fit the box of ``_pairs``: the sum over
     archetypes of max(0, ceil((s_a - (n - k)) / 2)) is at most k and that
-    of floor(s_a / 2) at least k; otherwise it raises ``ParameterError``.
+    of floor(s_a / 2) at least k; otherwise it raises ``ParameterError``, as
+    it does when a drawn value is not a finite positive float64.
 
     Two streams: ``spawn_rng(seed, 0)`` shuffles the pairs into subjects and
     then swaps each subject's sides with probability 1/2; row e of one
@@ -205,7 +206,11 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     arch = pairs.ravel()
     n_aps = trends.shape[1]
     z = spawn_rng(seed, 1).standard_normal((arch.size, n_aps + 1))
-    rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
+    if not (np.isfinite(rows) & (rows > 0)).all():
+        raise ParameterError(f"noise {noise:g} draws an AESR value that is not a "
+                             f"finite positive float64")
     return CohortResult(
         labels=tuple(f"S{i + 1:02d}-{side}" for i in range(len(pairs)) for side in "LR"),
         rows=rows,

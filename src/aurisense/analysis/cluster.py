@@ -2,9 +2,10 @@
 
 ``cluster_pipeline`` is the one analysis chain: each ear's AESR row is
 divided by its AP1, k-means clusters the rows' scores on the first three
-principal components for every K of a range, the elbow of the SSE curve
-picks K*, and the silhouette scores that clustering.  ``concordance`` then
-pairs the two ears of each subject in the report.
+principal components for K = 2 .. min(8, M - 1) with 8 restarts each, the
+elbow of the SSE curve picks K*, and the silhouette scores that
+clustering.  ``concordance`` then pairs the two ears of each subject in
+the report.
 
 SSE is the sum over clusters of squared Euclidean distances from each
 member to its cluster center; the silhouette of a point is the three-case
@@ -36,7 +37,7 @@ over the coordinates in order, whose minimum over the K rows is d²; the
 label is the lowest row at that minimum.  The labels, offset by restart·K
 once per step, feed one ``bincount`` of the cluster sizes and one
 index-order ``bincount`` per coordinate of the centre sums.
-Convergence, the SSE check and the empty-cluster reseed stay per restart,
+Convergence and the empty-cluster reseed stay per restart,
 so every restart gets the labels, centres and SSE of a run on its own.
 Tests check all three.
 """
@@ -52,8 +53,9 @@ from ..seeding import is_whole, spawn_rng
 from .normalize import normalize_spatial
 from .pca import pca
 
-_SSE_SLACK = 1e-9  # monotonicity assertion slack inside one Lloyd run
 _MAX_ITER = 300    # Lloyd iterations per restart
+_K_MAX = 8         # largest K the pipeline tries, where M - 1 allows it
+_RESTARTS = 8      # k-means restarts per K in the pipeline
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
 _BLOCK_ELEMENTS = 2 ** 19  # distances and tiled coordinates per k-means restart block (4 MB)
 _SILHOUETTE_ELEMENTS = 2 ** 17  # distances per silhouette row block (1 MB)
@@ -162,8 +164,6 @@ def _lloyd(points, k, rngs):
                     labels[i], d2[i] = lab[0] + offsets[i], dd[0]
                 counts[i] = np.bincount(lab[0], minlength=k)
         sse = d2.sum(axis=1)  # each contiguous row is summed as its own 1-D array
-        assert (sse <= prev_sse * (1.0 + _SSE_SLACK) + _SSE_SLACK).all(), \
-            "SSE increased within a Lloyd run"
         # bincount adds rows in index order; a still-empty cluster keeps its center
         sums = np.stack([np.bincount(labels.ravel(), w[:a * m], a * k) for w in weights],
                         axis=1).reshape(a, k, d)
@@ -348,43 +348,33 @@ class ClusterReport:
         }
 
 
-def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
-                     seed: int = 0) -> ClusterReport:
+def cluster_pipeline(matrix, labels, seed: int = 0) -> ClusterReport:
     """Ratios to AP1 -> PCA -> SSE-vs-K -> elbow -> final k-means -> silhouette.
 
     Each row of the (M, N) AESR matrix is divided by its first AP
     (``normalize_spatial``), and k-means clusters the rows' scores on the
-    first ``min(3, M - 1, N)`` principal components.  ``k_range`` is two
-    integers with 2 <= lo < hi <= M - 1; the SSE curve starts at K = 1.
+    first ``min(3, M - 1, N)`` principal components for K = 2 ..
+    min(``_K_MAX``, M - 1), each K with ``_RESTARTS`` restarts.  The SSE
+    curve starts at K = 1, and the elbow needs K = 1, 2 and 3, so M is at
+    least 4.  ``labels`` names the rows, one per row.
     """
     x = np.asarray(matrix, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise ParameterError("matrix must be 2-D with at least 3 rows")
+    if x.ndim != 2 or x.shape[0] < 4:
+        raise ParameterError("matrix must be 2-D with at least 4 rows")
     if not np.isfinite(x).all() or (x <= 0).any():
         raise ParameterError("matrix entries must be finite and positive")
     m = x.shape[0]
-    if labels is not None and len(labels) != m:
+    if len(labels) != m:
         raise LabelError(f"{len(labels)} labels for {m} rows")
-    if not (isinstance(k_range, (tuple, list, np.ndarray)) and len(k_range) == 2
-            and all(is_whole(k) for k in k_range)):
-        raise ParameterError("k_range must be two integers")
-    k_lo, k_hi = k_range
-    # the elbow needs K = 1 and at least two candidates
-    if not 2 <= k_lo < k_hi <= m - 1:
-        raise ParameterError(f"k_range must satisfy 2 <= lo < hi <= M-1 = {m - 1}")
     p = pca(normalize_spatial(x), k=min(_N_COMPONENTS, m - 1, x.shape[1]))
     points = p.scores
 
     centroid = points.mean(axis=0)
     sse1 = float(np.einsum("ij,ij->", points - centroid, points - centroid))
-    ks = [1]
-    sses = [sse1]
-    runs = {}
-    for k in range(k_lo, k_hi + 1):
-        res = kmeans(points, k, restarts=restarts, seed=int(spawn_rng(seed, k).integers(2 ** 63)))
-        runs[k] = res
-        ks.append(k)
-        sses.append(res.sse)
+    ks = range(1, min(_K_MAX, m - 1) + 1)
+    runs = {k: kmeans(points, k, restarts=_RESTARTS,
+                      seed=int(spawn_rng(seed, k).integers(2 ** 63))) for k in ks[1:]}
+    sses = [sse1] + [runs[k].sse for k in ks[1:]]
     elbow = select_k_elbow(sses, ks)
     final = runs[elbow.k_star]
     sil, sil_mean = silhouette(points, final.assignments)
@@ -397,7 +387,7 @@ def cluster_pipeline(matrix, labels=None, k_range=(2, 8), restarts: int = 8,
         silhouette_values=sil,
         silhouette_mean=sil_mean,
         ev_ratios=p.explained_variance_ratio,
-        labels=tuple(labels) if labels is not None else tuple(f"row{i}" for i in range(m)),
+        labels=tuple(labels),
         elbow_warning=elbow.warning,
     )
 

@@ -8,10 +8,11 @@ identical inputs reproduces byte-identical files.
 
 Each command runs one pipeline on one format per input.  ``analyze``
 divides each row of the dataset by its AP1, clusters the rows' PCA scores
-with k-means and the elbow, and scores the result by silhouette and
-left/right concordance.  ``contour`` reads its APs from the
-``{"aps": [...]}`` file that ``design --aps-out`` writes, and writes the
-field as the ``aesr`` vertex property of an ASCII PLY.
+with k-means over K = 2 .. min(8, M - 1), 8 restarts each, picks K* by the
+elbow, and scores the result by silhouette and left/right concordance.
+``contour`` reads its APs from the ``{"aps": [...]}`` file that
+``design --aps-out`` writes, and writes the field as the ``aesr`` vertex
+property of an ASCII PLY.
 
 Exit codes: 0 success, 1 input/configuration error, 2 partial numeric
 failure (e.g. some electrodes could not reach the target area).
@@ -137,8 +138,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     labels, rows = read_dataset_csv(args.dataset)
-    report = cluster_pipeline(rows, labels=labels, k_range=tuple(args.k_range),
-                              restarts=args.restarts, seed=args.seed)
+    report = cluster_pipeline(rows, labels, seed=args.seed)
     obj = report.to_json_obj()
     try:
         obj["concordance"] = concordance(report).to_json_obj()
@@ -147,11 +147,7 @@ def cmd_analyze(args) -> int:
     obj["_meta"] = {
         "command": "analyze",
         "seed": args.seed,
-        "config_digest": _digest({
-            "dataset": _file_digest(args.dataset),
-            "k_range": list(args.k_range),
-            "restarts": args.restarts,
-        }),
+        "config_digest": _digest({"dataset": _file_digest(args.dataset)}),
         "version": __version__,
     }
     write_report_json(args.out, obj)
@@ -239,12 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="session test label (A* cycling, B* control)")
     s.set_defaults(func=cmd_simulate)
 
-    a = sub.add_parser("analyze", help="ratios to AP1, PCA, k-means with the elbow, "
+    a = sub.add_parser("analyze", help="ratios to AP1, PCA, k-means over K = 2 .. "
+                                       "min(8, M - 1) with 8 restarts and the elbow, "
                                        "silhouette and left/right concordance")
-    a.add_argument("dataset", help="CSV: label,AP1,...,APN")
-    a.add_argument("--k-range", type=int, nargs=2, default=(2, 8),
-                   metavar=("LO", "HI"))
-    a.add_argument("--restarts", type=int, default=8)
+    a.add_argument("dataset", help="CSV: label,AP1,...,APN, at least 4 rows")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out", required=True, help="report JSON output")
     a.set_defaults(func=cmd_analyze)

@@ -334,31 +334,36 @@ def closest_point_on_triangles(p, a, b, c):
     """Closest points to ``p`` on each triangle (a_i, b_i, c_i).
 
     Returns the closest points (F, 3) and their barycentric coordinates
-    (F, 3).  The dot products d1..d6 and the signed areas va, vb, vc are
-    Ericson's (*Real-Time Collision Detection*, 2004, §5.1.5).  Where all
-    three areas are positive, ``p`` projects inside the triangle and the
-    closest point is the plane's foot.  Elsewhere it is the nearest of the
-    closest points of the edges ab, ac and bc, each at Ericson's edge
-    parameter clipped to [0, 1]; a tie goes to the first edge.
+    (F, 3).  The plane's foot a + u ab + v ac is taken from triple products
+    with the normal n = ab x ac: u = ((p - a) x ac).n / n.n and v = (ab x
+    (p - a)).n / n.n, which keep their accuracy on slivers, where Ericson's
+    differences of dot products cancel.  Where u > 0, v > 0 and u + v < 1,
+    ``p`` projects inside the triangle and the closest point is the foot.
+    Elsewhere it is the nearest of the closest points of the edges ab, ac
+    and bc, each at its parameter ab.ap / |ab|^2, ac.ap / |ac|^2 and
+    bc.bp / |bc|^2 clipped to [0, 1] (Ericson, *Real-Time Collision
+    Detection*, 2004, §5.1.5); a tie goes to the first edge.
     """
-    ab, ac = b - a, c - a
-    d1, d2, d3, d4, d5, d6 = (np.einsum("ij,ij->i", edge, off)
-                              for off in (p - a, p - b, p - c) for edge in (ab, ac))
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-    # the foot is used only inside, where va + vb + vc > 0; an edge short
+    ab, ac, bc, ap = b - a, c - a, c - b, p - a
+    n = np.cross(ab, ac)
+
+    def dot(x, y):
+        return np.einsum("ij,ij->i", x, y)
+
+    # the foot is used only inside, which needs n.n > 0; an edge short
     # against the distances to p can round its parameter to 0/0, which
     # fmax/fmin, unlike np.clip, send to 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        foot_u, foot_v = vb / (va + vb + vc), vc / (va + vb + vc)
-        t = np.array([d1 / (d1 - d3), d2 / (d2 - d6), (d4 - d3) / ((d4 - d3) + (d5 - d6))])
+        nn = dot(n, n)
+        foot_u, foot_v = dot(np.cross(ap, ac), n) / nn, dot(np.cross(ab, ap), n) / nn
+        t = np.array([dot(ab, ap) / dot(ab, ab), dot(ac, ap) / dot(ac, ac),
+                      dot(bc, p - b) / dot(bc, bc)])
     t = np.fmin(np.fmax(t, 0.0), 1.0)
-    zero = np.zeros_like(d1)
+    zero = np.zeros_like(nn)
     edge_u, edge_v = np.array([t[0], zero, 1.0 - t[2]]), np.array([zero, t[1], t[2]])
     gap = a + ab * edge_u[..., None] + ac * edge_v[..., None] - p
-    nearest = np.argmin(np.einsum("eij,eij->ei", gap, gap), axis=0), np.arange(len(d1))
-    inside = (va > 0) & (vb > 0) & (vc > 0)
+    nearest = np.argmin(np.einsum("eij,eij->ei", gap, gap), axis=0), np.arange(len(nn))
+    inside = (foot_u > 0) & (foot_v > 0) & (foot_u + foot_v < 1)
     u = np.where(inside, foot_u, edge_u[nearest])
     v = np.where(inside, foot_v, edge_v[nearest])
     pts = a + ab * u[:, None] + ac * v[:, None]

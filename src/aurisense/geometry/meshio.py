@@ -7,14 +7,15 @@ count, a non-finite coordinate, a face index naming no vertex) raises
 ``MeshFormatError``, or ``UnsupportedTopologyError`` for a face that is
 not a triangle, naming that row's line.  OBJ files are read as
 ``read_lines`` rows.  A PLY file is read in one pass over one UTF-8 text
-handle: its header rows, then each table by one ``textio.file_table`` run,
-then the rest of the file, which is only decoded.  Only when the header
-or a table does not read, or a byte is not UTF-8, is the file read again
-as ``read_lines`` rows by the same header parser, which name the faulty
-line.  A row that reads but fails a check finds its line through
-``textio.FileLines``.  ``load_mesh`` and ``read_ply_vertex_scalars`` take
-the same route, which returns the vertex and face tables as new
-C-contiguous arrays that ``SurfaceMesh`` keeps without a copy.
+handle: its header rows, where a header fault is raised at its line, then
+each table by one ``textio.file_table`` run, then the rest of the file,
+which is only decoded.  Only when a table does not read, or a byte is not
+UTF-8, is the file read again as ``read_lines`` rows, whose body rows
+``textio.table`` reads to name the faulty line.  A row that reads but
+fails a check finds its line through ``textio.FileLines``.  ``load_mesh``
+and ``read_ply_vertex_scalars`` take the same route, which returns the
+vertex and face tables as new C-contiguous arrays that ``SurfaceMesh``
+keeps without a copy.
 
 - OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
   dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
@@ -100,44 +101,39 @@ def _read_ply(path):
                     lines.append(line)
                     if row.split()[0] == "end_header":
                         break
-            props, nv, nf = _ply_header(head, lines)[:3]
+            props, nv, nf = _ply_header(head, lines)
             values = file_table(fh, nv, len(props), np.float64)
             faces = None if values is None else file_table(fh, nf, 4, np.int64)
             fh.read()  # a byte past the tables that is not UTF-8 is a fault too
-    except (MeshFormatError, UnicodeDecodeError):
+    except UnicodeDecodeError:
         faces = None
-    if faces is None:  # the rows name the line at fault
-        return _parse_ply(*read_lines(path, MeshFormatError))
     top = len(head)
+    if faces is None:  # the rows name the line at fault; a byte not UTF-8 raises here
+        rows, lines = read_lines(path, MeshFormatError)
+        body, body_lines = rows[top:], lines[top:]
+        if len(body) < nv + nf:
+            raise MeshFormatError(f"PLY body ended after {len(body)} of the "
+                                  f"{nv + nf} vertex and face rows")
+        v_lines, f_lines = body_lines[:nv], body_lines[nv:nv + nf]
+        values = table(body[:nv], v_lines, len(props), np.float64, MeshFormatError)
+        faces = table(body[nv:nv + nf], f_lines, 4, np.int64, MeshFormatError,
+                      wide=_NOT_TRIANGLE)
+        return _ply_tables(props, values, v_lines, faces, f_lines)
     return _ply_tables(props, values, FileLines(path, MeshFormatError, top),
                        faces, FileLines(path, MeshFormatError, top + nv))
 
 
-def _parse_ply(rows, lines):
-    """``_read_ply``'s result from the ``read_lines`` rows of a PLY file."""
-    props, nv, nf, end = _ply_header(rows, lines)
-    body, body_lines = rows[end + 1:], lines[end + 1:]
-    if len(body) < nv + nf:
-        raise MeshFormatError(f"PLY body ended after {len(body)} of the "
-                              f"{nv + nf} vertex and face rows")
-    values = table(body[:nv], body_lines[:nv], len(props), np.float64, MeshFormatError)
-    f_rows, f_lines = body[nv:nv + nf], body_lines[nv:nv + nf]
-    faces = table(f_rows, f_lines, 4, np.int64, MeshFormatError, wide=_NOT_TRIANGLE)
-    return _ply_tables(props, values, body_lines[:nv], faces, f_lines)
-
-
 def _ply_header(rows, lines):
     """(vertex property names in declaration order, vertex count, face
-    count, index of the end_header row) of the rows of a PLY file."""
+    count) of the header rows of a PLY file, up to its end_header row."""
     if not rows or rows[0] != "ply":
         raise MeshFormatError("not a PLY file (missing 'ply' magic)",
-                              line=int(lines[0]) if rows else None)
+                              line=lines[0] if rows else None)
     counts = {}
     props = []
     element = None
-    for i in range(1, len(rows)):
-        parts = rows[i].split()
-        line = int(lines[i])
+    for row, line in zip(rows[1:], lines[1:]):
+        parts = row.split()
         if parts[0] == "end_header":
             break
         if parts[0] == "format":
@@ -158,7 +154,7 @@ def _ply_header(rows, lines):
     if "vertex" not in counts or "face" not in counts or not {"x", "y", "z"} <= set(props):
         raise MeshFormatError("PLY header lacks a vertex element with x, y, z "
                               "properties or a face element")
-    return props, counts["vertex"], counts["face"], i
+    return props, counts["vertex"], counts["face"]
 
 
 def _ply_tables(props, values, v_lines, faces, f_lines):

@@ -1,7 +1,8 @@
 """Synthetic meshes: plane grids, icospheres, cylinders, bumpy reliefs.
 
-Used by the test-suite oracles and by the CLI examples; all generators are
-deterministic and produce outward-consistent winding.
+Used by the test-suite oracles and by the benchmark's set-up, which builds
+its ears with ``make_bumpy_plane``; all generators are deterministic and
+produce outward-consistent winding.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The OBJ, AP template, dataset and values CSV readers read their file with
 ``read_lines`` and parse its body rows with ``table``.  The PLY reader
-reads its header rows from an open text handle and each table from that
-same handle with ``file_table``, with no string kept per row; it takes
-``read_lines`` and ``table``, which alone find the line of a row that does
-not parse, only when its header or a table does not read or a byte is not
-UTF-8.  A row that reads but breaks a later check finds its line through
+reads its header rows from an open text handle, where a header fault is
+raised at its line, and each table from that same handle with
+``file_table``, with no string kept per row.  Only when a table does not
+read or a byte is not UTF-8 does it take ``read_lines``, and run ``table``,
+which alone finds the line of a row that does not parse, on the body rows.
+A row that reads but breaks a later check finds its line through
 ``FileLines``.
 Every ASCII writer writes its body rows with ``write_rows``.
 

@@ -104,6 +104,8 @@ def test_pca_parameter_errors():
         pca(data, k=4)  # k > M-1
     with pytest.raises(ParameterError):
         pca(data[:1], k=1)
+    with pytest.raises(ParameterError, match="2-D"):
+        pca(data[0], k=1)
 
 
 def test_pca_deterministic_sign():

@@ -146,28 +146,30 @@ def test_closest_point_equals_the_search_over_every_face(request, name):
 
 
 def _oracle_queries(rng, n):
-    """(4n, 3, 3) triangle corners, each relative to its query point.
+    """(5n, 3, 3) triangle corners, each relative to its query point.
 
-    Four families of n random triangles: ordinary ones, slivers (c within
-    1e-3 of the line ab), needles (ab 1e-3 long), and ordinary ones whose
-    query lies about 1e3 off the plane.  Each query is a + s ab + t ac + h n
+    Five families of n random triangles: ordinary ones, slivers (c within
+    1e-3 of the line ab), needles (ab 1e-3 long), ordinary ones whose
+    query lies about 1e3 off the plane, and thinner slivers (c within 1e-6
+    of the line ab).  Each query is a + s ab + t ac + h n
     for the unit normal n; (s, t) covers all seven regions of the plane,
     and in each family an eighth of the queries lies on each edge, an eighth
     at a vertex and an eighth in the plane (h = 0).
     """
-    a, ab, ac = (rng.normal(size=(4, n, 3)) for _ in range(3))
-    ac[1] = ab[1] * rng.uniform(-0.5, 1.5, size=(n, 1)) + 1e-3 * rng.normal(size=(n, 3))
+    a, ab, ac = (rng.normal(size=(5, n, 3)) for _ in range(3))
+    for i, height in ((1, 1e-3), (4, 1e-6)):
+        ac[i] = ab[i] * rng.uniform(-0.5, 1.5, size=(n, 1)) + height * rng.normal(size=(n, 3))
     ab[2] *= 1e-3
     normal = np.cross(ab, ac)
     normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-    st = rng.uniform(-1.5, 2.5, size=(4, n, 2))
+    st = rng.uniform(-1.5, 2.5, size=(5, n, 2))
     k = n // 8
-    s = rng.uniform(size=(4, k))
+    s = rng.uniform(size=(5, k))
     st[:, :k] = np.stack([s, 0 * s], axis=-1)
     st[:, k:2 * k] = np.stack([0 * s, s], axis=-1)
     st[:, 2 * k:3 * k] = np.stack([s, 1 - s], axis=-1)
-    st[:, 3 * k:4 * k] = np.array([[0, 0], [1, 0], [0, 1]])[rng.integers(3, size=(4, k))]
-    h = rng.normal(size=(4, n, 1))
+    st[:, 3 * k:4 * k] = np.array([[0, 0], [1, 0], [0, 1]])[rng.integers(3, size=(5, k))]
+    h = rng.normal(size=(5, n, 1))
     h[:, 4 * k:5 * k] = 0.0
     h[3] *= 1e3
     query = a + st[..., :1] * ab + st[..., 1:] * ac + h * normal
@@ -188,8 +190,9 @@ def test_closest_point_on_triangles_meets_the_projection_conditions(p):
     np.testing.assert_allclose(q, np.einsum("ik,ikj->ij", bary, x), rtol=0,
                                atol=1e-12 * (1.0 + np.abs(x).max()))
     # a q within delta of the true closest point gives at most about
-    # delta (|p - q| + diam) here; Ericson's areas lose accuracy as a sliver
-    # thins, and put q a few 1e-9 of the diameter off at the 1e-3 slivers
+    # delta (|p - q| + diam) here; on this draw the 1e-6 slivers put q a few
+    # 1e-10 of the diameter off, and on other draws random triangles that
+    # come out nearly collinear reach 2e-8
     diam = np.linalg.norm(x - np.roll(x, 1, axis=1), axis=2).max(axis=1)
     gap = np.linalg.norm(p - q, axis=1)
     for corner in range(3):

@@ -233,6 +233,19 @@ def test_contour_rejects_a_values_file_that_repeats_a_label(tmp_path, capsys):
     assert not (tmp_path / "out.ply").exists()
 
 
+@pytest.mark.parametrize("values_text, message", [
+    ("label,value,spare\nAP1,1.0,0\nAP2,2.0,0\nAP3,3.0,0\n",
+     "values file has 2 value columns; expected 'label,value'"),
+    ("label,value\nAP1,1.0\nAP2,2.0\n", "2 values for 3 APs"),
+], ids=["two-columns", "too-few"])
+def test_contour_rejects_values_that_do_not_fit_the_aps(tmp_path, capsys, values_text,
+                                                        message):
+    argv = _contour_inputs(tmp_path, ["AP1", "AP2", "AP3"], values_text)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_json_inputs_that_are_not_utf8_exit_1(tmp_path, capsys):
     write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=10.0, spacing=1.0,
                                                       amplitude=1.0, wavelength=8.0))
@@ -311,8 +324,8 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
              "--out", str(out / "cohort.csv"), "--truth-out", str(out / "truth.json")],
             ["simulate", "session", "default", "--seed", "4", "--subject", "S02",
              "--test", "A2", "--out", str(out / "session.json")],
-            ["analyze", str(out / "cohort.csv"), "--k-range", "2", "5", "--restarts", "3",
-             "--seed", "3", "--out", str(out / "report.json")],
+            ["analyze", str(out / "cohort.csv"), "--seed", "3",
+             "--out", str(out / "report.json")],
         ]
         for argv in argvs:
             assert main(argv) == 0
@@ -334,8 +347,7 @@ def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path
     reports = {}
     for name in ("ears", "rows"):
         out = tmp_path / f"{name}.json"
-        assert main(["analyze", str(tmp_path / f"{name}.csv"), "--k-range", "2", "5",
-                     "--out", str(out)]) == 0
+        assert main(["analyze", str(tmp_path / f"{name}.csv"), "--out", str(out)]) == 0
         reports[name] = json.loads(out.read_text())
     assert "concordance" in reports["ears"]
     assert "concordance" not in reports["rows"]
@@ -351,30 +363,59 @@ def test_analyze_skips_the_concordance_of_a_repeated_ear(tmp_path):
     repeat = labels[0][:-1] + labels[0][-1].lower()
     write_dataset_csv(tmp_path / "repeat.csv", [*labels, repeat], np.vstack([rows, rows[:1]]))
     out = tmp_path / "repeat.json"
-    assert main(["analyze", str(tmp_path / "repeat.csv"), "--k-range", "2", "5",
-                 "--out", str(out)]) == 0
+    assert main(["analyze", str(tmp_path / "repeat.csv"), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert len(report["assignments"]) == len(labels) + 1
     assert "concordance" not in report
 
 
-@pytest.mark.parametrize("k_range", [["3", "3"], ["1", "4"], ["4", "2"], ["2", "20"]],
-                         ids=["one-k", "lo-1", "lo-above-hi", "hi-at-m"])
-def test_analyze_rejects_a_k_range_the_elbow_cannot_use(tmp_path, capsys, k_range):
-    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
-    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
-                 "--out", str(tmp_path / "cohort.csv")]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("m", [4, 8, 9, 20])
+def test_analyze_runs_k_from_2_to_the_smaller_of_8_and_m_less_1(tmp_path, m):
+    rows = np.random.default_rng(m).uniform(1.0, 2.0, size=(m, 3))
+    write_dataset_csv(tmp_path / "rows.csv", [f"S{i // 2:02d}-{'LR'[i % 2]}" for i in range(m)],
+                      rows)
     out = tmp_path / "report.json"
-    assert main(["analyze", str(tmp_path / "cohort.csv"), "--k-range", *k_range,
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == \
-        "error: k_range must satisfy 2 <= lo < hi <= M-1 = 19\n"
+    assert main(["analyze", str(tmp_path / "rows.csv"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["sse_by_k"]["k"] == list(range(1, min(8, m - 1) + 1))
+    assert report["_meta"]["config_digest"] == cli._digest(
+        {"dataset": cli._file_digest(tmp_path / "rows.csv")})
+
+
+def test_analyze_rejects_a_dataset_of_3_rows_with_one_message(tmp_path, capsys):
+    write_dataset_csv(tmp_path / "rows.csv", ["S01-L", "S01-R", "S02-L"],
+                      [[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]])
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "rows.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: matrix must be 2-D with at least 4 rows\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option", [["--normalize", "spatial"], ["--space", "pca"]],
-                         ids=["normalize", "space"])
+def test_analyze_ends_on_a_cohort_whose_clusters_lie_far_beyond_their_spread(tmp_path):
+    # at noise 30 the ratios to AP1 span dozens of orders of magnitude: a
+    # cluster lies so far beyond its own spread that its centre mean rounds
+    # by more than the spread, and the SSE of a Lloyd step rises
+    (tmp_path / "config.json").write_text('{"noise": 30}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "1",
+                 "--out", str(tmp_path / "cohort.csv")]) == 0
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "cohort.csv"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k_star"] == 2
+
+
+def test_analyze_rejects_a_ratio_to_ap1_that_overflows_with_one_message(tmp_path, capsys):
+    rows = np.random.default_rng(2).uniform(1.0, 2.0, size=(10, 3))
+    rows[0] = [1e-300, 1e300, 3.0]
+    write_dataset_csv(tmp_path / "rows.csv", [f"row{i}" for i in range(10)], rows)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "rows.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: a ratio to AP1 is not a finite float64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--normalize", "spatial"], ["--space", "pca"],
+                                    ["--k-range", "2", "5"], ["--restarts", "3"]],
+                         ids=["normalize", "space", "k-range", "restarts"])
 def test_analyze_has_one_pipeline_and_rejects_a_mode_option(tmp_path, capsys, option):
     (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
     assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
@@ -450,9 +491,10 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     ("cohort", '{"sizes": [35, 17, 5, -3]}', "'sizes'"),
     ("cohort", '{"sizes": [35.7, 17, 5, 3]}', "'sizes'"),
     ("cohort", '{"scale_sigma_factor": NaN}', "unknown config field 'scale_sigma_factor'"),
+    ("cohort", '{"noise": 1000}', "noise 1000 draws an AESR value that is not a finite"),
 ], ids=["negative-baseline", "nan-hr", "removed-field", "nan-session-noise",
         "nan-cohort-noise", "no-ears", "string-sizes", "negative-size", "fractional-size",
-        "nan-scale-sigma"])
+        "nan-scale-sigma", "overflowing-noise"])
 def test_simulate_rejects_a_bad_config_field_with_one_message(tmp_path, capsys, kind, config,
                                                               message):
     (tmp_path / "config.json").write_text(config)

@@ -570,3 +570,15 @@ def test_coincident_aps_are_rejected():
     aps = _aps_at_vertices(mesh, [12, 40, 40, 77, 101])
     with pytest.raises(ParameterError, match="AP2 and AP3"):
         interpolate_contour(mesh, aps, np.array([2.0, 1.0, 9.0, 3.0, 2.5]))
+
+
+@pytest.mark.parametrize("n_aps, values, match", [
+    (2, [1.0, 2.0], "need at least 3 APs"),
+    (4, [1.0, 2.0, 3.0], "3 values for 4 APs"),
+    (4, [1.0, 2.0, np.nan, 3.0], "AP values must be finite"),
+], ids=["two-aps", "short-values", "nan-value"])
+def test_interpolate_contour_rejects_values_that_do_not_fit_the_aps(n_aps, values, match):
+    mesh = make_bumpy_plane(extent=10.0, spacing=1.0, amplitude=1.0, wavelength=8.0)
+    aps = _aps_at_vertices(mesh, [12, 40, 77, 101][:n_aps])
+    with pytest.raises(ParameterError, match=match):
+        interpolate_contour(mesh, aps, np.array(values))

@@ -331,6 +331,26 @@ def test_degenerate_faces_dropped():
     with pytest.warns(UserWarning, match="degenerate"):
         mesh = SurfaceMesh(verts, faces)
     assert mesh.n_faces == 1
+    with pytest.warns(UserWarning, match="degenerate"), \
+            pytest.raises(EmptyMeshError, match="all faces were degenerate"):
+        SurfaceMesh(verts, faces[1:])
+
+
+@pytest.mark.parametrize("vertices, faces, match", [
+    (np.zeros((3, 2)), [[0, 1, 2]], r"vertices must be an \(V, 3\) array"),
+    (np.zeros(9), [[0, 1, 2]], r"vertices must be an \(V, 3\) array"),
+    (np.eye(3), [[0, 1, 2, 0]], r"faces must be an \(F, 3\) array"),
+    (np.eye(3), [0, 1, 2], r"faces must be an \(F, 3\) array"),
+], ids=["two-columns", "flat-vertices", "quad", "flat-faces"])
+def test_mesh_arrays_must_be_v_by_3_and_f_by_3(vertices, faces, match):
+    with pytest.raises(MeshFormatError, match=match):
+        SurfaceMesh(vertices, faces)
+
+
+def test_write_dataset_csv_needs_one_label_per_row(tmp_path):
+    with pytest.raises(ValueError, match="one label per row"):
+        write_dataset_csv(tmp_path / "out.csv", ["S01-L"], [[1.0, 2.0], [3.0, 4.0]])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_bad_face_index():

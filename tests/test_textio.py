@@ -44,7 +44,7 @@ PLY = ("ply\nformat ascii 1.0\ncomment by hand\nelement vertex 4\n"
 OBJ = ("# tetrahedron corner\nv 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\n"
        "f 1/1/1 2//1 3\nv 0 0 1\nf -4 -3 -1\n")
 TEMPLATE = "# layout\nAP1 0.1 0.2 0.3\nAP2 0.5 0.5 0.5\nAP3 0.9 0.2 0.7\n"
-# four rows, so that '--k-range 2 3' is a valid range for the analyze command
+# four rows, the fewest the analyze command takes
 DATASET = ("# seed=1\nlabel,AP1,AP2\nS01-L,1.0,2.0\nS01-R,1.5,2.5\n"
            "S02-L,1.2,2.1\nS02-R,1.6,2.4\n")
 VALUES = "label,value\nAP1,1.0\nAP2,0.5\nAP3,2.0\n"
@@ -79,7 +79,7 @@ def _argv(kind, path, valid):
     if kind == "template":
         return ["design", str(valid / "mesh.ply"), str(path), "--out", out]
     if kind == "dataset":
-        return ["analyze", str(path), "--k-range", "2", "3", "--out", out]
+        return ["analyze", str(path), "--out", out]
     return ["contour", str(valid / "mesh.ply"), str(valid / "aps.json"), str(path),
             "--out", out]
 
