@@ -146,6 +146,17 @@ class CohortResult:
         self.archetype.flags.writeable = False
 
 
+def _aesr_draw(noise: float, draw) -> np.ndarray:
+    """``draw()``, run with float overflow allowed; raises ``ParameterError``
+    if an AESR value it returns is not a finite positive float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = draw()
+    if not (np.isfinite(values) & (values > 0)).all():
+        raise ParameterError(f"noise {noise:g} draws an AESR value that is not a "
+                             f"finite positive float64")
+    return values
+
+
 def _pairs(sizes, concordance) -> np.ndarray:
     """(n, 2) archetype pairs of n = sum(sizes) / 2 subjects: k =
     round(concordance * n) matched pairs first, then the mismatched ones.
@@ -206,11 +217,8 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     arch = pairs.ravel()
     n_aps = trends.shape[1]
     z = spawn_rng(seed, 1).standard_normal((arch.size, n_aps + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        rows = trends[arch] * np.exp(noise * z[:, :n_aps]) * np.exp(scale_sigma * z[:, n_aps:])
-    if not (np.isfinite(rows) & (rows > 0)).all():
-        raise ParameterError(f"noise {noise:g} draws an AESR value that is not a "
-                             f"finite positive float64")
+    rows = _aesr_draw(noise, lambda: trends[arch] * np.exp(noise * z[:, :n_aps])
+                      * np.exp(scale_sigma * z[:, n_aps:]))
     return CohortResult(
         labels=tuple(f"S{i + 1:02d}-{side}" for i in range(len(pairs)) for side in "LR"),
         rows=rows,
@@ -295,7 +303,8 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
     IV; HR and BP rise at period II and decay back by period IV.  Controls
     hold every multiplier at one.  A shared per-test exertion factor (when
     the noise is > 0) couples the AESR drop depth with the HR/BP rise so
-    their changes correlate across tests.
+    their changes correlate across tests.  A drawn AESR value that is not
+    a finite positive float64 raises ``ParameterError``.
     """
     cfg = simulation_config("session", config)
     n = SESSION_APS
@@ -336,7 +345,8 @@ def simulate_exercise_session(config: dict | None, subject: str, test: str,
         bp_mult[1] = 1.0 + bp_peak
         bp_mult[2] = 1.0 + bp_peak * rem
 
-    aesr = baseline[None, :] * mult * np.exp(noise * rng.standard_normal(mult.shape))
+    aesr = _aesr_draw(noise, lambda: baseline[None, :] * mult
+                      * np.exp(noise * rng.standard_normal(mult.shape)))
     hr = HR_BASELINE * hr_mult
     bp = BP_BASELINE * bp_mult
     return SessionRecord(subject=subject, test=test, aesr=aesr, hr=hr, bp=bp, config=cfg)

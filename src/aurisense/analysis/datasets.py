@@ -3,6 +3,8 @@
 CSV layout: optional ``#``-prefixed comment lines, then a header
 ``label,AP1,...,APN``, then one row per dataset with a label and N decimal
 floats; the contour values file is the one-column case ``label,value``.
+Labels are unique in both: a row whose label repeats an earlier row's
+exactly is a fault (``S01-l`` after ``S01-L`` is not).
 Floats are written with ``repr`` so identical data reproduces
 byte-identical files.  Reading follows the parse rule and line-number
 contract of ``aurisense.textio``: blank and ``#`` lines are skipped, and
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DatasetFormatError
-from ..textio import read_lines, require, table, write_report_json, write_rows
+from ..textio import read_lines, require, require_unique, table, write_report_json, write_rows
 
 __all__ = ["read_dataset_csv", "write_dataset_csv", "write_report_json"]
 
@@ -34,8 +36,8 @@ def write_dataset_csv(path, labels, rows, comments=()) -> None:
 def read_dataset_csv(path):
     """Parse a dataset CSV; returns (labels, rows).
 
-    Raises ``DatasetFormatError`` naming the file line of the first
-    malformed row, or of the first row with a ``nan`` or ``inf`` cell.
+    Raises ``DatasetFormatError`` naming the line of the first malformed
+    row, row with a ``nan`` or ``inf`` cell, or repeat of a label.
     """
     rows, lines = read_lines(path, DatasetFormatError, comment="#")
     if not rows:
@@ -48,4 +50,5 @@ def read_dataset_csv(path):
     labels, values = table(rows[1:], lines[1:], len(header) - 1, np.float64,
                            DatasetFormatError, sep=",", label=True)
     require(np.isfinite(values).all(axis=1), lines[1:], DatasetFormatError, "non-finite cell")
+    require_unique(labels, lines[1:], DatasetFormatError)
     return labels, values

@@ -3,8 +3,10 @@
 One binary with four subcommands, flat JSON configs, no environment
 variables.  All machine output goes to files; stdout carries a one-line
 summary and stderr the diagnostics.  Every output file embeds the seed and
-a digest of the resolved configuration, and re-running a command with
-identical inputs reproduces byte-identical files.
+a digest of the resolved configuration, both stamped by ``_meta``, and
+re-running a command with identical inputs reproduces byte-identical files.
+A command only connects readers, pipelines and writers: the readers own
+every input rule, such as the unique labels of a values file.
 
 Each command runs one pipeline on one format per input.  ``analyze``
 divides each row of the dataset by its AP1, clusters the rows' PCA scores
@@ -48,12 +50,6 @@ from .electrode import DEFAULT_TARGET_AREA, MAX_TILT_DEG, design_array, write_de
 from .errors import AurisenseError, DatasetFormatError, LabelError
 from .geometry import load_mesh, place_aps, read_aps_json, write_ply
 from .geometry.aps import write_aps_json
-from .textio import read_lines
-
-
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _file_digest(path) -> str:
@@ -64,6 +60,18 @@ def _file_digest(path) -> str:
     return h.hexdigest()[:16]
 
 
+def _meta(command: str, seed, config: dict, **files) -> tuple[dict, str]:
+    """The provenance of one output: the ``_meta`` object of a JSON file and
+    the ``seed=... config=... version=...`` comment of a CSV or PLY file.
+    The digest covers ``config`` and the bytes of each input of ``files``."""
+    config = {**config, **{key: _file_digest(path) for key, path in files.items()}}
+    blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+    digest = hashlib.sha256(blob).hexdigest()[:16]
+    meta = {"command": command, "seed": seed, "config_digest": digest,
+            "version": __version__}
+    return meta, f"seed={'none' if seed is None else seed} config={digest} version={__version__}"
+
+
 # ----------------------------------------------------------------------
 # design
 # ----------------------------------------------------------------------
@@ -72,17 +80,8 @@ def cmd_design(args) -> int:
     mesh = load_mesh(args.mesh)
     aps = place_aps(mesh, args.template)
     design = design_array(mesh, aps, target_area=args.target_area, tilt_deg=args.tilt_deg)
-    meta = {
-        "command": "design",
-        "seed": None,
-        "config_digest": _digest({
-            "mesh": _file_digest(args.mesh),
-            "template": _file_digest(args.template),
-            "target_area": args.target_area,
-            "tilt_deg": args.tilt_deg,
-        }),
-        "version": __version__,
-    }
+    meta, _ = _meta("design", None, {"target_area": args.target_area, "tilt_deg": args.tilt_deg},
+                    mesh=args.mesh, template=args.template)
     write_design_json(args.out, design, meta=meta)
     if args.aps_out:
         write_aps_json(args.aps_out, aps, meta=meta)
@@ -111,22 +110,16 @@ def cmd_simulate(args) -> int:
         res = simulate_cohort(config, args.seed)
     else:
         res = simulate_exercise_session(config, args.subject, args.test, args.seed)
-    meta = {"command": f"simulate {args.kind}", "seed": args.seed,
-            "config_digest": _digest(res.config), "version": __version__}
+    meta, stamp = _meta(f"simulate {args.kind}", args.seed, res.config)
     if args.kind == "cohort":
-        write_dataset_csv(args.out, res.labels, res.rows, comments=(
-            f"seed={args.seed} config={meta['config_digest']} version={__version__}",))
+        write_dataset_csv(args.out, res.labels, res.rows, comments=(stamp,))
         if args.truth_out:
-            write_report_json(args.truth_out, {
-                "_meta": meta,
-                "truth": {lab: int(a) for lab, a in zip(res.labels, res.archetype)},
-            })
+            truth = {lab: int(a) for lab, a in zip(res.labels, res.archetype)}
+            write_report_json(args.truth_out, {"_meta": meta, "truth": truth})
         print(f"simulate cohort: {res.rows.shape[0]} ears x "
               f"{res.rows.shape[1]} APs -> {args.out}")
         return 0
-    obj = res.to_json_obj()
-    obj["_meta"] = meta
-    write_report_json(args.out, obj)
+    write_report_json(args.out, {**res.to_json_obj(), "_meta": meta})
     print(f"simulate session: {res.subject} {res.test} "
           f"({res.aesr.shape[1]} APs x 4 periods) -> {args.out}")
     return 0
@@ -142,14 +135,9 @@ def cmd_analyze(args) -> int:
     obj = report.to_json_obj()
     try:
         obj["concordance"] = concordance(report).to_json_obj()
-    except LabelError:
-        pass  # labels are not SUBJECT-SIDE pairs; skip the pairing analysis
-    obj["_meta"] = {
-        "command": "analyze",
-        "seed": args.seed,
-        "config_digest": _digest({"dataset": _file_digest(args.dataset)}),
-        "version": __version__,
-    }
+    except LabelError as exc:  # labels are not SUBJECT-SIDE pairs
+        print(f"analyze: no concordance: {exc}", file=sys.stderr)
+    obj["_meta"], _ = _meta("analyze", args.seed, {}, dataset=args.dataset)
     write_report_json(args.out, obj)
     print(f"analyze: {rows.shape[0]} datasets -> K*={report.k_star}, "
           f"mean silhouette {report.silhouette_mean:.3f} -> {args.out}")
@@ -167,28 +155,15 @@ def cmd_contour(args) -> int:
     if values.shape[1] != 1:
         raise DatasetFormatError(
             f"values file has {values.shape[1]} value columns; expected 'label,value'")
-    values = values[:, 0]
-    order = {}
-    for i, lab in enumerate(labels):
-        if order.setdefault(lab, i) != i:
-            # only a faulty file is read again, for the line of its row
-            lines = read_lines(args.values, DatasetFormatError, comment="#")[1]
-            raise DatasetFormatError(f"values file repeats the label '{lab}'",
-                                     line=int(lines[1 + i]))
     if len(values) != len(aps):
         raise AurisenseError(f"{len(values)} values for {len(aps)} APs")
-    missing = [lab for lab in aps.labels if lab not in order]
+    row = dict(zip(labels, range(len(labels))))
+    missing = [lab for lab in aps.labels if lab not in row]
     if missing:
         raise AurisenseError(f"values file lacks AP '{missing[0]}'")
-    values = values[[order[lab] for lab in aps.labels]]
-    field = interpolate_contour(mesh, aps, values)
-    stamp = _digest({
-        "mesh": _file_digest(args.mesh),
-        "aps": _file_digest(args.aps),
-        "values": _file_digest(args.values),
-    })
-    write_ply(args.out, mesh, scalars={"aesr": field.values},
-              comments=(f"seed=none config={stamp} version={__version__}",))
+    field = interpolate_contour(mesh, aps, values[[row[lab] for lab in aps.labels], 0])
+    _, stamp = _meta("contour", None, {}, mesh=args.mesh, aps=args.aps, values=args.values)
+    write_ply(args.out, mesh, scalars={"aesr": field.values}, comments=(stamp,))
     print(f"contour: {mesh.n_vertices} vertices, scalar range "
           f"[{field.values.min():.4g}, {field.values.max():.4g}] -> {args.out}")
     return 0

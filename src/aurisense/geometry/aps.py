@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ParameterError, PlacementError
 from ..seeding import whole_indices
-from ..textio import read_lines, require, table, write_report_json
+from ..textio import read_lines, require, require_unique, table, write_report_json
 from .mesh import SurfaceMesh
 
 # Fraction of the bounding-box diagonal beyond which a projection is
@@ -67,8 +67,8 @@ class AuricularPointSet:
 def load_template(path) -> list:
     """Parse a template file: one ``label x y z`` line per AP, xyz in [0,1].
 
-    Blank and ``#`` lines are skipped; a bad line raises ``ParameterError``
-    with ``.line`` set to it.
+    Blank and ``#`` lines are skipped; a bad line, or one that repeats an
+    earlier label, raises ``ParameterError`` with ``.line`` set to it.
     """
     rows, lines = read_lines(path, ParameterError, comment="#")
     if not rows:
@@ -76,9 +76,7 @@ def load_template(path) -> list:
     labels, xyz = table(rows, lines, 3, np.float64, ParameterError, label=True)
     require(((xyz >= 0.0) & (xyz <= 1.0)).all(axis=1), lines, ParameterError,
             "template coordinates must be in [0, 1]")
-    first = np.zeros(len(labels), dtype=bool)
-    first[np.unique(np.array(labels, dtype=object), return_index=True)[1]] = True
-    require(first, lines, ParameterError, "template labels must be unique")
+    require_unique(labels, lines, ParameterError)
     return list(zip(labels, xyz))
 
 

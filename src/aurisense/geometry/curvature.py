@@ -82,6 +82,7 @@ def _principal_from_coeffs(a, b, c, d, e):
 # ----------------------------------------------------------------------
 
 def _fit_coeffs(vertices, t1, t2, normals, query, indptr, indices):
+    """Quadric fit of each ``query`` vertex; its frame is its row of ``t1``, ``t2``, ``normals``."""
     nq = query.shape[0]
     coeffs = np.zeros((nq, 5))
     counts = np.diff(indptr)
@@ -93,11 +94,10 @@ def _fit_coeffs(vertices, t1, t2, normals, query, indptr, indices):
     keep = ok[qidx]
     qidx = qidx[keep]
     nbr = indices[np.repeat(ok, counts)]
-    vq = query[qidx]
-    d = vertices[nbr] - vertices[vq]
-    uu = np.einsum("ij,ij->i", d, t1[vq])
-    ww = np.einsum("ij,ij->i", d, t2[vq])
-    hh = np.einsum("ij,ij->i", d, normals[vq])
+    d = vertices[nbr] - vertices[query[qidx]]
+    uu = np.einsum("ij,ij->i", d, t1[qidx])
+    ww = np.einsum("ij,ij->i", d, t2[qidx])
+    hh = np.einsum("ij,ij->i", d, normals[qidx])
     rows = (uu * uu, uu * ww, ww * ww, uu, ww)
     # per-entry sums of the symmetric matrix: no (pairs, 5, 5) temporary
     ata = np.empty((nq, 5, 5))
@@ -130,14 +130,15 @@ def curvature_field(mesh: SurfaceMesh, vertices=None) -> CurvatureField:
         query = np.arange(mesh.n_vertices, dtype=np.int64)
     else:
         query = whole_indices(vertices, ParameterError, "vertex indices").reshape(-1)
-    t1, t2 = _tangent_frames(mesh.vertex_normals)
     k1 = np.zeros(query.size)
     k2 = np.zeros(query.size)
     pending = np.arange(query.size)  # positions in query
     ring = _K_RING
     while pending.size and ring <= _MAX_RING:
-        coeffs, ok = _fit_coeffs(mesh.vertices, t1, t2, mesh.vertex_normals,
-                                 query[pending], *mesh.k_rings(query[pending], ring))
+        at = query[pending]
+        rings = mesh.k_rings(at, ring)  # first, as it checks the indices
+        normals = mesh.vertex_normals[at]  # frames only at the fitted vertices
+        coeffs, ok = _fit_coeffs(mesh.vertices, *_tangent_frames(normals), normals, at, *rings)
         done = pending[ok]
         ka, kb = _principal_from_coeffs(*(coeffs[ok].T))
         k1[done] = ka

@@ -7,8 +7,9 @@ raised at its line, and each table from that same handle with
 ``file_table``, with no string kept per row.  Only when a table does not
 read or a byte is not UTF-8 does it take ``read_lines``, and run ``table``,
 which alone finds the line of a row that does not parse, on the body rows.
-A row that reads but breaks a later check finds its line through
-``FileLines``.
+A row that reads but breaks a later check is named by ``require``, and a
+label that repeats an earlier row's by ``require_unique``; the PLY reader,
+which keeps no line list, passes ``require`` a ``FileLines``.
 Every ASCII writer writes its body rows with ``write_rows``.
 
 Parse rule: a file is UTF-8 text, split into lines at ``\n``, ``\r\n`` or
@@ -84,6 +85,16 @@ def require(ok, lines, error, message: str) -> None:
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if bad.size:
         raise error(message, line=int(lines[bad[0]]))
+
+
+def require_unique(labels, lines, error) -> None:
+    """Raise ``error`` naming the line of the first label that repeats an
+    earlier one."""
+    seen = set()
+    for label, line in zip(labels, lines):
+        if label in seen:
+            raise error(f"the row repeats the label '{label}'", line=int(line))
+        seen.add(label)
 
 
 def token_counts(rows, sep: str | None = None) -> np.ndarray:

@@ -229,7 +229,7 @@ def test_contour_rejects_a_values_file_that_repeats_a_label(tmp_path, capsys):
                            "label,value\nAP1,1.0\n# note\nAP2,2.0\nAP1,3.0\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: values file repeats the label 'AP1' (line 5)\n"
+    assert err == "error: the row repeats the label 'AP1' (line 5)\n"
     assert not (tmp_path / "out.ply").exists()
 
 
@@ -338,35 +338,59 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
 
 
-def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path):
+def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path, capsys):
     (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
     assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
                  "--out", str(tmp_path / "ears.csv")]) == 0
     labels, rows = read_dataset_csv(tmp_path / "ears.csv")
     write_dataset_csv(tmp_path / "rows.csv", [f"row{i}" for i in range(len(labels))], rows)
-    reports = {}
+    reports, errs = {}, {}
     for name in ("ears", "rows"):
         out = tmp_path / f"{name}.json"
+        capsys.readouterr()
         assert main(["analyze", str(tmp_path / f"{name}.csv"), "--out", str(out)]) == 0
         reports[name] = json.loads(out.read_text())
+        errs[name] = capsys.readouterr().err
+    assert errs == {"ears": "",
+                    "rows": "analyze: no concordance: label 'row0' is not SUBJECT-SIDE\n"}
     assert "concordance" in reports["ears"]
     assert "concordance" not in reports["rows"]
     assert reports["rows"]["assignments"] == reports["ears"]["assignments"]
 
 
-def test_analyze_skips_the_concordance_of_a_repeated_ear(tmp_path):
+def test_analyze_skips_the_concordance_of_a_repeated_ear(tmp_path, capsys):
     (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
     assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
                  "--out", str(tmp_path / "ears.csv")]) == 0
     labels, rows = read_dataset_csv(tmp_path / "ears.csv")
-    # the first ear once more, its side in lower case
+    # the first ear once more, its side in lower case: a label of its own
     repeat = labels[0][:-1] + labels[0][-1].lower()
     write_dataset_csv(tmp_path / "repeat.csv", [*labels, repeat], np.vstack([rows, rows[:1]]))
     out = tmp_path / "repeat.json"
+    capsys.readouterr()
     assert main(["analyze", str(tmp_path / "repeat.csv"), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (f"analyze: no concordance: label '{repeat}' repeats "
+                                       f"the ear '{labels[0]}'\n")
     report = json.loads(out.read_text())
     assert len(report["assignments"]) == len(labels) + 1
     assert "concordance" not in report
+
+
+def test_analyze_rejects_a_dataset_that_repeats_a_label_exactly(tmp_path, capsys):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",
+                 "--out", str(tmp_path / "ears.csv")]) == 0
+    labels, rows = read_dataset_csv(tmp_path / "ears.csv")
+    write_dataset_csv(tmp_path / "repeat.csv", [*labels, labels[0]], np.vstack([rows, rows[:1]]),
+                      comments=("the first ear once more",))
+    out = tmp_path / "repeat.json"
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "repeat.csv"), "--out", str(out)]) == 1
+    # a comment, the header, then the rows: the repeat is the last line
+    line = 2 + len(labels) + 1
+    assert capsys.readouterr().err == (f"error: the row repeats the label '{labels[0]}' "
+                                       f"(line {line})\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m", [4, 8, 9, 20])
@@ -378,8 +402,8 @@ def test_analyze_runs_k_from_2_to_the_smaller_of_8_and_m_less_1(tmp_path, m):
     assert main(["analyze", str(tmp_path / "rows.csv"), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["sse_by_k"]["k"] == list(range(1, min(8, m - 1) + 1))
-    assert report["_meta"]["config_digest"] == cli._digest(
-        {"dataset": cli._file_digest(tmp_path / "rows.csv")})
+    assert report["_meta"] == cli._meta(
+        "analyze", 0, {"dataset": cli._file_digest(tmp_path / "rows.csv")})[0]
 
 
 def test_analyze_rejects_a_dataset_of_3_rows_with_one_message(tmp_path, capsys):
@@ -492,9 +516,10 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     ("cohort", '{"sizes": [35.7, 17, 5, 3]}', "'sizes'"),
     ("cohort", '{"scale_sigma_factor": NaN}', "unknown config field 'scale_sigma_factor'"),
     ("cohort", '{"noise": 1000}', "noise 1000 draws an AESR value that is not a finite"),
+    ("session", '{"noise": 1000}', "noise 1000 draws an AESR value that is not a finite"),
 ], ids=["negative-baseline", "nan-hr", "removed-field", "nan-session-noise",
         "nan-cohort-noise", "no-ears", "string-sizes", "negative-size", "fractional-size",
-        "nan-scale-sigma", "overflowing-noise"])
+        "nan-scale-sigma", "overflowing-noise", "overflowing-session-noise"])
 def test_simulate_rejects_a_bad_config_field_with_one_message(tmp_path, capsys, kind, config,
                                                               message):
     (tmp_path / "config.json").write_text(config)

@@ -197,9 +197,13 @@ def test_numpy_fit_matches_loop_kernel(query):
     mesh = make_icosphere(subdivisions=2)
     assert mesh.n_vertices == 162
     t1, t2 = _tangent_frames(mesh.vertex_normals)
-    args = (mesh.vertices, t1, t2, mesh.vertex_normals, query, *mesh.k_rings(query, 2))
-    coeffs, ok = _fit_coeffs(*args)
-    ref_coeffs, ref_ok = _fit_coeffs_loop(*args)
+    rings = mesh.k_rings(query, 2)
+    # the kernel takes the frames of the queried vertices, one row each; the
+    # loop reads them from the whole mesh's by vertex index
+    coeffs, ok = _fit_coeffs(mesh.vertices, t1[query], t2[query],
+                             mesh.vertex_normals[query], query, *rings)
+    ref_coeffs, ref_ok = _fit_coeffs_loop(mesh.vertices, t1, t2, mesh.vertex_normals,
+                                          query, *rings)
     np.testing.assert_array_equal(ok, ref_ok)
     assert ok.all()
     np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12)

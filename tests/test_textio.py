@@ -147,6 +147,12 @@ CASES = {
                                   ParameterError, 2),
     "template-repeated-label": ("template", "AP1 0.1 0.2 0.3\n# c\nAP2 0.5 0.5 0.5\n"
                                 "AP1 0.2 0.2 0.2\n", ParameterError, 4),
+    # the label of a later row repeats an earlier one exactly; the comment
+    # and the blank line count
+    "dataset-repeated-label": ("dataset", "label,AP1\nS01-L,1\n# c\nS01-R,2\nS01-L,3\n",
+                               DatasetFormatError, 5),
+    "values-repeated-label": ("values", "label,value\nAP1,1.0\n\nAP2,2\nAP1,3\n",
+                              DatasetFormatError, 5),
     "dataset-not-utf8": ("dataset", b"# c\nlabel,AP1\nS01-L,1\r\nS01-R,\xff\n",
                          DatasetFormatError, 4),
     "values-not-utf8": ("values", b"label,value\nAP1,1.0\nAP2,\xff\nAP3,1\n",
