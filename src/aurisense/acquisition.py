@@ -266,8 +266,8 @@ class SessionRecord:
     def __post_init__(self):
         if self.aesr.shape[0] != 4 or self.hr.shape != (4,) or self.bp.shape != (4,):
             raise ParameterError("a session has exactly 4 periods")
-        if (self.aesr <= 0).any() or (self.hr <= 0).any() or (self.bp <= 0).any():
-            raise ParameterError("all session values must be positive")
+        if not all(np.isfinite(v).all() and (v > 0).all() for v in (self.aesr, self.hr, self.bp)):
+            raise ParameterError("all session values must be finite and positive")
         self.aesr.flags.writeable = False
         self.hr.flags.writeable = False
         self.bp.flags.writeable = False

@@ -4,8 +4,8 @@
 divided by its AP1, k-means clusters the rows' scores on the first three
 principal components for K = 2 .. min(8, M - 1) with 8 restarts each, the
 elbow of the SSE curve picks K*, and the silhouette scores that
-clustering.  ``concordance`` then pairs the two ears of each subject in
-the report.
+clustering.  ``concordance`` then pairs the L and R ears of each subject
+in the report.
 
 SSE is the sum over clusters of squared Euclidean distances from each
 member to its cluster center; the silhouette of a point is the three-case
@@ -22,24 +22,21 @@ its own: no sum depends on the shape of the row block.  A block holds at
 most ``_SILHOUETTE_ELEMENTS`` distances (1 MB), so memory grows as M, not
 M^2.  Here the block only bounds memory: the work is M^2 distances
 whatever its size, and at M = 4800 a 1 MB block still takes 27 rows per
-``cdist`` call, so it gets the smaller budget.
+``cdist`` call.
 
-k-means runs the restarts of one K in lockstep, in restart blocks whose
-(a·K, M) distances and tiled coordinates stay within ``_BLOCK_ELEMENTS``
-(4 MB).  That budget is wider because its width is what runs restarts in
-lockstep: a narrower block runs fewer restarts per ``cdist`` call.
-k-means++ seeds a block in lockstep too: each new centre of every restart
-updates one (R, M) array of squared distances by one ``cdist``, and each
-restart draws from its own row with its own generator, as
-``Generator.choice`` would.  A Lloyd step is one (a·K, M) ``cdist`` of
-squared distances from the centres of the a restarts still running, summed
-over the coordinates in order, whose minimum over the K rows is d²; the
-label is the lowest row at that minimum.  The labels, offset by restart·K
-once per step, feed one ``bincount`` of the cluster sizes and one
-index-order ``bincount`` per coordinate of the centre sums.
-Convergence and the empty-cluster reseed stay per restart,
-so every restart gets the labels, centres and SSE of a run on its own.
-Tests check all three.
+k-means runs all the restarts of one K in one lockstep pass.  k-means++
+seeds them together: each new centre of every restart updates one (R, M)
+array of squared distances by one ``cdist``, and each restart draws from
+its own row with its own generator, as ``Generator.choice`` would.  A
+Lloyd step is one (a·K, M) ``cdist`` of squared distances from the
+centres of the a restarts still running, summed over the coordinates in
+order, whose minimum over the K rows is d²; the label is the lowest row at
+that minimum.  The labels, offset by restart·K once per step, feed one
+``bincount`` of the cluster sizes and one index-order ``bincount`` per
+coordinate of the centre sums.  Memory grows as R·K·M, linear in M at the
+pipeline's fixed R and K.  Convergence and the empty-cluster reseed stay
+per restart, so every restart gets the labels, centres and SSE of a run on
+its own.  Tests check all three.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ _MAX_ITER = 300    # Lloyd iterations per restart
 _K_MAX = 8         # largest K the pipeline tries, where M - 1 allows it
 _RESTARTS = 8      # k-means restarts per K in the pipeline
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
-_BLOCK_ELEMENTS = 2 ** 19  # distances and tiled coordinates per k-means restart block (4 MB)
 _SILHOUETTE_ELEMENTS = 2 ** 17  # distances per silhouette row block (1 MB)
 
 
@@ -190,16 +186,13 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     Deterministic given the seed: restart r is seeded from
-    ``spawn_rng(seed, r)`` and ties keep the earliest restart.  The
-    restarts run in lockstep, in blocks of at most
-    ``_BLOCK_ELEMENTS // (max(K, d)·M)`` (at least one), taken in restart
-    order: k-means++ seeds a whole block at once, each restart drawing from
-    its own generator, then each step makes one (a·K, M) distance matrix for
-    the a restarts still running.  A restart leaves the block when its
-    centres stop moving or its SSE stops changing, keeping the labels of its
-    final centres; one that uses all ``_MAX_ITER`` steps is assigned to its
-    last centres.  An empty cluster is re-seeded from the farthest point of
-    that restart, which is then re-assigned alone.
+    ``spawn_rng(seed, r)`` and ties keep the earliest restart.  All the
+    restarts run in one lockstep pass, as the module docstring describes.
+    A restart leaves the pass when its centres stop moving or its SSE stops
+    changing, keeping the labels of its final centres; one that uses all
+    ``_MAX_ITER`` steps is assigned to its last centres.  An empty cluster
+    is re-seeded from the farthest point of that restart, which is then
+    re-assigned alone.
     """
     points = _as_points(points)
     if not (is_whole(k) and is_whole(restarts)):
@@ -208,23 +201,15 @@ def kmeans(points, k: int, restarts: int = 8, seed: int = 0) -> KMeansResult:
         raise ParameterError("need 1 <= K <= number of points")
     if restarts < 1:
         raise ParameterError("need at least one restart")
-    m, d = points.shape
     # M times the squared bounding-box diagonal bounds every seeding total
     with np.errstate(over="ignore"):
-        bound = m * np.square(points.max(axis=0) - points.min(axis=0)).sum()
+        bound = points.shape[0] * np.square(points.max(axis=0) - points.min(axis=0)).sum()
     if not np.isfinite(bound):
         raise ParameterError("points are too far apart: squared distances overflow")
-    # distances and tiled weights of one block stay within _BLOCK_ELEMENTS
-    step = max(1, _BLOCK_ELEMENTS // (max(k, d) * m))
-    best = None
-    for lo in range(0, restarts, step):
-        labels, centers, sse = _lloyd(
-            points, k, [spawn_rng(seed, r) for r in range(lo, min(lo + step, restarts))])
-        i = int(np.argmin(sse))  # the first of equal SSEs
-        if best is None or sse[i] < best.sse:
-            best = KMeansResult(assignments=labels[i].copy(), centers=centers[i].copy(),
-                                sse=float(sse[i]))
-    return best
+    labels, centers, sse = _lloyd(points, k, [spawn_rng(seed, r) for r in range(restarts)])
+    i = int(np.argmin(sse))  # the first of equal SSEs
+    return KMeansResult(assignments=labels[i].copy(), centers=centers[i].copy(),
+                        sse=float(sse[i]))
 
 
 # ----------------------------------------------------------------------
@@ -416,30 +401,31 @@ class ConcordanceResult:
 def concordance(report: ClusterReport) -> ConcordanceResult:
     """Fraction of subjects with both ears in one cluster, plus the match matrix.
 
-    The report's labels must look like "SUBJECT-SIDE"; every subject needs
-    exactly two rows, one per side (sides compare case-insensitively).
-    Matrix rows index the left-ear cluster and columns the right-ear
-    cluster, so matched subjects land on the diagonal.
+    Every label must be "SUBJECT-SIDE" with the side ``L`` or ``R``, in
+    either case; any other label raises ``LabelError``.  Every subject
+    needs exactly one L row and one R row.  Matrix rows index the left-ear
+    cluster and columns the right-ear cluster, so matched subjects land on
+    the diagonal.
     """
     if len(report.labels) != len(report.assignments):
         raise LabelError("label count does not match the assignment count")
     by_subject: dict = {}
     for lab, cluster in zip(report.labels, report.assignments):
-        if "-" not in lab:
+        subject, dash, side = lab.rpartition("-")
+        side = side.upper()
+        if not dash or side not in ("L", "R"):
             raise LabelError(f"label '{lab}' is not SUBJECT-SIDE")
-        subject, side = lab.rsplit("-", 1)
         ears = by_subject.setdefault(subject, {})
-        if side.upper() in ears:
-            raise LabelError(f"label '{lab}' repeats the ear '{subject}-{side.upper()}'")
-        ears[side.upper()] = int(cluster)
+        if side in ears:
+            raise LabelError(f"label '{lab}' repeats the ear '{subject}-{side}'")
+        ears[side] = int(cluster)
     k = int(report.centers.shape[0])
     matrix = np.zeros((k, k), dtype=np.int64)
     matched = 0
     for subject, ears in sorted(by_subject.items()):
         if len(ears) != 2:
             raise LabelError(f"subject '{subject}' has {len(ears)} ears; need 2")
-        sides = sorted(ears)  # 'L' before 'R'
-        left, right = ears[sides[0]], ears[sides[1]]
+        left, right = ears["L"], ears["R"]
         matrix[left, right] += 1
         if left == right:
             matched += 1

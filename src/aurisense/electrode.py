@@ -407,6 +407,11 @@ def _solve(pathway, target_area):
     return float(d), a
 
 
+def _nan_as_null(x):
+    """``x`` as a float, or None (JSON null) for the NaN of a value not computed."""
+    return None if np.isnan(x) else float(x)
+
+
 @dataclass(frozen=True)
 class ElectrodeSpec:
     ap_label: str
@@ -425,7 +430,7 @@ class ElectrodeSpec:
             "diameter_mm": float(self.diameter_mm),
             "tilt_deg": float(self.tilt_deg),
             "area_mm2": float(self.sensing_area_mm2),
-            "mean_curvature_per_mm": float(self.mean_curvature_per_mm),
+            "mean_curvature_per_mm": _nan_as_null(self.mean_curvature_per_mm),
         }
 
 
@@ -439,7 +444,7 @@ class ArrayDesign:
     def to_json_obj(self) -> dict:
         return {
             "target_area_mm2": float(self.target_area_mm2),
-            "max_rel_deviation": float(self.max_rel_deviation),
+            "max_rel_deviation": _nan_as_null(self.max_rel_deviation),
             "electrodes": [e.to_json_obj() for e in self.electrodes],
             "failed": [{"ap": ap, "reason": reason} for ap, reason in self.failed],
         }

@@ -13,9 +13,9 @@ which is only decoded.  Only when a table does not read, or a byte is not
 UTF-8, is the file read again as ``read_lines`` rows, whose body rows
 ``textio.table`` reads to name the faulty line.  A row that reads but
 fails a check finds its line through ``textio.FileLines``.  ``load_mesh``
-and ``read_ply_vertex_scalars`` take the same route, which returns the
-vertex and face tables as new C-contiguous arrays that ``SurfaceMesh``
-keeps without a copy.
+and ``read_ply_vertex_scalars`` take the same route, which checks the
+rows by the rules OBJ shares and returns the vertex and face tables as new
+C-contiguous arrays that ``SurfaceMesh`` keeps without a copy.
 
 - OBJ reads ``v x y z`` rows (further columns, e.g. vertex colors, are
   dropped) and ``f a b c`` rows, using the head of each ``a/b/c``
@@ -56,20 +56,26 @@ def load_mesh(path) -> SurfaceMesh:
                               f"expected a .obj or .ply file")
     if ext == ".obj":
         rows, lines = read_lines(path, MeshFormatError)
-        (vertices, v_lines), (faces, f_lines) = _parse_obj(rows, lines)
+        vertices, faces = _parse_obj(rows, lines)
         del rows  # the row strings outweigh the arrays: free them before the mesh is built
     else:
         # the extra columns are views that would keep the vertex table alive
-        (vertices, v_lines), (faces, f_lines) = _read_ply(path)[:2]
+        vertices, faces = _read_ply(path)[:2]
+    return SurfaceMesh(vertices, faces)
+
+
+def _checked(vertices, v_lines, faces, f_lines):
+    """(vertices, faces), once every coordinate is finite and every face
+    index names a vertex: the row rules of both formats."""
     require(np.isfinite(vertices).all(axis=1), v_lines, MeshFormatError,
             "non-finite vertex coordinate")
     require(((faces >= 0) & (faces < len(vertices))).all(axis=1), f_lines,
             MeshFormatError, "face references a vertex that does not exist")
-    return SurfaceMesh(vertices, faces)
+    return vertices, faces
 
 
 def _parse_obj(rows, lines):
-    """((vertices, their lines), (0-based faces, their lines)) of OBJ rows."""
+    """(vertices, 0-based faces) of OBJ rows, passed by ``_checked``."""
     rows = np.array(rows, dtype=object)
     tags = np.array([row.split(None, 1)[0] for row in rows], dtype=object)
     is_v, is_f = tags == "v", tags == "f"
@@ -86,12 +92,12 @@ def _parse_obj(rows, lines):
     # vertex defined above the face; 0 names no vertex
     seen = np.cumsum(is_v)[is_f][:, None]
     faces = np.where(refs > 0, refs - 1, np.where(refs < 0, seen + refs, -1))
-    return (vertices, v_lines), (faces, f_lines)
+    return _checked(vertices, v_lines, faces, f_lines)
 
 
 def _read_ply(path):
-    """((vertices, their lines), (faces, their lines), extra vertex columns)
-    of an ASCII PLY file, by the route the module docstring describes."""
+    """(vertices, faces, extra vertex columns) of an ASCII PLY file, by the
+    route the module docstring describes."""
     try:
         with open(path, encoding="utf-8") as fh:
             head, lines = [], []  # the header's kept rows, up to end_header
@@ -158,15 +164,15 @@ def _ply_header(rows, lines):
 
 
 def _ply_tables(props, values, v_lines, faces, f_lines):
-    """((vertices, their lines), (faces, their lines), extra vertex columns)
-    of the PLY vertex table ``values``, whose columns are ``props``, and face
-    table ``faces``, whose rows must start with 3.  The vertices and faces
+    """(vertices, faces, extra vertex columns) of the PLY vertex table
+    ``values``, whose columns are ``props``, and face table ``faces``, whose
+    rows must start with 3, passed by ``_checked``.  The vertices and faces
     are new C-contiguous arrays, so ``SurfaceMesh`` copies neither and the
     (F, 4) face table is freed once its caller drops it."""
     require(faces[:, 0] == 3, f_lines, *_NOT_TRIANGLE)
     xyz = [props.index(c) for c in ("x", "y", "z")]
     extras = {name: values[:, j] for j, name in enumerate(props) if name not in ("x", "y", "z")}
-    return (values.take(xyz, axis=1), v_lines), (faces[:, 1:].copy(), f_lines), extras
+    return (*_checked(values.take(xyz, axis=1), v_lines, faces[:, 1:].copy(), f_lines), extras)
 
 
 def read_ply_vertex_scalars(path) -> dict:

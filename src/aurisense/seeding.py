@@ -3,7 +3,7 @@
 All randomness flows from one integer seed.  ``spawn_rng`` names a stream
 by an integer path under it (a ``SeedSequence`` spawn key); a path exists
 only where one kind of draw must not shift another.  k-means restart r
-draws from (r,), the same values whatever restart block it runs in, and
+draws from (r,), the same values whatever other restarts run beside it, and
 ``cluster_pipeline`` seeds the k-means of each K from (K,); a cohort pairs
 its ears from (0,) and draws their noise from (1,); a session draws from
 (), and its subject's trait from (7,) under the subject's CRC-32; a

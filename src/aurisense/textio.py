@@ -211,7 +211,8 @@ def format_rows(values, labels=None, sep: str = " ") -> str:
 
 
 def write_report_json(path, obj: dict) -> None:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline)."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON (sorted keys, 2-space indent, trailing newline).  A NaN
+    or infinite float raises ``ValueError``: strict JSON has no token for it."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

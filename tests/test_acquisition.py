@@ -292,3 +292,13 @@ def test_session_shape_validation():
         SessionRecord("s", "t", np.ones((3, 5)), np.ones(4), np.ones(4))
     with pytest.raises(ParameterError):
         SessionRecord("s", "t", -np.ones((4, 5)), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("aesr, hr, bp", [
+    (np.full((4, 13), np.nan), np.full(4, 75.0), np.full(4, 120.0)),
+    (np.ones((4, 13)), np.full(4, np.inf), np.full(4, 120.0)),
+    (np.ones((4, 13)), np.full(4, 75.0), np.full(4, np.nan)),
+], ids=["nan-aesr", "inf-hr", "nan-bp"])
+def test_session_values_must_be_finite(aesr, hr, bp):
+    with pytest.raises(ParameterError, match="all session values must be finite and positive"):
+        SessionRecord("S01", "A1", aesr, hr, bp)

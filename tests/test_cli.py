@@ -72,7 +72,13 @@ def test_design_exits_2_and_lists_every_electrode_that_fails(tmp_path, capsys, t
         err = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in err] == [f"  {lab}" for lab in labels]
         assert all(reason in line for line in err)
-    obj = json.loads(outs[0].read_text())
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    # no electrode solved, so no deviation exists: null, not the NaN token
+    obj = json.loads(outs[0].read_text(), parse_constant=reject)
+    assert obj["max_rel_deviation"] is None
     assert obj["electrodes"] == []
     assert [f["ap"] for f in obj["failed"]] == labels
     assert all(reason in f["reason"] for f in obj["failed"])

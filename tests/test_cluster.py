@@ -360,38 +360,45 @@ def test_capped_restarts_match_the_reference_beside_converged_ones(monkeypatch):
 
 
 @pytest.mark.parametrize("points,k,seed", lloyd_cases()[::3])
-def test_restart_blocks_change_no_result(monkeypatch, points, k, seed):
+def test_kmeans_keeps_the_best_restart_run_alone(monkeypatch, points, k, seed):
     restarts = 7
-    whole = kmeans(points, k, restarts=restarts, seed=seed)
+    lloyd_rngs = []
+    lloyd = cluster._lloyd
+
+    def spy(points, k, rngs):
+        lloyd_rngs.append(rngs)
+        return lloyd(points, k, rngs)
+
+    monkeypatch.setattr(cluster, "_lloyd", spy)
+    res = kmeans(points, k, restarts=restarts, seed=seed)
+    # one lockstep pass of every restart
+    assert [len(rngs) for rngs in lloyd_rngs] == [restarts]
     # the earliest restart of least SSE, each restart run as a group of one
     alone = [lockstep(points, k, seed, [r]) for r in range(restarts)]
     best = int(np.argmin([run[2][0] for run in alone]))
-    # blocks of two restarts: four blocks for seven restarts
-    monkeypatch.setattr(cluster, "_BLOCK_ELEMENTS", 2 * max(k, points.shape[1]) * len(points) + 1)
-    calls = spy_on_assign(monkeypatch)
-    blocked = kmeans(points, k, restarts=restarts, seed=seed)
-    assert max(len(c) for c in calls) == 2
-    for res in (whole, blocked):
-        np.testing.assert_array_equal(res.assignments, alone[best][0][0])
-        np.testing.assert_array_equal(res.centers, alone[best][1][0])
-        assert res.sse == alone[best][2][0]
+    np.testing.assert_array_equal(res.assignments, alone[best][0][0])
+    np.testing.assert_array_equal(res.centers, alone[best][1][0])
+    assert res.sse == alone[best][2][0]
 
 
-def test_kmeans_memory_stays_within_blocks_as_restarts_grow(monkeypatch):
-    # one (R·K, M) float64 array for all 400 restarts would be 128 MB
+def test_kmeans_memory_grows_linearly_in_the_point_count(monkeypatch):
+    # the pipeline's 8 restarts at K = 8 hold (8·8, M) distances at once
     import tracemalloc
 
     rng = np.random.default_rng(14)
-    points = rng.normal(size=(5000, 3))
+    points = rng.normal(size=(20000, 3))
     monkeypatch.setattr(cluster, "_MAX_ITER", 2)  # memory per step, not convergence
     kmeans(points[:10], 2, restarts=1)  # import scipy before tracing
-    tracemalloc.start()
-    try:
-        kmeans(points, 8, restarts=400, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    peaks = []
+    for m in (5000, 20000):
+        tracemalloc.start()
+        try:
+            kmeans(points[:m], 8, restarts=8, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # about 4.1 for four times the points
+    assert peaks[1] / peaks[0] <= 4.5
 
 
 @given(m=st.integers(1, 30), d=st.integers(1, 4), k=st.integers(1, 6),
@@ -783,4 +790,18 @@ def test_concordance_repeated_ear_raises(repeat):
         labels = ("S1-L", "S1-R", "S2-L", "S2-R", repeat)
 
     with pytest.raises(LabelError, match=f"'{repeat}' repeats the ear 'S1-L'"):
+        concordance(FakeReport())
+
+
+@pytest.mark.parametrize("labels,bad", [
+    (("S01-R", "S01-X", "S02-L", "S02-R"), "S01-X"),
+    (("S01-L", "S01-R", "S02-L", "S02-LEFT"), "S02-LEFT"),
+], ids=["unknown-side", "long-side"])
+def test_concordance_takes_only_l_and_r_sides(labels, bad):
+    class FakeReport:
+        assignments = np.array([0, 1, 0, 1])
+        centers = np.zeros((2, 3))
+
+    FakeReport.labels = labels
+    with pytest.raises(LabelError, match=f"label '{bad}' is not SUBJECT-SIDE"):
         concordance(FakeReport())

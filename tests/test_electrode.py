@@ -735,6 +735,23 @@ def test_design_json_fields(tmp_path, plane_coarse):
                       "area_mm2", "mean_curvature_per_mm"}
 
 
+def test_a_curvature_not_fitted_is_written_as_null(tmp_path, plane_coarse):
+    import json
+    from aurisense.electrode import write_design_json
+
+    aps = place_aps(plane_coarse, [("AP1", np.array([0.5, 0.5, 0.5]))])
+    design = design_array(plane_coarse, aps)
+    unfitted = replace(design, electrodes=(replace(design.electrodes[0],
+                                                   mean_curvature_per_mm=float("nan")),))
+    write_design_json(tmp_path / "design.json", unfitted)
+    obj = json.loads((tmp_path / "design.json").read_text())
+    assert obj["electrodes"][0]["mean_curvature_per_mm"] is None
+    # any other NaN or infinity is refused rather than written as a non-JSON token
+    with pytest.raises(ValueError):
+        write_design_json(tmp_path / "bad.json", replace(design, target_area_mm2=np.inf))
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_design_array_fits_curvature_only_at_ap_vertices(bumpy, monkeypatch):
     template = [(f"AP{i+1}", np.array(xyz)) for i, xyz in enumerate([
         (0.25, 0.25, 0.5), (0.6, 0.5, 0.5), (0.5, 0.75, 0.5), (0.8, 0.6, 0.5),

@@ -297,6 +297,23 @@ def test_a_faulty_ply_row_names_the_line_read_lines_gives(tmp_path, monkeypatch,
     assert (rows_exc.value.line, str(rows_exc.value)) == (exc.value.line, str(exc.value))
 
 
+@pytest.mark.parametrize("read", [load_mesh, read_ply_vertex_scalars],
+                         ids=["load_mesh", "read_ply_vertex_scalars"])
+@pytest.mark.parametrize("vertex, face, line, message", [
+    ("0 nan 0 2", "3 0 1 2", 12, "non-finite vertex coordinate"),
+    ("1 0 0 2", "3 0 1 99", 14, "face references a vertex that does not exist"),
+], ids=["non-finite", "out-of-range"])
+def test_both_ply_readers_apply_the_row_rules(tmp_path, read, vertex, face, line, message):
+    path = tmp_path / "mesh.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                    "property double y\nproperty double z\nproperty double aesr\n"
+                    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+                    f"0 0 0 1\n{vertex}\n0 1 0 3\n{face}\n")
+    with pytest.raises(MeshFormatError, match=message) as exc:
+        read(path)
+    assert exc.value.line == line
+
+
 def test_a_byte_past_the_ply_tables_that_is_not_utf8_names_its_line(tmp_path):
     # 40 kB of later rows past the tables, far beyond the text decoded with
     # them: only reading on to the end of the file finds the byte
