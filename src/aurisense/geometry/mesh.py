@@ -17,6 +17,7 @@ DEGENERATE_AREA = 1e-12  # mm^2; faces below this are dropped with a warning
 # bound: rounding moves a distance computed from the mesh by about 1e-16 of
 # the largest coordinate or of the distance itself, far below the pad
 _SPHERE_PAD = 1e-9
+_TOO_LARGE = "face areas or normals are not finite; the coordinates are too large"
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -65,7 +66,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 class SurfaceMesh:
-    """Validated triangle mesh with cached per-vertex unit normals.
+    """Validated triangle mesh; its per-vertex unit normals are built on
+    first read and cached.
 
     Immutable after construction: the vertex/face arrays are marked
     read-only so instances can be shared freely across threads.  The
@@ -91,10 +93,14 @@ class SurfaceMesh:
     view stays writable, and writing it would change the mesh).  Any other
     input (another dtype or layout, a list) is copied, and the caller's
     array left writable; so are faces from which degenerate ones were
-    dropped.  The face and vertex normals, the areas and
-    ``face_spheres`` are built from (F,) coordinate columns into the arrays
-    they keep, with the arithmetic of ``np.cross``, ``np.linalg.norm`` and a
-    per-coordinate ``bincount``.
+    dropped.  The face normals and areas, which the constructor builds to
+    find the degenerate faces, and the ``vertex_normals`` and
+    ``face_spheres``, built on first use, come from (F,) coordinate columns
+    into the arrays they keep, with the arithmetic of ``np.cross``,
+    ``np.linalg.norm`` and a per-coordinate ``bincount``.  Coordinates too
+    large for these to be finite raise ``MeshFormatError``: in the
+    constructor for the face quantities, at the first read of the vertex
+    normals for those.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is caught below
@@ -134,16 +140,12 @@ class SurfaceMesh:
         self.faces = faces
         self.face_areas = areas
         cross /= norm[:, None]
-        del norm  # one (F,) column less while the vertex normals are summed
         self.face_normals = cross
-        self.vertex_normals = self._compute_vertex_normals()
-        if not all(np.isfinite(a).all() for a in (areas, self.face_normals,
-                                                   self.vertex_normals)):
-            raise MeshFormatError("face areas or normals are not finite; "
-                                  "the coordinates are too large")
-        for arr in (self.vertices, self.faces, self.face_areas,
-                    self.face_normals, self.vertex_normals):
+        if not (np.isfinite(areas).all() and np.isfinite(cross).all()):
+            raise MeshFormatError(_TOO_LARGE)
+        for arr in (self.vertices, self.faces, self.face_areas, self.face_normals):
             arr.flags.writeable = False
+        self._vertex_normals = None
         self._faces_of = None
         self._spheres = None
         self._box = None
@@ -170,6 +172,20 @@ class SurfaceMesh:
     def bounding_diagonal(self) -> float:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
+
+    @property
+    def vertex_normals(self) -> np.ndarray:
+        """(V, 3) unit vertex normals, read-only: ``_compute_vertex_normals``,
+        built on first read and cached.  Normals that are not finite raise
+        ``MeshFormatError``."""
+        if self._vertex_normals is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                normals = self._compute_vertex_normals()
+            if not np.isfinite(normals).all():
+                raise MeshFormatError(_TOO_LARGE)
+            normals.flags.writeable = False
+            self._vertex_normals = normals
+        return self._vertex_normals
 
     def _compute_vertex_normals(self) -> np.ndarray:
         """Area-weighted average of incident face normals, unit length.

@@ -23,9 +23,12 @@ C-contiguous arrays that ``SurfaceMesh`` keeps without a copy.
   above the face.  Every other row is skipped.
 - PLY reads ``format``, ``element`` and ``property`` header lines (others
   are skipped), then the vertex rows and the face rows ``3 i j k``; later
-  rows are ignored.  Every vertex property is read as float64, whatever
-  its declared type; ``write_ply`` declares each one ``double``.  Vertex
-  properties beyond x/y/z are returned by ``read_ply_vertex_scalars``.
+  rows are ignored.  So the header declares the vertex element first and
+  the face element second, and no element twice; an ``element`` line that
+  breaks this rule is a fault at its line.  Every vertex property is read
+  as float64, whatever its declared type; ``write_ply`` declares each one
+  ``double``.  Vertex properties beyond x/y/z are returned by
+  ``read_ply_vertex_scalars``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _read_ply(path):
     """(vertices, faces, extra vertex columns) of an ASCII PLY file, by the
     route the module docstring describes."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             head, lines = [], []  # the header's kept rows, up to end_header
             for line, row in enumerate(map(str.strip, fh), 1):
                 if row:
@@ -149,6 +152,14 @@ def _ply_header(rows, lines):
             if len(parts) != 3 or not parts[2].isdecimal():
                 raise MeshFormatError("expected 'element <name> <count>'", line=line)
             element = parts[1]
+            if element in counts:
+                raise MeshFormatError(f"element '{element}' is declared twice", line=line)
+            # the body is read as the vertex rows, then the face rows
+            expected = "face" if counts else "vertex"
+            if "face" not in counts and element != expected:
+                raise MeshFormatError(f"element '{element}' comes before the {expected} "
+                                      f"element; only vertex, then face rows are read",
+                                      line=line)
             counts[element] = int(parts[2])
         elif parts[0] == "property":
             if len(parts) < 3:
@@ -185,10 +196,15 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
     """Write an ASCII PLY, optionally with named per-vertex scalar properties.
 
     Each scalar is one float64 per vertex, checked before the file is
-    opened.  Every vertex property is declared ``double``."""
+    opened, and so is its name, which must be one header word that is not
+    a coordinate: non-empty printable ASCII with no whitespace, not ``x``,
+    ``y`` or ``z``.  Every vertex property is declared ``double``."""
     scalars = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in (scalars or {}).items()}
     for name, vals in scalars.items():
+        if not re.fullmatch("[!-~]+", name) or name in ("x", "y", "z"):
+            raise ValueError(f"scalar name {name!r} is not a PLY property name: it must be "
+                             f"printable ASCII with no whitespace, and not x, y or z")
         if vals.shape != (mesh.n_vertices,):
             raise ValueError(f"scalar '{name}' has shape {vals.shape}; a mesh of "
                              f"{mesh.n_vertices} vertices needs ({mesh.n_vertices},)")

@@ -12,19 +12,20 @@ label that repeats an earlier row's by ``require_unique``; the PLY reader,
 which keeps no line list, passes ``require`` a ``FileLines``.
 Every ASCII writer writes its body rows with ``write_rows``.
 
-Parse rule: a file is UTF-8 text, split into lines at ``\n``, ``\r\n`` or
-``\r`` and counted from 1; lines are stripped, and blank lines and, in
-formats that have them, ``#`` comment lines are skipped.  A body row is a
-fixed number of cells of one dtype, split on any run of whitespace or on a
-separator, optionally after one string label cell.  The cells of all rows
-are read by ``np.loadtxt`` in one pass, with comments and quoting off, so
-a cell is an ASCII decimal number (``nan`` and ``inf`` included for
-floats, and no fraction or exponent for integers): ``1#2``, ``1_0`` and
-non-ASCII digits such as ``١``, which Python's ``float`` and ``int``
-accept, are faults, and so is ``1.5`` in an integer table, which some
-numpy versions read as 1 with only a warning.  Only when that read
-fails are the rows counted and read one at a time to find the row at
-fault.
+Parse rule: a file is UTF-8 text, less one leading byte-order mark (a
+U+FEFF anywhere else is text, which no cell or keyword matches), split
+into lines at ``\n``, ``\r\n`` or ``\r`` and counted from 1; lines are
+stripped, and blank lines and, in formats that have them, ``#`` comment
+lines are skipped.  A body row is a fixed number of cells of one dtype,
+split on any run of whitespace or on a separator, optionally after one
+string label cell.  The cells of all rows are read by ``np.loadtxt`` in
+one pass, with comments and quoting off, so a cell is an ASCII decimal
+number (``nan`` and ``inf`` included for floats, and no fraction or
+exponent for integers): ``1#2``, ``1_0`` and non-ASCII digits such as
+``١``, which Python's ``float`` and ``int`` accept, are faults, and so is
+``1.5`` in an integer table, which some numpy versions read as 1 with only
+a warning.  Only when that read fails are the rows counted and read one at
+a time to find the row at fault.
 
 Line-number contract: a fault in one row, or a byte that is not UTF-8,
 raises the caller's ``AurisenseError`` subclass with ``.line`` set to
@@ -33,8 +34,10 @@ that line; a fault of the whole file, such as a truncated body, carries
 
 Writer: each cell is written as the ``repr`` of its Python number (for a
 float the shortest text that reads back exactly).  A table is written in
-blocks of ``_WRITE_ROWS`` rows, each spelled by one ``%`` format of a row
-template repeated once per row, so the text held at once stays one block's.
+blocks of ``_WRITE_ROWS`` rows, so the text held at once stays one block's.
+A block of integers >= 0 with no labels is spelled by array passes over its
+cells' decimal digits; any other block by one ``%`` format of a row
+template repeated once per row.
 """
 
 from __future__ import annotations
@@ -57,16 +60,18 @@ def _split_lines(text: str) -> list:
 def read_lines(path, error, comment: str | None = None):
     """The kept rows of a UTF-8 text file and their 1-based line numbers.
 
-    Rows are stripped; blank rows and, when ``comment`` is given, rows
-    starting with it are dropped.  Returns ``(rows, lines)``: a list of
+    A leading byte-order mark is dropped.  Rows are stripped; blank rows
+    and, when ``comment`` is given, rows starting with it are dropped.
+    Returns ``(rows, lines)``: a list of
     str and an int array.  A byte that is not UTF-8 raises ``error`` naming
     its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # the bytes after a leading byte-order mark
         line = len(_split_lines(data[:exc.start].decode("utf-8")))
         raise error(f"byte {data[exc.start]:#04x} is not UTF-8 text; only ASCII "
                     f"files are read", line=line) from None
@@ -190,11 +195,34 @@ def _read(body, ncols: int, dtype, sep=None, nrows=None):
 def write_rows(fh, columns, labels=None, sep: str = " ") -> None:
     """Write to ``fh`` the rows of the side-by-side ``columns``, 1-D or 2-D
     arrays of one length, as ``format_rows`` spells them, ``_WRITE_ROWS``
-    rows at a time: the text in memory is one block's, not the table's."""
+    rows at a time: the text in memory is one block's, not the table's.
+    A block of integers >= 0 with no labels is spelled by ``_whole_rows``."""
     for lo in range(0, len(columns[0]), _WRITE_ROWS):
         block = slice(lo, lo + _WRITE_ROWS)
-        fh.write(format_rows(np.column_stack([c[block] for c in columns]),
-                             None if labels is None else labels[block], sep))
+        values = np.column_stack([c[block] for c in columns])
+        if labels is None and values.dtype.kind in "iu" and values.min() >= 0:
+            fh.write(_whole_rows(values, sep))
+        else:
+            fh.write(format_rows(values, None if labels is None else labels[block], sep))
+
+
+def _whole_rows(values, sep: str) -> str:
+    """``format_rows(values, sep=sep)`` of a 2-D array of integers >= 0, by
+    array passes: repeated ``divmod`` puts each cell's digits right-aligned
+    in a field of NULs as wide as the largest cell, ``sep`` follows each cell
+    but a row's last, which ``\\n`` follows, and the NULs are dropped."""
+    width = len(str(values.max()))
+    tail = sep.encode()
+    cells = np.zeros(values.shape + (width + len(tail),), np.uint8)
+    cells[..., width - 1] = ord("0")  # the one digit of a 0
+    for k in range(width - 1, -1, -1):
+        rest, digit = np.divmod(values, 10)
+        np.copyto(cells[..., k], digit + ord("0"), casting="unsafe", where=values > 0)
+        values = rest
+    cells[..., width:] = np.frombuffer(tail, np.uint8)
+    cells[:, -1, width:] = 0
+    cells[:, -1, width] = ord("\n")
+    return cells.tobytes().replace(b"\0", b"").decode()
 
 
 def format_rows(values, labels=None, sep: str = " ") -> str:

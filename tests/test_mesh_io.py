@@ -1,10 +1,12 @@
+import contextlib
+import io
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from aurisense import textio
+from aurisense import cli, textio
 from aurisense.analysis import datasets, write_dataset_csv
 from aurisense.errors import (
     EmptyMeshError,
@@ -14,7 +16,10 @@ from aurisense.errors import (
 from aurisense.geometry import (
     SurfaceMesh,
     load_mesh,
+    load_template,
+    place_aps,
     read_ply_vertex_scalars,
+    write_aps_json,
     write_ply,
 )
 from aurisense.geometry import meshio
@@ -93,6 +98,51 @@ def test_bad_scalars_leave_an_existing_file_unchanged(tmp_path, bad):
     with pytest.raises(ValueError, match="'aesr' has"):
         write_ply(p, mesh, scalars={"ok": np.zeros(25), "aesr": bad})
     assert p.read_text() == "previous contents\n"
+
+
+@pytest.mark.parametrize("name", ["a b", "x", "aesr\nelement junk 1", "", "\u00e9", "a\tb"])
+def test_scalar_names_the_header_cannot_carry_leave_an_existing_file_unchanged(tmp_path, name):
+    # 'a b' read back as 'b', 'x' was lost to the coordinate, the newline
+    # wrote a header line of its own, and '' a file load_mesh rejected
+    mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
+    p = tmp_path / "old.ply"
+    p.write_text("previous contents\n")
+    with pytest.raises(ValueError, match="not a PLY property name"):
+        write_ply(p, mesh, scalars={"ok": np.zeros(25), name: np.zeros(25)})
+    assert p.read_text() == "previous contents\n"
+
+
+# a valid PLY whose header declares its elements in an order the body reader
+# cannot follow: (text, line of the element at fault, its name)
+_PLY_HEAD = "ply\nformat ascii 1.0\n"
+_VERTEX = "element vertex 3\nproperty double x\nproperty double y\nproperty double z\n"
+_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+_ROWS = "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+ELEMENT_ORDER = {
+    "edge-between": (_PLY_HEAD + _VERTEX + "element edge 1\nproperty int vertex1\n"
+                     "property int vertex2\n" + _FACE + "end_header\n0 0 0\n1 0 0\n"
+                     "0 1 0\n0 1\n3 0 1 2\n", 7, "edge"),
+    "face-first": (_PLY_HEAD + _FACE + _VERTEX + "end_header\n3 0 1 2\n0 0 0\n1 0 0\n"
+                   "0 1 0\n", 3, "face"),
+    "vertex-twice": (_PLY_HEAD + _VERTEX + _VERTEX + _FACE + _ROWS, 7, "vertex"),
+    "material-first": (_PLY_HEAD + "element material 0\nproperty float r\n" + _VERTEX
+                       + _FACE + _ROWS, 3, "material"),
+}
+
+
+@pytest.mark.parametrize("case", list(ELEMENT_ORDER))
+def test_a_ply_element_out_of_order_fails_at_its_header_line(tmp_path, case):
+    text, line, name = ELEMENT_ORDER[case]
+    p = tmp_path / "mesh.ply"
+    p.write_text(text)
+    for read in (load_mesh, read_ply_vertex_scalars):
+        with pytest.raises(MeshFormatError, match=f"element '{name}'") as exc:
+            read(p)
+        assert exc.value.line == line
+    # elements after the face element are read past, as later rows are
+    p.write_text(_PLY_HEAD + _VERTEX + _FACE + "element edge 1\nproperty int v\n"
+                 + _ROWS + "7\n")
+    assert load_mesh(p).n_faces == 1
 
 
 def test_mesh_format_comes_from_the_extension(tmp_path):
@@ -413,6 +463,40 @@ def test_vertex_normals_unit_and_outward(icosphere_unit):
     assert (outward > 0).mean() >= 0.99
 
 
+def test_vertex_normals_are_built_on_first_read_not_by_load_or_contour(tmp_path, monkeypatch):
+    # load_mesh, interpolate_contour and write_ply read no vertex normal
+    mesh = make_bumpy_plane(extent=10.0, spacing=1.0)
+    write_ply(tmp_path / "mesh.ply", mesh)
+    (tmp_path / "t.txt").write_text("AP1 0.2 0.3 0.5\nAP2 0.8 0.5 0.5\nAP3 0.4 0.8 0.5\n")
+    write_aps_json(tmp_path / "aps.json", place_aps(mesh, load_template(tmp_path / "t.txt")))
+    (tmp_path / "values.csv").write_text("label,value\nAP1,1\nAP2,2\nAP3,3\n")
+    compute, calls = SurfaceMesh._compute_vertex_normals, []
+
+    def spy(self):
+        calls.append(self)
+        return compute(self)
+
+    monkeypatch.setattr(SurfaceMesh, "_compute_vertex_normals", spy)
+    loaded = load_mesh(tmp_path / "mesh.ply")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["contour", str(tmp_path / "mesh.ply"), str(tmp_path / "aps.json"),
+                         str(tmp_path / "values.csv"), "--out", str(tmp_path / "c.ply")]) == 0
+    assert calls == []
+    normals = loaded.vertex_normals
+    assert loaded.vertex_normals is normals and calls == [loaded]
+    assert not normals.flags.writeable
+    assert np.array_equal(normals, mesh.vertex_normals)
+
+
+def test_vertex_normals_that_are_not_finite_raise_at_their_first_read(monkeypatch):
+    mesh = make_icosphere(1)
+    monkeypatch.setattr(SurfaceMesh, "_compute_vertex_normals",
+                        lambda self: np.full((self.n_vertices, 3), np.nan))
+    for _ in range(2):  # nothing is cached
+        with pytest.raises(MeshFormatError, match="not finite"):
+            mesh.vertex_normals  # noqa: B018
+
+
 def add_at_vertex_normals(mesh):
     """Oracle: the area-weighted normal sums accumulated one corner column
     at a time with ``np.add.at``, then normalized as ``SurfaceMesh`` does."""
@@ -505,12 +589,12 @@ def test_mesh_build_holds_a_few_face_columns_beyond_its_outputs():
     tracemalloc.start()
     try:
         mesh = SurfaceMesh(v, f)
+        normals = mesh.vertex_normals  # built on first read
         spheres = mesh.face_spheres()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in (mesh.face_areas, mesh.face_normals,
-                                     mesh.vertex_normals, *spheres))
+    outputs = sum(a.nbytes for a in (mesh.face_areas, mesh.face_normals, normals, *spheres))
     column = 8 * mesh.n_faces  # one (F,) float64 column
     # 5.0 columns past the 3.43 MB of outputs; 17.0 with (F, 3) corner
     # gathers, np.cross and the stacked vertex-normal sums

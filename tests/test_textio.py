@@ -157,6 +157,12 @@ CASES = {
                          DatasetFormatError, 4),
     "values-not-utf8": ("values", b"label,value\nAP1,1.0\nAP2,\xff\nAP3,1\n",
                         DatasetFormatError, 3),
+    # after a byte-order mark, which is dropped, lines still count from the
+    # first: a line start 3 bytes back would be the line before
+    "values-bom-not-utf8": ("values", b"\xef\xbb\xbflabel,value\nAP1,1.0\n\xffAP2,1\nAP3,1\n",
+                            DatasetFormatError, 3),
+    "ply-bom-not-utf8": ("ply", b"\xef\xbb\xbf" + TRI.encode().replace(b"\n0 1 0", b"\n\xff0 1 0"),
+                         MeshFormatError, 12),
     "values-bad-number": ("values", "label,value\nAP1,1.0\nAP2,x\nAP3,1\n",
                           DatasetFormatError, 3),
     "values-three-fields": ("values", "label,value\nAP1,1.0,2\nAP2,1\nAP3,1\n",
@@ -397,8 +403,9 @@ def _with_cell(kind, line, cell):
 
 # a comment mark inside a cell (comments are off), a digit separator, an
 # Arabic-Indic digit and a fullwidth digit: Python's float() and int() take
-# the last three, numpy's text reader takes none of them
-@pytest.mark.parametrize("cell", ["1#2", "1_0", "\u0661", "\uff11"])
+# the last three, numpy's text reader takes none of them; nor a U+FEFF,
+# which only at the start of a file is a byte-order mark
+@pytest.mark.parametrize("cell", ["1#2", "1_0", "\u0661", "\uff11", "\ufeff1"])
 @pytest.mark.parametrize("row", ["first", "last"])
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_cells_outside_the_grammar_name_their_line(tmp_path, valid, kind, row, cell):
@@ -409,6 +416,47 @@ def test_cells_outside_the_grammar_name_their_line(tmp_path, valid, kind, row, c
     with pytest.raises(ERRORS[kind]) as exc:
         read_dataset_csv(path) if kind == "values" else _read(kind, path, valid)
     assert exc.value.line == line
+
+
+def _contents(kind, path):
+    """What the reader of ``kind`` makes of ``path``, as comparable values."""
+    if kind in ("obj", "ply"):
+        mesh = load_mesh(path)
+        scalars = read_ply_vertex_scalars(path) if kind == "ply" else {}
+        return (mesh.vertices.tolist(), mesh.faces.tolist(),
+                {name: vals.tolist() for name, vals in scalars.items()})
+    if kind == "template":
+        return repr(load_template(path))
+    labels, rows = read_dataset_csv(path)
+    return labels, rows.tolist()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, valid, monkeypatch, kind):
+    # as a spreadsheet's "CSV UTF-8" export and some editors save a file
+    name, text = KINDS[kind][:2]
+    plain, marked = tmp_path / f"plain-{name}", tmp_path / name
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _contents(kind, marked) == _contents(kind, plain)
+    if kind in ("dataset", "values"):
+        assert _run(_argv(kind, marked, valid))[0] == 0
+    if kind == "ply":  # the rows of read_lines drop it too
+        monkeypatch.setattr(meshio, "file_table", lambda *args: None)
+        assert _contents(kind, marked) == _contents(kind, plain)
+
+
+@pytest.mark.parametrize("kind", ["ply", "template", "dataset", "values"])
+def test_a_byte_order_mark_after_the_first_is_text(tmp_path, valid, kind):
+    # the first line of each of these files must read as it is written, and
+    # a second mark is a U+FEFF at its start
+    name, text = KINDS[kind][:2]
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8-sig")
+    with pytest.raises(ERRORS[kind]) as exc:
+        read_dataset_csv(path) if kind == "values" else _read(kind, path, valid)
+    assert exc.value.line == 1
 
 
 @pytest.mark.parametrize("space", ["\t", "\f", "   ", " \t\f\v "])
@@ -484,6 +532,32 @@ def _int_tables(draw):
 @example(values=np.array([[-2 ** 63, 2 ** 63 - 1], [0, -1]], np.int64), sep=" ")
 def test_integer_rows_match_one_repr_per_cell(values, sep):
     assert textio.format_rows(values, sep=sep) == _repr_rows(values, sep=sep)
+    # blocks of one row, of a few rows, and of the whole table write the same
+    # text, by digit arrays where a block holds no negative cell
+    for rows_per_block in (1, 5, textio._WRITE_ROWS):
+        out = io.StringIO()
+        with mock.patch.object(textio, "_WRITE_ROWS", rows_per_block):
+            textio.write_rows(out, [values[:, :1], values[:, 1:]], sep=sep)
+        assert out.getvalue() == _repr_rows(values, sep=sep)
+
+
+# 0, every power of ten up to 10**6 and the number before each up to 10**7 - 1
+_DIGIT_EDGES = [0] + [10 ** k + d for k in range(1, 8) for d in (-1, 0)][:-1]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+@pytest.mark.parametrize("sep", [" ", ","])
+def test_integer_write_rows_spell_the_text_of_format_rows(n_rows, sep):
+    # faces of a mesh as write_ply writes them, 1 to 7 digits a cell, in
+    # tables just under, at and just over one block
+    assert textio._WRITE_ROWS == 4096
+    draw = np.random.default_rng(n_rows).integers(0, 10 ** 7, 3 * n_rows)
+    faces = np.r_[_DIGIT_EDGES, draw][:3 * n_rows].reshape(n_rows, 3)
+    columns = [np.broadcast_to(3, n_rows), faces]
+    out = io.StringIO()
+    textio.write_rows(out, columns, sep=sep)
+    assert out.getvalue() == textio.format_rows(np.column_stack(columns), sep=sep)
+    assert out.getvalue().count("\n") == n_rows
 
 
 @st.composite
