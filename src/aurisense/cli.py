@@ -104,7 +104,8 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     config = None
     if args.config != "default":
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # a leading byte-order mark is dropped, as every table reader drops it
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             config = json.load(fh)
     if args.kind == "cohort":
         res = simulate_cohort(config, args.seed)

@@ -155,7 +155,8 @@ def read_aps_json(path) -> AuricularPointSet:
     three finite numbers; ``face`` (a whole number >= 0) and ``barycentric``
     (three finite numbers) are optional.  Raises ``ParameterError`` naming
     the first bad record, or the first that repeats a label."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # a leading byte-order mark is dropped, as every table reader drops it
+    with open(path, "r", encoding="utf-8-sig") as fh:
         obj = json.load(fh)
     recs = obj.get("aps") if isinstance(obj, dict) else None
     if not isinstance(recs, list):

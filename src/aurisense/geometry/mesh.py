@@ -202,6 +202,10 @@ class SurfaceMesh:
             weighted[1:] = weighted[0]
             vn[:, j] = np.bincount(corners, weighted.ravel(), self.n_vertices)
         norm = _row_norms(vn)
+        huge = np.isinf(norm)  # a square overflows past about 1.3e154
+        if huge.any():
+            vn[huge] /= np.abs(vn[huge]).max(axis=1, keepdims=True)
+            norm[huge] = _row_norms(vn[huge])
         orphan = norm < 1e-300
         vn[orphan] = (0.0, 0.0, 1.0)
         norm[orphan] = 1.0

@@ -198,7 +198,9 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
     Each scalar is one float64 per vertex, checked before the file is
     opened, and so is its name, which must be one header word that is not
     a coordinate: non-empty printable ASCII with no whitespace, not ``x``,
-    ``y`` or ``z``.  Every vertex property is declared ``double``."""
+    ``y`` or ``z``.  Each comment is one header line, so it may hold no
+    line break; that too is checked before the file is opened.  Every vertex
+    property is declared ``double``."""
     scalars = {name: np.asarray(vals, dtype=np.float64)
                for name, vals in (scalars or {}).items()}
     for name, vals in scalars.items():
@@ -208,6 +210,9 @@ def write_ply(path, mesh: SurfaceMesh, scalars: dict | None = None,
         if vals.shape != (mesh.n_vertices,):
             raise ValueError(f"scalar '{name}' has shape {vals.shape}; a mesh of "
                              f"{mesh.n_vertices} vertices needs ({mesh.n_vertices},)")
+    for c in comments:
+        if "\n" in c or "\r" in c:
+            raise ValueError(f"comment {c!r} holds a line break: a PLY comment is one header line")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         for c in comments:

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,14 +13,6 @@ from aurisense.geometry.primitives import (
 # can be repeated from its test id alone
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
-
-# hypothesis's pytest plugin imports this module when a @given test fails,
-# and on import it touches a deprecated mypy_extensions name; under
-# filterwarnings = error that warning would end the whole session with an
-# INTERNALERROR, so every later test would go unrun and unreported
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

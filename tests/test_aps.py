@@ -238,6 +238,15 @@ def test_far_projection_raises():
         place_aps(mesh, [("APX", np.array([0.9, 0.9, 0.5]))])
 
 
+def test_aps_json_with_a_leading_byte_order_mark_reads_as_without(tmp_path, plane_coarse):
+    aps = place_aps(plane_coarse, default_template(10))
+    write_aps_json(tmp_path / "aps.json", aps)
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "aps.json").read_bytes())
+    back = read_aps_json(tmp_path / "bom.json")
+    assert back.labels == aps.labels
+    assert np.array_equal(back.positions(), read_aps_json(tmp_path / "aps.json").positions())
+
+
 def test_aps_json_roundtrip(tmp_path, plane_coarse):
     aps = place_aps(plane_coarse, default_template(10))
     path = tmp_path / "aps.json"

@@ -344,6 +344,15 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
 
 
+def test_simulate_reads_a_config_with_a_leading_byte_order_mark(tmp_path):
+    (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "config.json").read_bytes())
+    for name in ("config", "bom"):
+        assert main(["simulate", "cohort", str(tmp_path / f"{name}.json"), "--seed", "3",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+
 def test_analyze_skips_the_concordance_of_labels_that_are_not_ear_pairs(tmp_path, capsys):
     (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
     assert main(["simulate", "cohort", str(tmp_path / "config.json"), "--seed", "3",

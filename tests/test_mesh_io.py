@@ -112,6 +112,17 @@ def test_scalar_names_the_header_cannot_carry_leave_an_existing_file_unchanged(t
     assert p.read_text() == "previous contents\n"
 
 
+@pytest.mark.parametrize("comment", ["seed=1\nelement junk 1", "a\rb", "a\r\n"])
+def test_comments_with_a_line_break_leave_an_existing_file_unchanged(tmp_path, comment):
+    # the break wrote a header line of its own, which load_mesh then rejected
+    mesh = make_bumpy_plane(extent=4.0, spacing=1.0)
+    p = tmp_path / "old.ply"
+    p.write_text("previous contents\n")
+    with pytest.raises(ValueError, match="line break"):
+        write_ply(p, mesh, comments=("seed=1", comment))
+    assert p.read_text() == "previous contents\n"
+
+
 # a valid PLY whose header declares its elements in an order the body reader
 # cannot follow: (text, line of the element at fault, its name)
 _PLY_HEAD = "ply\nformat ascii 1.0\n"
@@ -486,6 +497,15 @@ def test_vertex_normals_are_built_on_first_read_not_by_load_or_contour(tmp_path,
     assert loaded.vertex_normals is normals and calls == [loaded]
     assert not normals.flags.writeable
     assert np.array_equal(normals, mesh.vertex_normals)
+
+
+def test_vertex_normals_of_faces_too_large_to_square_are_unit_length():
+    # four faces of area 5e153 around the origin: the centre's summed
+    # area-weighted normal is 2e154, whose square overflows to inf
+    vertices = np.array([[0.0, 0.0, 0.0], [1e77, 0.0, 0.0], [0.0, 1e77, 0.0],
+                         [-1e77, 0.0, 0.0], [0.0, -1e77, 0.0]])
+    mesh = SurfaceMesh(vertices, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]))
+    assert np.array_equal(mesh.vertex_normals, np.tile([0.0, 0.0, 1.0], (5, 1)))
 
 
 def test_vertex_normals_that_are_not_finite_raise_at_their_first_read(monkeypatch):

@@ -6,8 +6,13 @@ grammar; valid files are read in one pass; integer rows are written as the
 
 import contextlib
 import io
+import math
 import re
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -582,6 +587,77 @@ def test_float_and_labelled_rows_match_one_repr_per_cell(table, sep):
         with mock.patch.object(textio, "_WRITE_ROWS", rows_per_block):
             textio.write_rows(out, [values[:, :1], values[:, 1:]], labels, sep)
         assert out.getvalue() == _repr_rows(values, labels, sep)
+
+
+def _float64(word):
+    return float(np.array(word, np.uint64).view(np.float64))
+
+
+_LARGEST_SUBNORMAL = _float64(2 ** 52 - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cells=st.lists(st.integers(0, 2 ** 64 - 1).map(_float64), min_size=1, max_size=24),
+       column=st.booleans(), sep=st.sampled_from([" ", ","]))
+@example(cells=[5e-324, -5e-324, _LARGEST_SUBNORMAL, -_LARGEST_SUBNORMAL], column=False, sep=" ")
+@example(cells=[2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+         column=False, sep=",")
+@example(cells=[0.0, -0.0, math.inf, -math.inf, math.nan], column=True, sep=" ")
+@example(cells=[1e16, 9999999999999998.0, math.nextafter(1e16, math.inf)], column=False, sep=" ")
+@example(cells=[y for x in (1e-4, 1e-5) for y in (math.nextafter(x, 0), x, math.nextafter(x, 1))],
+         column=False, sep=" ")
+def test_float64_bit_patterns_match_one_repr_per_cell(cells, column, sep):
+    # every sign and exponent, subnormals, infinities and NaNs included
+    values = np.array(cells).reshape((-1, 1) if column else (1, -1))
+    assert textio.format_rows(values, sep=sep) == _repr_rows(values, sep=sep)
+    labels = [f"r{i}" for i in range(len(values))]
+    assert textio.format_rows(values, labels, sep) == _repr_rows(values, labels, sep)
+
+
+def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
+    # each binary exponent, the short decimals 10**k and the switches to and
+    # from exponent notation at 1e16 and 1e-4, with the float on each side
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    powers += [float(f"1e{k}") for k in range(-323, 309)]
+    cells = [y for x in powers for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
+    values = np.array(cells + [-x for x in cells]).reshape(-1, 3)
+    assert textio.format_rows(values) == _repr_rows(values)
+
+
+def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
+    assert textio._SLICE == 4096
+    rng = np.random.default_rng(46)
+    words = rng.integers(0, 2 ** 64, 2 * textio._SLICE + 12, dtype=np.uint64)
+    cells = words.view(np.float64).copy()
+    cells[::3] = rng.normal(0.0, 20.0, len(cells[::3])).round(2)  # short decimals too
+    # cells that take their repr, and zeros, on each side of the slice edges
+    for edge in (textio._SLICE, 2 * textio._SLICE):
+        cells[edge - 2:edge + 3] = [np.nan, -0.0, 5e-324, -np.inf, 0.0]
+    values = cells.reshape(-1, 4)
+    assert textio.format_rows(values, sep=",") == _repr_rows(values, sep=",")
+
+
+def test_the_schubfach_table_holds_g_for_every_k():
+    # g = floor(10**-k * 2**-r) + 1, r = floor(log2(10**-k)) - 125, from
+    # exact rationals; 126 bits, split in two 63-bit halves
+    g1, g0 = textio._float_tables()[:2]
+    for i, k in enumerate(range(-324, 293)):
+        p = Fraction(10) ** -k
+        e = p.numerator.bit_length() - p.denominator.bit_length()
+        r = (e if Fraction(2) ** e <= p else e - 1) - 125
+        g = math.floor(p / Fraction(2) ** r) + 1
+        assert 2 ** 125 <= g < 2 ** 126
+        assert (int(g1[i]) << 63) + int(g0[i]) == g, k
+
+
+def test_importing_the_cli_builds_no_float_table():
+    src = Path(textio.__file__).resolve().parent.parent
+    code = ("import aurisense.cli\n"
+            "from aurisense import textio\n"
+            "print(textio._float_tables.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 @settings(max_examples=300, deadline=None)
