@@ -219,8 +219,9 @@ def simulate_cohort(config: dict | None, seed: int) -> CohortResult:
     z = spawn_rng(seed, 1).standard_normal((arch.size, n_aps + 1))
     rows = _aesr_draw(noise, lambda: trends[arch] * np.exp(noise * z[:, :n_aps])
                       * np.exp(scale_sigma * z[:, n_aps:]))
+    subjects = np.arange(1, len(pairs) + 1).repeat(2).tolist()
     return CohortResult(
-        labels=tuple(f"S{i + 1:02d}-{side}" for i in range(len(pairs)) for side in "LR"),
+        labels=tuple(("S%02d-L\nS%02d-R\n" * len(pairs) % tuple(subjects)).split("\n")[:-1]),
         rows=rows,
         archetype=arch,
         config=cfg,

@@ -6,12 +6,18 @@ floats; the contour values file is the one-column case ``label,value``.
 Labels are unique in both: a row whose label repeats an earlier row's
 exactly is a fault (``S01-l`` after ``S01-L`` is not).
 Floats are written with ``repr`` so identical data reproduces
-byte-identical files.  Reading follows the parse rule and line-number
-contract of ``aurisense.textio``: blank and ``#`` lines are skipped, and
+byte-identical files.  The writer writes only what the reader reads back
+as it was, and raises ``ValueError`` before it opens the file for anything
+else: each cell is finite, and each label is a ``str`` of UTF-8 text that
+holds no ``,``, ``\\n`` or ``\\r`` and starts with neither ``#`` nor
+whitespace.  Reading follows the parse rule and line-number contract of
+``aurisense.textio``: blank and ``#`` lines are skipped, and
 a bad header or row raises ``DatasetFormatError`` naming its line.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -20,11 +26,21 @@ from ..textio import read_lines, require, require_unique, table, write_report_js
 
 __all__ = ["read_dataset_csv", "write_dataset_csv", "write_report_json"]
 
+_BAD_START = re.compile(r",[#\s]")  # a label after "," that starts with "#" or whitespace
+
 
 def write_dataset_csv(path, labels, rows, comments=()) -> None:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] != len(labels):
         raise ValueError("rows must be (M, N) with one label per row")
+    if not np.isfinite(rows).all():
+        raise ValueError("rows hold a NaN or infinite cell, which the reader rejects")
+    text = ",".join(labels)
+    text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
+    if ("\n" in text or "\r" in text or text.count(",") > max(len(labels) - 1, 0)
+            or _BAD_START.search("," + text)):
+        raise ValueError("a label holds ',', '\\n' or '\\r', or starts with '#' or "
+                         "whitespace: the reader would not read it back")
     n = rows.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for c in comments:

@@ -34,6 +34,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -72,11 +73,20 @@ def _meta(command: str, seed, config: dict, **files) -> tuple[dict, str]:
     return meta, f"seed={'none' if seed is None else seed} config={digest} version={__version__}"
 
 
+def _second_output(args, option: str) -> None:
+    """Raise ``AurisenseError`` before anything is written if the output of
+    ``option`` (``aps_out`` or ``truth_out``) names the file of ``--out``."""
+    path = getattr(args, option)
+    if path is not None and os.path.realpath(path) == os.path.realpath(args.out):
+        raise AurisenseError(f"--out and --{option.replace('_', '-')} name one file: {path}")
+
+
 # ----------------------------------------------------------------------
 # design
 # ----------------------------------------------------------------------
 
 def cmd_design(args) -> int:
+    _second_output(args, "aps_out")
     mesh = load_mesh(args.mesh)
     aps = place_aps(mesh, args.template)
     design = design_array(mesh, aps, target_area=args.target_area, tilt_deg=args.tilt_deg)
@@ -102,6 +112,8 @@ def cmd_design(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if args.kind == "cohort":
+        _second_output(args, "truth_out")
     config = None
     if args.config != "default":
         # a leading byte-order mark is dropped, as every table reader drops it
@@ -115,7 +127,7 @@ def cmd_simulate(args) -> int:
     if args.kind == "cohort":
         write_dataset_csv(args.out, res.labels, res.rows, comments=(stamp,))
         if args.truth_out:
-            truth = {lab: int(a) for lab, a in zip(res.labels, res.archetype)}
+            truth = dict(zip(res.labels, res.archetype.tolist()))
             write_report_json(args.truth_out, {"_meta": meta, "truth": truth})
         print(f"simulate cohort: {res.rows.shape[0]} ears x "
               f"{res.rows.shape[1]} APs -> {args.out}")

@@ -10,7 +10,8 @@ which alone finds the line of a row that does not parse, on the body rows.
 A row that reads but breaks a later check is named by ``require``, and a
 label that repeats an earlier row's by ``require_unique``; the PLY reader,
 which keeps no line list, passes ``require`` a ``FileLines``.
-Every ASCII writer writes its body rows with ``write_rows``.
+Every ASCII writer writes its body rows with ``write_rows``, and every JSON
+file is written by ``write_report_json``.
 
 Parse rule: a file is UTF-8 text, less one leading byte-order mark (a
 U+FEFF anywhere else is text, which no cell or keyword matches), split
@@ -32,25 +33,37 @@ raises the caller's ``AurisenseError`` subclass with ``.line`` set to
 that line; a fault of the whole file, such as a truncated body, carries
 ``line=None``.
 
-Writer: each cell is written as the ``repr`` of its Python number (for a
+Writers: each cell is written as the ``repr`` of its Python number (for a
 float the shortest text that reads back exactly).  A table is written in
 blocks of ``_WRITE_ROWS`` rows, so the text held at once stays one block's.
 A block of float16, float32 or float64 cells, labelled or not, is spelled
-by array passes: Schubfach's shortest correctly rounded digits on uint64
-arrays, then one layout template per cell (notation, decimal-point place,
-digit count) masks a fixed field of those digits, and the NULs between the
-kept bytes are dropped; a subnormal, infinite or NaN cell takes its
-``repr`` in its own field.  A block of integers >= 0 with no labels is
-spelled by array passes over its cells' decimal digits; any other block by
-one ``%`` format of a row template repeated once per row.
+by array passes over slices of whole rows of about ``_SLICE`` cells:
+Schubfach's shortest correctly rounded digits on uint64 arrays, then one
+layout template per cell (notation, decimal-point place, digit count)
+masks a fixed field of those digits, and the NULs between the kept bytes
+are dropped from each slice as it is filled; a subnormal, infinite or NaN
+cell takes its ``repr`` in its own field.  A block of integers >= 0 with no
+labels is spelled by array passes over its cells' decimal digits; any other
+block by one ``%`` format of a row template repeated once per row.
+
+``write_report_json`` writes the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True, allow_nan=False)`` and a newline, whose pure-Python encoder
+(the one ``json`` runs with ``indent``) costs a generator step per token.
+It spells the plain values of a list or a dict (numbers, bools and None)
+by one call of json's C encoder and splits its text at ``", "``, which no
+plain token holds, and strings and dict keys by ``encode_basestring_ascii``;
+only containers are spelled one at a time.  A key that is not a ``str``
+raises ``TypeError`` where ``json`` would coerce it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import warnings
 from itertools import compress, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -321,18 +334,24 @@ def _float_tables():
 
 def _float_rows(values, tail: bytes) -> str:
     """``format_rows(values, sep=tail.decode())`` of a 2-D float array, by
-    array passes: ``_float_fields`` fills each cell's field ``_SLICE`` cells
-    at a time, ``tail`` follows each cell but a row's last, which ``\\n``
-    follows, and the NULs are dropped."""
+    array passes: ``_float_fields`` fills the fields of whole rows, about
+    ``_SLICE`` cells at a time, ``tail`` follows each cell but a row's last,
+    which ``\\n`` follows, and each slice's NULs are dropped as it is filled,
+    so one slice's fields are held at a time."""
     n, ncols = values.shape
-    x = values.astype(np.float64).ravel()
-    fields = np.empty((x.size, _FIELD), _LANE)
-    for lo in range(0, x.size, _SLICE):
-        _float_fields(x[lo:lo + _SLICE], fields[lo:lo + _SLICE])
-    last = fields.reshape(n, ncols, _FIELD)[..., 5]
-    last[:, :-1] |= int.from_bytes(tail, "little") << 40
-    last[:, -1] |= ord("\n") << 40
-    return fields.tobytes().translate(None, b"\0").decode()
+    rows = max(1, _SLICE // ncols)
+    ends = np.full(ncols, int.from_bytes(tail, "little") << 40, _LANE)
+    ends[-1] = ord("\n") << 40
+    ends = np.tile(ends, min(rows, n))
+    fields = np.empty((ends.size, _FIELD), _LANE)
+    text = []
+    for lo in range(0, n, rows):
+        x = values[lo:lo + rows].astype(np.float64).ravel()
+        out = fields[:x.size]
+        _float_fields(x, out)
+        out[:, 5] |= ends[:x.size]
+        text.append(out.tobytes().translate(None, b"\0"))
+    return b"".join(text).decode()
 
 
 def _float_fields(x, out) -> None:
@@ -439,8 +458,68 @@ def _round_odd(y1, y0, x1):
 
 
 def write_report_json(path, obj: dict) -> None:
-    """Canonical JSON (sorted keys, 2-space indent, trailing newline).  A NaN
-    or infinite float raises ``ValueError``: strict JSON has no token for it."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Write ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline, by ``_json_text``.  The whole text is built before the
+    file is opened: a NaN or infinite float raises ``ValueError`` (strict
+    JSON has no token for it), and a dict key that is not a ``str``, which
+    ``json`` would coerce, raises ``TypeError``."""
+    text = _json_text(obj, "") + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+# json's C encoder of plain values, built once where ``JSONEncoder.encode``
+# builds one on each call; ``_PLAIN.encode`` stands in without the C module
+_PLAIN = json.JSONEncoder(allow_nan=False)
+_C_PLAIN = c_make_encoder and c_make_encoder(None, _PLAIN.default, encode_basestring_ascii, None,
+                                             ": ", ", ", False, False, False)
+_PLAIN_TYPES = {int, float, bool, type(None)}
+_NESTED = (str, dict, list, tuple)
+
+
+def _json_text(obj, indent: str) -> str:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    gives ``obj`` where its first line starts with ``indent``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        try:
+            keys = sorted(obj)
+            heads = list(map(encode_basestring_ascii, keys))
+        except TypeError:
+            raise TypeError("JSON object keys must be str") from None
+        items = _json_items(list(map(obj.__getitem__, keys)), inner)
+        return ("{\n" + inner + (",\n" + inner).join(map(": ".join, zip(heads, items)))
+                + "\n" + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + inner + (",\n" + inner).join(_json_items(obj, inner)) + "\n" + indent + "]"
+    return _json_plain([obj])[0]
+
+
+def _json_items(values, indent: str) -> list:
+    """The text of each item of the list or tuple ``values``, as
+    ``_json_text`` spells it: plain items by one C-encoder call, strings by
+    ``encode_basestring_ascii``, and only the containers one at a time."""
+    types = set(map(type, values))
+    if types <= _PLAIN_TYPES:
+        return _json_plain(values)
+    if types == {str}:
+        return list(map(encode_basestring_ascii, values))
+    nested = list(map(isinstance, values, repeat(_NESTED)))
+    plain = iter(_json_plain(list(compress(values, map(operator.not_, nested)))))
+    return [_json_text(v, indent) if n else next(plain) for v, n in zip(values, nested)]
+
+
+def _json_plain(values) -> list:
+    """The JSON token of each plain value of the list or tuple ``values``, by
+    one call of json's C encoder; any other value raises as ``json.dumps``
+    does."""
+    if not values:
+        return []
+    text = "".join(_C_PLAIN(values, 0)) if _C_PLAIN else _PLAIN.encode(values)
+    return text[1:-1].split(", ")

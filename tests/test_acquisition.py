@@ -127,6 +127,13 @@ def test_cohort_ears_follow_the_documented_stream(sizes, seed):
         assert res.rows[e].tobytes() == row.tobytes()
 
 
+def test_cohort_labels_keep_two_digits_up_to_s99_and_grow_past_it():
+    res = simulate_cohort({"sizes": [60, 60, 60, 30]}, 5)
+    assert res.labels == tuple(f"S{i // 2 + 1:02d}-{'LR'[i % 2]}" for i in range(210))
+    assert res.labels[:3] == ("S01-L", "S01-R", "S02-L")
+    assert res.labels[196:200] == ("S99-L", "S99-R", "S100-L", "S100-R")
+
+
 @pytest.mark.parametrize("scale", [1, 80], ids=["60-ears", "4800-ears"])
 def test_cohort_draws_from_two_streams_whatever_its_size(monkeypatch, scale):
     calls = []

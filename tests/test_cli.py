@@ -344,6 +344,34 @@ def test_simulate_and_analyze_commands_rerun_identically(tmp_path):
     assert len(report["assignments"]) == 20 and report["_meta"]["command"] == "analyze"
 
 
+@pytest.mark.parametrize("second", ["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("command", ["simulate", "design"])
+def test_two_outputs_at_one_path_exit_1_before_any_file_is_written(tmp_path, monkeypatch,
+                                                                   capsys, command, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.json").symlink_to(tmp_path / "out.json")
+    other = {"same": "out.json", "dot-slash": "./out.json", "symlink": "link.json"}[second]
+    if command == "simulate":
+        argv = ["simulate", "cohort", "default", "--seed", "1", "--out", "out.json",
+                "--truth-out", other]
+    else:
+        mesh_path, template_path = _design_inputs(tmp_path)
+        argv = ["design", str(mesh_path), str(template_path), "--out", "out.json",
+                "--aps-out", other]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out and --") and "one file" in err[0]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_simulate_session_ignores_a_truth_out_at_its_out_path(tmp_path):
+    # only a cohort writes the truth, so a session has one output
+    out = str(tmp_path / "session.json")
+    assert main(["simulate", "session", "default", "--seed", "1", "--out", out,
+                 "--truth-out", out]) == 0
+    assert json.loads((tmp_path / "session.json").read_text())["subject"] == "S01"
+
+
 def test_simulate_reads_a_config_with_a_leading_byte_order_mark(tmp_path):
     (tmp_path / "config.json").write_text('{"sizes": [8, 6, 4, 2]}')
     (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "config.json").read_bytes())

@@ -431,6 +431,28 @@ def test_write_dataset_csv_needs_one_label_per_row(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("label, cell", [
+    ("#x", 1.0), (" x", 1.0), ("\tx", 1.0), ("a,b", 1.0), ("x\r", 1.0), ("x\ny", 1.0),
+    ("\ud800", 1.0), ("S01-R", np.nan), ("S01-R", np.inf), ("S01-R", -np.inf),
+], ids=["comment-label", "space-label", "tab-label", "comma-label", "cr-label", "lf-label",
+        "surrogate-label", "nan-cell", "inf-cell", "minus-inf-cell"])
+def test_write_dataset_csv_refuses_what_the_reader_cannot_read_back(tmp_path, label, cell):
+    # the file is left as it was: the writer raises before it opens it
+    path = tmp_path / "out.csv"
+    path.write_text("before\n")
+    with pytest.raises(ValueError):
+        write_dataset_csv(path, ["S01-L", label], [[1.0, 2.0], [3.0, cell]])
+    assert path.read_text() == "before\n"
+
+
+def test_write_dataset_csv_labels_read_back_as_written(tmp_path):
+    labels = ["", "x ", "a#b", "\u00e9", "S01-L", "a;b", "x\u2028y"]
+    rows = np.arange(2.0 * len(labels)).reshape(-1, 2)
+    write_dataset_csv(tmp_path / "out.csv", labels, rows)
+    back, values = datasets.read_dataset_csv(tmp_path / "out.csv")
+    assert back == labels and np.array_equal(values, rows)
+
+
 def test_bad_face_index():
     with pytest.raises(MeshFormatError):
         SurfaceMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))

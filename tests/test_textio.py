@@ -6,6 +6,7 @@ grammar; valid files are read in one pass; integer rows are written as the
 
 import contextlib
 import io
+import json
 import math
 import re
 import subprocess
@@ -665,3 +666,106 @@ def test_importing_the_cli_builds_no_float_table():
 @example(text="a\r\n\r\r\n\n")
 def test_lines_split_at_every_line_break(text):
     assert textio._split_lines(text) == text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+@pytest.mark.parametrize("ncols", [3, 4, 13, textio._SLICE + 1])
+def test_float_rows_across_kernel_slices_of_whole_rows_match_repr(ncols):
+    # 3 and 13 columns do not divide a slice, and a row wider than a slice
+    # takes one slice of its own
+    rng = np.random.default_rng(47)
+    n_rows = max(3, 3 * textio._SLICE // ncols + 2)
+    values = rng.lognormal(2.0, 3.0, (n_rows, ncols)) * rng.choice([-1.0, 1.0], (n_rows, ncols))
+    values.ravel()[::97] = np.nan
+    labels = [f"r{i}" for i in range(n_rows)]
+    assert textio.format_rows(values, sep=",") == _repr_rows(values, sep=",")
+    assert textio.format_rows(values, labels, ",") == _repr_rows(values, labels, ",")
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_JSON_LEAVES = (st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none() | st.text(max_size=6)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 1e16, 5e-324, 0.1, 1e-7]))
+_JSON_KEYS = st.text(max_size=6) | st.sampled_from(["a, ", '", "', "\\", "é", "", '"', ": "])
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=6)), max_leaves=40)
+_FLAT_4800 = dict(zip([f"S{i // 2 + 1:02d}-{'LR'[i % 2]}" for i in range(4800)],
+                      np.random.default_rng(47).integers(0, 4, 4800).tolist()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSON)
+@example(obj={"a, ": 1, '", "': [1.5, None], "\\": {"é": "x, y"}, "": -0.0})
+@example(obj={"a, ": "b", '", "': '", "', "\\": "\\", "é": "é", "": ""})
+@example(obj=['a", ', "b", 1, 'c", "', 2.5])
+@example(obj={"e": {}, "l": [], "t": (), "n": [[], {}, ()]})
+@example(obj={})
+@example(obj=[])
+@example(obj={"truth": _FLAT_4800, "per_point": np.linspace(-1.0, 1.0, 4800).tolist()})
+@example(obj=[1e16, 5e-324, -0.0, True, False, None, 2 ** 64, -(2 ** 63)])
+def test_report_json_is_the_stdlib_text(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "r.json"
+    textio.write_report_json(path, obj)
+    assert path.read_bytes() == _stdlib_json(obj).encode()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["top", "list", "dict", "mixed"])
+def test_non_finite_floats_raise_value_error_before_the_json_file_is_opened(tmp_path, bad, where):
+    obj = {"top": bad, "list": {"x": [1.0, bad]}, "dict": {"x": {"a": 1, "b": bad}},
+           "mixed": {"x": [{"a": "s"}, "s", bad]}}[where]
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        textio.write_report_json(tmp_path / "r.json", {"a": obj})
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)], ids=repr)
+def test_a_key_that_is_not_a_string_raises_type_error_before_the_json_file_is_opened(tmp_path,
+                                                                                      key):
+    with pytest.raises(TypeError, match="keys must be str"):
+        textio.write_report_json(tmp_path / "r.json", {"a": {"b": 1, key: 2}})
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_value_json_cannot_encode_raises_its_type_error(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        textio.write_report_json(tmp_path / "r.json", {"a": [1, np.int64(2)]})
+    assert not (tmp_path / "r.json").exists()
+
+
+def _python_calls(fn) -> int:
+    """How many Python-level function calls and generator resumptions
+    ``fn()`` makes, by a profile hook."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_truth_and_report_lists_take_no_python_call_per_item(tmp_path):
+    meta = {"command": "simulate cohort", "seed": 1, "config_digest": "0" * 16,
+            "version": "0.1.0"}
+    truth = {"_meta": meta, "truth": _FLAT_4800}
+    report = {"_meta": meta, "assignments": list(_FLAT_4800.values()),
+              "labels": list(_FLAT_4800), "per_point": np.linspace(-1.0, 1.0, 4800).tolist()}
+    for obj in (truth, report):
+        path = tmp_path / "r.json"
+        calls = _python_calls(lambda: textio.write_report_json(path, obj))
+        assert path.read_bytes() == _stdlib_json(obj).encode()
+        assert calls < 40, calls
+        # the stdlib's encoder, which the writer replaced, resumes a
+        # generator once per item
+        assert _python_calls(lambda: _stdlib_json(obj)) > 4800
