@@ -8,11 +8,12 @@ exactly is a fault (``S01-l`` after ``S01-L`` is not).
 Floats are written with ``repr`` so identical data reproduces
 byte-identical files.  The writer writes only what the reader reads back
 as it was, and raises ``ValueError`` before it opens the file for anything
-else: each cell is finite, and each label is a ``str`` of UTF-8 text that
-holds no ``,``, ``\\n`` or ``\\r`` and starts with neither ``#`` nor
-whitespace.  Reading follows the parse rule and line-number contract of
-``aurisense.textio``: blank and ``#`` lines are skipped, and
-a bad header or row raises ``DatasetFormatError`` naming its line.
+else: each row holds at least one cell, each cell is finite, and each
+label is a ``str`` of UTF-8 text that holds no ``,``, ``\\n`` or ``\\r``
+and starts with neither ``#`` nor whitespace.  Reading follows the parse
+rule and line-number contract of ``aurisense.textio``: blank and ``#``
+lines are skipped, and a bad header or row raises ``DatasetFormatError``
+naming its line.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ _BAD_START = re.compile(r",[#\s]")  # a label after "," that starts with "#" or 
 
 def write_dataset_csv(path, labels, rows, comments=()) -> None:
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != len(labels):
-        raise ValueError("rows must be (M, N) with one label per row")
+    if rows.ndim != 2 or rows.shape[0] != len(labels) or not rows.shape[1]:
+        raise ValueError("rows must be (M, N), N >= 1, with one label per row")
     if not np.isfinite(rows).all():
         raise ValueError("rows hold a NaN or infinite cell, which the reader rejects")
     text = ",".join(labels)

@@ -33,41 +33,41 @@ raises the caller's ``AurisenseError`` subclass with ``.line`` set to
 that line; a fault of the whole file, such as a truncated body, carries
 ``line=None``.
 
-Writers: each cell is written as the ``repr`` of its Python number (for a
-float the shortest text that reads back exactly).  A table is written in
-blocks of ``_WRITE_ROWS`` rows, so the text held at once stays one block's.
-A block of float16, float32 or float64 cells, labelled or not, is spelled
-by array passes over slices of whole rows of about ``_SLICE`` cells:
-Schubfach's shortest correctly rounded digits on uint64 arrays, then one
-layout template per cell (notation, decimal-point place, digit count)
-masks a fixed field of those digits, and the NULs between the kept bytes
-are dropped from each slice as it is filled; a subnormal, infinite or NaN
-cell takes its ``repr`` in its own field.  A block of integers >= 0 with no
-labels is spelled by array passes over its cells' decimal digits; any other
-block by one ``%`` format of a row template repeated once per row.
+Writers: ``write_rows`` writes every table row, and each cell as the
+``repr`` of its Python number (for a float the shortest text that reads
+back exactly).  A table is written in blocks of whole rows of about
+``_SLICE`` cells, so the text held at once stays one block's.  A block of
+float16, float32 or float64 cells, labelled or not, is spelled by array
+passes: Schubfach's shortest correctly rounded digits on uint64 arrays,
+then one layout template per cell (notation, decimal-point place, digit
+count) masks a fixed field of those digits, and the NULs between the kept
+bytes are dropped; a subnormal, infinite or NaN cell takes its ``repr`` in
+its own field.  A block of integers >= 0 with no labels is spelled by array
+passes over its cells' decimal digits.  Any other table, and a separator
+the fields cannot hold, raises ``ValueError`` before a row is written.
 
 ``write_report_json`` writes the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` and a newline, whose pure-Python encoder
 (the one ``json`` runs with ``indent``) costs a generator step per token.
-It spells the plain values of a list or a dict (numbers, bools and None)
-by one call of json's C encoder and splits its text at ``", "``, which no
-plain token holds, and strings and dict keys by ``encode_basestring_ascii``;
-only containers are spelled one at a time.  A key that is not a ``str``
-raises ``TypeError`` where ``json`` would coerce it.
+The items of a list, or the values of a dict, that are all plain
+(numbers, bools and None) are spelled by one call of json's C encoder,
+whose text is split at ``", "``, which no plain token holds; all strings,
+and dict keys, by ``encode_basestring_ascii``; and the items of any other
+list or dict one at a time.  A key that is not a ``str`` raises
+``TypeError`` where ``json`` would coerce it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
 import warnings
 from itertools import compress, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-_WRITE_ROWS = 4096  # rows per block of ``write_rows``
+_SLICE = 4096  # cells per block of ``write_rows``: bounds the text and temporaries held at once
 
 
 def _split_lines(text: str) -> list:
@@ -212,22 +212,53 @@ def _read(body, ncols: int, dtype, sep=None, nrows=None):
 
 
 def write_rows(fh, columns, labels=None, sep: str = " ") -> None:
-    """Write to ``fh`` the rows of the side-by-side ``columns``, 1-D or 2-D
-    arrays of one length, as ``format_rows`` spells them, ``_WRITE_ROWS``
-    rows at a time: the text in memory is one block's, not the table's.
-    A block of integers >= 0 with no labels is spelled by ``_whole_rows``,
-    and a block of floats by ``format_rows``'s ``_float_rows``."""
-    for lo in range(0, len(columns[0]), _WRITE_ROWS):
-        block = slice(lo, lo + _WRITE_ROWS)
-        values = np.column_stack([c[block] for c in columns])
-        if labels is None and values.dtype.kind in "iu" and values.min() >= 0:
+    """Write to ``fh`` one text row per row of the side-by-side ``columns``,
+    1-D or 2-D arrays of one length: the ``repr`` of each cell's Python
+    number, joined by ``sep`` after ``str(label)`` when ``labels`` is given.
+    Rows go in blocks of whole rows of about ``_SLICE`` cells, so the text in
+    memory is one block's.  Cells are float16, float32 or float64, spelled by
+    ``_float_fields``, or integers >= 0 with no labels, spelled by
+    ``_whole_rows``; any other cells, no columns, or a ``sep`` of over 3
+    bytes or holding a NUL or a line break raise ``ValueError`` before a row
+    is written."""
+    head = np.column_stack([c[:0] for c in columns])
+    n, ncols = len(columns[0]), head.shape[1]
+    tail = sep.encode()
+    if len(tail) > 3 or b"\0" in tail or "\n" in sep or "\r" in sep:
+        raise ValueError(f"the separator {sep!r} is over 3 bytes or holds a NUL or a line break")
+    whole = (head.dtype.kind in "iu" and labels is None
+             and min(np.min(c, initial=0) for c in columns) >= 0)
+    if not ncols or not (whole or head.dtype.kind == "f" and head.itemsize <= 8):
+        raise ValueError(f"cannot write {ncols} {head.dtype} cells a row"
+                         f"{'' if labels is None else ' with labels'}: only floats of up to "
+                         f"64 bits, or integers >= 0 with no labels")
+    rows = max(1, _SLICE // ncols)
+    if not whole:
+        ends = np.full(ncols, int.from_bytes(tail, "little") << 40, _LANE)
+        ends[-1] = ord("\n") << 40
+        ends = np.tile(ends, min(rows, n))
+        fields = np.empty((ends.size, _FIELD), _LANE)
+        labelled = "%s" + sep.replace("%", "%%") + "%s\n"
+    for lo in range(0, n, rows):
+        values = np.column_stack([c[lo:lo + rows] for c in columns])
+        if whole:
             fh.write(_whole_rows(values, sep))
-        else:
-            fh.write(format_rows(values, None if labels is None else labels[block], sep))
+            continue
+        x = values.astype(np.float64, copy=False).ravel()
+        out = fields[:x.size]
+        _float_fields(x, out)
+        out[:, 5] |= ends[:x.size]
+        text = out.tobytes().translate(None, b"\0").decode()
+        if labels is not None:
+            cells = [None] * (2 * len(values))
+            cells[::2] = labels[lo:lo + rows]
+            cells[1::2] = text.split("\n")[:-1]
+            text = labelled * len(values) % tuple(cells)
+        fh.write(text)
 
 
 def _whole_rows(values, sep: str) -> str:
-    """``format_rows(values, sep=sep)`` of a 2-D array of integers >= 0, by
+    """The rows ``write_rows`` writes of a 2-D array of integers >= 0, by
     array passes: repeated ``divmod`` puts each cell's digits right-aligned
     in a field of NULs as wide as the largest cell, ``sep`` follows each cell
     but a row's last, which ``\\n`` follows, and the NULs are dropped."""
@@ -245,39 +276,11 @@ def _whole_rows(values, sep: str) -> str:
     return cells.tobytes().translate(None, b"\0").decode()
 
 
-def format_rows(values, labels=None, sep: str = " ") -> str:
-    """One text row per row of the 2-D ``values``: each cell is the ``str``
-    of its Python number, which is its ``repr`` (for floats the shortest
-    form that reads back exactly), joined by ``sep`` after ``str(label)``
-    when ``labels`` is given.  Float16, float32 and float64 cells are spelled
-    by ``_float_rows`` when ``sep`` fits its field (at most 3 bytes, no NUL,
-    and no line break if there are labels); all other rows by one ``%``
-    format."""
-    values = np.asarray(values)
-    n, ncols = values.shape
-    tail = sep.encode()
-    if (values.dtype.kind == "f" and values.itemsize <= 8 and ncols
-            and len(tail) <= 3 and b"\0" not in tail and (labels is None or "\n" not in sep)):
-        text = _float_rows(values, tail)
-        if labels is None:
-            return text
-        cells = [None] * (2 * n)
-        cells[::2] = labels
-        cells[1::2] = text.split("\n")[:-1]
-        return ("%s" + sep.replace("%", "%%") + "%s\n") * n % tuple(cells)
-    if labels is not None:
-        values = np.column_stack([np.asarray(labels, object), values.astype(object)])
-        ncols += 1
-    row = sep.replace("%", "%%").join(["%s"] * ncols) + "\n"
-    return row * n % tuple(values.ravel().tolist())
-
-
 # The float writer.  Each cell fills a field of 48 bytes, six little-endian
 # uint64 lanes: [sign, "0.000", D0, "."], the digits D1..D16 each followed
 # by ".", and ["e", exponent sign, exponent digits, sep].  A layout template
 # is a byte mask over the field that keeps the bytes of one (notation,
 # decimal-point place, digit count); the NULs it leaves are then dropped.
-_SLICE = 4096  # cells per kernel pass: its uint64 temporaries stay in cache
 _FIELD = 6     # uint64 lanes per cell
 _LANE = np.dtype("<u8")
 _M32 = np.uint64(2 ** 32 - 1)
@@ -330,28 +333,6 @@ def _float_tables():
                 keep += [6 + 2 * i for i in range(n, point + 1)] + [5 + 2 * point]
             masks[point + 4, n, keep] = 0xFF
     return g1, g0, lanes, places, masks.reshape(-1, 8 * _FIELD).view(_LANE)
-
-
-def _float_rows(values, tail: bytes) -> str:
-    """``format_rows(values, sep=tail.decode())`` of a 2-D float array, by
-    array passes: ``_float_fields`` fills the fields of whole rows, about
-    ``_SLICE`` cells at a time, ``tail`` follows each cell but a row's last,
-    which ``\\n`` follows, and each slice's NULs are dropped as it is filled,
-    so one slice's fields are held at a time."""
-    n, ncols = values.shape
-    rows = max(1, _SLICE // ncols)
-    ends = np.full(ncols, int.from_bytes(tail, "little") << 40, _LANE)
-    ends[-1] = ord("\n") << 40
-    ends = np.tile(ends, min(rows, n))
-    fields = np.empty((ends.size, _FIELD), _LANE)
-    text = []
-    for lo in range(0, n, rows):
-        x = values[lo:lo + rows].astype(np.float64).ravel()
-        out = fields[:x.size]
-        _float_fields(x, out)
-        out[:, 5] |= ends[:x.size]
-        text.append(out.tobytes().translate(None, b"\0"))
-    return b"".join(text).decode()
 
 
 def _float_fields(x, out) -> None:
@@ -474,7 +455,6 @@ _PLAIN = json.JSONEncoder(allow_nan=False)
 _C_PLAIN = c_make_encoder and c_make_encoder(None, _PLAIN.default, encode_basestring_ascii, None,
                                              ": ", ", ", False, False, False)
 _PLAIN_TYPES = {int, float, bool, type(None)}
-_NESTED = (str, dict, list, tuple)
 
 
 def _json_text(obj, indent: str) -> str:
@@ -503,16 +483,15 @@ def _json_text(obj, indent: str) -> str:
 
 def _json_items(values, indent: str) -> list:
     """The text of each item of the list or tuple ``values``, as
-    ``_json_text`` spells it: plain items by one C-encoder call, strings by
-    ``encode_basestring_ascii``, and only the containers one at a time."""
+    ``_json_text`` spells it: all plain items by one C-encoder call, all
+    strings by ``encode_basestring_ascii``, and the items of any other list
+    one at a time."""
     types = set(map(type, values))
     if types <= _PLAIN_TYPES:
         return _json_plain(values)
     if types == {str}:
         return list(map(encode_basestring_ascii, values))
-    nested = list(map(isinstance, values, repeat(_NESTED)))
-    plain = iter(_json_plain(list(compress(values, map(operator.not_, nested)))))
-    return [_json_text(v, indent) if n else next(plain) for v, n in zip(values, nested)]
+    return [_json_text(v, indent) for v in values]
 
 
 def _json_plain(values) -> list:

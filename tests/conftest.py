@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from aurisense.geometry.primitives import (
-    make_bumpy_plane,
-    make_cylinder,
-    make_icosphere,
-    make_plane_grid,
-)
+from aurisense.geometry.primitives import make_bumpy_plane
+from meshes import make_cylinder, make_icosphere, make_plane_grid
 
 # every run draws the same @given examples and stores none, so a failing run
 # can be repeated from its test id alone

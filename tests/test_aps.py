@@ -14,7 +14,7 @@ from aurisense.geometry import (
     write_aps_json,
 )
 from aurisense.geometry.mesh import SurfaceMesh, closest_point_on_triangles
-from aurisense.geometry.primitives import make_plane_grid
+from meshes import make_plane_grid
 
 
 def test_default_templates():

@@ -19,7 +19,8 @@ from aurisense.geometry import (
     write_ply,
 )
 from aurisense.geometry.aps import AuricularPoint, AuricularPointSet, write_aps_json
-from aurisense.geometry.primitives import make_bumpy_plane, make_icosphere
+from aurisense.geometry.primitives import make_bumpy_plane
+from meshes import make_icosphere
 
 
 def _ap_sites(n=13, seed=0):

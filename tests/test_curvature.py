@@ -10,7 +10,8 @@ from aurisense.geometry.curvature import (
     _tangent_frames,
 )
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import _square_grid, make_icosphere, make_plane_grid
+from aurisense.geometry.primitives import _square_grid
+from meshes import make_icosphere, make_plane_grid
 
 
 def interior_mask(mesh, margin):

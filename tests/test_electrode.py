@@ -32,7 +32,8 @@ from aurisense.errors import (
 from aurisense.geometry import curvature_field, default_template, place_aps
 from aurisense.geometry.aps import AuricularPointSet
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import _square_grid, make_cylinder
+from aurisense.geometry.primitives import _square_grid
+from meshes import make_cylinder
 
 ORIGIN = np.zeros(3)
 X = np.array([1.0, 0.0, 0.0])

@@ -24,7 +24,8 @@ from aurisense.geometry import (
 )
 from aurisense.geometry import meshio
 from aurisense.geometry.mesh import _SPHERE_PAD, DEGENERATE_AREA
-from aurisense.geometry.primitives import make_bumpy_plane, make_cylinder, make_icosphere
+from aurisense.geometry.primitives import make_bumpy_plane
+from meshes import make_cylinder, make_icosphere
 
 
 def test_single_triangle_obj(tmp_path):
@@ -163,8 +164,8 @@ def test_mesh_format_comes_from_the_extension(tmp_path):
         load_mesh(p)
 
 
-# The per-row writers that ``textio.format_rows`` replaced, kept as the
-# byte-for-byte reference.
+# Per-row writers, one ``repr`` per cell, kept as the byte-for-byte
+# reference of ``textio.write_rows``.
 def _reference_ply(path, mesh, scalars, comments):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
@@ -206,9 +207,9 @@ def test_writers_match_the_per_row_reference(tmp_path, monkeypatch):
     rows = np.stack([awkward, awkward[::-1], awkward * 7.0])
     _reference_ply(tmp_path / "ref.ply", mesh, scalars, ("seed=1",))
     _reference_dataset_csv(tmp_path / "ref.csv", labels, rows, ("seed=1",))
-    # rows written one, two, or all in a block
-    for rows_per_block in (1, 2, textio._WRITE_ROWS):
-        monkeypatch.setattr(textio, "_WRITE_ROWS", rows_per_block)
+    # blocks of one row; of 2, 3 and 2 rows (12 cells over rows of 5, 4 and 6); of all
+    for cells_per_block in (1, 12, textio._SLICE):
+        monkeypatch.setattr(textio, "_SLICE", cells_per_block)
         write_ply(tmp_path / "new.ply", mesh, scalars=scalars, comments=("seed=1",))
         assert (tmp_path / "new.ply").read_bytes() == (tmp_path / "ref.ply").read_bytes()
         write_dataset_csv(tmp_path / "new.csv", labels, rows, comments=("seed=1",))
@@ -428,6 +429,9 @@ def test_mesh_arrays_must_be_v_by_3_and_f_by_3(vertices, faces, match):
 def test_write_dataset_csv_needs_one_label_per_row(tmp_path):
     with pytest.raises(ValueError, match="one label per row"):
         write_dataset_csv(tmp_path / "out.csv", ["S01-L"], [[1.0, 2.0], [3.0, 4.0]])
+    # a row of a label and no cells has no header the reader reads
+    with pytest.raises(ValueError, match=r"N >= 1"):
+        write_dataset_csv(tmp_path / "out.csv", ["S01-L"], np.zeros((1, 0)))
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -510,11 +510,20 @@ def test_valid_files_are_read_without_counting_cells(tmp_path, monkeypatch):
 
 
 def _repr_rows(values, labels=None, sep=" "):
-    """The writer before the one ``%`` format: one ``repr`` per cell."""
+    """The reference writer: one ``repr`` per cell."""
     rows = map(sep.join, (map(repr, row) for row in np.asarray(values).tolist()))
     if labels is not None:
         rows = map(sep.join, zip(map(str, labels), rows))
     return "".join(f"{row}\n" for row in rows)
+
+
+def _written(columns, labels=None, sep=" ", cells_per_block=textio._SLICE):
+    """The text ``write_rows`` writes of ``columns`` in blocks of whole rows
+    of about ``cells_per_block`` cells."""
+    out = io.StringIO()
+    with mock.patch.object(textio, "_SLICE", cells_per_block):
+        textio.write_rows(out, columns, labels, sep)
+    return out.getvalue()
 
 
 _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
@@ -526,8 +535,8 @@ def _int_tables(draw):
     info = np.iinfo(draw(st.sampled_from(_INT_DTYPES)))
     # for an unsigned type, max // 2 is the largest cell of the signed type of
     # its width and max // 2 + 1 the first one past it
-    edges = [0, 1, info.min, info.min // 2, info.max, info.max // 2, info.max // 2 + 1]
-    cells = st.sampled_from(edges) | st.integers(info.min, info.max)
+    edges = [0, 1, info.max, info.max // 2, info.max // 2 + 1]
+    cells = st.sampled_from(edges) | st.integers(0, info.max)
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5)))
     return draw(hnp.arrays(info.dtype, shape, elements=cells))
 
@@ -535,16 +544,13 @@ def _int_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(values=_int_tables(), sep=st.sampled_from([" ", ",", ", ", "\t"]))
 @example(values=np.array([[2 ** 64 - 1, 2 ** 63, 0]], np.uint64), sep=" ")
-@example(values=np.array([[-2 ** 63, 2 ** 63 - 1], [0, -1]], np.int64), sep=" ")
 def test_integer_rows_match_one_repr_per_cell(values, sep):
-    assert textio.format_rows(values, sep=sep) == _repr_rows(values, sep=sep)
-    # blocks of one row, of a few rows, and of the whole table write the same
-    # text, by digit arrays where a block holds no negative cell
-    for rows_per_block in (1, 5, textio._WRITE_ROWS):
-        out = io.StringIO()
-        with mock.patch.object(textio, "_WRITE_ROWS", rows_per_block):
-            textio.write_rows(out, [values[:, :1], values[:, 1:]], sep=sep)
-        assert out.getvalue() == _repr_rows(values, sep=sep)
+    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
+    # blocks of one row, of a few rows, and of the whole table write the same text
+    ncols = values.shape[1]
+    for cells_per_block in (ncols, 5 * ncols, textio._SLICE):
+        written = _written([values[:, :1], values[:, 1:]], sep=sep, cells_per_block=cells_per_block)
+        assert written == _repr_rows(values, sep=sep)
 
 
 # 0, every power of ten up to 10**6 and the number before each up to 10**7 - 1
@@ -555,15 +561,14 @@ _DIGIT_EDGES = [0] + [10 ** k + d for k in range(1, 8) for d in (-1, 0)][:-1]
 @pytest.mark.parametrize("sep", [" ", ","])
 def test_integer_write_rows_spell_the_text_of_format_rows(n_rows, sep):
     # faces of a mesh as write_ply writes them, 1 to 7 digits a cell, in
-    # tables just under, at and just over one block
-    assert textio._WRITE_ROWS == 4096
+    # tables just under, at and just over four blocks of 1024 rows
+    assert textio._SLICE == 4096
     draw = np.random.default_rng(n_rows).integers(0, 10 ** 7, 3 * n_rows)
     faces = np.r_[_DIGIT_EDGES, draw][:3 * n_rows].reshape(n_rows, 3)
     columns = [np.broadcast_to(3, n_rows), faces]
-    out = io.StringIO()
-    textio.write_rows(out, columns, sep=sep)
-    assert out.getvalue() == textio.format_rows(np.column_stack(columns), sep=sep)
-    assert out.getvalue().count("\n") == n_rows
+    written = _written(columns, sep=sep)
+    assert written == _repr_rows(np.column_stack(columns), sep=sep)
+    assert written.count("\n") == n_rows
 
 
 @st.composite
@@ -581,13 +586,38 @@ def _float_tables(draw):
 @example(table=(np.array([[-0.0, np.nan, -np.inf, 5e-324, 1e16, 0.1]]), ["a%s"]), sep=",")
 def test_float_and_labelled_rows_match_one_repr_per_cell(table, sep):
     values, labels = table
-    assert textio.format_rows(values, labels, sep) == _repr_rows(values, labels, sep)
+    assert _written([values], labels, sep) == _repr_rows(values, labels, sep)
     # blocks of one row, of a few rows, and of the whole table write the same text
-    for rows_per_block in (1, 5, textio._WRITE_ROWS):
-        out = io.StringIO()
-        with mock.patch.object(textio, "_WRITE_ROWS", rows_per_block):
-            textio.write_rows(out, [values[:, :1], values[:, 1:]], labels, sep)
-        assert out.getvalue() == _repr_rows(values, labels, sep)
+    ncols = values.shape[1]
+    for cells_per_block in (ncols, 5 * ncols, textio._SLICE):
+        written = _written([values[:, :1], values[:, 1:]], labels, sep, cells_per_block)
+        assert written == _repr_rows(values, labels, sep)
+
+
+@pytest.mark.parametrize("columns, labels, sep", [
+    ([np.ones((2, 2))], None, "abcd"),
+    ([np.ones((2, 2))], None, "\u00e9\u00e9"),
+    ([np.ones((2, 2))], None, "\0"),
+    ([np.ones((2, 2))], ["a", "b"], "\n"),
+    ([np.ones((2, 2))], None, ",\r"),
+    ([np.arange(4).reshape(2, 2)], None, "abcd"),
+    ([np.arange(4).reshape(2, 2)], None, "\n"),
+    ([np.array([[-2 ** 63, 2 ** 63 - 1], [0, -1]], np.int64)], None, " "),
+    ([np.r_[np.arange(5000), -1]], None, " "),
+    ([np.arange(4).reshape(2, 2)], ["a", "b"], ","),
+    ([np.arange(4, dtype=np.uint8).reshape(2, 2)], ["a", "b"], ","),
+    ([np.ones((2, 2), object)], None, " "),
+    ([np.ones((2, 2)), np.array(["x", "y"], object)], None, " "),
+    ([np.ones((2, 0))], ["a", "b"], ","),
+], ids=["four-byte-sep", "two-char-four-byte-sep", "nul-sep", "lf-sep", "cr-sep",
+        "int-four-byte-sep", "int-lf-sep", "negative-int", "negative-int-past-the-first-block",
+        "int-with-labels", "uint8-with-labels", "object-cells", "object-column", "no-columns"])
+def test_write_rows_refuses_what_it_cannot_spell_before_writing_a_row(
+        columns, labels, sep):
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        textio.write_rows(out, columns, labels, sep)
+    assert out.getvalue() == ""
 
 
 def _float64(word):
@@ -610,9 +640,9 @@ _LARGEST_SUBNORMAL = _float64(2 ** 52 - 1)
 def test_float64_bit_patterns_match_one_repr_per_cell(cells, column, sep):
     # every sign and exponent, subnormals, infinities and NaNs included
     values = np.array(cells).reshape((-1, 1) if column else (1, -1))
-    assert textio.format_rows(values, sep=sep) == _repr_rows(values, sep=sep)
+    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
     labels = [f"r{i}" for i in range(len(values))]
-    assert textio.format_rows(values, labels, sep) == _repr_rows(values, labels, sep)
+    assert _written([values], labels, sep) == _repr_rows(values, labels, sep)
 
 
 def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
@@ -622,7 +652,7 @@ def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
     powers += [float(f"1e{k}") for k in range(-323, 309)]
     cells = [y for x in powers for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
     values = np.array(cells + [-x for x in cells]).reshape(-1, 3)
-    assert textio.format_rows(values) == _repr_rows(values)
+    assert _written([values]) == _repr_rows(values)
 
 
 def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
@@ -635,7 +665,7 @@ def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
     for edge in (textio._SLICE, 2 * textio._SLICE):
         cells[edge - 2:edge + 3] = [np.nan, -0.0, 5e-324, -np.inf, 0.0]
     values = cells.reshape(-1, 4)
-    assert textio.format_rows(values, sep=",") == _repr_rows(values, sep=",")
+    assert _written([values], sep=",") == _repr_rows(values, sep=",")
 
 
 def test_the_schubfach_table_holds_g_for_every_k():
@@ -677,8 +707,8 @@ def test_float_rows_across_kernel_slices_of_whole_rows_match_repr(ncols):
     values = rng.lognormal(2.0, 3.0, (n_rows, ncols)) * rng.choice([-1.0, 1.0], (n_rows, ncols))
     values.ravel()[::97] = np.nan
     labels = [f"r{i}" for i in range(n_rows)]
-    assert textio.format_rows(values, sep=",") == _repr_rows(values, sep=",")
-    assert textio.format_rows(values, labels, ",") == _repr_rows(values, labels, ",")
+    assert _written([values], sep=",") == _repr_rows(values, sep=",")
+    assert _written([values], labels, ",") == _repr_rows(values, labels, ",")
 
 
 def _stdlib_json(obj) -> str:

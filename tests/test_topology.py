@@ -5,7 +5,7 @@ from aurisense.electrode import _Pathway, design_array
 from aurisense.errors import ParameterError
 from aurisense.geometry import curvature_field, default_template, place_aps
 from aurisense.geometry.mesh import SurfaceMesh
-from aurisense.geometry.primitives import make_icosphere
+from meshes import make_icosphere
 from test_electrode import _two_sheets
 
 # ----------------------------------------------------------------------
