@@ -27,21 +27,25 @@ whatever its size, and at M = 4800 a 1 MB block still takes 27 rows per
 k-means runs all the restarts of one K in one lockstep pass.  k-means++
 seeds them together: each new centre of every restart updates one (R, M)
 array of squared distances by one ``cdist``, and each restart draws from
-its own row with its own generator, as ``Generator.choice`` would.  A
-Lloyd step is one (a·K, M) ``cdist`` of squared distances from the
-centres of the a restarts still running, summed over the coordinates in
-order, whose minimum over the K rows is d²; the label is the lowest row at
-that minimum.  The labels, offset by restart·K once per step, feed one
-``bincount`` of the cluster sizes and one index-order ``bincount`` per
-coordinate of the centre sums.  Memory grows as R·K·M, linear in M at the
-pipeline's fixed R and K.  Convergence and the empty-cluster reseed stay
-per restart, so every restart gets the labels, centres and SSE of a run on
-its own.  Tests check all three.
+its own row with its own generator, as ``Generator.choice`` would, by one
+``searchsorted`` in that row's cdf.  A Lloyd step is one (a·K, M)
+``cdist`` of squared distances from the centres of the a restarts still
+running, summed over the coordinates in order, whose minimum over the K
+rows is d²; the label is the lowest row at that minimum, offset by
+restart·K in the same pass.  The offset labels feed one ``bincount`` of the
+cluster sizes and one index-order ``bincount`` per coordinate of the
+centre sums.  The rest of a step costs only what it uses: the per-restart
+reseed scan runs only when some cluster is empty, and the running arrays
+are cut only when some restart leaves.  Memory grows as R·K·M, linear in M
+at the pipeline's fixed R and K.  Convergence and the empty-cluster reseed
+stay per restart, so every restart gets the labels, centres and SSE of a
+run on its own.  Tests check all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
 
 import numpy as np
 
@@ -55,6 +59,7 @@ _K_MAX = 8         # largest K the pipeline tries, where M - 1 allows it
 _RESTARTS = 8      # k-means restarts per K in the pipeline
 _N_COMPONENTS = 3  # PCA components the pipeline clusters in
 _SILHOUETTE_ELEMENTS = 2 ** 17  # distances per silhouette row block (1 MB)
+_SIDES = {"L": 0, "l": 0, "R": 1, "r": 1}  # the ear a label's side names
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +79,9 @@ def _assign(points, centers):
     ``centers`` is (a, K, d).  One (a·K, M) ``cdist`` serves all a sets.  d²
     is the minimum of the K rows; each row c at it scores K - c, and the
     largest score, K minus the label, is the lowest tied index, as
-    ``argmin`` gives.  Returns two (a, M) arrays.
+    ``argmin`` gives.  Set i's labels come offset by i·K, (i + 1)·K minus
+    that score, so the labels of all a sets index one (a·K) ``bincount``.
+    Returns two (a, M) arrays.
     """
     # imported on use: `import aurisense.cli` loads no scipy module
     from scipy.spatial.distance import cdist
@@ -83,7 +90,8 @@ def _assign(points, centers):
     dist = cdist(centers.reshape(a * k, d), points, "sqeuclidean").reshape(a, k, -1)
     d2 = np.minimum.reduce(dist, axis=1)
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
-    return k - np.maximum.reduce((dist == d2[:, None]) * rank, axis=1), d2
+    top = np.arange(k, (a + 1) * k, k)[:, None]
+    return top - np.maximum.reduce((dist == d2[:, None]) * rank, axis=1), d2
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,8 @@ def _kmeanspp_init(points, k, rngs):
     one, by ``rngs[r].integers(M)``.  Every other centre is the number of
     entries of its row's cdf at or below one ``rngs[r].random()``, the cdf
     being ``cumsum(d2 / total)`` divided by its last entry: the same draw
-    as ``rngs[r].choice(M, p=d2 / total)``.
+    as ``rngs[r].choice(M, p=d2 / total)``.  That cdf never decreases, so
+    the count is the right-side ``searchsorted`` of the draw in it.
     """
     from scipy.spatial.distance import cdist
 
@@ -118,8 +127,8 @@ def _kmeanspp_init(points, k, rngs):
         live = total > 0
         cdf = np.cumsum(d2[live] / total[live, None], axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([rng.random() for rng, draws in zip(rngs, live) if draws])
-        idx[live] = np.count_nonzero(cdf <= u[:, None], axis=1)
+        idx[live] = [np.searchsorted(row, rngs[r].random(), side="right")
+                     for r, row in zip(np.flatnonzero(live), cdf)]
         # every point of these restarts is already a centre
         idx[~live] = [rngs[r].integers(m) for r in np.flatnonzero(~live)]
         centers[:, c] = points[idx]
@@ -130,7 +139,10 @@ def _kmeanspp_init(points, k, rngs):
 def _lloyd(points, k, rngs):
     """Lloyd's algorithm for one group of restarts, seeded by ``rngs``, in lockstep.
 
-    Returns each restart's labels (R, M), centres (R, K, d) and SSE (R,).
+    A step is one ``_assign`` call for the running restarts; only a step
+    with an empty cluster re-seeds, restart by restart, and only one that
+    ends a restart cuts the running arrays.  Returns each restart's labels
+    (R, M), centres (R, K, d) and SSE (R,).
     """
     m, d = points.shape
     centers = _kmeanspp_init(points, k, rngs)
@@ -145,40 +157,46 @@ def _lloyd(points, k, rngs):
     for _ in range(_MAX_ITER):
         a = running.size
         labels, d2 = _assign(points, centers)
-        offsets = k * np.arange(a)[:, None]
-        labels = labels + offsets
         counts = np.bincount(labels.ravel(), minlength=a * k).reshape(a, k)
-        # empty clusters: deterministically re-seed from the restart's farthest
-        # point; re-assignment may empty another cluster, so sweep until stable
-        for i in np.flatnonzero(~counts.all(axis=1)):
-            for _attempt in range(k):
-                if counts[i].all():
-                    break
-                for c in np.flatnonzero(counts[i] == 0):
-                    centers[i, c] = points[int(np.argmax(d2[i]))]
-                    lab, dd = _assign(points, centers[i:i + 1])
-                    labels[i], d2[i] = lab[0] + offsets[i], dd[0]
-                counts[i] = np.bincount(lab[0], minlength=k)
+        if counts.min() == 0:
+            # empty clusters: deterministically re-seed from the restart's farthest
+            # point; re-assignment may empty another cluster, so sweep until stable
+            for i in np.flatnonzero(~counts.all(axis=1)):
+                for _attempt in range(k):
+                    if counts[i].all():
+                        break
+                    for c in np.flatnonzero(counts[i] == 0):
+                        centers[i, c] = points[int(np.argmax(d2[i]))]
+                        lab, dd = _assign(points, centers[i:i + 1])
+                        labels[i], d2[i] = lab[0] + i * k, dd[0]
+                    counts[i] = np.bincount(lab[0], minlength=k)
         sse = d2.sum(axis=1)  # each contiguous row is summed as its own 1-D array
-        # bincount adds rows in index order; a still-empty cluster keeps its center
-        sums = np.stack([np.bincount(labels.ravel(), w[:a * m], a * k) for w in weights],
-                        axis=1).reshape(a, k, d)
-        new_centers = np.where(counts[..., None] > 0,
-                               sums / np.maximum(counts, 1)[..., None], centers)
+        # bincount adds rows in index order
+        flat = labels.ravel()
+        sums = np.empty((a * k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(flat, weights[j, :a * m], a * k)
+        new_centers = sums.reshape(a, k, d)
+        if counts.min() > 0:
+            new_centers /= counts[..., None]
+        else:  # a still-empty cluster keeps its centre
+            new_centers = np.where(counts[..., None] > 0,
+                                   new_centers / np.maximum(counts, 1)[..., None], centers)
         done = (new_centers == centers).all(axis=(1, 2)) | (sse == prev_sse)
-        # a converged restart leaves with the labels and d2 of its current centers
-        ids = running[done]
-        out_labels[ids] = labels[done] - offsets[done]
-        out_centers[ids], out_sse[ids] = centers[done], sse[done]
-        running = running[~done]
-        if running.size == 0:
-            break
-        centers = new_centers[~done]
-        prev_sse = sse[~done]
+        if done.any():
+            # a converged restart leaves with the labels and d2 of its current centers
+            ids = running[done]
+            out_labels[ids] = labels[done] - k * np.flatnonzero(done)[:, None]
+            out_centers[ids], out_sse[ids] = centers[done], sse[done]
+            running = running[~done]
+            if running.size == 0:
+                break
+            new_centers, sse = new_centers[~done], sse[~done]
+        centers, prev_sse = new_centers, sse
     else:
         labels, d2 = _assign(points, centers)
-        out_labels[running], out_centers[running] = labels, centers
-        out_sse[running] = d2.sum(axis=1)
+        out_labels[running] = labels - k * np.arange(running.size)[:, None]
+        out_centers[running], out_sse[running] = centers, d2.sum(axis=1)
     return out_labels, out_centers, out_sse
 
 
@@ -402,36 +420,44 @@ def concordance(report: ClusterReport) -> ConcordanceResult:
     """Fraction of subjects with both ears in one cluster, plus the match matrix.
 
     Every label must be "SUBJECT-SIDE" with the side ``L`` or ``R``, in
-    either case; any other label raises ``LabelError``.  Every subject
-    needs exactly one L row and one R row.  Matrix rows index the left-ear
-    cluster and columns the right-ear cluster, so matched subjects land on
-    the diagonal.
+    either case; the first label that is not, or that repeats an ear,
+    raises ``LabelError``.  Every subject needs exactly one L row and one R
+    row; the first subject, in sorted order, without them raises.  Matrix
+    rows index the left-ear cluster and columns the right-ear cluster, so
+    matched subjects land on the diagonal.
     """
-    if len(report.labels) != len(report.assignments):
+    labels = report.labels
+    m = len(labels)
+    if m != len(report.assignments):
         raise LabelError("label count does not match the assignment count")
-    by_subject: dict = {}
-    for lab, cluster in zip(report.labels, report.assignments):
-        subject, dash, side = lab.rpartition("-")
-        side = side.upper()
-        if not dash or side not in ("L", "R"):
-            raise LabelError(f"label '{lab}' is not SUBJECT-SIDE")
-        ears = by_subject.setdefault(subject, {})
-        if side in ears:
-            raise LabelError(f"label '{lab}' repeats the ear '{subject}-{side}'")
-        ears[side] = int(cluster)
+    subject, dash, side = zip(*map(str.rpartition, labels, repeat("-"))) if m else ((),) * 3
+    # 0 for L, 1 for R, 2 for a label that is not SUBJECT-SIDE
+    code = np.array([*map(_SIDES.get, side, repeat(2))], dtype=np.intp)
+    if "" in dash:
+        code[np.equal(dash, "")] = 2
+    # each subject is numbered by its first label, each ear by 3·subject + side
+    owner = np.array([*map({}.setdefault, subject, count())], dtype=np.intp)
+    ear = 3 * owner + code
+    repeats = np.ones(m, dtype=bool)
+    repeats[np.unique(ear, return_index=True)[1]] = False  # first occurrences
+    faults = np.flatnonzero((code == 2) | repeats)
+    if faults.size:
+        i = faults[0]
+        if code[i] == 2:
+            raise LabelError(f"label '{labels[i]}' is not SUBJECT-SIDE")
+        raise LabelError(f"label '{labels[i]}' repeats the ear '{subject[i]}-{'LR'[code[i]]}'")
+    # with no repeated ear, a subject without two ears has one
+    unpaired = np.flatnonzero(np.bincount(owner, minlength=m) == 1)
+    if unpaired.size:
+        raise LabelError(f"subject '{min(subject[i] for i in unpaired)}' has 1 ears; need 2")
+    # sorted, the ears pair up as each subject's (L, R)
+    left, right = np.asarray(report.assignments)[np.argsort(ear)].reshape(-1, 2).T
     k = int(report.centers.shape[0])
     matrix = np.zeros((k, k), dtype=np.int64)
-    matched = 0
-    for subject, ears in sorted(by_subject.items()):
-        if len(ears) != 2:
-            raise LabelError(f"subject '{subject}' has {len(ears)} ears; need 2")
-        left, right = ears["L"], ears["R"]
-        matrix[left, right] += 1
-        if left == right:
-            matched += 1
-    n = len(by_subject)
+    np.add.at(matrix, (left, right), 1)
+    n = m // 2
     return ConcordanceResult(
-        fraction=matched / n if n else 0.0,
+        fraction=int(np.count_nonzero(left == right)) / n if n else 0.0,
         match_matrix=matrix,
         n_subjects=n,
     )

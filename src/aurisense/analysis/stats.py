@@ -90,8 +90,9 @@ def correlation(x, y, n_perm: int = 10000, seed: int = 0) -> CorrelationResult:
     perms = _permutations(int(seed), xc.size, int(n_perm))
     hits = 0
     for start in range(0, n_perm, PERM_BLOCK):
-        # intp indices gather about three times faster than the cached uint8
-        r = yc[perms[start:start + PERM_BLOCK].astype(np.intp)] @ xc / (sx * sy)
+        # take gathers by the cached uint8 indices; on one Xeon core at n = 20
+        # it ran 2.5x as fast as yc[...] by them, 1.1x as by an intp copy
+        r = yc.take(perms[start:start + PERM_BLOCK]) @ xc / (sx * sy)
         hits += int(np.count_nonzero(np.abs(r) >= abs(r_obs) - 1e-12))
     p = (1 + hits) / (n_perm + 1)
     correlated = (p <= P_THRESHOLD) and (abs(r_obs) >= PCC_THRESHOLD)

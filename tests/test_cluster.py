@@ -113,7 +113,7 @@ def test_assign_takes_the_lowest_of_tied_centres(k):
     labels, d2 = cluster._assign(points, centers)
     for r in range(3):
         ref_labels, ref_d2 = reference_assign(points, centers[r])
-        np.testing.assert_array_equal(labels[r], ref_labels)
+        np.testing.assert_array_equal(labels[r], ref_labels + r * k)  # offset by set
         np.testing.assert_array_equal(d2[r], ref_d2)
 
 
@@ -196,6 +196,59 @@ def test_lockstep_seeding_matches_the_reference_on_every_restart(points, k, seed
                                       reference_kmeanspp_init(points, k, spawn_rng(seed, r)))
 
 
+def duplicate_draws():
+    """(points, K) grid draws: repeated points give the cdfs flat runs and
+    zero-weight entries; with three distinct points every restart draws its
+    fourth to eighth centres by integers(M)."""
+    rng = np.random.default_rng(51)
+    cases = [(rng.integers(0, 3, size=(60, 2)).astype(np.float64), k) for k in range(1, 9)]
+    cases.append((np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], [30, 5, 1], axis=0), 8))
+    return cases
+
+
+@pytest.mark.parametrize("points,k", duplicate_draws())
+def test_lockstep_seeding_matches_the_reference_on_duplicate_points(points, k):
+    rngs = [spawn_rng(k, r) for r in range(8)]
+    centers = cluster._kmeanspp_init(points, k, rngs)
+    for r, rng in enumerate(rngs):
+        ref_rng = spawn_rng(k, r)
+        np.testing.assert_array_equal(centers[r], reference_kmeanspp_init(points, k, ref_rng))
+        assert rng.random() == ref_rng.random()  # the same draws were made
+
+
+@given(weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-300]), min_size=1, max_size=30),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_seeding_searchsorted_counts_the_cdf_at_or_below_the_draw(weights, u):
+    """The draw ``_kmeanspp_init`` makes is ``choice``'s count of cdf
+    entries <= u, also where u equals an entry or a flat run."""
+    d2 = np.array(weights)
+    if d2.sum() == 0:
+        return
+    cdf = np.cumsum(d2 / d2.sum())
+    cdf /= cdf[-1]
+    for x in (u, *cdf):
+        assert np.searchsorted(cdf, x, side="right") == np.count_nonzero(cdf <= x)
+
+
+@pytest.mark.parametrize("step,picked", [(None, 1.0), (3, 4.0)], ids=["zero", "entry-3"])
+def test_seeding_draw_on_a_cdf_entry_takes_the_next_point(step, picked):
+    """A draw equal to a cdf entry counts that entry as at or below it, as
+    ``choice``'s right-side search does, so a zero-weight point is never drawn."""
+    points = np.array([[0.0], [0.0], [1.0], [3.0], [4.0]])  # d² from the first: 0 0 1 9 16
+    cdf = np.cumsum(np.array([0.0, 0.0, 1.0, 9.0, 16.0]) / 26.0)
+    cdf /= cdf[-1]
+
+    class Draws:
+        def integers(self, m):
+            return 0
+
+        def random(self):
+            return 0.0 if step is None else cdf[step]
+
+    assert cluster._kmeanspp_init(points, 2, [Draws()])[0, 1, 0] == picked
+
+
 def test_lockstep_seeding_draws_integers_where_every_point_is_a_centre():
     # eps² underflows to 0 and (2 eps)² does not: a restart that starts at the
     # middle point has total d² = 0 at its second centre and draws it by
@@ -268,6 +321,36 @@ def test_lloyd_assigns_once_per_step_and_per_reseed(monkeypatch):
         assert len(calls) == steps[0] + reseeds[0]
         np.testing.assert_array_equal(calls[-1][0], res[1][0])
     assert mixed > 0
+
+
+def test_lloyd_matches_the_reference_through_every_kind_of_step(monkeypatch):
+    """1 200 points, K = 8, 8 restarts.  Four blobs with a third of the points
+    on the integer grid: the restarts leave between steps 13 and 31, most
+    steps end none of them and step 23 ends three.  Five distinct points:
+    every restart re-seeds its empty clusters in step 1 and all leave in
+    step 2."""
+    rng = np.random.default_rng(1)
+    blobs = (rng.normal(scale=4.0, size=(4, 3))[rng.integers(0, 4, 1200)]
+             + rng.normal(size=(1200, 3)))
+    blobs[::3] = np.round(blobs[::3])
+    five = rng.normal(size=(5, 2))[rng.integers(0, 5, 1200)]
+    calls = spy_on_assign(monkeypatch)
+    kinds = set()
+    for points in (blobs, five):
+        runs = [reference_lloyd(points, 8, spawn_rng(2, r)) for r in range(8)]
+        steps = np.array([run[3] for run in runs])
+        ends = np.bincount(steps, minlength=steps.max() + 1)[1:]
+        kinds |= {"ends none"} if (ends == 0).any() else set()
+        kinds |= {"ends several"} if (ends >= 2).any() else set()
+        kinds |= {"reseeds"} if any(run[4] for run in runs) else set()
+        del calls[:]
+        labels, centers, sse = lockstep(points, 8, 2, range(8))
+        assert len(calls) == steps.max() + sum(run[4] for run in runs)
+        for r, run in enumerate(runs):
+            np.testing.assert_array_equal(labels[r], run[0])
+            np.testing.assert_array_equal(centers[r], run[1])
+            assert sse[r] == pytest.approx(run[2], rel=1e-12, abs=0.0)
+    assert kinds == {"ends none", "ends several", "reseeds"}
 
 
 def test_a_reseed_takes_the_farthest_point_of_its_own_restart(monkeypatch):
@@ -805,3 +888,78 @@ def test_concordance_takes_only_l_and_r_sides(labels, bad):
     FakeReport.labels = labels
     with pytest.raises(LabelError, match=f"label '{bad}' is not SUBJECT-SIDE"):
         concordance(FakeReport())
+
+
+def reference_concordance(labels, assignments, k):
+    """The per-label loop ``concordance`` ran before it took array passes:
+    (fraction, match matrix, subject count), or the LabelError it raises."""
+    by_subject: dict = {}
+    for lab, cluster_ in zip(labels, assignments):
+        subject, dash, side = lab.rpartition("-")
+        side = side.upper()
+        if not dash or side not in ("L", "R"):
+            raise LabelError(f"label '{lab}' is not SUBJECT-SIDE")
+        ears = by_subject.setdefault(subject, {})
+        if side in ears:
+            raise LabelError(f"label '{lab}' repeats the ear '{subject}-{side}'")
+        ears[side] = int(cluster_)
+    matrix = np.zeros((k, k), dtype=np.int64)
+    matched = 0
+    for subject, ears in sorted(by_subject.items()):
+        if len(ears) != 2:
+            raise LabelError(f"subject '{subject}' has {len(ears)} ears; need 2")
+        left, right = ears["L"], ears["R"]
+        matrix[left, right] += 1
+        if left == right:
+            matched += 1
+    n = len(by_subject)
+    return matched / n if n else 0.0, matrix, n
+
+
+@st.composite
+def concordance_inputs(draw):
+    """Paired SUBJECT-SIDE labels in any case and order, then up to three
+    faults: a dropped label, a repeated ear, a label that is not SUBJECT-SIDE
+    (a bad side, no dash, or a bare side)."""
+    names = st.text(alphabet="Sab-0\x00ſ", max_size=3)
+    subjects = draw(st.lists(names, unique=True, max_size=8))
+    labels = [f"{s}-{draw(st.sampled_from(side))}" for s in subjects for side in ("Ll", "Rr")]
+    labels = draw(st.permutations(labels))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "repeat", "bad"]))
+        at = draw(st.integers(0, len(labels)))
+        if fault == "drop" and labels:
+            del labels[at % len(labels)]
+        elif fault == "repeat" and labels:
+            labels.insert(at, draw(st.sampled_from(labels)).swapcase())
+        elif fault == "bad":
+            side = draw(st.sampled_from(["X", "", "LL", "l-", "ſ", "Left"]))
+            bare = draw(st.sampled_from("LlRr"))  # a side without a dash
+            labels.insert(at, draw(st.sampled_from([f"{draw(names)}-{side}", draw(names), bare])))
+    k = draw(st.integers(1, 4))
+    assignments = draw(st.lists(st.integers(0, k - 1), min_size=len(labels),
+                                max_size=len(labels)))
+    return labels, np.array(assignments, dtype=np.int64), k
+
+
+@given(concordance_inputs())
+@settings(max_examples=300, deadline=None)
+def test_concordance_equals_the_per_label_loop(case):
+    labels, assignments, k = case
+
+    class FakeReport:
+        pass
+
+    FakeReport.labels, FakeReport.assignments = tuple(labels), assignments
+    FakeReport.centers = np.zeros((k, 2))
+    try:
+        expected = reference_concordance(labels, assignments, k)
+    except LabelError as exc:
+        with pytest.raises(LabelError) as got:
+            concordance(FakeReport())
+        assert str(got.value) == str(exc)
+        return
+    con = concordance(FakeReport())
+    assert (con.fraction, con.n_subjects) == (expected[0], expected[2])
+    np.testing.assert_array_equal(con.match_matrix, expected[1])
+    assert con.match_matrix.dtype == expected[1].dtype
