@@ -42,9 +42,12 @@ passes: Schubfach's shortest correctly rounded digits on uint64 arrays,
 then one layout template per cell (notation, decimal-point place, digit
 count) masks a fixed field of those digits, and the NULs between the kept
 bytes are dropped; a subnormal, infinite or NaN cell takes its ``repr`` in
-its own field.  A block of integers >= 0 with no labels is spelled by array
-passes over its cells' decimal digits.  Any other table, and a separator
-the fields cannot hold, raises ``ValueError`` before a row is written.
+its own field.  A block of integers >= 0 with no labels is spelled by
+table lookup: each cell's base-10**4 digits index one cached table of the
+10 000 four-byte groups, each group in a uint32 lane followed by a
+separator lane, and the same NUL-dropping pass ends the block.  Any other
+table, and a separator the fields cannot hold, raises ``ValueError`` before
+a row is written.
 
 ``write_report_json`` writes the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` and a newline, whose pure-Python encoder
@@ -67,7 +70,12 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-_SLICE = 4096  # cells per block of ``write_rows``: bounds the text and temporaries held at once
+# cells per block of ``write_rows``, which bounds the text and temporaries
+# held at once (about 3 MB traced at 8192).  Of 4096, 8192 and 16384, 8192
+# wrote the ear-fine contour PLY (22 801 x 4 floats, 45 000 face rows) and a
+# 4 800 x 13 cohort CSV fastest, in alternating runs on one CPU of a 2-vCPU
+# Xeon with glibc's mmap threshold raised, as earlier large arrays raise it
+_SLICE = 8192
 
 
 def _split_lines(text: str) -> list:
@@ -218,9 +226,9 @@ def write_rows(fh, columns, labels=None, sep: str = " ") -> None:
     Rows go in blocks of whole rows of about ``_SLICE`` cells, so the text in
     memory is one block's.  Cells are float16, float32 or float64, spelled by
     ``_float_fields``, or integers >= 0 with no labels, spelled by
-    ``_whole_rows``; any other cells, no columns, or a ``sep`` of over 3
-    bytes or holding a NUL or a line break raise ``ValueError`` before a row
-    is written."""
+    ``_whole_rows`` from the 4-digit groups of ``_group_table``; any other
+    cells, no columns, or a ``sep`` of over 3 bytes or holding a NUL or a
+    line break raise ``ValueError`` before a row is written."""
     head = np.column_stack([c[:0] for c in columns])
     n, ncols = len(columns[0]), head.shape[1]
     tail = sep.encode()
@@ -259,21 +267,48 @@ def write_rows(fh, columns, labels=None, sep: str = " ") -> None:
 
 def _whole_rows(values, sep: str) -> str:
     """The rows ``write_rows`` writes of a 2-D array of integers >= 0, by
-    array passes: repeated ``divmod`` puts each cell's digits right-aligned
-    in a field of NULs as wide as the largest cell, ``sep`` follows each cell
-    but a row's last, which ``\\n`` follows, and the NULs are dropped."""
-    width = len(str(values.max()))
-    tail = sep.encode()
-    cells = np.zeros(values.shape + (width + len(tail),), np.uint8)
-    cells[..., width - 1] = ord("0")  # the one digit of a 0
-    for k in range(width - 1, -1, -1):
-        rest, digit = np.divmod(values, 10)
-        np.copyto(cells[..., k], digit + ord("0"), casting="unsafe", where=values > 0)
-        values = rest
-    cells[..., width:] = np.frombuffer(tail, np.uint8)
-    cells[:, -1, width:] = 0
-    cells[:, -1, width] = ord("\n")
-    return cells.tobytes().translate(None, b"\0").decode()
+    table lookup: each cell is split into as many base-10**4 groups as the
+    largest cell has, each group's uint32 lane is looked up in
+    ``_group_table``, a lane holding ``sep``, or ``\\n`` after a row's last
+    cell, follows the cell, and the NULs are dropped.  A group after a
+    nonzero one is spelled as four digits, the first nonzero one with its
+    leading zeros as NULs, and a zero group before that as no byte, unless
+    it is the cell's last (the cell 0)."""
+    groups = -(-len(str(values.max())) // 4)
+    if values.dtype != np.uint64:  # int64 holds 10**4 and every table index
+        values = values.astype(np.int64, copy=False)
+    lanes = np.empty(values.shape + (groups + 1,), "<u4")
+    lanes[..., groups] = int.from_bytes(sep.encode(), "little")
+    lanes[:, -1, groups] = ord("\n")
+    table = _group_table()
+    rest = values
+    for k in range(groups - 1, 0, -1):  # the groups after the first, last group first
+        high = rest // 10 ** 4
+        # the table row: 2 after a nonzero higher group, else 1 in the last
+        # lane and 0 in the others; the entry, group + 10**4 * row, is
+        # rest - (high - row) * 10**4, which uint64 wraps back into range
+        row = np.add(high > 0, rest > 0 if k < groups - 1 else True, dtype=rest.dtype)
+        lanes[..., k] = np.take(table, rest - (high - row) * 10 ** 4)
+        rest = high
+    lanes[..., 0] = np.take(table, rest + (groups == 1) * 10 ** 4)  # row 1 if also the last
+    return lanes.tobytes().translate(None, b"\0").decode()
+
+
+@functools.cache
+def _group_table():
+    """The uint32 lanes of the 10 000 base-10**4 groups 0..9999, four ASCII
+    bytes each, built on first use, in three rows of one table: with their
+    leading zeros as NULs and 0 as no byte (row 0), the same with 0 as
+    ``0`` (row 1), and as four digits (row 2)."""
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2")  # "00".."99"
+    lanes = np.empty((3, 100, 100, 2), "<u2")
+    lanes[..., 0] = pairs[:, None]
+    lanes[..., 1] = pairs
+    decimals = lanes.view(np.uint8).reshape(3, 10 ** 4, 4)
+    for place, below in enumerate([1000, 100, 10]):  # the leading zeros of rows 0 and 1
+        decimals[:2, :below, place] = 0
+    decimals[0, 0, 3] = 0
+    return lanes.reshape(-1).view("<u4")
 
 
 # The float writer.  Each cell fills a field of 48 bytes, six little-endian

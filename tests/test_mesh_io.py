@@ -376,6 +376,39 @@ def test_both_ply_readers_apply_the_row_rules(tmp_path, read, vertex, face, line
     assert exc.value.line == line
 
 
+def test_a_loaded_mesh_is_checked_once_by_the_mesh(tmp_path, monkeypatch):
+    """The row checks run only to name the line of a row ``SurfaceMesh``
+    refused."""
+    write_ply(tmp_path / "mesh.ply", make_bumpy_plane(extent=4.0, spacing=1.0))
+    (tmp_path / "tri.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -1\n")
+    (tmp_path / "bad.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
+    real = meshio._check_rows
+
+    def checked(*args):
+        raise AssertionError("the rows were checked")
+
+    monkeypatch.setattr(meshio, "_check_rows", checked)
+    assert load_mesh(tmp_path / "mesh.ply").n_faces == 32
+    assert load_mesh(tmp_path / "tri.obj").n_faces == 1
+    with pytest.raises(AssertionError, match="checked"):
+        load_mesh(tmp_path / "bad.obj")
+    monkeypatch.setattr(meshio, "_check_rows", real)
+    with pytest.raises(MeshFormatError, match="does not exist") as exc:
+        load_mesh(tmp_path / "bad.obj")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("text, line", [
+    ("v 0 0 0\nv 0 nan 0\n", 2),  # no faces: the row rule, not EmptyMeshError
+    ("f 1 2 3\n", 1),              # no vertices
+], ids=["nan-and-no-faces", "face-and-no-vertices"])
+def test_a_row_fault_outranks_an_empty_mesh(tmp_path, text, line):
+    (tmp_path / "m.obj").write_text(text)
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(tmp_path / "m.obj")
+    assert exc.value.line == line
+
+
 def test_a_byte_past_the_ply_tables_that_is_not_utf8_names_its_line(tmp_path):
     # 40 kB of later rows past the tables, far beyond the text decoded with
     # them: only reading on to the end of the file finds the byte

@@ -530,20 +530,28 @@ _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
                np.uint8, np.uint16, np.uint32, np.uint64]
 
 
+# 0, and 10**k - 1 and 10**k for k <= 19: each number of decimal digits up
+# to uint64's 20, and each join of base-10**4 groups (9999 and 10**4, 10**8
+# - 1 and 10**8, ...), where a group after the first keeps its zeros
+_POWER_EDGES = [0] + [10 ** k + d for k in range(1, 20) for d in (-1, 0)]
+
+
 @st.composite
 def _int_tables(draw):
     info = np.iinfo(draw(st.sampled_from(_INT_DTYPES)))
     # for an unsigned type, max // 2 is the largest cell of the signed type of
     # its width and max // 2 + 1 the first one past it
-    edges = [0, 1, info.max, info.max // 2, info.max // 2 + 1]
+    edges = [1, info.max, info.max // 2, info.max // 2 + 1]
+    edges += [cell for cell in _POWER_EDGES if cell <= info.max]
     cells = st.sampled_from(edges) | st.integers(0, info.max)
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 5)))
     return draw(hnp.arrays(info.dtype, shape, elements=cells))
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=_int_tables(), sep=st.sampled_from([" ", ",", ", ", "\t"]))
+@given(values=_int_tables(), sep=st.sampled_from([" ", ",", ", ", "\t", " | "]))
 @example(values=np.array([[2 ** 64 - 1, 2 ** 63, 0]], np.uint64), sep=" ")
+@example(values=np.array([[10 ** 19, 10 ** 19 - 1, 10 ** 4, 10 ** 8]], np.uint64), sep=" | ")
 def test_integer_rows_match_one_repr_per_cell(values, sep):
     assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
     # blocks of one row, of a few rows, and of the whole table write the same text
@@ -557,18 +565,31 @@ def test_integer_rows_match_one_repr_per_cell(values, sep):
 _DIGIT_EDGES = [0] + [10 ** k + d for k in range(1, 8) for d in (-1, 0)][:-1]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+# rows of four cells: just under, at and just over two blocks of them
+@pytest.mark.parametrize("n_rows", [0, 1] + [textio._SLICE // 2 + d for d in (-1, 0, 1)])
 @pytest.mark.parametrize("sep", [" ", ","])
 def test_integer_write_rows_spell_the_text_of_format_rows(n_rows, sep):
-    # faces of a mesh as write_ply writes them, 1 to 7 digits a cell, in
-    # tables just under, at and just over four blocks of 1024 rows
-    assert textio._SLICE == 4096
+    # faces of a mesh as write_ply writes them, 1 to 7 digits a cell
     draw = np.random.default_rng(n_rows).integers(0, 10 ** 7, 3 * n_rows)
     faces = np.r_[_DIGIT_EDGES, draw][:3 * n_rows].reshape(n_rows, 3)
     columns = [np.broadcast_to(3, n_rows), faces]
     written = _written(columns, sep=sep)
     assert written == _repr_rows(np.column_stack(columns), sep=sep)
     assert written.count("\n") == n_rows
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 4])
+@pytest.mark.parametrize("sep", [" ", ", ", " | "])
+def test_integer_tables_across_block_edges_match_repr(ncols, sep):
+    # three blocks of _SLICE // ncols rows, whose largest cells take one, five
+    # and two base-10**4 groups, the power-of-ten edges ending the second;
+    # then a row of zeros
+    size = textio._SLICE // ncols * ncols
+    tops = np.repeat(np.array([10 ** 4, 2 ** 64 - 1, 10 ** 8], np.uint64), size)
+    cells = (np.random.default_rng(52).random(tops.size) * tops).astype(np.uint64)
+    cells[2 * size - len(_POWER_EDGES):2 * size] = _POWER_EDGES
+    values = np.r_[cells, np.zeros(ncols, np.uint64)].reshape(-1, ncols)
+    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
 
 
 @st.composite
@@ -656,7 +677,6 @@ def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
 
 
 def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
-    assert textio._SLICE == 4096
     rng = np.random.default_rng(46)
     words = rng.integers(0, 2 ** 64, 2 * textio._SLICE + 12, dtype=np.uint64)
     cells = words.view(np.float64).copy()
@@ -682,13 +702,15 @@ def test_the_schubfach_table_holds_g_for_every_k():
 
 
 def test_importing_the_cli_builds_no_float_table():
+    # nor the integer writer's group table: both are built on first use
     src = Path(textio.__file__).resolve().parent.parent
     code = ("import aurisense.cli\n"
             "from aurisense import textio\n"
-            "print(textio._float_tables.cache_info().currsize)\n")
+            "print(textio._float_tables.cache_info().currsize,"
+            " textio._group_table.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
 
 
 @settings(max_examples=300, deadline=None)
