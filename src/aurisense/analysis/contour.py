@@ -231,16 +231,22 @@ def _sibson_rows(w, rows, sites, tris, cc, r2tol, queries):
     if q.shape[0] == 0:
         return np.zeros(0, dtype=bool)
 
-    # grouping: each query's cavity as a row of bits, packed into a byte
-    # string, so that one 1-D unique finds the patterns
+    # grouping: each query's cavity as a row of bits packed into bytes
     packed = np.empty((q.shape[0], (n_tris + 7) // 8), dtype=np.uint8)
     step = max(1, _BLOCK // n_tris)
     for s in range(0, q.shape[0], step):
         dx = cc[:, 0] - q[s:s + step, :1]
         dy = cc[:, 1] - q[s:s + step, 1:]
         packed[s:s + step] = np.packbits(dx * dx + dy * dy < r2tol, axis=1)
-    _, first, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                                return_index=True, return_inverse=True)
+    # a stable lexsort over the byte columns, first byte first, puts the
+    # queries of one pattern in one run led by its first query, and the runs
+    # in byte order
+    order = np.lexsort(packed.T[::-1])
+    runs = packed[order]
+    starts = np.r_[True, (runs[1:] != runs[:-1]).any(axis=1)]
+    first = order[starts]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(starts) - 1
     cavity = np.unpackbits(packed[first], axis=1, count=n_tris).astype(bool)  # (P, T)
 
     # per-pattern topology, padded to the largest pattern: boundary edges

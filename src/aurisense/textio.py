@@ -42,12 +42,14 @@ passes: Schubfach's shortest correctly rounded digits on uint64 arrays,
 then one layout template per cell (notation, decimal-point place, digit
 count) masks a fixed field of those digits, and the NULs between the kept
 bytes are dropped; a subnormal, infinite or NaN cell takes its ``repr`` in
-its own field.  A block of integers >= 0 with no labels is spelled by
-table lookup: each cell's base-10**4 digits index one cached table of the
-10 000 four-byte groups, each group in a uint32 lane followed by a
-separator lane, and the same NUL-dropping pass ends the block.  Any other
-table, and a separator the fields cannot hold, raises ``ValueError`` before
-a row is written.
+its own field.  Each pass drops its result once nothing reads it, and the
+digit and template gathers land in the block's fields and index buffer, so
+the kernel holds at most about 18 arrays of a word a cell at once.  A block
+of integers >= 0 with no labels is spelled by table lookup: each cell's
+base-10**4 digits index one cached table of the 10 000 four-byte groups,
+each group in a uint32 lane followed by a separator lane, and the same
+NUL-dropping pass ends the block.  Any other table, and a separator the
+fields cannot hold, raises ``ValueError`` before a row is written.
 
 ``write_report_json`` writes the bytes of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)`` and a newline, whose pure-Python encoder
@@ -71,7 +73,8 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 import numpy as np
 
 # cells per block of ``write_rows``, which bounds the text and temporaries
-# held at once (about 3 MB traced at 8192).  Of 4096, 8192 and 16384, 8192
+# held at once (about 1.9 MB traced at 8192, of which the float kernel's
+# temporaries are 1.2 MB).  Of 4096, 8192 and 16384, 8192
 # wrote the ear-fine contour PLY (22 801 x 4 floats, 45 000 face rows) and a
 # 4 800 x 13 cohort CSV fastest, in alternating runs on one CPU of a 2-vCPU
 # Xeon with glibc's mmap threshold raised, as earlier large arrays raise it
@@ -381,25 +384,34 @@ def _float_fields(x, out) -> None:
     size = bits & _M63
     normal = (size >> 52) - 1 < 2046
     zero = size == 0
-    digits, point = _shortest(np.where(normal, size, _ONE), g1, g0)
+    np.copyto(size, _ONE, where=~normal)
+    digits, point = _shortest(size, g1, g0)
+    del size
     digits[zero] = 0  # 1.0 has the point of 0.0
     high = digits // 10 ** 8
     first = high // 10 ** 8
-    index = np.empty((len(x), _FIELD), np.intp)
+    index = np.empty((len(x), _FIELD), np.int64)
     index[:, 0] = (bits >> 63).view(np.int64) * 10 + first
     eights = np.empty((len(x), 2), np.int64)  # D1..D8 and D9..D16
     eights[:, 0] = high - first * 10 ** 8
     eights[:, 1] = digits - high * 10 ** 8
+    del digits, high, first
     fours = eights // 10 ** 4
     index[:, 1:5:2] = fours + _QUADS
     index[:, 2:5:2] = eights - fours * 10 ** 4 + _QUADS
+    del eights, fours
     index[:, 5] = point + (_EXPS + 307)  # the exponent point - 1 from -308
     # the digit count: one more than the place of the last nonzero digit
     last = np.take(places, index[:, 1:5])
     last = (last + np.array([0, 4, 8, 12], np.uint8)) * (last > 0)
     count = np.maximum(np.maximum(last[:, 0], last[:, 1]), np.maximum(last[:, 2], last[:, 3])) + 1
     key = (np.clip(point, -4, 17) + 4) * 18 + count
-    np.bitwise_and(np.take(lanes, index), np.take(masks, key, axis=0), out=out)
+    # every index is in range: mode "clip" gathers straight into ``out``,
+    # where the default mode would gather into a copy first
+    np.take(lanes, index, out=out, mode="clip")
+    template = index.view(_LANE)
+    np.take(masks, key, axis=0, out=template, mode="clip")
+    out &= template
     for i in np.flatnonzero(~normal & ~zero):
         text = repr(float(x[i])).encode()
         field = out[i].view(np.uint8)
@@ -426,22 +438,20 @@ def _shortest(bits, g1, g0):
     asym = (t == 0) & (e > 1)  # a power of two: the gap below is half the gap above
     k = (q * 661971961083 - asym * 274743187321) >> 41  # floor(log10(2**q)), or of 3/4 of it
     h = (q + _flog2pow10(-k) + 2).view(np.uint64)  # 1 to 4
+    del e, t, q
     g1, g0 = np.take(g1, k + 324), np.take(g0, k + 324)
     cp = c << (h + 2)
     ch, cl = cp >> 32, cp & _M32
     y1, y0 = _mulhi(g1 >> 32, g1 & _M32, ch, cl), g1 * cp
     x1, x0 = _mulhi(g0 >> 32, g0 & _M32, ch, cl), g0 * cp
+    del cp, ch, cl
     vb = _round_odd(y1, y0, x1)
     shift = h + 1
-    down = 64 - shift
-    d1, d0 = g1 << shift, g0 << shift
-    ry0, rx0 = y0 + d1, x0 + d0
-    vbr = _round_odd(y1 + (g1 >> down) + (ry0 < y0), ry0, x1 + (g0 >> down) + (rx0 < x0))
+    del h
+    vbr = _bound(y1, y0, x1, x0, g1, g0, shift, np.add, np.less)
     shift -= asym  # below a power of two the lower bound is cp - 2**h
-    down += asym
-    d1, d0 = g1 << shift, g0 << shift
-    ly0, lx0 = y0 - d1, x0 - d0
-    vbl = _round_odd(y1 - (g1 >> down) - (ly0 > y0), ly0, x1 - (g0 >> down) - (lx0 > x0))
+    vbl = _bound(y1, y0, x1, x0, g1, g0, shift, np.subtract, np.greater)
+    del y1, y0, x1, x0, g1, g0, shift
     odd = c & 1  # an odd significand excludes its bounds
     vbl += odd
     vbr -= odd
@@ -458,6 +468,24 @@ def _shortest(bits, g1, g0):
     return f.view(np.int64), k + 17 - short
 
 
+def _bound(y1, y0, x1, x0, g1, g0, shift, op, carry):
+    """Java's rop of g * (cp -+ 2**shift), rounded as ``_round_odd`` rounds,
+    from the words (y1, y0) and (x1, x0) of g1 * cp and g0 * cp: ``op`` is
+    ``np.add`` or ``np.subtract`` and ``carry`` the matching ``np.less`` or
+    ``np.greater``, which finds the carry or borrow out of the low word."""
+    down = 64 - shift
+    y0s, y1s = g1 << shift, g1 >> down
+    op(y0, y0s, out=y0s)
+    op(y1, y1s, out=y1s)
+    op(y1s, carry(y0s, y0), out=y1s)
+    x0s, x1s = g0 << shift, g0 >> down
+    op(x0, x0s, out=x0s)
+    op(x1, x1s, out=x1s)
+    op(x1s, carry(x0s, x0), out=x1s)
+    del down, x0s
+    return _round_odd(y1s, y0s, x1s)
+
+
 def _mulhi(ah, al, bh, bl):
     """The high word of (ah * 2**32 + al) * (bh * 2**32 + bl), both factors
     below 2**63, from their 32-bit halves."""
@@ -469,8 +497,15 @@ def _mulhi(ah, al, bh, bl):
 def _round_odd(y1, y0, x1):
     """Java's rop: g * cp / 2**127 rounded to odd, g = g1 * 2**63 + g0, from
     the words (y1, y0) of g1 * cp and the high word x1 of g0 * cp."""
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    z = y0 >> 1
+    z += x1
+    r = z >> 63
+    r += y1
+    z &= _M63
+    z += _M63
+    z >>= 63
+    r |= z
+    return r
 
 
 def write_report_json(path, obj: dict) -> None:

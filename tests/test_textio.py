@@ -526,6 +526,20 @@ def _written(columns, labels=None, sep=" ", cells_per_block=textio._SLICE):
     return out.getvalue()
 
 
+def _same_text(got, expected, window: int = 40) -> None:
+    """Assert that two texts, str or bytes, are equal.  A difference is
+    reported by its first offset and a window of each text there: pytest
+    would diff whole texts of several hundred kB, once per example that
+    hypothesis shrinks."""
+    if got == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+              min(len(got), len(expected)))
+    lo = max(0, at - window)
+    raise AssertionError(f"the texts of {len(got)} and {len(expected)} characters differ at "
+                         f"offset {at}: {got[lo:at + window]!r} != {expected[lo:at + window]!r}")
+
+
 _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
                np.uint8, np.uint16, np.uint32, np.uint64]
 
@@ -553,12 +567,12 @@ def _int_tables(draw):
 @example(values=np.array([[2 ** 64 - 1, 2 ** 63, 0]], np.uint64), sep=" ")
 @example(values=np.array([[10 ** 19, 10 ** 19 - 1, 10 ** 4, 10 ** 8]], np.uint64), sep=" | ")
 def test_integer_rows_match_one_repr_per_cell(values, sep):
-    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
+    _same_text(_written([values], sep=sep), _repr_rows(values, sep=sep))
     # blocks of one row, of a few rows, and of the whole table write the same text
     ncols = values.shape[1]
     for cells_per_block in (ncols, 5 * ncols, textio._SLICE):
         written = _written([values[:, :1], values[:, 1:]], sep=sep, cells_per_block=cells_per_block)
-        assert written == _repr_rows(values, sep=sep)
+        _same_text(written, _repr_rows(values, sep=sep))
 
 
 # 0, every power of ten up to 10**6 and the number before each up to 10**7 - 1
@@ -574,7 +588,7 @@ def test_integer_write_rows_spell_the_text_of_format_rows(n_rows, sep):
     faces = np.r_[_DIGIT_EDGES, draw][:3 * n_rows].reshape(n_rows, 3)
     columns = [np.broadcast_to(3, n_rows), faces]
     written = _written(columns, sep=sep)
-    assert written == _repr_rows(np.column_stack(columns), sep=sep)
+    _same_text(written, _repr_rows(np.column_stack(columns), sep=sep))
     assert written.count("\n") == n_rows
 
 
@@ -589,7 +603,7 @@ def test_integer_tables_across_block_edges_match_repr(ncols, sep):
     cells = (np.random.default_rng(52).random(tops.size) * tops).astype(np.uint64)
     cells[2 * size - len(_POWER_EDGES):2 * size] = _POWER_EDGES
     values = np.r_[cells, np.zeros(ncols, np.uint64)].reshape(-1, ncols)
-    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
+    _same_text(_written([values], sep=sep), _repr_rows(values, sep=sep))
 
 
 @st.composite
@@ -607,12 +621,12 @@ def _float_tables(draw):
 @example(table=(np.array([[-0.0, np.nan, -np.inf, 5e-324, 1e16, 0.1]]), ["a%s"]), sep=",")
 def test_float_and_labelled_rows_match_one_repr_per_cell(table, sep):
     values, labels = table
-    assert _written([values], labels, sep) == _repr_rows(values, labels, sep)
+    _same_text(_written([values], labels, sep), _repr_rows(values, labels, sep))
     # blocks of one row, of a few rows, and of the whole table write the same text
     ncols = values.shape[1]
     for cells_per_block in (ncols, 5 * ncols, textio._SLICE):
         written = _written([values[:, :1], values[:, 1:]], labels, sep, cells_per_block)
-        assert written == _repr_rows(values, labels, sep)
+        _same_text(written, _repr_rows(values, labels, sep))
 
 
 @pytest.mark.parametrize("columns, labels, sep", [
@@ -661,9 +675,9 @@ _LARGEST_SUBNORMAL = _float64(2 ** 52 - 1)
 def test_float64_bit_patterns_match_one_repr_per_cell(cells, column, sep):
     # every sign and exponent, subnormals, infinities and NaNs included
     values = np.array(cells).reshape((-1, 1) if column else (1, -1))
-    assert _written([values], sep=sep) == _repr_rows(values, sep=sep)
+    _same_text(_written([values], sep=sep), _repr_rows(values, sep=sep))
     labels = [f"r{i}" for i in range(len(values))]
-    assert _written([values], labels, sep) == _repr_rows(values, labels, sep)
+    _same_text(_written([values], labels, sep), _repr_rows(values, labels, sep))
 
 
 def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
@@ -673,7 +687,7 @@ def test_every_power_of_two_and_of_ten_and_their_neighbours_match_repr():
     powers += [float(f"1e{k}") for k in range(-323, 309)]
     cells = [y for x in powers for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
     values = np.array(cells + [-x for x in cells]).reshape(-1, 3)
-    assert _written([values]) == _repr_rows(values)
+    _same_text(_written([values]), _repr_rows(values))
 
 
 def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
@@ -685,7 +699,26 @@ def test_a_float_table_longer_than_one_kernel_slice_matches_repr():
     for edge in (textio._SLICE, 2 * textio._SLICE):
         cells[edge - 2:edge + 3] = [np.nan, -0.0, 5e-324, -np.inf, 0.0]
     values = cells.reshape(-1, 4)
-    assert _written([values], sep=",") == _repr_rows(values, sep=",")
+    _same_text(_written([values], sep=","), _repr_rows(values, sep=","))
+
+
+def test_writing_two_float_blocks_holds_under_300_bytes_a_block_cell():
+    # the peak holds one block's 48-byte fields and its text, the float
+    # kernel's temporaries and the text written so far.  With about 35
+    # arrays of a word a cell alive at once in the kernel, it was 3.11 MB
+    # at _SLICE = 8192 (380 bytes a block cell); with each dropped once
+    # read, 1.90 MB (232 bytes)
+    import tracemalloc
+
+    values = np.random.default_rng(54).normal(0.0, 20.0, (2 * textio._SLICE // 4, 4))
+    textio.write_rows(io.StringIO(), [values[:1]])  # build the float tables before tracing
+    tracemalloc.start()
+    try:
+        textio.write_rows(io.StringIO(), [values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * textio._SLICE
 
 
 def test_the_schubfach_table_holds_g_for_every_k():
@@ -729,8 +762,8 @@ def test_float_rows_across_kernel_slices_of_whole_rows_match_repr(ncols):
     values = rng.lognormal(2.0, 3.0, (n_rows, ncols)) * rng.choice([-1.0, 1.0], (n_rows, ncols))
     values.ravel()[::97] = np.nan
     labels = [f"r{i}" for i in range(n_rows)]
-    assert _written([values], sep=",") == _repr_rows(values, sep=",")
-    assert _written([values], labels, ",") == _repr_rows(values, labels, ",")
+    _same_text(_written([values], sep=","), _repr_rows(values, sep=","))
+    _same_text(_written([values], labels, ","), _repr_rows(values, labels, ","))
 
 
 def _stdlib_json(obj) -> str:
@@ -761,7 +794,7 @@ _FLAT_4800 = dict(zip([f"S{i // 2 + 1:02d}-{'LR'[i % 2]}" for i in range(4800)],
 def test_report_json_is_the_stdlib_text(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("json") / "r.json"
     textio.write_report_json(path, obj)
-    assert path.read_bytes() == _stdlib_json(obj).encode()
+    _same_text(path.read_bytes(), _stdlib_json(obj).encode())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -816,7 +849,7 @@ def test_truth_and_report_lists_take_no_python_call_per_item(tmp_path):
     for obj in (truth, report):
         path = tmp_path / "r.json"
         calls = _python_calls(lambda: textio.write_report_json(path, obj))
-        assert path.read_bytes() == _stdlib_json(obj).encode()
+        _same_text(path.read_bytes(), _stdlib_json(obj).encode())
         assert calls < 40, calls
         # the stdlib's encoder, which the writer replaced, resumes a
         # generator once per item
